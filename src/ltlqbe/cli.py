@@ -4,7 +4,7 @@ Commands: separable, eval, canonical, from-words.  Example sets travel as
 JSON ({"format": 1, "signature": [...], "positives": [{"name": ...,
 "facts": [["T", 2], ...]}], "negatives": [...]}); ontologies as axiom text
 files.  Exit codes: 0 separable / true, 1 not separable / false, 2 usage or
-parse error, 3 resource cap hit, 4 oracle disagreement.
+parse error, 3 resource cap hit, 4 oracle disagreement, 5 internal error.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from .core import (
 )
 from .horn import ChaseWindowOverflow, Inconsistent
 from .oracle import OracleCap, brute_force_decide
-from .qbe import Problem, ResourceCap, decide, entailed, minimize_witness
+from .qbe import Problem, ResourceCap, WitnessError, decide, entailed, minimize_witness
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_ORACLE = 4
+EXIT_INTERNAL = 5
 
 FORMAT_VERSION = 1
 
@@ -225,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--emit-query", action="store_true")
     p_sep.add_argument("--minimize", action="store_true")
     p_sep.add_argument("--oracle-check", action="store_true")
-    p_sep.add_argument("--jobs", type=int, default=1, help="accepted for compatibility")
     p_sep.set_defaults(func=_cmd_separable)
 
     p_eval = sub.add_parser("eval", help="evaluate a query on a data instance")
@@ -261,9 +261,12 @@ def main(argv=None) -> int:
     except (InputError, ParseError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceCap, OracleCap, ChaseWindowOverflow) as ex:
+    except (ResourceCap, OracleCap) as ex:
         print(f"resource cap: {ex}", file=sys.stderr)
         return EXIT_CAP
+    except (WitnessError, ChaseWindowOverflow) as ex:
+        print(f"internal error: {ex}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Inconsistent as ex:
         print(f"error: ontology and data are inconsistent: {ex}", file=sys.stderr)
         return EXIT_USAGE

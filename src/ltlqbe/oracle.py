@@ -16,7 +16,6 @@ from itertools import combinations
 
 from .core import (
     Bot,
-    DataInstance,
     Diamond,
     ExampleSet,
     LassoModel,
@@ -64,13 +63,6 @@ class _Word:
     def pull(self, m: int) -> int:
         last = len(self.letters) - 1
         return (m >> 1) | (((m >> self.succ[last]) & 1) << last)
-
-
-def _data_word(d: DataInstance) -> _Word:
-    h = d.max_timestamp + 1
-    letters = tuple(d.atoms_at(t) for t in range(h)) + (frozenset(),)
-    succ = tuple(min(i + 1, h) for i in range(h + 1))
-    return _Word(letters, succ)
 
 
 def _lasso_word(m: LassoModel) -> _Word:
@@ -124,8 +116,13 @@ def _diamond_step(words, v):
 
 
 def _conj_vectors(words, sig):
-    """Vectors of all atom conjunctions, with one representative query each."""
-    out = {_top_vec(words): TOP}
+    """Vectors of all atom conjunctions, with one representative query each.
+
+    TOP represents the all-true vector only when no atom conjunction has it:
+    a diamond step of the restricted path classes may land on such a
+    conjunction but not on TOP.
+    """
+    out = {}
     for names in _all_subsets(sorted(sig)):
         if not names:
             continue
@@ -134,6 +131,7 @@ def _conj_vectors(words, sig):
             v = _vec_and(v, _atom_vec(words, a))
         if v not in out:
             out[v] = atoms_conj(names)
+    out.setdefault(_top_vec(words), TOP)
     return out
 
 
@@ -332,7 +330,7 @@ def _separates(v, npos) -> bool:
 
 def problem_words(p: Problem) -> list[_Word]:
     if p.ontology is None:
-        return [_data_word(d) for d in p.examples.instances]
+        return [_lasso_word(LassoModel.of_data(d)) for d in p.examples.instances]
     if isinstance(p.ontology, HornOntology):
         sig = p.examples.signature | p.ontology.user_atoms
         return [
@@ -368,7 +366,7 @@ def brute_force_decide(p: Problem, cap: int = 200_000) -> Verdict:
     return Verdict(True, q)
 
 
-def _brute_force_prior(p: Problem, cap: int) -> Verdict:
+def _brute_force_prior(p: Problem, cap: int, allow_empty_blocks: bool = False) -> Verdict:
     e = p.examples
     onto = p.ontology
     if any(not prior_consistent(onto, d) for d in e.negatives):
@@ -383,7 +381,7 @@ def _brute_force_prior(p: Problem, cap: int) -> Verdict:
         parts = []
         for neg in e.negatives:
             sub = Problem(QueryClass.PATH_DIAMOND, ExampleSet(e.positives, (neg,)), onto)
-            v = _brute_force_prior(sub, cap)
+            v = _brute_force_prior(sub, cap, allow_empty_blocks=True)
             if not v.separable:
                 return Verdict(False)
             parts.append(v.witness)
@@ -405,7 +403,10 @@ def _brute_force_prior(p: Problem, cap: int) -> Verdict:
         if all(not prior_entails(onto, d, q) for d in e.negatives):
             return Verdict(True, q)
         if len(prefix) <= depth:
-            frontier.extend(prefix + (rho,) for rho in _all_subsets(sig))
+            # a diamond step of the path class may not land on an all-top block
+            frontier.extend(
+                prefix + (rho,) for rho in _all_subsets(sig) if rho or allow_empty_blocks
+            )
     return Verdict(False)
 
 

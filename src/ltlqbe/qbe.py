@@ -38,13 +38,11 @@ from .tsys import (
     Run,
     Tree,
     bisim_quotient,
-    contained_in,
     disjoint_union,
-    extract_failing_run,
-    extract_failing_subtree,
+    failing_run,
+    failing_subtree,
     product,
     prune_dominated_edges,
-    simulates,
 )
 from . import transform
 
@@ -108,6 +106,8 @@ def entailed(ontology, d: DataInstance, q: Query) -> bool:
             return certain_answer(ontology, d, q, 0)
         except Inconsistent:
             return True  # no models, so everything is certain
+    if isinstance(q, Bot):  # outside prior_entails' fragment; certain only without models
+        return not prior_consistent(ontology, d)
     return prior_entails(ontology, d, q)
 
 
@@ -124,15 +124,6 @@ def _checked(p: Problem, verdict: Verdict) -> Verdict:
         if verdict.witness is None or not verify_witness(p, verdict.witness):
             raise WitnessError(f"witness {verdict.witness} does not separate ({p.cls.value})")
     return verdict
-
-
-def problem_signature(p: Problem) -> frozenset[str]:
-    sig = p.examples.signature
-    if isinstance(p.ontology, HornOntology):
-        sig |= p.ontology.user_atoms
-    elif isinstance(p.ontology, PriorOntology):
-        sig |= p.ontology.atoms
-    return sig
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +150,7 @@ def _drop_inconsistent(p: Problem) -> tuple[ExampleSet, Verdict | None, str | No
 
 
 # ---------------------------------------------------------------------------
-# Dynamic program for diamond path classes over materialized lasso words
+# Breadth-first search for the diamond path classes over lasso words
 
 
 def data_lassos(e: ExampleSet) -> list[LassoModel]:
@@ -183,7 +174,9 @@ def dp_path(
     (None once no assignment survives).  Moves attach one more block: a
     diamond jump to fresh anchors plus a run of next-steps; each slot's
     conjunction is the intersection of the positive letters there, the
-    strongest choice, which dominates every alternative.
+    strongest choice, which dominates every alternative.  The words are the
+    data's own (`data_lassos`) or the canonical-model lassos of a Horn
+    ontology (`horn_diamond_search`).
     """
     if cls not in PATH_CLASSES:
         raise ValueError(f"dp_path does not handle {cls}")
@@ -319,102 +312,14 @@ def _blocks_to_query(blocks, cls: QueryClass) -> Query:
     return head if q is TOP else conj([head, Diamond(q)])
 
 
-# ---------------------------------------------------------------------------
-# Horn route for the diamond path classes (depth-first guess realization)
-
-
 def horn_diamond_search(
     onto: HornOntology, e: ExampleSet, cls: QueryClass, allow_empty_blocks: bool = False
 ) -> Verdict:
-    """Deterministic realization of the guess-a-conjunction algorithm.
-
-    Walks blocks depth-first with memoized (positions, survivors) states;
-    certain answers come from the canonical models' lassos, with positions
-    past k wrapping through the loops.
-    """
-    if cls not in PATH_CLASSES:
-        raise ValueError(f"horn_diamond_search does not handle {cls}")
+    """The diamond path search under a Horn ontology: certain answers are the
+    letters of the instances' canonical-model lassos."""
     sig = e.signature | onto.user_atoms
     models = [canonical_model(onto, d).lasso.project(sig) for d in e.instances]
-    npos = len(e.positives)
-    pos_models, neg_models = models[:npos], models[npos:]
-    k = max(m.pre for m in models)
-    m_budget = 1
-    for mm in models:
-        m_budget *= mm.per
-    top = k + m_budget
-    c_range = range(0, top + 1) if cls is not QueryClass.PATH_DIAMOND else range(0, 1)
-    anchored = cls is QueryClass.PATH_NEXT_DIAMOND
-    depth_cap = k + len(neg_models) + 2
-    best_seen: dict = {}
-
-    horizon = 2 * top + 2
-    pos_letters = [[m.letter(i) for i in range(horizon + 1)] for m in pos_models]
-    neg_letters = [[m.letter(i) for i in range(horizon + 1)] for m in neg_models]
-
-    def block_slots(anchors, c):
-        return tuple(
-            frozenset.intersection(*(pos_letters[i][a + t] for i, a in enumerate(anchors)))
-            for t in range(c + 1)
-        )
-
-    def negs_after(negs, slots):
-        out = []
-        c = len(slots) - 1
-        for j, prev in enumerate(negs):
-            if prev is None:
-                out.append(None)
-                continue
-            nxt = None
-            row = neg_letters[j]
-            for b in range(min(prev, k) + 1, top + 1):
-                if all(slots[t] <= row[b + t] for t in range(c + 1)):
-                    nxt = b + c if anchored else b
-                    break
-            out.append(nxt)
-        return tuple(out)
-
-    def dfs(ends, negs, budget, blocks):
-        if all(x is None for x in negs) and blocks and blocks[-1][-1]:
-            return list(blocks)
-        if budget == 0:
-            return None
-        key = (ends, negs)
-        if best_seen.get(key, -1) >= budget:
-            return None
-        best_seen[key] = budget
-        for c in c_range:
-            vecs = [()]
-            for i in range(npos):
-                r = range(min(ends[i], k) + 1, top + 1)
-                vecs = [v + (a,) for v in vecs for a in r]
-            for anchors in vecs:
-                slots = block_slots(anchors, c)
-                if not any(slots):
-                    if not allow_empty_blocks:
-                        continue  # a diamond step may not land on an all-top block
-                    if c > 0 and not anchored:
-                        continue
-                new_ends = tuple(a + c if anchored else a for a in anchors)
-                res = dfs(new_ends, negs_after(negs, slots), budget - 1, blocks + [slots])
-                if res is not None:
-                    return res
-        return None
-
-    for c in c_range:
-        slots = tuple(
-            frozenset.intersection(*(mm.letter(t) for mm in pos_models)) for t in range(c + 1)
-        )
-        negs = tuple(
-            (c if anchored else 0)
-            if all(slots[t] <= neg_models[j].letter(t) for t in range(c + 1))
-            else None
-            for j in range(len(neg_models))
-        )
-        res = dfs(tuple([c if anchored else 0] * npos), negs, depth_cap, [slots])
-        if res is not None:
-            return Verdict(True, _blocks_to_query(res, cls))
-    return Verdict(False)
+    return dp_path(e, models, cls, allow_empty_blocks=allow_empty_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +356,10 @@ def decide_until_family(e: ExampleSet, onto: HornOntology | None, cls: QueryClas
         return Verdict(True, TOP)
     prod, union = _until_systems(e, onto, cls)
     if cls is QueryClass.PATH_UNTIL:
-        if contained_in(prod, union):
-            return Verdict(False)
-        return Verdict(True, query_from_run(extract_failing_run(prod, union)))
-    if simulates(prod, union):
-        return Verdict(False)
-    return Verdict(True, query_from_tree(extract_failing_subtree(prod, union)))
+        run = failing_run(prod, union)
+        return Verdict(False) if run is None else Verdict(True, query_from_run(run))
+    tree = failing_subtree(prod, union)
+    return Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))
 
 
 def _edge_conj(label: frozenset[str]) -> Query:
@@ -498,21 +401,17 @@ def query_from_tree(tree: Tree) -> Query:
 
 
 def prior_path_search(
-    onto: PriorOntology, e: ExampleSet, cls: QueryClass, node_cap: int = 100_000
+    onto: PriorOntology,
+    e: ExampleSet,
+    cls: QueryClass,
+    node_cap: int = 100_000,
+    allow_empty_blocks: bool = False,
 ) -> Verdict:
     """Bounded exhaustive search for a separating diamond path.
 
     A prefix that is not certain-true on some positive cannot be repaired by
     extending it (extensions are stronger), so the search prunes there.
     """
-    if cls is QueryClass.BRANCH_DIAMOND:
-        parts = []
-        for sub in transform.split_per_negative(e):
-            v = prior_path_search(onto, sub, QueryClass.PATH_DIAMOND, node_cap)
-            if not v.separable:
-                return Verdict(False)
-            parts.append(v.witness)
-        return Verdict(True, conj(parts) if parts else TOP)
     if cls is not QueryClass.PATH_DIAMOND:
         raise UnsupportedProblem(f"{cls.value} is not supported under box/diamond ontologies")
     if not e.negatives:
@@ -520,14 +419,8 @@ def prior_path_search(
     sig = sorted(e.signature | onto.atoms)
     depth = max(d.max_timestamp for d in e.negatives) + max(onto.size_measure, 1) + 1
     rho_candidates = _subset_candidates(sig)
-
-    def build(prefix) -> Query:
-        q: Query = TOP
-        for rho in reversed(prefix[1:]):
-            inner = atoms_conj(rho)
-            q = conj([inner, Diamond(q)]) if q is not TOP else inner
-        head = atoms_conj(prefix[0])
-        return head if q is TOP else conj([head, Diamond(q)])
+    # a diamond step may not land on an all-top block
+    tails = rho_candidates if allow_empty_blocks else [rho for rho in rho_candidates if rho]
 
     explored = 0
     queue: deque = deque((rho0,) for rho0 in rho_candidates)
@@ -536,13 +429,13 @@ def prior_path_search(
         explored += 1
         if explored > node_cap:
             raise ResourceCap("prior path search exceeded its node cap")
-        q = build(prefix)
+        q = _blocks_to_query([(rho,) for rho in prefix], cls)
         if any(not prior_entails(onto, d, q) for d in e.positives):
             continue
         if all(not prior_entails(onto, d, q) for d in e.negatives):
             return Verdict(True, q)
         if len(prefix) <= depth:
-            queue.extend(prefix + (rho,) for rho in rho_candidates)
+            queue.extend(prefix + (rho,) for rho in tails)
     return Verdict(False)
 
 
@@ -569,15 +462,10 @@ def decide(p: Problem) -> Verdict:
         return _checked(sub, Verdict(True, BOT_QUERY, note=note))
     if not e.negatives:
         return _checked(sub, Verdict(True, TOP, note=note))
-    if isinstance(p.ontology, PriorOntology):
-        verdict = prior_path_search(p.ontology, e, p.cls)
-    elif p.cls in PATH_CLASSES:
-        if p.ontology is None:
-            verdict = dp_path(e, data_lassos(e), p.cls)
-        else:
-            verdict = horn_diamond_search(p.ontology, e, p.cls)
+    if p.cls in PATH_CLASSES:
+        verdict = _path_search(p.ontology, e, p.cls)
     elif p.cls in BRANCH_CLASSES:
-        verdict = _decide_branch(p, e)
+        verdict = _decide_branch(p.ontology, e, p.cls)
     elif p.cls in UNTIL_CLASSES:
         verdict = decide_until_family(e, p.ontology, p.cls)
     else:
@@ -587,15 +475,19 @@ def decide(p: Problem) -> Verdict:
     return _checked(sub, verdict)
 
 
-def _decide_branch(p: Problem, e: ExampleSet) -> Verdict:
-    path_cls = _BRANCH_TO_PATH[p.cls]
+def _path_search(onto, e: ExampleSet, cls: QueryClass, allow_empty_blocks: bool = False) -> Verdict:
+    if onto is None:
+        return dp_path(e, data_lassos(e), cls, allow_empty_blocks=allow_empty_blocks)
+    if isinstance(onto, HornOntology):
+        return horn_diamond_search(onto, e, cls, allow_empty_blocks)
+    return prior_path_search(onto, e, cls, allow_empty_blocks=allow_empty_blocks)
+
+
+def _decide_branch(onto, e: ExampleSet, cls: QueryClass) -> Verdict:
     parts = []
     for sub in transform.split_per_negative(e):
         # the branching classes place no restriction on all-top blocks
-        if p.ontology is None:
-            v = dp_path(sub, data_lassos(sub), path_cls, allow_empty_blocks=True)
-        else:
-            v = horn_diamond_search(p.ontology, sub, path_cls, allow_empty_blocks=True)
+        v = _path_search(onto, sub, _BRANCH_TO_PATH[cls], allow_empty_blocks=True)
         if not v.separable:
             return Verdict(False)
         parts.append(v.witness)

@@ -170,7 +170,8 @@ def bisim_quotient(ts: TransitionSystem) -> TransitionSystem:
     for e in ts.edges:
         if to_rep[e.src] != e.src:
             continue
-        grouped.setdefault((e.src, to_rep[e.dst], e.color), set()).add(e.label)
+        # a dict, not a set: edges come out in input order, whatever the hash seed
+        grouped.setdefault((e.src, to_rep[e.dst], e.color), {})[e.label] = None
     edges = []
     for (src, dst, color), labs in grouped.items():
         for lab in labs:
@@ -250,6 +251,7 @@ def _simulation_ranks(s: TransitionSystem, t: TransitionSystem):
     # at the initial states, so the refinement is restricted to them
     rank: dict[tuple, int] = {}
     alive: set[tuple] = set()
+    found: list[tuple] = []
     stack = [(x, y) for x in s.initial for y in t.initial]
     seen_pairs = set(stack)
     while stack:
@@ -259,6 +261,7 @@ def _simulation_ranks(s: TransitionSystem, t: TransitionSystem):
             rank[pair] = 0
             continue
         alive.add(pair)
+        found.append(pair)
         for i in range(len(s_out[x])):
             dst = s_out[x][i][0]
             for z in matches(x, i, y):
@@ -281,7 +284,7 @@ def _simulation_ranks(s: TransitionSystem, t: TransitionSystem):
         return True
 
     counter = 0
-    queue = list(alive)
+    queue = list(found)  # discovery order, so the refinement does not follow set hashing
     queued = set(queue)
     while queue:
         pair = queue.pop()
@@ -359,9 +362,17 @@ def _containment_search(s: TransitionSystem, t: TransitionSystem):
 
 def extract_failing_run(s: TransitionSystem, t: TransitionSystem) -> Run:
     """A shortest run of s with no matching run of t; containment must fail."""
+    run = failing_run(s, t)
+    if run is None:
+        raise ValueError("extract_failing_run: containment holds")
+    return run
+
+
+def failing_run(s: TransitionSystem, t: TransitionSystem) -> Run | None:
+    """A shortest run of s with no matching run of t, or None if s is contained in t."""
     ok, node, parents = _containment_search(s, t)
     if ok:
-        raise ValueError("extract_failing_run: containment holds")
+        return None
     states = []
     edge_labels = []
     while node is not None:
@@ -393,6 +404,14 @@ def extract_failing_subtree(s: TransitionSystem, t: TransitionSystem) -> Tree:
     Built from the attacker strategy of the simulation game: at each dead
     pair pick an s-edge whose every t-match died strictly earlier.
     """
+    tree = failing_subtree(s, t)
+    if tree is None:
+        raise ValueError("extract_failing_subtree: simulation holds")
+    return tree
+
+
+def failing_subtree(s: TransitionSystem, t: TransitionSystem) -> Tree | None:
+    """A subtree as extract_failing_subtree gives it, or None if t simulates s."""
     if s.colored != t.colored:
         raise ValueError("mixed colored and uncolored systems")
     alive, rank = _simulation_ranks(s, t)
@@ -431,7 +450,7 @@ def extract_failing_subtree(s: TransitionSystem, t: TransitionSystem) -> Tree:
     for x in s.initial:
         if not any((x, y) in alive for y in t.initial):
             return build(x, tuple(t.initial))
-    raise ValueError("extract_failing_subtree: simulation holds")
+    return None
 
 
 def embeds(tree: Tree, t: TransitionSystem) -> bool:

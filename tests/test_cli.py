@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ltlqbe import cli
 from ltlqbe.cli import main
+from ltlqbe.qbe import WitnessError
 
 EX1 = {
     "format": 1,
@@ -95,6 +97,34 @@ def test_separable_with_horn_ontology(tmp_path, capsys):
         ["separable", "--class", "path-diamond", "--input", str(inp), "--ontology", str(onto)],
     )
     assert rc == 0
+
+
+def test_prior_inconsistent_positives_exit_zero(tmp_path, capsys):
+    inp = tmp_path / "ex.json"
+    inp.write_text(
+        json.dumps(
+            {
+                "format": 1,
+                "positives": [{"facts": [["A", 0], ["B", 0]]}],
+                "negatives": [{"facts": [["A", 1]]}],
+            }
+        )
+    )
+    onto = tmp_path / "onto.ltl"
+    onto.write_text("!(A & B)\n")
+    argv = ["separable", "--class", "path-diamond", "--input", str(inp), "--emit-query"]
+    argv += ["--ontology", str(onto), "--ontology-kind", "prior"]
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert json.loads(out)["witness"] == "false"
+
+
+def test_internal_error_exit_five(ex1, monkeypatch):
+    def broken(p):
+        raise WitnessError("witness does not separate")
+
+    monkeypatch.setattr(cli, "decide", broken)
+    assert main(["separable", "--class", "path-diamond", "--input", ex1]) == 5
 
 
 def test_malformed_json_exit_two(tmp_path, capsys):

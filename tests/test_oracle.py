@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import rand_example_set
+from ltlqbe import horn
 from ltlqbe.core import (
     DataInstance,
     ExampleSet,
@@ -109,3 +110,14 @@ def test_brute_force_paper_examples():
     )
     assert brute_force_decide(Problem(QueryClass.FULL_UNTIL, upnt)).separable
     assert not brute_force_decide(Problem(QueryClass.SIMPLE_UNTIL, upnt)).separable
+
+
+def test_brute_force_keeps_everywhere_true_conjunction():
+    # A holds at every position of both canonical models, so the diamond
+    # steps of the witness land on A-blocks, not on all-top ones
+    o = horn.load_ontology("A -> X A")
+    e = ExampleSet.of(
+        [D([("A", 0), ("A", 3), ("B", 3)])],
+        [D([("A", 0), ("A", 1), ("A", 2), ("B", 1)])],
+    )
+    assert brute_force_decide(Problem(QueryClass.PATH_DIAMOND, e, o)).separable

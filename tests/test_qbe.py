@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from conftest import rand_example_set, rand_horn_ontology
+import ltlqbe
 from ltlqbe import horn, prior
 from ltlqbe.core import (
     DataInstance,
@@ -170,6 +174,24 @@ def test_prior_path_search_examples():
     assert prior_path_search(o, e3, QueryClass.PATH_DIAMOND).separable
 
 
+def test_prior_path_diamond_skips_all_top_blocks():
+    # F F B separates, but its middle block is all-top: branch-diamond only
+    o = prior.load_prior_ontology("A -> B")
+    e = ex([[("B", 2)]], [[("B", 1)]])
+    assert not decide(Problem(QueryClass.PATH_DIAMOND, e, o)).separable
+    assert not brute_force_decide(Problem(QueryClass.PATH_DIAMOND, e, o)).separable
+    v = decide(Problem(QueryClass.BRANCH_DIAMOND, e, o))
+    assert v.separable and str(v.witness) == "F F B"
+
+
+def test_prior_all_positives_inconsistent_yields_bot():
+    o = prior.load_prior_ontology("!(A & B)")
+    e = ex([[("A", 0), ("B", 0)]], [[("A", 1)]])
+    for cls in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND):
+        v = decide(Problem(cls, e, o))
+        assert v.separable and str(v.witness) == "false"
+
+
 def test_prior_engine_matches_plain_on_empty_ontology():
     for seed in range(10):
         rng = random.Random(15000 + seed)
@@ -244,3 +266,31 @@ def test_example_monotonicity(seed):
             fewer = ExampleSet(e.positives[1:], e.negatives)
             if base:
                 assert decide(Problem(cls, fewer)).separable
+
+
+_DECIDE_FULL_UNTIL = """
+from ltlqbe.core import DataInstance, ExampleSet, QueryClass
+from ltlqbe.qbe import Problem, decide
+D = DataInstance.of
+e = ExampleSet.of(
+    [D([("B", 5), ("B", 6), ("C", 5), ("C", 6)]), D([("A", 1), ("A", 5), ("A", 6), ("B", 6)])],
+    [D([]), D([("A", 3), ("B", 6)])],
+)
+print(decide(Problem(QueryClass.FULL_UNTIL, e)).witness)
+"""
+
+
+def test_witness_does_not_depend_on_hash_seed():
+    src = os.path.dirname(os.path.dirname(ltlqbe.__file__))
+    witnesses = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _DECIDE_FULL_UNTIL],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        witnesses.add(out.stdout.strip())
+    assert len(witnesses) == 1
