@@ -254,8 +254,10 @@ class LassoModel:
     @staticmethod
     def of_data(d: DataInstance) -> "LassoModel":
         """The word that makes exactly d's facts true (empty from max+1 on)."""
-        pre = d.max_timestamp + 1
-        return LassoModel(tuple(d.atoms_at(t) for t in range(pre)), (frozenset(),))
+        letters: list[set[str]] = [set() for _ in range(d.max_timestamp + 1)]
+        for name, t in d.facts:
+            letters[t].add(name)
+        return LassoModel(tuple(map(frozenset, letters)), (frozenset(),))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +288,7 @@ def eval_data(d: DataInstance, q: Query, at: int) -> bool:
         if isinstance(query, Bot):
             return False
         if isinstance(query, Prop):
-            return n <= d.max_timestamp and (query.name, n) in d.facts
+            return n < h and (query.name, n) in d.facts
         if isinstance(query, And):
             return all(ev(p, n) for p in query.parts)
         if isinstance(query, Next):

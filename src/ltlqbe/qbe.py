@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+import itertools
 
 from .core import (
     And,
@@ -177,12 +178,16 @@ def dp_path(
     strongest choice, which dominates every alternative.  The words are the
     data's own (`data_lassos`) or the canonical-model lassos of a Horn
     ontology (`horn_diamond_search`).
+
+    Every word is periodic from position k on, so a node's successors depend
+    on its positions only up to k: nodes store them clamped at k.  Each
+    block, each node's list of moves and each negative's advance over a move
+    is computed once per call.
     """
     if cls not in PATH_CLASSES:
         raise ValueError(f"dp_path does not handle {cls}")
     npos = len(e.positives)
-    pos_models = models[:npos]
-    neg_models = models[npos:]
+    nneg = len(models) - npos
     k = max((m.pre for m in models), default=1)
     m_budget = 1
     for mm in models:
@@ -190,93 +195,130 @@ def dp_path(
     top = k + m_budget
     c_range = range(0, top + 1) if cls is not QueryClass.PATH_DIAMOND else range(0, 1)
     anchored = cls is QueryClass.PATH_NEXT_DIAMOND  # Eq-1 chains: blocks may not overlap
-    block_limit = max_blocks if max_blocks is not None else k + len(neg_models) + 2
+    block_limit = max_blocks if max_blocks is not None else k + nneg + 2
 
     horizon = 2 * top + 2
-    pos_letters = [[m.letter(i) for i in range(horizon + 1)] for m in pos_models]
-    neg_letters = [[m.letter(i) for i in range(horizon + 1)] for m in neg_models]
+    rows = [(m.prefix + m.loop * (horizon // m.per + 1))[: horizon + 1] for m in models]
+    pos_letters, neg_letters = rows[:npos], rows[npos:]
 
-    def block_slots(anchors: tuple[int, ...], c: int):
-        slots = []
-        for t in range(c + 1):
+    # A move attaches the block of width c at some anchors: (slots, next
+    # clamped ends, last slot nonempty, steps, advances).  steps maps a node's
+    # clamped negative positions to its (successor, accepts) under the move,
+    # advances maps (negative, clamped position) to that negative's next one.
+    # chains: anchors -> [(slots, move or None if the move is barred)] by width c
+    chains: dict = {}
+
+    def extend(chain: list, anchors: tuple[int, ...], c: int) -> None:
+        while len(chain) <= c:
+            t = len(chain)
             rho = None
-            for i, a in enumerate(anchors):
-                letters = pos_letters[i][a + t]
-                rho = letters if rho is None else rho & letters
-            slots.append(rho if rho is not None else frozenset())
-        return tuple(slots)
+            for letters, a in zip(pos_letters, anchors):
+                rho = letters[a + t] if rho is None else rho & letters[a + t]
+            slots = (chain[-1][0] if chain else ()) + (rho or frozenset(),)
+            # a diamond step may not land on an all-top block, and an all-top
+            # run that does not move the block's end adds nothing over c=0
+            all_top = not any(slots)
+            barred = (
+                all_top and (not allow_empty_blocks or t > 0 and not anchored)
+                or require_nonempty and not all(slots)
+            )
+            move = None
+            if not barred:
+                shift = t if anchored else 0
+                move = (slots, tuple(min(a + shift, k) for a in anchors), bool(rho), {}, {})
+            chain.append((slots, move))
 
-    def neg_advance(j: int, prev: int | None, slots) -> int | None:
-        if prev is None:
-            return None
+    # clamped ends -> the moves open to a node, listed as the search first walks them
+    tables: dict = {}
+
+    def moves(ends):
+        table = tables.get(ends)
+        return table if table is not None else _fill_table(ends)
+
+    def _fill_table(ends):
+        table = []
+        vecs = [
+            (anchors, chains.setdefault(anchors, []))
+            for anchors in itertools.product(*(range(x + 1, top + 1) for x in ends))
+        ]
+        for c in c_range:
+            for anchors, chain in vecs:
+                if len(chain) <= c:
+                    extend(chain, anchors, c)
+                move = chain[c][1]
+                if move is not None:
+                    table.append(move)
+                    yield move
+        tables[ends] = table
+
+    def step(move, negs):
+        slots, new_ends, last, steps, advances = move
+        new_negs = []
+        for j, p in enumerate(negs):
+            if p is not None:
+                if (j, p) not in advances:
+                    advances[j, p] = neg_advance(j, p, slots)
+                p = advances[j, p]
+            new_negs.append(p)
+        result = steps[negs] = (
+            (new_ends, tuple(new_negs)),
+            last and all(x is None for x in new_negs),
+        )
+        return result
+
+    def neg_advance(j: int, prev: int, slots) -> int | None:
         c = len(slots) - 1
         row = neg_letters[j]
-        for b in range(min(prev, k) + 1, top + 1):
-            if all(slots[t] <= row[b + t] for t in range(c + 1)):
-                return b + c if anchored else b
+        need = [(t, s) for t, s in enumerate(slots) if s]
+        for b in range(prev + 1, top + 1):
+            if all(s <= row[b + t] for t, s in need):
+                return min(b + c if anchored else b, k)
         return None
 
     parents: dict = {}
+    queue: deque = deque()
 
-    def witness(node) -> Query:
-        blocks = []
-        cur = node
-        while cur is not None:
-            prev, slots = parents[cur]
+    def push(node, prev, slots, depth: int) -> None:
+        parents[node] = (prev, slots)
+        if len(parents) > node_cap:
+            raise ResourceCap(f"dp_path exceeded {node_cap} nodes")
+        queue.append((node, depth))
+
+    def witness(node, slots) -> Query:
+        blocks = [slots]
+        while node is not None:
+            node, slots = parents[node]
             blocks.append(slots)
-            cur = prev
         blocks.reverse()
         return _blocks_to_query(blocks, cls)
 
-    queue: deque = deque()
     anchor_range = c_range if max_anchor_c is None else range(0, max_anchor_c + 1)
+    zero = (0,) * npos
     for c in anchor_range:
-        slots = block_slots(tuple([0] * npos), c)
+        chain = chains.setdefault(zero, [])
+        extend(chain, zero, c)
+        slots = chain[c][0]
+        start = min(c, k) if anchored else 0
         negs = tuple(
-            (c if anchored else 0)
-            if all(slots[t] <= neg_models[j].letter(t) for t in range(c + 1))
-            else None
-            for j in range(len(neg_models))
+            start if all(s <= row[t] for t, s in enumerate(slots)) else None
+            for row in neg_letters
         )
-        node = (tuple([c if anchored else 0] * npos), negs)
-        accept = all(x is None for x in negs) and bool(slots[-1])
-        if node not in parents or accept:
-            parents[node] = (None, slots)
-            if accept:
-                return Verdict(True, witness(node))
-            queue.append((node, 0))
+        if all(x is None for x in negs) and slots[-1]:
+            return Verdict(True, witness(None, slots))
+        node = ((start,) * npos, negs)
+        if node not in parents:
+            push(node, None, slots, 0)
     while queue:
         node, depth = queue.popleft()
         if depth >= block_limit:
             continue
-        if len(parents) > node_cap:
-            raise ResourceCap(f"dp_path exceeded {node_cap} nodes")
         ends, negs = node
-        for c in c_range:
-            vecs = [()]
-            for i in range(npos):
-                r = range(min(ends[i], k) + 1, top + 1)
-                vecs = [v + (a,) for v in vecs for a in r]
-            for anchors in vecs:
-                slots = block_slots(anchors, c)
-                if not any(slots):
-                    if not allow_empty_blocks:
-                        continue  # a diamond step may not land on an all-top block
-                    if c > 0 and not anchored:
-                        continue  # an anchored all-top run adds nothing over c=0
-                if require_nonempty and any(not s for s in slots):
-                    continue
-                new_ends = tuple(a + c if anchored else a for a in anchors)
-                new_negs = tuple(neg_advance(j, negs[j], slots) for j in range(len(neg_models)))
-                nxt = (new_ends, new_negs)
-                accept = all(x is None for x in new_negs) and bool(slots[-1])
-                if accept:
-                    parents[nxt] = (node, slots)
-                    return Verdict(True, witness(nxt))
-                if nxt in parents:
-                    continue
-                parents[nxt] = (node, slots)
-                queue.append((nxt, depth + 1))
+        for move in moves(ends):
+            nxt, accept = move[3].get(negs) or step(move, negs)
+            if accept:
+                return Verdict(True, witness(node, move[0]))
+            if nxt not in parents:
+                push(nxt, node, move[0], depth + 1)
     return Verdict(False)
 
 

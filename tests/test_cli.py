@@ -252,3 +252,34 @@ def test_from_words_matches_direct_subsequence_check(capsys):
             ["from-words", "--positives", ",".join(pos), "--negatives", ",".join(neg)],
         )
         assert (rc == 0) == expected, (pos, neg)
+
+
+def test_from_words_subword_matches_direct_factor_check(capsys):
+    import random
+
+    rng = random.Random(10)
+    for _ in range(60):
+        words = ["".join(rng.choice("ab") for _ in range(rng.randrange(1, 6))) for _ in range(3)]
+        pos, neg = words[:2], words[2:]
+        # some nonempty factor of the shortest positive lies in every positive
+        # and in no negative
+        shortest = min(pos, key=len)
+        factors = {
+            shortest[i:j] for i in range(len(shortest)) for j in range(i + 1, len(shortest) + 1)
+        }
+        expected = any(
+            all(f in w for w in pos) and not any(f in w for w in neg) for f in factors
+        )
+        rc, out = run(
+            capsys,
+            [
+                "from-words",
+                "--positives",
+                ",".join(pos),
+                "--negatives",
+                ",".join(neg),
+                "--mode",
+                "subword",
+            ],
+        )
+        assert (rc == 0) == expected, (pos, neg)

@@ -129,6 +129,16 @@ def test_lasso_with_empty_loop_matches_eval_data(data):
         assert eval_lasso(m, query, at) == eval_data(d, query, at)
 
 
+def test_of_data_matches_atoms_at():
+    rng = random.Random(19)
+    for _ in range(200):
+        d = rand_instance(rng, max_ts=rng.randrange(0, 8), max_facts=8)
+        expected = LassoModel(
+            tuple(d.atoms_at(t) for t in range(d.max_timestamp + 1)), (frozenset(),)
+        )
+        assert LassoModel.of_data(d) == expected
+
+
 # ---------------------------------------------------------------------------
 # temporal depth, classification
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -17,6 +18,8 @@ from ltlqbe.core import (
 )
 from ltlqbe.oracle import brute_force_decide
 from ltlqbe.qbe import (
+    BRANCH_CLASSES,
+    PATH_CLASSES,
     Problem,
     ResourceCap,
     UnsupportedProblem,
@@ -82,6 +85,36 @@ def test_dp_path_node_cap():
     e = rand_example_set(rng, max_ts=5, max_pos=3, max_neg=3)
     with pytest.raises(ResourceCap):
         dp_path(e, data_lassos(e), QueryClass.PATH_NEXT_DIAMOND, node_cap=3)
+
+
+def test_dp_path_node_cap_counts_every_insertion():
+    # expanding the start node stores the node of F A before it reaches F B;
+    # with room for one node, that store already passes the cap
+    e = ex([[("A", 1), ("B", 2)]], [[("A", 1)]])
+    with pytest.raises(ResourceCap):
+        dp_path(e, data_lassos(e), QueryClass.PATH_DIAMOND, node_cap=1)
+    v = dp_path(e, data_lassos(e), QueryClass.PATH_DIAMOND, node_cap=2)
+    assert v.separable and str(v.witness) == "F B"
+
+
+# sha256 over the verdicts and witnesses below, recorded before dp_path
+# clamped its search states and memoised its blocks and moves
+_WITNESS_DIGEST = "058b6684277b9f77ff80ed08b84e41171ba3d8ce74a6b696f637b6dc08d3ff53"
+
+
+def test_witness_digest_is_unchanged():
+    h = hashlib.sha256()
+    for seed in range(80):
+        e = rand_example_set(random.Random(18000 + seed), max_ts=4, max_pos=2, max_neg=2)
+        verdicts = [
+            dp_path(e, data_lassos(e), cls, allow_empty_blocks=empty)
+            for cls in PATH_CLASSES
+            for empty in (False, True)
+        ]
+        verdicts += [decide(Problem(cls, e)) for cls in BRANCH_CLASSES]
+        for v in verdicts:
+            h.update(f"{v.separable} {v.witness}\n".encode())
+    assert h.hexdigest() == _WITNESS_DIGEST
 
 
 def test_horn_search_agrees_with_dp_on_empty_ontology():
