@@ -9,6 +9,7 @@ from .core import (
     classify,
     eval_data,
     eval_lasso,
+    in_class,
     parse_query,
     temporal_depth,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "classify",
     "eval_data",
     "eval_lasso",
+    "in_class",
     "parse_query",
     "temporal_depth",
     "HornOntology",

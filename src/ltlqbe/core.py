@@ -482,27 +482,30 @@ def _has_node(q: Query, kinds: tuple[type, ...]) -> bool:
     return any(isinstance(s, kinds) for s in subqueries(q))
 
 
+def in_class(q: Query, cls: QueryClass) -> bool:
+    """True iff q's syntactic shape matches the query class."""
+    if isinstance(q, Bot) or cls is QueryClass.FULL_UNTIL:
+        return True  # false is operator-free, hence a member of every class
+    if cls is QueryClass.SIMPLE_UNTIL:
+        return _is_simple(q)
+    if cls is QueryClass.PATH_UNTIL:
+        return _is_path_until(q)
+    if _has_node(q, (Until,)):
+        return False
+    if cls is QueryClass.BRANCH_NEXT_DIAMOND:
+        return True
+    if cls is QueryClass.BRANCH_DIAMOND:
+        return not _has_node(q, (Next,))
+    if cls is QueryClass.PATH_NEXT_DIAMOND:
+        return _is_path(q, (Next, Diamond))
+    if cls is QueryClass.PATH_DIAMOND:
+        return _is_path(q, (Diamond,))
+    return _is_circ_blocks(q)  # PATH_DIAMOND_CIRC_BLOCKS, the last class
+
+
 def classify(q: Query) -> frozenset[QueryClass]:
     """All query classes whose syntactic shape q matches."""
-    out = {QueryClass.FULL_UNTIL}
-    if _is_simple(q):
-        out.add(QueryClass.SIMPLE_UNTIL)
-    if _is_path_until(q):
-        out.add(QueryClass.PATH_UNTIL)
-    if not _has_node(q, (Until,)):
-        out.add(QueryClass.BRANCH_NEXT_DIAMOND)
-        if not _has_node(q, (Next,)):
-            out.add(QueryClass.BRANCH_DIAMOND)
-        if _is_path(q, (Next, Diamond)):
-            out.add(QueryClass.PATH_NEXT_DIAMOND)
-        if _is_path(q, (Diamond,)):
-            out.add(QueryClass.PATH_DIAMOND)
-        if _is_circ_blocks(q):
-            out.add(QueryClass.PATH_DIAMOND_CIRC_BLOCKS)
-    if isinstance(q, Bot):
-        # operator-free, hence a member of every class
-        out = set(QueryClass)
-    return frozenset(out)
+    return frozenset(cls for cls in QueryClass if in_class(q, cls))
 
 
 # ---------------------------------------------------------------------------

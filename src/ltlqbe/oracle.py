@@ -25,8 +25,8 @@ from .core import (
     TOP,
     Until,
     atoms_conj,
-    classify,
     conj,
+    in_class,
     temporal_depth,
 )
 from .horn import HornOntology, canonical_model, consistent
@@ -485,7 +485,7 @@ def enumerate_queries(cls: QueryClass, sig, max_depth: int, max_conj: int):
                         yield conj([rho, step])
 
         for q in chains(max_depth):
-            if cls in classify(q):
+            if in_class(q, cls):
                 yield from emit(q)
         return
     if cls in (
@@ -516,7 +516,7 @@ def enumerate_queries(cls: QueryClass, sig, max_depth: int, max_conj: int):
         for q in trees(max_depth):
             if isinstance(q, Bot):
                 continue
-            if cls in classify(q):
+            if in_class(q, cls):
                 yield from emit(q)
         return
     raise ValueError(f"unknown class {cls}")

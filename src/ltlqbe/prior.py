@@ -295,7 +295,7 @@ def _ev_loop(f: PFormula, j: int, loop, assigned: int) -> int:
 
 
 def _ev_handle(f: PFormula, i: int, handle, loop) -> bool:
-    """Exact truth at handle position i (handle fully assigned右 of i)."""
+    """Exact truth at handle position i (handle fully assigned to the right of i)."""
     if isinstance(f, PTrue):
         return True
     if isinstance(f, PFalse):
@@ -328,11 +328,13 @@ def _letter_choices(sig: tuple[str, ...], required: frozenset[str]):
         yield frozenset(required | extra)
 
 
-def _valid_loops(onto: PriorOntology, sig: tuple[str, ...], loop_len: int):
+@lru_cache(maxsize=256)
+def _valid_loops(onto: PriorOntology, sig: tuple[str, ...], loop_len: int) -> tuple:
     """Loops of the given length making every axiom true at every position.
 
     Backtracks position by position, pruning with three-valued axiom checks;
-    at full length the checks are exact.
+    at full length the checks are exact.  No query or data changes the
+    loops, so they are kept for every word search over the same signature.
     """
     choices = list(_letter_choices(sig, frozenset()))
     loop: list[frozenset[str]] = [frozenset()] * loop_len
@@ -351,7 +353,7 @@ def _valid_loops(onto: PriorOntology, sig: tuple[str, ...], loop_len: int):
             if ok:
                 yield from go(j + 1)
 
-    yield from go(0)
+    return tuple(go(0))
 
 
 def _search_word(

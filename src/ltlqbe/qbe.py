@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 import itertools
 
 from .core import (
@@ -25,9 +26,9 @@ from .core import (
     TOP,
     Until,
     atoms_conj,
-    classify,
     conj,
     eval_data,
+    in_class,
 )
 from .horn import HornOntology, Inconsistent, canonical_model, certain_answer, consistent
 from .prior import PriorOntology, prior_consistent, prior_entails
@@ -113,7 +114,7 @@ def entailed(ontology, d: DataInstance, q: Query) -> bool:
 
 
 def verify_witness(p: Problem, q: Query) -> bool:
-    if p.cls not in classify(q):
+    if not in_class(q, p.cls):
         return False
     if any(not entailed(p.ontology, d, q) for d in p.examples.positives):
         return False
@@ -368,9 +369,16 @@ def horn_diamond_search(
 # Until family via transition systems
 
 
-def _until_systems(e: ExampleSet, onto: HornOntology | None, cls: QueryClass):
+@lru_cache(maxsize=4)
+def _until_systems(e: ExampleSet, onto: HornOntology | None, black_red: bool):
+    """The quotiented positive product and the union of the negatives' systems.
+
+    path-until and simple-until build the same pair, so it is cached per
+    example set; callers must not change the systems.  A set's classes are
+    decided one after another, so a few entries suffice.
+    """
     sig = e.signature | (onto.user_atoms if onto is not None else frozenset())
-    if cls is QueryClass.FULL_UNTIL:
+    if black_red:
         build = (
             (lambda d: repr_plain_br(d, sig))
             if onto is None
@@ -396,7 +404,7 @@ def decide_until_family(e: ExampleSet, onto: HornOntology | None, cls: QueryClas
         raise ValueError("need at least one positive example")
     if not e.negatives:
         return Verdict(True, TOP)
-    prod, union = _until_systems(e, onto, cls)
+    prod, union = _until_systems(e, onto, cls is QueryClass.FULL_UNTIL)
     if cls is QueryClass.PATH_UNTIL:
         run = failing_run(prod, union)
         return Verdict(False) if run is None else Verdict(True, query_from_run(run))
@@ -452,7 +460,9 @@ def prior_path_search(
     """Bounded exhaustive search for a separating diamond path.
 
     A prefix that is not certain-true on some positive cannot be repaired by
-    extending it (extensions are stronger), so the search prunes there.
+    extending it (extensions are stronger), so the search prunes there.  For
+    the same reason a negative that does not entail a prefix entails none of
+    its extensions: each prefix carries the negatives that still entail it.
     """
     if cls is not QueryClass.PATH_DIAMOND:
         raise UnsupportedProblem(f"{cls.value} is not supported under box/diamond ontologies")
@@ -465,19 +475,20 @@ def prior_path_search(
     tails = rho_candidates if allow_empty_blocks else [rho for rho in rho_candidates if rho]
 
     explored = 0
-    queue: deque = deque((rho0,) for rho0 in rho_candidates)
+    queue: deque = deque(((rho0,), e.negatives) for rho0 in rho_candidates)
     while queue:
-        prefix = queue.popleft()
+        prefix, negatives = queue.popleft()
         explored += 1
         if explored > node_cap:
             raise ResourceCap("prior path search exceeded its node cap")
         q = _blocks_to_query([(rho,) for rho in prefix], cls)
         if any(not prior_entails(onto, d, q) for d in e.positives):
             continue
-        if all(not prior_entails(onto, d, q) for d in e.negatives):
+        negatives = tuple(d for d in negatives if prior_entails(onto, d, q))
+        if not negatives:
             return Verdict(True, q)
         if len(prefix) <= depth:
-            queue.extend(prefix + (rho,) for rho in tails)
+            queue.extend((prefix + (rho,), negatives) for rho in tails)
     return Verdict(False)
 
 
@@ -542,7 +553,7 @@ def minimize_witness(p: Problem, q: Query) -> Query:
     while changed:
         changed = False
         for candidate in _reductions(q):
-            if p.cls in classify(candidate) and verify_witness(p, candidate):
+            if verify_witness(p, candidate):
                 q = candidate
                 changed = True
                 break

@@ -8,7 +8,7 @@ until nesting with two edge colors, driven by the successor calculus
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_left
 
 from .core import DataInstance
 from .horn import HornOntology, canonical_model
@@ -148,21 +148,59 @@ _Z = ("z",)
 _U = ("u",)
 
 
-def _nonempty_subsets(universe: list[int]):
-    for r in range(1, len(universe) + 1):
-        for combo in combinations(universe, r):
-            yield frozenset(combo)
+def _successor_sets(points: list[int], n_positions: int, wrap_start: int):
+    """Every E with D lessdot_mp E, by size and then in combinations order.
+
+    D is `points`, sorted; positions at or after `wrap_start` are periodic,
+    and wrap_start == n_positions gives plain lessdot.  The successor map
+    takes D onto E, so |E| <= |D|.  A point e of E is hit without wrapping
+    iff some point of D lies in [previous point of E, e); only the least
+    periodic point of E can instead be hit by the points of D at or after
+    max(E), which wrap.  Combinations are extended in increasing order, so
+    the sets come out in the order of itertools.combinations.
+    """
+    chosen: list[int] = []
+
+    def hit(prev: int, e: int) -> bool:
+        # some point of D in [prev, e); prev is -1 before the first point of E
+        i = bisect_left(points, prev)
+        return i < len(points) and points[i] < e
+
+    def extend(size: int, wraps: bool):
+        i = len(chosen)
+        prev = chosen[-1] if chosen else -1
+        for e in range(prev + 1, n_positions - (size - i - 1)):
+            wrapped = wraps
+            if not hit(prev, e):
+                # only the least periodic point of E may wait for a wrap
+                if e < wrap_start or prev >= wrap_start:
+                    continue
+                wrapped = True
+            chosen.append(e)
+            if i + 1 < size:
+                yield from extend(size, wrapped)
+            else:
+                # the points of D at or after max(E) wrap: they must be
+                # periodic and need a periodic point of E to wrap to
+                tail = points[bisect_left(points, e):]
+                if (tail[0] >= wrap_start and e >= wrap_start) if tail else not wrapped:
+                    yield frozenset(chosen)
+            chosen.pop()
+
+    for size in range(1, len(points) + 1):
+        yield from extend(size, False)
 
 
-def _build_br(letters, n_positions: int, sigma_bot, less, gaps, with_z: bool, max_ts: int):
+def _build_br(letters, n_positions: int, sigma_bot, wrap_start: int, with_z: bool, max_ts: int):
     """Worklist construction of the two-colored system from the calculus.
 
     States are ("p", phi_set, psi_set); black edges advance the psi side,
-    red edges the phi side.
+    red edges the phi side.  The successors of a point set D are the E with
+    D lessdot_mp E (plain lessdot when wrap_start == n_positions); since the
+    successor map takes D onto E, |E| <= |D|.  Each point set's successor
+    list is built once per system.
     """
     sig = frozenset(a for a in sigma_bot if a != BOT)
-    universe = list(range(n_positions))
-    all_targets = list(_nonempty_subsets(universe))
 
     def pair(phi: frozenset[int], psi: frozenset[int]):
         return ("p", phi, psi)
@@ -183,16 +221,20 @@ def _build_br(letters, n_positions: int, sigma_bot, less, gaps, with_z: bool, ma
             states.append(state)
             queue.append(state)
 
+    # point set -> [(target pair, label of E, label of the gaps)]
+    successor_lists: dict = {}
+
     def successors_from(points: frozenset[int], src, color: str):
-        for g in all_targets:
-            if not less(points, g):
-                continue
-            f = gaps(points, g)
-            tgt = pair(f, g)
+        if points not in successor_lists:
+            moves = successor_lists[points] = []
+            for g in _successor_sets(sorted(points), n_positions, wrap_start):
+                f = nabla_mp(points, g, wrap_start, n_positions)
+                moves.append((pair(f, g), points_label(g), points_label(f)))
+        for tgt, tgt_label, gap_label in successor_lists[points]:
             if tgt not in labels:
-                labels[tgt] = points_label(g)
+                labels[tgt] = tgt_label
             reach(tgt)
-            edges.append(Edge(src, tgt, points_label(f), color))
+            edges.append(Edge(src, tgt, gap_label, color))
 
     queue = [_ORIGIN]
     while queue:
@@ -227,16 +269,8 @@ def repr_plain_br(d: DataInstance, sig: frozenset[str]) -> TransitionSystem:
     """Two-colored system over subsets of [0, max]; z models the empty tail."""
     if not d.signature <= sig:
         raise ValueError("signature does not cover the data instance")
-    sigma_bot = sig | {BOT}
     n = d.max_timestamp + 1
-
-    def less(a, b):
-        return lessdot(a, b)
-
-    def gaps(a, b):
-        return nabla(a, b)
-
-    return _build_br(d.atoms_at, n, sigma_bot, less, gaps, True, d.max_timestamp)
+    return _build_br(d.atoms_at, n, sig | {BOT}, n, True, d.max_timestamp)
 
 
 def repr_horn_br(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = None) -> TransitionSystem:
@@ -244,17 +278,6 @@ def repr_horn_br(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None
     cm = canonical_model(onto, d)
     if sig is None:
         sig = d.signature | onto.user_atoms
-    sigma_bot = sig | {BOT}
     m_start = cm.lasso.pre
     period_end = m_start + cm.period
-
-    def letters(n: int) -> frozenset[str]:
-        return cm.lasso.letter(n)
-
-    def less(a, b):
-        return lessdot_mp(a, b, m_start, period_end)
-
-    def gaps(a, b):
-        return nabla_mp(a, b, m_start, period_end)
-
-    return _build_br(letters, period_end, sigma_bot, less, gaps, False, d.max_timestamp)
+    return _build_br(cm.lasso.letter, period_end, sig | {BOT}, m_start, False, d.max_timestamp)

@@ -191,20 +191,20 @@ def prune_dominated_edges(ts: TransitionSystem) -> TransitionSystem:
     (or from) the pruned system are unchanged, in products too.
     """
     alive, _ = _simulation_ranks(ts, ts)
-    edges = list(ts.edges)
-    keep = []
-    for i, e in enumerate(edges):
-        dominated = False
-        for j, f in enumerate(edges):
-            if i == j or e.src != f.src or e.color != f.color:
-                continue
-            if e.label <= f.label and (e.dst, f.dst) in alive:
+    siblings: dict = {}
+    for i, e in enumerate(ts.edges):
+        siblings.setdefault((e.src, e.color), []).append((i, e))
+
+    def dominated(i: int, e: Edge) -> bool:
+        for j, f in siblings[e.src, e.color]:
+            if i != j and e.label <= f.label and (e.dst, f.dst) in alive:
+                # of two mutually dominating edges the earlier one stays
                 mutual = f.label <= e.label and (f.dst, e.dst) in alive
                 if not mutual or j < i:
-                    dominated = True
-                    break
-        if not dominated:
-            keep.append(e)
+                    return True
+        return False
+
+    keep = [e for i, e in enumerate(ts.edges) if not dominated(i, e)]
     return TransitionSystem(list(ts.states), list(ts.initial), dict(ts.labels), keep, ts.colored)
 
 

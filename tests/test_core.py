@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ATOMS, all_instances, rand_instance, rand_query
+from ltlqbe import core
 from ltlqbe.core import (
     And,
     Bot,
@@ -22,6 +23,7 @@ from ltlqbe.core import (
     eval_data,
     eval_lasso,
     format_query,
+    in_class,
     normalize_next_diamond,
     parse_query,
     temporal_depth,
@@ -181,6 +183,62 @@ def test_classify_until_shapes():
     assert QueryClass.SIMPLE_UNTIL in classify(q("(A U B) & (C U A)"))
     assert QueryClass.PATH_UNTIL not in classify(q("(A U B) & (C U A)"))
     assert classify(Bot()) == frozenset(QueryClass)
+
+
+def _classify_reference(query):
+    """The classes of a query as one pass over all eight, as classify did
+    before it was defined through in_class."""
+    out = {QueryClass.FULL_UNTIL}
+    if core._is_simple(query):
+        out.add(QueryClass.SIMPLE_UNTIL)
+    if core._is_path_until(query):
+        out.add(QueryClass.PATH_UNTIL)
+    if not core._has_node(query, (Until,)):
+        out.add(QueryClass.BRANCH_NEXT_DIAMOND)
+        if not core._has_node(query, (Next,)):
+            out.add(QueryClass.BRANCH_DIAMOND)
+        if core._is_path(query, (Next, Diamond)):
+            out.add(QueryClass.PATH_NEXT_DIAMOND)
+        if core._is_path(query, (Diamond,)):
+            out.add(QueryClass.PATH_DIAMOND)
+        if core._is_circ_blocks(query):
+            out.add(QueryClass.PATH_DIAMOND_CIRC_BLOCKS)
+    if isinstance(query, Bot):
+        out = set(QueryClass)
+    return frozenset(out)
+
+
+# every query this file parses
+_PARSED = (
+    "(A U B) & (C U A)", "(A U B) U C", "A U (A & B)", "A U (B & (C U A))", "A U B U C",
+    "A U B", "F A", "F B", "F F A", "F F T", "F T & F V", "F true", "F(A & F B & F C)",
+    "F(A & F B)", "F(T & F F V)", "F(T & F V)", "T & V", "T U V", "X F A", "X X A",
+    "X X X A", "false U A", "false U false U A", "false", "true",
+)
+
+
+def _seeded_witnesses():
+    from conftest import rand_example_set
+    from ltlqbe.qbe import Problem, decide
+
+    for seed in range(30):
+        e = rand_example_set(random.Random(37000 + seed), max_ts=3, max_pos=2, max_neg=2)
+        for cls in QueryClass:
+            v = decide(Problem(cls, e))
+            if v.separable:
+                yield v.witness
+
+
+def test_in_class_agrees_with_classify():
+    rng = random.Random(37500)
+    queries = [q(text) for text in _PARSED]
+    queries += [rand_query(rng, depth=rng.randrange(0, 4)) for _ in range(300)]
+    queries += list(_seeded_witnesses())
+    for query in queries:
+        expected = _classify_reference(query)
+        assert classify(query) == expected
+        for cls in QueryClass:
+            assert in_class(query, cls) == (cls in expected), (str(query), cls)
 
 
 def test_conj_flattening():

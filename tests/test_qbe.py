@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import rand_example_set, rand_horn_ontology
+from conftest import rand_example_set, rand_horn_ontology, rand_instance
 import ltlqbe
 from ltlqbe import horn, prior
 from ltlqbe.core import (
@@ -20,6 +20,7 @@ from ltlqbe.oracle import brute_force_decide
 from ltlqbe.qbe import (
     BRANCH_CLASSES,
     PATH_CLASSES,
+    UNTIL_CLASSES,
     Problem,
     ResourceCap,
     UnsupportedProblem,
@@ -327,3 +328,69 @@ def test_witness_does_not_depend_on_hash_seed():
         )
         witnesses.add(out.stdout.strip())
     assert len(witnesses) == 1
+
+
+# sha256 over the verdicts and witnesses below, recorded before the black/red
+# builder drew its successor sets directly, edge pruning compared siblings
+# only and path-until and simple-until shared one build
+_UNTIL_DIGEST = "c6a7462b45d7834ea85e2969c36861298a53c7396eca60d08bd74bc3686aeb41"
+
+
+def _two_sided_set(rng, atoms, max_ts):
+    """One or two positives and one or two negatives."""
+    pos = [rand_instance(rng, atoms, max_ts) for _ in range(rng.randint(1, 2))]
+    neg = [rand_instance(rng, atoms, max_ts) for _ in range(rng.randint(1, 2))]
+    return ExampleSet.of(pos, neg)
+
+
+def test_until_witness_digest_is_unchanged():
+    h = hashlib.sha256()
+    for seed in range(60):
+        rng = random.Random(35000 + seed)
+        plain = _two_sided_set(rng, ("A", "B", "C"), 3)
+        onto = rand_horn_ontology(rng, atoms=("A", "B"), max_axioms=3)
+        horn_set = _two_sided_set(rng, ("A", "B"), 3)
+        for e, o in ((plain, None), (horn_set, onto)):
+            for cls in UNTIL_CLASSES:
+                v = decide(Problem(cls, e, o))
+                h.update(f"{v.separable}|{v.witness}|{v.note}\n".encode())
+    assert h.hexdigest() == _UNTIL_DIGEST
+
+
+def _prior_ontology(rng):
+    a, b = rng.sample(["A", "B"], 2)
+    body = rng.choice(["{a}", "G {a}", "{a} & {b}"])
+    head = rng.choice(["{b}", "F {b}", "{b} | F {a}"])
+    return prior.load_prior_ontology(f"{body} -> {head}".format(a=a, b=b))
+
+
+# recorded before _valid_loops was cached and prior_path_search carried the
+# negatives that still entail each prefix
+_PRIOR_DIGEST = "5652a122398a431d1e24e15bf99e88335bf25780442a21541051dc68f5ad1e1e"
+
+
+def test_prior_branch_diamond_digest_is_unchanged():
+    h = hashlib.sha256()
+    for seed in range(40):
+        rng = random.Random(36000 + seed)
+        onto = _prior_ontology(rng)
+        e = _two_sided_set(rng, ("A", "B"), 2)
+        v = decide(Problem(QueryClass.BRANCH_DIAMOND, e, onto))
+        h.update(f"{v.separable}|{v.witness}|{v.note}\n".encode())
+    assert h.hexdigest() == _PRIOR_DIGEST
+
+
+@pytest.mark.parametrize("onto", [None, horn.load_ontology("A -> X B")], ids=["plain", "horn"])
+def test_until_classes_of_one_set_share_one_build(monkeypatch, onto):
+    from ltlqbe import qbe
+
+    calls = []
+    name = "repr_plain" if onto is None else "repr_horn"
+    original = getattr(qbe, name)
+    monkeypatch.setattr(qbe, name, lambda *args: calls.append(args) or original(*args))
+    qbe._until_systems.cache_clear()
+    e = ex([[("A", 1), ("B", 3)], [("A", 2), ("B", 3)]], [[("A", 1)], [("B", 3)]])
+    decide(Problem(QueryClass.PATH_UNTIL, e, onto))
+    assert len(calls) == len(e.instances)
+    decide(Problem(QueryClass.SIMPLE_UNTIL, e, onto))
+    assert len(calls) == len(e.instances)

@@ -7,6 +7,7 @@ from conftest import rand_horn_ontology, rand_instance
 from ltlqbe import horn
 from ltlqbe.core import DataInstance
 from ltlqbe.represent import (
+    _successor_sets,
     lessdot,
     lessdot_mp,
     nabla,
@@ -16,7 +17,7 @@ from ltlqbe.represent import (
     repr_plain,
     repr_plain_br,
 )
-from ltlqbe.tsys import BLACK, BOT, RED, simulates
+from ltlqbe.tsys import BLACK, BOT, RED, Edge, simulates
 
 D = DataInstance.of
 fs = frozenset
@@ -242,3 +243,160 @@ def test_repr_horn_br_empty_ontology_matches_plain_verdicts(seed):
     plain = decide_until_family(e, None, QueryClass.FULL_UNTIL)
     assert with_onto.separable == plain.separable
     assert plain.separable == brute_force_decide(Problem(QueryClass.FULL_UNTIL, e)).separable
+
+
+# ---------------------------------------------------------------------------
+# black/red systems against the all-subsets construction
+
+
+def _build_br_reference(letters, n_positions, sigma_bot, less, gaps, with_z, max_ts):
+    """The black/red worklist construction that tries every nonempty subset
+    of the positions as a successor set, in size-then-combinations order."""
+    sig = fs(a for a in sigma_bot if a != BOT)
+    targets = [fs(c) for r in range(1, n_positions + 1) for c in combinations(range(n_positions), r)]
+    origin, z, u = ("0",), ("z",), ("u",)
+
+    def points_label(points):
+        pts = list(points)
+        if not pts:
+            return sigma_bot
+        return fs(set.intersection(*(set(letters(p)) for p in pts)) & sigma_bot)
+
+    labels = {origin: letters(0) & sig, u: sigma_bot}
+    if with_z:
+        labels[z] = fs()
+    edges = []
+    states = [origin, u] + ([z] if with_z else [])
+    seen = set(states)
+    queue = [origin]
+
+    def successors_from(points, src, color):
+        for g in targets:
+            if not less(points, g):
+                continue
+            f = gaps(points, g)
+            tgt = ("p", f, g)
+            if tgt not in labels:
+                labels[tgt] = points_label(g)
+            if tgt not in seen:
+                seen.add(tgt)
+                states.append(tgt)
+                queue.append(tgt)
+            edges.append(Edge(src, tgt, points_label(f), color))
+
+    while queue:
+        state = queue.pop()
+        if state == origin:
+            successors_from(fs({0}), origin, BLACK)
+            if with_z:
+                edges.append(Edge(origin, z, points_label(range(0, max_ts)), BLACK))
+            continue
+        if state in (z, u):
+            continue
+        _, phi, psi = state
+        successors_from(psi, state, BLACK)
+        if phi:
+            successors_from(phi, state, RED)
+        else:
+            edges.append(Edge(state, u, sigma_bot, RED))
+        if with_z:
+            edges.append(Edge(state, z, points_label(range(max(psi), max_ts)), BLACK))
+            if phi:
+                edges.append(Edge(state, z, points_label(range(max(phi), max_ts)), RED))
+    if with_z:
+        edges += [Edge(z, z, sigma_bot, BLACK), Edge(z, z, sigma_bot, RED), Edge(z, u, sigma_bot, RED)]
+    edges += [Edge(u, u, sigma_bot, BLACK), Edge(u, u, sigma_bot, RED)]
+    return states, labels, edges
+
+
+def _reference_plain_br(d, sig):
+    return _build_br_reference(
+        d.atoms_at, d.max_timestamp + 1, sig | {BOT}, lessdot, nabla, True, d.max_timestamp
+    )
+
+
+def _reference_horn_br(onto, d, sig):
+    cm = horn.canonical_model(onto, d)
+    m, p = cm.lasso.pre, cm.lasso.pre + cm.period
+    return _build_br_reference(
+        cm.lasso.letter,
+        p,
+        sig | {BOT},
+        lambda a, b: lessdot_mp(a, b, m, p),
+        lambda a, b: nabla_mp(a, b, m, p),
+        False,
+        d.max_timestamp,
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_successor_sets_match_filtered_subsets(seed):
+    rng = random.Random(30500 + seed)
+    for _ in range(150):
+        p = rng.randrange(1, 9)
+        m = rng.randrange(0, p + 1)  # m == p: plain lessdot
+        dset = fs(rng.sample(range(p), rng.randrange(1, p + 1)))
+        every = [fs(c) for r in range(1, p + 1) for c in combinations(range(p), r)]
+        expected = [eset for eset in every if lessdot_mp(dset, eset, m, p)]
+        assert list(_successor_sets(sorted(dset), p, m)) == expected
+
+
+def _same_system(ts, reference):
+    states, labels, edges = reference
+    assert ts.states == states
+    assert ts.initial == [("0",)]
+    assert ts.labels == labels
+    assert ts.edges == edges
+
+
+def _horn_explore_ontology(rng):
+    """A Horn ontology shaped like the `horn-explore` benchmark's: one to
+    three axioms over A and B, box/next literals, an occasional F body."""
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+
+        def lit(in_body):
+            prefix = rng.choice(["", "", "X ", "G "])
+            lead = "F " if in_body and rng.random() < 0.15 else ""
+            pool = ["A", "B"] + (["false"] if not in_body and rng.random() < 0.08 else [])
+            return f"{lead}{prefix}{rng.choice(pool)}"
+
+        body = " & ".join(lit(True) for _ in range(rng.randint(1, 2)))
+        lines.append(f"{body} -> {lit(False)}")
+    return horn.load_ontology("\n".join(lines))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plain_br_matches_all_subsets_reference(seed):
+    rng = random.Random(31000 + seed)
+    for _ in range(50):
+        d = rand_instance(rng, max_ts=rng.randrange(0, 6))
+        sig = d.signature | fs(rng.sample(["A", "B", "C"], rng.randrange(0, 2)))
+        _same_system(repr_plain_br(d, sig), _reference_plain_br(d, sig))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_horn_br_matches_all_subsets_reference(seed):
+    rng = random.Random(32000 + seed)
+    checked = 0
+    while checked < 50:
+        onto = rand_horn_ontology(rng, atoms=("A", "B"), max_axioms=3)
+        d = rand_instance(rng, atoms=("A", "B"), max_ts=rng.randrange(0, 4), max_facts=4)
+        if not horn.consistent(onto, d):
+            continue
+        sig = d.signature | onto.user_atoms
+        _same_system(repr_horn_br(onto, d), _reference_horn_br(onto, d, sig))
+        checked += 1
+
+
+def test_horn_br_matches_reference_on_benchmark_shaped_ontologies():
+    rng = random.Random(33500)
+    checked = 0
+    while checked < 60:
+        onto = _horn_explore_ontology(rng)
+        d = rand_instance(rng, atoms=("A", "B"), max_ts=3, max_facts=4)
+        if not horn.consistent(onto, d):
+            continue
+        sig = d.signature | onto.user_atoms
+        _same_system(repr_horn_br(onto, d, sig), _reference_horn_br(onto, d, sig))
+        checked += 1

@@ -3,19 +3,22 @@ import random
 import pytest
 
 from ltlqbe.core import DataInstance
-from ltlqbe.represent import repr_plain
+from ltlqbe.represent import repr_plain, repr_plain_br
 from ltlqbe.tsys import (
     BLACK,
     BOT,
     RED,
     Edge,
     TransitionSystem,
+    _simulation_ranks,
+    bisim_quotient,
     contained_in,
     disjoint_union,
     embeds,
     extract_failing_run,
     extract_failing_subtree,
     product,
+    prune_dominated_edges,
     run_embeds,
     simulates,
     to_dot,
@@ -180,3 +183,43 @@ def test_to_dot_smoke():
     s = rand_system(random.Random(8), colored=True)
     text = to_dot(s)
     assert text.startswith("digraph") and "->" in text
+
+
+def _prune_reference(t: TransitionSystem) -> list[Edge]:
+    """prune_dominated_edges as a comparison of every pair of edges."""
+    alive, _ = _simulation_ranks(t, t)
+    keep = []
+    for i, e in enumerate(t.edges):
+        dominated = False
+        for j, f in enumerate(t.edges):
+            if i == j or e.src != f.src or e.color != f.color:
+                continue
+            if e.label <= f.label and (e.dst, f.dst) in alive:
+                mutual = f.label <= e.label and (f.dst, e.dst) in alive
+                if not mutual or j < i:
+                    dominated = True
+                    break
+        if not dominated:
+            keep.append(e)
+    return keep
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prune_dominated_edges_matches_pairwise_reference(seed):
+    rng = random.Random(34000 + seed)
+    sig = frozenset("ABC")
+    for _ in range(25):
+        kind = rng.randrange(3)
+        if kind == 0:
+            t = rand_system(rng, n=rng.randrange(1, 7), colored=rng.random() < 0.5)
+        else:
+            build = repr_plain if kind == 1 else repr_plain_br
+            parts = [
+                build(D({(rng.choice("ABC"), rng.randrange(0, 4)) for _ in range(rng.randrange(0, 5))}), sig)
+                for _ in range(rng.randrange(1, 3))
+            ]
+            t = product(parts, reachable_only=True) if len(parts) > 1 else parts[0]
+        q = bisim_quotient(t)
+        pruned = prune_dominated_edges(q)
+        assert pruned.edges == _prune_reference(q)
+        assert pruned.states == q.states and pruned.initial == q.initial and pruned.labels == q.labels
