@@ -13,19 +13,25 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from . import horn, prior
 from .core import (
+    Bot,
     DataInstance,
     ExampleSet,
+    Next,
     ParseError,
     QueryClass,
+    Until,
     eval_data,
     parse_query,
+    subqueries,
 )
-from .horn import ChaseWindowOverflow, Inconsistent
+from .horn import Inconsistent, OntologyParseError
 from .oracle import OracleCap, brute_force_decide
-from .qbe import Problem, ResourceCap, WitnessError, decide, entailed, minimize_witness
+from .prior import PriorParseError
+from .qbe import Problem, ResourceCap, UnsupportedProblem, decide, entailed, minimize_witness
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -100,12 +106,21 @@ def _load_ontology(path: str | None, kind: str):
     return horn.load_ontology(text)
 
 
+def _check_reserved(onto, instances) -> None:
+    """Data may not use the atoms a Horn ontology's F-rewrite introduced."""
+    if isinstance(onto, horn.HornOntology):
+        clash = onto.fresh_atoms & frozenset().union(*(d.signature for d in instances))
+        if clash:
+            raise InputError(f"data uses atoms reserved by the F-rewrite: {sorted(clash)}")
+
+
 _CLASSES = {c.value: c for c in QueryClass}
 
 
 def _cmd_separable(args) -> int:
     e = load_example_set(args.input)
     onto = _load_ontology(args.ontology, args.ontology_kind)
+    _check_reserved(onto, e.instances)
     p = Problem(_CLASSES[args.cls], e, onto)
     t0 = time.monotonic()
     verdict = decide(p)
@@ -144,11 +159,16 @@ def _cmd_eval(args) -> int:
     q = parse_query(args.query)
     d = load_data_instance(args.data)
     onto = _load_ontology(args.ontology, args.ontology_kind)
+    _check_reserved(onto, [d])
+    if args.at < 0:
+        raise InputError(f"negative timepoint {args.at}")
     if onto is None:
         value = eval_data(d, q, args.at)
     elif isinstance(onto, prior.PriorOntology):
         if args.at != 0:
             raise InputError("box/diamond entailment is defined at timepoint 0")
+        if not isinstance(q, Bot) and any(isinstance(s, (Bot, Next, Until)) for s in subqueries(q)):
+            raise InputError(f"box/diamond entailment takes true, false, atoms, & and F only: {q}")
         value = entailed(onto, d, q)
     else:
         value = horn.certain_answer(onto, d, q, args.at)
@@ -161,6 +181,7 @@ def _cmd_canonical(args) -> int:
     if onto is None:
         onto = horn.EMPTY_ONTOLOGY
     d = load_data_instance(args.data)
+    _check_reserved(onto, [d])
     cm = horn.canonical_model(onto, d)
     window = args.window if args.window is not None else cm.horizon
     out = {
@@ -258,18 +279,19 @@ def main(argv=None) -> int:
         return EXIT_USAGE if ex.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, ParseError, ValueError) as ex:
+    except (InputError, ParseError, OntologyParseError, PriorParseError, UnsupportedProblem) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceCap, OracleCap) as ex:
         print(f"resource cap: {ex}", file=sys.stderr)
         return EXIT_CAP
-    except (WitnessError, ChaseWindowOverflow) as ex:
-        print(f"internal error: {ex}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Inconsistent as ex:
         print(f"error: ontology and data are inconsistent: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as ex:  # a bug, not bad input: WitnessError, ChaseWindowOverflow, ...
+        traceback.print_exc()
+        print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -462,7 +462,7 @@ def _reduce(onto: HornOntology, model) -> list[_GuardedAxiom]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel:
     clash = {a for a, _ in data.facts} & onto.fresh_atoms
     if clash:

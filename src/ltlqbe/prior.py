@@ -5,7 +5,21 @@ Consistency and certain answers are decided by backtracking over ultimately
 periodic words: a handle of positions 0..k and a loop of length l, with
 max(data) <= k <= max(data)+|O| and 1 <= l <= |O|.  On such a word the truth
 of a G- or F-subformula is the same at every loop position, which makes the
-axioms checkable position by position as the word is extended.
+axioms checkable position by position as the word is extended.  The handle
+is filled from its end.  A partial fill is summed up by the values, where it
+stops, of the axioms' G- and F-subformulas and of the query's F-subqueries,
+and a summary that led nowhere once is not searched again.
+
+Axioms and queries are evaluated on a word as integer bitmasks over its
+positions.  A diamond query is certain on (O, D) iff no such word is a model
+of O and D on which the query fails at 0, so entailment is a countermodel
+search; the query is compiled once into nested (atoms, F-children) form for
+it.  Every model the search finds is kept, most recent first, in a bounded
+store per (O, D), and later queries on the same (O, D) try the stored words
+before searching.  A stored word is a model of O and D whatever the query
+(atoms outside its signature are false, and none occurs in O or D), so a
+stored word that falsifies the query settles "not entailed"; "entailed" still
+comes only from the full search.
 """
 
 from __future__ import annotations
@@ -22,7 +36,8 @@ from .core import (
     Prop,
     Query,
     Top,
-    eval_lasso,
+    eval_data,
+    query_atoms,
 )
 
 
@@ -244,81 +259,94 @@ def load_prior_ontology(text: str) -> PriorOntology:
 
 
 # ---------------------------------------------------------------------------
+# Words as position bitmasks
+#
+# A word is a triple (masks, every, loop) over the positions 0..pre+per-1 of
+# a lasso, position n being bit n: per atom, the positions whose letter holds
+# it; all positions; and the loop positions.  Every operator looks strictly
+# forward, so the value at n depends on the letters at n and after only.
+
+
+def _word(prefix, loop) -> tuple[dict[str, int], int, int]:
+    """The (masks, every, loop) form of the lasso prefix·loop^ω."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for letter in (*prefix, *loop):
+        for a in letter:
+            masks[a] = masks.get(a, 0) | bit
+        bit <<= 1
+    every = bit - 1
+    return masks, every, every >> len(prefix) << len(prefix)
+
+
+def _before_last(held: int) -> int:
+    """The positions before the highest one in `held`."""
+    return (1 << (held.bit_length() - 1)) - 1 if held else 0
+
+
+def _values(f: PFormula, masks: dict[str, int], every: int, loop: int) -> int:
+    """The positions of the word at which the axiom formula holds."""
+    if isinstance(f, PAtom):
+        return masks.get(f.name, 0)
+    if isinstance(f, PTrue):
+        return every
+    if isinstance(f, PFalse):
+        return 0
+    if isinstance(f, PNot):
+        return every & ~_values(f.arg, masks, every, loop)
+    if isinstance(f, PDia):
+        held = _values(f.arg, masks, every, loop)
+        return every if held & loop else _before_last(held)
+    if isinstance(f, PBox):
+        failed = every & ~_values(f.arg, masks, every, loop)
+        return 0 if failed & loop else every & ~_before_last(failed)
+    left = _values(f.left, masks, every, loop)
+    right = _values(f.right, masks, every, loop)
+    if isinstance(f, PAnd):
+        return left & right
+    if isinstance(f, POr):
+        return left | right
+    if isinstance(f, PImp):
+        return (every & ~left) | right
+    raise TypeError(f"not a prior formula: {f!r}")
+
+
+def _loop_values(f: PFormula, masks: dict[str, int], assigned: int, every: int) -> tuple[int, int]:
+    """Kleene (true, false) position masks of f on a partly assigned loop.
+
+    `masks` holds each atom's positions among the `assigned` ones; the other
+    positions are open.  On a loop a G- or F-formula has one value at every
+    position.
+    """
+    if isinstance(f, PAtom):
+        held = masks.get(f.name, 0)
+        return held, assigned & ~held
+    if isinstance(f, PTrue):
+        return every, 0
+    if isinstance(f, PFalse):
+        return 0, every
+    if isinstance(f, PNot):
+        true, false = _loop_values(f.arg, masks, assigned, every)
+        return false, true
+    if isinstance(f, PDia):  # some loop position satisfies the argument
+        true, false = _loop_values(f.arg, masks, assigned, every)
+        return (every, 0) if true else (0, every) if false == every else (0, 0)
+    if isinstance(f, PBox):
+        true, false = _loop_values(f.arg, masks, assigned, every)
+        return (0, every) if false else (every, 0) if true == every else (0, 0)
+    lt, lf = _loop_values(f.left, masks, assigned, every)
+    rt, rf = _loop_values(f.right, masks, assigned, every)
+    if isinstance(f, PAnd):
+        return lt & rt, lf | rf
+    if isinstance(f, POr):
+        return lt | rt, lf & rf
+    if isinstance(f, PImp):
+        return lf | rt, lt & rf
+    raise TypeError(f"not a prior formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
 # Word search
-
-_TRUE, _FALSE, _UNKNOWN = 1, 0, 2
-
-
-def _ev_loop(f: PFormula, j: int, loop, assigned: int) -> int:
-    """Three-valued truth at loop position j; positions >= assigned are open."""
-    if isinstance(f, PTrue):
-        return _TRUE
-    if isinstance(f, PFalse):
-        return _FALSE
-    if isinstance(f, PAtom):
-        if j >= assigned:
-            return _UNKNOWN
-        return _TRUE if f.name in loop[j] else _FALSE
-    if isinstance(f, PNot):
-        v = _ev_loop(f.arg, j, loop, assigned)
-        return v if v == _UNKNOWN else 1 - v
-    if isinstance(f, PAnd):
-        a = _ev_loop(f.left, j, loop, assigned)
-        b = _ev_loop(f.right, j, loop, assigned)
-        if _FALSE in (a, b):
-            return _FALSE
-        return _TRUE if a == b == _TRUE else _UNKNOWN
-    if isinstance(f, POr):
-        a = _ev_loop(f.left, j, loop, assigned)
-        b = _ev_loop(f.right, j, loop, assigned)
-        if _TRUE in (a, b):
-            return _TRUE
-        return _FALSE if a == b == _FALSE else _UNKNOWN
-    if isinstance(f, PImp):
-        a = _ev_loop(f.left, j, loop, assigned)
-        b = _ev_loop(f.right, j, loop, assigned)
-        if a == _FALSE or b == _TRUE:
-            return _TRUE
-        return _FALSE if (a, b) == (_TRUE, _FALSE) else _UNKNOWN
-    if isinstance(f, PDia):
-        # uniform over the loop: some loop position satisfies the argument
-        vals = [_ev_loop(f.arg, i, loop, assigned) for i in range(len(loop))]
-        if _TRUE in vals:
-            return _TRUE
-        return _FALSE if all(v == _FALSE for v in vals) else _UNKNOWN
-    if isinstance(f, PBox):
-        vals = [_ev_loop(f.arg, i, loop, assigned) for i in range(len(loop))]
-        if _FALSE in vals:
-            return _FALSE
-        return _TRUE if all(v == _TRUE for v in vals) else _UNKNOWN
-    raise TypeError(f"not a prior formula: {f!r}")
-
-
-def _ev_handle(f: PFormula, i: int, handle, loop) -> bool:
-    """Exact truth at handle position i (handle fully assigned to the right of i)."""
-    if isinstance(f, PTrue):
-        return True
-    if isinstance(f, PFalse):
-        return False
-    if isinstance(f, PAtom):
-        return f.name in handle[i]
-    if isinstance(f, PNot):
-        return not _ev_handle(f.arg, i, handle, loop)
-    if isinstance(f, PAnd):
-        return _ev_handle(f.left, i, handle, loop) and _ev_handle(f.right, i, handle, loop)
-    if isinstance(f, POr):
-        return _ev_handle(f.left, i, handle, loop) or _ev_handle(f.right, i, handle, loop)
-    if isinstance(f, PImp):
-        return (not _ev_handle(f.left, i, handle, loop)) or _ev_handle(f.right, i, handle, loop)
-    if isinstance(f, PDia):
-        if any(_ev_handle(f.arg, j, handle, loop) for j in range(i + 1, len(handle))):
-            return True
-        return any(_ev_loop(f.arg, j, loop, len(loop)) == _TRUE for j in range(len(loop)))
-    if isinstance(f, PBox):
-        if not all(_ev_handle(f.arg, j, handle, loop) for j in range(i + 1, len(handle))):
-            return False
-        return all(_ev_loop(f.arg, j, loop, len(loop)) == _TRUE for j in range(len(loop)))
-    raise TypeError(f"not a prior formula: {f!r}")
 
 
 def _letter_choices(sig: tuple[str, ...], required: frozenset[str]):
@@ -326,6 +354,16 @@ def _letter_choices(sig: tuple[str, ...], required: frozenset[str]):
     for mask in range(1 << len(free)):
         extra = {free[i] for i in range(len(free)) if mask >> i & 1}
         yield frozenset(required | extra)
+
+
+def _set_bit(masks: dict[str, int], letters, bit: int) -> None:
+    for a in letters:
+        masks[a] = masks.get(a, 0) | bit
+
+
+def _clear_bit(masks: dict[str, int], letters, bit: int) -> None:
+    for a in letters:
+        masks[a] &= ~bit
 
 
 @lru_cache(maxsize=256)
@@ -337,114 +375,201 @@ def _valid_loops(onto: PriorOntology, sig: tuple[str, ...], loop_len: int) -> tu
     loops, so they are kept for every word search over the same signature.
     """
     choices = list(_letter_choices(sig, frozenset()))
+    every = (1 << loop_len) - 1
     loop: list[frozenset[str]] = [frozenset()] * loop_len
+    masks: dict[str, int] = {}
 
     def go(j: int):
         if j == loop_len:
             yield tuple(loop)
             return
+        bit = 1 << j
+        assigned = (bit << 1) - 1
         for letters in choices:
             loop[j] = letters
-            ok = True
-            for jj in range(j + 1):
-                if any(_ev_loop(a, jj, loop, j + 1) == _FALSE for a in onto.axioms):
-                    ok = False
-                    break
-            if ok:
+            _set_bit(masks, letters, bit)
+            if not any(_loop_values(a, masks, assigned, every)[1] for a in onto.axioms):
                 yield from go(j + 1)
+            _clear_bit(masks, letters, bit)
 
     return tuple(go(0))
 
 
+def _temporal_parts(f: PFormula) -> list[PFormula]:
+    """The G- and F-subformulas of f, outermost first."""
+    if isinstance(f, (PTrue, PFalse, PAtom)):
+        return []
+    if isinstance(f, PNot):
+        return _temporal_parts(f.arg)
+    if isinstance(f, (PBox, PDia)):
+        return [f, *_temporal_parts(f.arg)]
+    return _temporal_parts(f.left) + _temporal_parts(f.right)
+
+
 def _search_word(
-    onto: PriorOntology, data: DataInstance, sig: tuple[str, ...], reject
+    onto: PriorOntology, data: DataInstance, sig: tuple[str, ...], query=None
 ) -> LassoModel | None:
-    """A periodic model of (onto, data) on which `reject` holds, if any."""
+    """A periodic model of (onto, data), if any; given a compiled query, one
+    on which the query fails at 0."""
     max_ts = data.max_timestamp
     # keeping one witness per diamond subformula and one falsifier per box
     # subformula preserves every subformula value, so this slack suffices
     size = onto.temporal_count + 1
+    facts = LassoModel.of_data(data).prefix
+    temporal = tuple(dict.fromkeys(t for a in onto.axioms for t in _temporal_parts(a)))
+    failed: set[tuple] = set()  # see _fill_handle; shared by every loop and k
     for loop_len in range(1, size + 1):
         for loop in _valid_loops(onto, sig, loop_len):
+            # positive queries are monotone: if the query holds on the word of
+            # the data's letters alone, it holds on every handle over them.
+            # Empty letters between the data and the loop hold no subquery
+            # that the loop does not hold everywhere, so one check covers
+            # every k.
+            if query is not None and _holds(query, _word(facts, loop)) & 1:
+                continue
             for k in range(max_ts, max_ts + size + 1):
-                if reject is not None:
-                    # positive queries are monotone: if the minimal handle
-                    # already fails to reject, no handle over it will
-                    minimal = LassoModel(
-                        tuple(data.atoms_at(i) for i in range(k + 1)), tuple(loop)
-                    )
-                    if not reject(minimal):
-                        continue
-                word = _fill_handle(onto, data, sig, k, loop, reject)
+                gap = (frozenset(),) * (k - max_ts)
+                word = _fill_handle(onto, facts + gap, sig, loop, query, temporal, failed)
                 if word is not None:
                     return word
     return None
 
 
-def _fill_handle(onto, data, sig, k, loop, reject) -> LassoModel | None:
-    handle: list[frozenset[str] | None] = [None] * (k + 1)
+def _fill_handle(onto, facts, sig, loop, query, temporal, failed) -> LassoModel | None:
+    """Letters over `facts` (the data's letters at 0..k) that, followed by
+    `loop`, satisfy every axiom and, given a compiled query, falsify it at 0.
+
+    The handle is filled from its last position down; the axioms are checked
+    at each position as it is filled, when every later letter is known.
+    Positions not yet filled hold their facts only, and positive queries are
+    monotone: when the query holds on that word, it holds however they are
+    filled.  How positions 0..i can be filled depends only on i, on the
+    values at i of the axioms' `temporal` subformulas and on which
+    F-subqueries hold after i, whatever the loop and k; a state in `failed`
+    has no filling.
+    """
+    handle = list(facts)
+    word = masks, every, looped = _word(facts, loop)
+    later = _subnodes(query) if query is not None else []
 
     def assign(i: int) -> LassoModel | None:
         if i < 0:
-            model = LassoModel(tuple(handle), tuple(loop))
-            return model if reject is None or reject(model) else None
-        for letters in _letter_choices(sig, data.atoms_at(i)):
+            return LassoModel(tuple(handle), loop)
+        state = (
+            i,
+            *(_values(t, masks, every, looped) >> i & 1 for t in temporal),
+            *(_holds(c, word) >> i > 1 for c in later),
+        )
+        if state in failed:
+            return None
+        bit = 1 << i
+        for letters in _letter_choices(sig, facts[i]):
+            extra = letters - facts[i]
             handle[i] = letters
-            if all(_ev_handle(a, i, handle, loop) for a in onto.axioms):
+            _set_bit(masks, extra, bit)
+            if all(_values(a, masks, every, looped) & bit for a in onto.axioms) and (
+                query is None or not _holds(query, word) & 1
+            ):
                 found = assign(i - 1)
                 if found is not None:
                     return found
-        handle[i] = None
+            _clear_bit(masks, extra, bit)
+        failed.add(state)
         return None
 
-    return assign(k)
+    return assign(len(facts) - 1)
 
 
 def _sig_tuple(onto: PriorOntology, data: DataInstance, extra=frozenset()) -> tuple[str, ...]:
     return tuple(sorted(onto.atoms | data.signature | extra))
 
 
-@lru_cache(maxsize=None)
+# ---------------------------------------------------------------------------
+# Diamond queries and the countermodel store
+#
+# A compiled query is a pair (atoms, children): the conjunction of the atoms
+# and of `F c` for each compiled child c.
+
+
+def _compile(q: Query) -> tuple:
+    """The (atoms, children) form of a query in the diamond fragment."""
+    atoms: list[str] = []
+    children: list[tuple] = []
+    for p in q.parts if isinstance(q, And) else (q,):
+        if isinstance(p, Prop):
+            atoms.append(p.name)
+        elif isinstance(p, Diamond):
+            children.append(_compile(p.arg))
+        elif not isinstance(p, Top):
+            raise ValueError(f"query outside the diamond fragment: {p}")
+    return tuple(atoms), tuple(children)
+
+
+def _subnodes(node: tuple) -> list[tuple]:
+    """The nodes under an F in a compiled query."""
+    out = []
+    for child in node[1]:
+        out += [child, *_subnodes(child)]
+    return out
+
+
+def _holds(node: tuple, word: tuple) -> int:
+    """The positions of the word at which the compiled query holds."""
+    atoms, children = node
+    masks, out, loop = word
+    for a in atoms:
+        out &= masks.get(a, 0)
+    for child in children:
+        if not out:
+            break
+        held = _holds(child, word)
+        if not held & loop:
+            # F is strict: it holds before the child's last prefix position
+            out &= _before_last(held)
+        # else the child recurs in the loop, so F child holds everywhere
+    return out
+
+
+_EMPTY_WORD = _word((), (frozenset(),))
+_KEPT = 16  # countermodels kept per (ontology, instance)
+
+
+@lru_cache(maxsize=256)
+def _countermodels(onto: PriorOntology, data: DataInstance) -> list:
+    """Words of models of (onto, data) found so far, most recent first."""
+    return []
+
+
+def _keep(onto: PriorOntology, data: DataInstance, model: LassoModel) -> None:
+    store = _countermodels(onto, data)
+    store.insert(0, _word(model.prefix, model.loop))
+    del store[_KEPT:]
+
+
+@lru_cache(maxsize=4096)
 def prior_consistent(onto: PriorOntology, data: DataInstance) -> bool:
     """True iff some ultimately periodic word satisfies data and all axioms."""
     if not onto.axioms:
         return True
-    return _search_word(onto, data, _sig_tuple(onto, data), None) is not None
+    model = _search_word(onto, data, _sig_tuple(onto, data), None)
+    if model is None:
+        return False
+    _keep(onto, data, model)
+    return True
 
 
-def _check_diamond_query(q: Query) -> None:
-    if isinstance(q, (Top, Prop)):
-        return
-    if isinstance(q, And):
-        for p in q.parts:
-            _check_diamond_query(p)
-        return
-    if isinstance(q, Diamond):
-        _check_diamond_query(q.arg)
-        return
-    raise ValueError(f"query outside the diamond fragment: {q}")
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def prior_entails(onto: PriorOntology, data: DataInstance, q: Query) -> bool:
     """True iff q holds at 0 in every model of (onto, data)."""
-    _check_diamond_query(q)
+    node = _compile(q)
     if not onto.axioms:
-        from .core import eval_data
-
         return eval_data(data, q, 0)
-    empty = LassoModel((), (frozenset(),))
-    if eval_lasso(empty, q, 0):
+    if _holds(node, _EMPTY_WORD) & 1:
         return True  # valid positive queries have no countermodel anywhere
-    sig = _sig_tuple(onto, data, extra=_query_atoms(q))
-
-    def refutes(model: LassoModel) -> bool:
-        return not eval_lasso(model, q, 0)
-
-    return _search_word(onto, data, sig, refutes) is None
-
-
-def _query_atoms(q: Query) -> frozenset[str]:
-    from .core import query_atoms
-
-    return query_atoms(q)
+    if any(not _holds(node, word) & 1 for word in _countermodels(onto, data)):
+        return False
+    model = _search_word(onto, data, _sig_tuple(onto, data, extra=query_atoms(q)), node)
+    if model is None:
+        return True
+    _keep(onto, data, model)
+    return False

@@ -249,6 +249,7 @@ def test_criterion_3_horn_layer():
         counter_checked += 1
 
     verdicts_checked = 0
+    overflows = 0  # random chases have never overflowed; one that does is a bug
     rng3 = random.Random(33002)
     while verdicts_checked < 100:
         onto = rand_horn_ontology(rng3, max_axioms=4)
@@ -258,12 +259,14 @@ def test_criterion_3_horn_layer():
         try:
             engine = decide(p)
         except horn.ChaseWindowOverflow:
+            overflows += 1
             continue
         oracle = brute_force_decide(p)
         assert engine.separable == oracle.separable, (cls.value, onto.axioms)
         if engine.separable:
             assert verify_witness(p, engine.witness)
         verdicts_checked += 1
+    assert overflows == 0, f"{overflows} chase window overflows"
 
     dt = time.monotonic() - t0
     print(f"\nACCEPTANCE 3 PASS: 100 periodicity + 100 countermodel + 100 verdict "

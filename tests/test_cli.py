@@ -144,6 +144,56 @@ def test_bad_class_exit_two(ex1):
     assert main(["separable", "--class", "nope", "--input", ex1]) == 2
 
 
+def test_plain_value_error_exits_five(ex1, monkeypatch, capsys):
+    def broken(p):
+        raise ValueError("an engine bug")
+
+    monkeypatch.setattr(cli, "decide", broken)
+    assert main(["separable", "--class", "path-diamond", "--input", ex1]) == 5
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_bad_atom_in_input_exit_two(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"format": 1, "positives": [{"facts": [["1A", 0]]}]}))
+    assert main(["separable", "--class", "path-diamond", "--input", str(p)]) == 2
+
+
+@pytest.mark.parametrize("kind,text", [("horn", "A -> \n"), ("prior", "A -> X B\n")])
+def test_bad_ontology_exit_two(ex1, tmp_path, kind, text):
+    onto = tmp_path / "o.ltl"
+    onto.write_text(text)
+    argv = ["separable", "--class", "path-diamond", "--input", ex1]
+    assert main(argv + ["--ontology", str(onto), "--ontology-kind", kind]) == 2
+
+
+def test_unsupported_class_under_prior_exit_two(ex1, tmp_path):
+    onto = tmp_path / "o.ltl"
+    onto.write_text("A -> F B\n")
+    argv = ["separable", "--class", "path-until", "--input", ex1]
+    assert main(argv + ["--ontology", str(onto), "--ontology-kind", "prior"]) == 2
+
+
+def test_data_using_a_reserved_atom_exit_two(tmp_path):
+    onto = tmp_path / "o.ltl"
+    onto.write_text("F A -> B\n")  # the F-rewrite introduces Dia__1
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"format": 1, "facts": [["Dia__1", 0]]}))
+    argv = ["--data", str(data), "--ontology", str(onto)]
+    assert main(["eval", "--query", "B"] + argv) == 2
+    assert main(["canonical"] + argv) == 2
+
+
+@pytest.mark.parametrize("query", ["X A", "A U B", "F false"])
+def test_eval_prior_query_outside_fragment_exit_two(tmp_path, query):
+    onto = tmp_path / "o.ltl"
+    onto.write_text("A -> F B\n")
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"format": 1, "facts": [["A", 0]]}))
+    argv = ["eval", "--query", query, "--data", str(data), "--ontology", str(onto)]
+    assert main(argv + ["--ontology-kind", "prior"]) == 2
+
+
 def test_eval_command(tmp_path, capsys):
     data = tmp_path / "d.json"
     data.write_text(json.dumps({"format": 1, "facts": [["T", 2], ["V", 4]]}))
@@ -283,3 +333,9 @@ def test_from_words_subword_matches_direct_factor_check(capsys):
             ],
         )
         assert (rc == 0) == expected, (pos, neg)
+
+
+def test_eval_negative_timepoint_exit_two(tmp_path):
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"format": 1, "facts": [["A", 0]]}))
+    assert main(["eval", "--query", "A", "--data", str(data), "--at", "-1"]) == 2

@@ -1,10 +1,21 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import rand_instance
 from ltlqbe import prior
-from ltlqbe.core import DataInstance, eval_data, parse_query
+from ltlqbe.core import (
+    TOP,
+    DataInstance,
+    Diamond,
+    LassoModel,
+    Prop,
+    conj,
+    eval_data,
+    eval_lasso,
+    parse_query,
+)
 
 D = DataInstance.of
 load = prior.load_prior_ontology
@@ -113,15 +124,261 @@ def test_entails_antitone_in_ontology(seed):
             assert prior.prior_entails(stronger, d, q)
 
 
+def _ref(f, word, n):
+    """Truth of a box/diamond formula at timepoint n of the lasso, by definition."""
+    n = word.fold(n)
+    if isinstance(f, prior.PTrue):
+        return True
+    if isinstance(f, prior.PFalse):
+        return False
+    if isinstance(f, prior.PAtom):
+        return f.name in word.letter(n)
+    if isinstance(f, prior.PNot):
+        return not _ref(f.arg, word, n)
+    if isinstance(f, (prior.PDia, prior.PBox)):
+        # these timepoints meet every letter position that follows n
+        later = [_ref(f.arg, word, m) for m in range(n + 1, max(n, word.pre) + word.per + 1)]
+        return any(later) if isinstance(f, prior.PDia) else all(later)
+    left, right = _ref(f.left, word, n), _ref(f.right, word, n)
+    if isinstance(f, prior.PAnd):
+        return left and right
+    if isinstance(f, prior.POr):
+        return left or right
+    return not left or right
+
+
+def _is_model(onto, d, word):
+    positions = range(word.pre + word.per)
+    return all(_ref(a, word, n) for a in onto.axioms for n in positions) and all(
+        name in word.letter(t) for name, t in d.facts
+    )
+
+
 def test_countermodel_satisfies_axioms():
     o = load("A -> F B\n!(A & B)")
     d = D([("A", 0)])
     sig = tuple(sorted(o.atoms | d.signature))
     word = prior._search_word(o, d, sig, None)
     assert word is not None
-    # validate the axioms on three unrollings of the loop
-    for axiom in o.axioms:
-        for n in range(word.pre):
-            assert prior._ev_handle(axiom, n, list(word.prefix), list(word.loop))
-        for j in range(word.per):
-            assert prior._ev_loop(axiom, j, list(word.loop), word.per) == prior._TRUE
+    assert _is_model(o, d, word)
+
+
+# ---------------------------------------------------------------------------
+# Bitmask evaluation of diamond queries and the countermodel store
+
+
+def _dia_query(rng, atoms, depth):
+    """A random query built from true, atoms, & and F."""
+    kind = rng.choice(["atom", "top"] + (["dia", "dia", "and"] if depth else []))
+    if kind == "atom":
+        return Prop(rng.choice(atoms))
+    if kind == "top":
+        return TOP
+    if kind == "dia":
+        return Diamond(_dia_query(rng, atoms, depth - 1))
+    return conj(_dia_query(rng, atoms, depth - 1) for _ in range(rng.randint(2, 4)))
+
+
+def _rand_lasso(rng, atoms):
+    def letter():
+        return frozenset(a for a in atoms if rng.random() < 0.4)
+
+    prefix = tuple(letter() for _ in range(rng.choice([0, 0, 1, 2, 3, 4])))
+    per = rng.randint(1, 3)
+    loop = (frozenset(),) * per if rng.random() < 0.25 else tuple(letter() for _ in range(per))
+    return LassoModel(prefix, loop)
+
+
+def _bit_values(q, lasso):
+    held = prior._holds(prior._compile(q), prior._word(lasso.prefix, lasso.loop))
+    return [bool(held >> n & 1) for n in range(lasso.pre + lasso.per)]
+
+
+def test_bitmask_evaluator_matches_eval_lasso():
+    rng = random.Random(8200)
+    atoms = ("A", "B", "C")
+    fixed = [
+        parse_query("F F F A"),
+        parse_query("F (A & F (B & F F C))"),
+        parse_query("F A & F B & F (A & B) & F F C"),
+        parse_query("A & F true & F F true"),
+        TOP,
+    ]
+    for i in range(2400):
+        q = fixed[i % len(fixed)] if i < 500 else _dia_query(rng, atoms, 4)
+        lasso = _rand_lasso(rng, atoms)
+        expected = [eval_lasso(lasso, q, n) for n in range(lasso.pre + lasso.per)]
+        assert _bit_values(q, lasso) == expected, (str(q), lasso)
+
+
+def test_empty_letters_before_the_loop_keep_the_value_at_zero():
+    # _search_word checks the data's own word once for every handle length;
+    # the data has at least one letter, so position 0 is never in the gap
+    rng = random.Random(8250)
+    for _ in range(600):
+        q = _dia_query(rng, ("A", "B"), 4)
+        lasso = _rand_lasso(rng, ("A", "B"))
+        if not lasso.prefix:
+            lasso = LassoModel(lasso.loop[:1], lasso.loop)
+        gap = (frozenset(),) * rng.randint(1, 3)
+        longer = LassoModel(lasso.prefix + gap, lasso.loop)
+        assert eval_lasso(lasso, q, 0) == eval_lasso(longer, q, 0), (str(q), lasso)
+
+
+def test_compile_rejects_queries_outside_the_fragment():
+    for text in ("X A", "A U B", "F (A & X B)", "F false"):
+        with pytest.raises(ValueError):
+            prior._compile(parse_query(text))
+
+
+_AXIOMS = (
+    "{a} -> F {b}",
+    "G {a} -> {b}",
+    "{a} & {b} -> F {a}",
+    "{a} | F {b}",
+    "!({a} & {b})",
+    "G {b} | F {b}",
+    "{a} -> G {b}",
+    "F {a} -> {b}",
+    "!{a} | F {b}",
+)
+
+
+def _rand_prior_ontology(rng):
+    lines = []
+    for _ in range(rng.randint(1, 2)):
+        a, b = rng.sample(["A", "B"], 2)
+        lines.append(rng.choice(_AXIOMS).format(a=a, b=b))
+    return load("\n".join(lines))
+
+
+def _clear_prior_caches():
+    prior.prior_entails.cache_clear()
+    prior.prior_consistent.cache_clear()
+    prior._countermodels.cache_clear()
+
+
+def test_countermodel_store_keeps_every_answer(monkeypatch):
+    rng = random.Random(8300)
+    triples = []
+    while len(triples) < 320:
+        onto = _rand_prior_ontology(rng)
+        d = rand_instance(rng, atoms=("A", "B"), max_ts=2, max_facts=3)
+        triples += [(onto, d, _dia_query(rng, ("A", "B"), 3)) for _ in range(8)]
+    cold = []
+    for t in triples:
+        _clear_prior_caches()
+        cold.append(prior.prior_entails(*t))
+
+    searches = []
+    search = prior._search_word
+    monkeypatch.setattr(prior, "_search_word", lambda *args: searches.append(1) or search(*args))
+    order = list(range(len(triples)))
+    rng.shuffle(order)
+    _clear_prior_caches()
+    warm = {i: prior.prior_entails(*triples[i]) for i in order}
+    assert [warm[i] for i in range(len(triples))] == cold
+    # the store answered some "not entailed" without a search
+    distinct = len(set(triples))
+    assert 0 < cold.count(False) and len(searches) < distinct
+
+
+def test_countermodel_store_is_bounded():
+    o = load("A -> F B")
+    d = D([("A", 0)])
+    _clear_prior_caches()
+    model = LassoModel((frozenset({"A"}),), (frozenset({"B"}),))
+    for _ in range(3 * prior._KEPT):
+        prior._keep(o, d, model)
+    assert len(prior._countermodels(o, d)) == prior._KEPT
+    assert prior._countermodels.cache_info().maxsize is not None
+
+
+def _rand_formula(rng, depth):
+    kind = rng.choice(["atom", "atom", "const"] + (["not", "bin", "bin", "F", "G"] if depth else []))
+    if kind == "atom":
+        return prior.PAtom(rng.choice("AB"))
+    if kind == "const":
+        return rng.choice([prior.PTrue(), prior.PFalse()])
+    if kind == "not":
+        return prior.PNot(_rand_formula(rng, depth - 1))
+    if kind in ("F", "G"):
+        return (prior.PDia if kind == "F" else prior.PBox)(_rand_formula(rng, depth - 1))
+    op = rng.choice([prior.PAnd, prior.POr, prior.PImp])
+    return op(_rand_formula(rng, depth - 1), _rand_formula(rng, depth - 1))
+
+
+def test_axiom_bitmasks_match_the_definition():
+    rng = random.Random(8400)
+    for _ in range(1500):
+        f = _rand_formula(rng, 3)
+        lasso = _rand_lasso(rng, ("A", "B"))
+        held = prior._values(f, *prior._word(lasso.prefix, lasso.loop))
+        expected = [_ref(f, lasso, n) for n in range(lasso.pre + lasso.per)]
+        assert [bool(held >> n & 1) for n in range(lasso.pre + lasso.per)] == expected, (f, lasso)
+
+
+def test_valid_loops_are_every_model_loop_in_order():
+    rng = random.Random(8500)
+    sig = ("A", "B")
+    choices = list(prior._letter_choices(sig, frozenset()))
+    for _ in range(40):
+        onto = prior.PriorOntology(tuple(_rand_formula(rng, 3) for _ in range(rng.randint(1, 2))))
+        for loop_len in (1, 2, 3):
+            expected = tuple(
+                loop
+                for loop in itertools.product(choices, repeat=loop_len)
+                if all(_ref(a, LassoModel((), loop), j) for a in onto.axioms for j in range(loop_len))
+            )
+            assert prior._valid_loops(onto, sig, loop_len) == expected, onto
+
+
+def test_found_words_are_models():
+    rng = random.Random(8600)
+    for _ in range(120):
+        onto = _rand_prior_ontology(rng)
+        d = rand_instance(rng, atoms=("A", "B"), max_ts=2, max_facts=3)
+        word = prior._search_word(onto, d, ("A", "B"), None)
+        assert word is None or _is_model(onto, d, word), (onto, d)
+
+
+def _bounded_models(onto, d, sig):
+    """Every lasso model of (onto, d) with the handle and loop bounds of the
+    word search, by enumeration."""
+    size = onto.temporal_count + 1
+    letters = list(prior._letter_choices(sig, frozenset()))
+    out = []
+    for pre in range(d.max_timestamp + 1, d.max_timestamp + size + 2):
+        for per in range(1, size + 1):
+            for word in itertools.product(letters, repeat=pre + per):
+                lasso = LassoModel(word[:pre], word[pre:])
+                if _is_model(onto, d, lasso):
+                    out.append(lasso)
+    return out
+
+
+def test_entails_matches_bounded_enumeration():
+    rng = random.Random(8700)
+    one_step = [a for a in _AXIOMS if load(a.format(a="A", b="B")).temporal_count == 1]
+    for _ in range(12):
+        a, b = rng.sample(["A", "B"], 2)
+        onto = load(rng.choice(one_step).format(a=a, b=b))
+        d = rand_instance(rng, atoms=("A", "B"), max_ts=1, max_facts=2)
+        models = _bounded_models(onto, d, ("A", "B"))
+        assert prior.prior_consistent(onto, d) == bool(models)
+        for _ in range(8):
+            q = _dia_query(rng, ("A", "B"), 3)
+            certain = all(eval_lasso(m, q, 0) for m in models)
+            assert prior.prior_entails(onto, d, q) == certain, (onto, d, str(q))
+
+
+def test_failed_fill_states_include_the_query_future():
+    # With the loop {A}, position 1 must hold B (C -> B), and B & F A then
+    # holds there, so filling 0..1 fails.  The loop {B, C} gives the same
+    # axiom state at 1 but no A after it, and its words refute the query.
+    o = load("C -> B\nA | C")
+    d = D([("C", 1)])
+    q = parse_query("F (B & F A)")
+    assert not prior.prior_entails(o, d, q)
+    word = prior._search_word(o, d, ("A", "B", "C"), prior._compile(q))
+    assert _is_model(o, d, word) and not eval_lasso(word, q, 0)

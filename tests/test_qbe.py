@@ -380,6 +380,38 @@ def test_prior_branch_diamond_digest_is_unchanged():
     assert h.hexdigest() == _PRIOR_DIGEST
 
 
+# recorded before prior_entails evaluated queries as position bitmasks and
+# reused countermodels
+_PRIOR_PATH_DIGEST = "ee62b238c7f25d1a14436f71a952fa3a2750958f72608a4c5a0c6a2192a345c8"
+
+
+def test_prior_path_diamond_digest_is_unchanged():
+    h = hashlib.sha256()
+    for seed in range(40):
+        rng = random.Random(37000 + seed)
+        onto = _prior_ontology(rng)
+        e = _two_sided_set(rng, ("A", "B"), 2)
+        v = decide(Problem(QueryClass.PATH_DIAMOND, e, onto))
+        h.update(f"{v.separable}|{v.witness}|{v.note}\n".encode())
+    assert h.hexdigest() == _PRIOR_PATH_DIGEST
+
+
+@pytest.mark.parametrize(
+    "cache",
+    [
+        prior.prior_entails,
+        prior.prior_consistent,
+        prior._countermodels,
+        prior._valid_loops,
+        horn._canonical_model,
+        ltlqbe.qbe._until_systems,
+    ],
+    ids=lambda f: f.__wrapped__.__qualname__,
+)
+def test_caches_are_bounded(cache):
+    assert cache.cache_info().maxsize is not None
+
+
 @pytest.mark.parametrize("onto", [None, horn.load_ontology("A -> X B")], ids=["plain", "horn"])
 def test_until_classes_of_one_set_share_one_build(monkeypatch, onto):
     from ltlqbe import qbe
