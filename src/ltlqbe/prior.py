@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import (
     And,
@@ -100,22 +100,43 @@ class PDia(PFormula):
 
 @dataclass(frozen=True)
 class PriorOntology:
+    """A set of axioms.  Every cache on the box/diamond route is keyed on the
+    ontology, so its hash and its derived constants are computed once, on
+    first use, and kept on the instance."""
+
     axioms: tuple[PFormula, ...]
 
-    @property
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copies and pickles drop the cached values: string hashes differ
+        # between processes
+        return PriorOntology, (self.axioms,)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.axioms,))
+
+    @cached_property
     def size_measure(self) -> int:
         return sum(_size(a) for a in self.axioms)
 
-    @property
+    @cached_property
     def atoms(self) -> frozenset[str]:
         out: set[str] = set()
         for a in self.axioms:
             _collect_atoms(a, out)
         return frozenset(out)
 
-    @property
+    @cached_property
     def temporal_count(self) -> int:
         return sum(_temporal_count(a) for a in self.axioms)
+
+    @cached_property
+    def temporal_parts(self) -> tuple[PFormula, ...]:
+        """The axioms' distinct G- and F-subformulas, in order of appearance."""
+        return tuple(dict.fromkeys(t for a in self.axioms for t in _temporal_parts(a)))
 
 
 EMPTY_PRIOR = PriorOntology(())
@@ -416,7 +437,7 @@ def _search_word(
     # subformula preserves every subformula value, so this slack suffices
     size = onto.temporal_count + 1
     facts = LassoModel.of_data(data).prefix
-    temporal = tuple(dict.fromkeys(t for a in onto.axioms for t in _temporal_parts(a)))
+    temporal = onto.temporal_parts
     failed: set[tuple] = set()  # see _fill_handle; shared by every loop and k
     for loop_len in range(1, size + 1):
         for loop in _valid_loops(onto, sig, loop_len):

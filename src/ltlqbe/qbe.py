@@ -463,6 +463,9 @@ def prior_path_search(
     extending it (extensions are stronger), so the search prunes there.  For
     the same reason a negative that does not entail a prefix entails none of
     its extensions: each prefix carries the negatives that still entail it.
+    A prefix is a tuple of per-block parts, made once per search, and its
+    query is assembled from them (`_prefix_query`); the ontology's hash and
+    constants are computed once, on the ontology itself.
     """
     if cls is not QueryClass.PATH_DIAMOND:
         raise UnsupportedProblem(f"{cls.value} is not supported under box/diamond ontologies")
@@ -470,34 +473,48 @@ def prior_path_search(
         return Verdict(True, TOP)
     sig = sorted(e.signature | onto.atoms)
     depth = max(d.max_timestamp for d in e.negatives) + max(onto.size_measure, 1) + 1
-    rho_candidates = _subset_candidates(sig)
+    blocks = _block_parts(sig)
     # a diamond step may not land on an all-top block
-    tails = rho_candidates if allow_empty_blocks else [rho for rho in rho_candidates if rho]
+    tails = blocks if allow_empty_blocks else [b for b in blocks if b[0]]
 
     explored = 0
-    queue: deque = deque(((rho0,), e.negatives) for rho0 in rho_candidates)
+    queue: deque = deque(((b0,), e.negatives) for b0 in blocks)
     while queue:
         prefix, negatives = queue.popleft()
         explored += 1
         if explored > node_cap:
             raise ResourceCap("prior path search exceeded its node cap")
-        q = _blocks_to_query([(rho,) for rho in prefix], cls)
+        q = _prefix_query(prefix)
         if any(not prior_entails(onto, d, q) for d in e.positives):
             continue
         negatives = tuple(d for d in negatives if prior_entails(onto, d, q))
         if not negatives:
             return Verdict(True, q)
         if len(prefix) <= depth:
-            queue.extend((prefix + (rho,), negatives) for rho in tails)
+            queue.extend((prefix + (b,), negatives) for b in tails)
     return Verdict(False)
 
 
-def _subset_candidates(sig: list[str]):
-    out = []
-    for mask in range(1 << len(sig)):
-        out.append(frozenset(sig[i] for i in range(len(sig)) if mask >> i & 1))
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
+def _block_parts(sig: list[str]) -> list[tuple[tuple[Prop, ...], Query]]:
+    """Each block candidate over the sorted sig as its atoms and as their
+    conjunction, by size and then in lexicographic order."""
+    props = [Prop(a) for a in sig]
+    return [(c, conj(c)) for n in range(len(props) + 1) for c in itertools.combinations(props, n)]
+
+
+def _prefix_query(prefix) -> Query:
+    """The path-diamond query of a prefix of `_block_parts` entries, built from
+    the innermost block outward.  It is `_blocks_to_query` of the same blocks:
+    all-top trailing blocks vanish and nothing needs `conj`'s flattening."""
+    q: Query = TOP
+    for props, base in reversed(prefix):
+        if q is TOP:
+            q = base
+        elif props:
+            q = And((*props, Diamond(q)))
+        else:
+            q = Diamond(q)
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,18 @@ class TransitionSystem:
         if not self.colored and any(e.color != BLACK for e in self.edges):
             raise ValueError("colored edge in an uncolored system")
 
+    @classmethod
+    def _derived(cls, states, initial, labels, edges, colored) -> "TransitionSystem":
+        """A system built from already-checked ones, with its edges made
+        unique: the out-lists are filled, and the checks of `__post_init__`
+        are skipped."""
+        ts = cls.__new__(cls)
+        ts.states, ts.initial, ts.labels, ts.edges, ts.colored = states, initial, labels, edges, colored
+        ts._out = {}
+        for e in edges:
+            ts._out.setdefault(e.src, []).append(e)
+        return ts
+
     def out(self, state) -> list[Edge]:
         return self._out.get(state, [])
 
@@ -98,7 +110,8 @@ def product(systems: list[TransitionSystem], reachable_only: bool = False) -> Tr
                         continue
                     new_combos.append((tgt + (e.dst,), lab & e.label, e.color))
             combos = new_combos
-        for tgt, lab, color in combos:
+        # parallel edges with different labels can meet in one intersection
+        for tgt, lab, color in dict.fromkeys(combos):
             if tgt not in state_set:
                 if not reachable_only:
                     continue  # unreachable targets exist only in reachable mode
@@ -113,7 +126,7 @@ def product(systems: list[TransitionSystem], reachable_only: bool = False) -> Tr
         for s, x in zip(systems[1:], v[1:]):
             lab = lab & s.label(x)
         labels[v] = lab
-    return TransitionSystem(states, initial, labels, edges, colored)
+    return TransitionSystem._derived(states, initial, labels, edges, colored)
 
 
 def _full_alphabet(systems: Iterable[TransitionSystem]) -> frozenset[str]:
@@ -140,7 +153,7 @@ def disjoint_union(systems: list[TransitionSystem]) -> TransitionSystem:
         for i, s in enumerate(systems)
         for e in s.edges
     ]
-    return TransitionSystem(states, initial, labels, edges, colored)
+    return TransitionSystem._derived(states, initial, labels, edges, colored)
 
 
 def bisim_quotient(ts: TransitionSystem) -> TransitionSystem:
@@ -179,7 +192,7 @@ def bisim_quotient(ts: TransitionSystem) -> TransitionSystem:
                 continue
             edges.append(Edge(src, dst, lab, color))
     initial = list(dict.fromkeys(to_rep[x] for x in ts.initial))
-    return TransitionSystem(states, initial, labels, edges, ts.colored)
+    return TransitionSystem._derived(states, initial, labels, edges, ts.colored)
 
 
 def prune_dominated_edges(ts: TransitionSystem) -> TransitionSystem:
@@ -205,7 +218,9 @@ def prune_dominated_edges(ts: TransitionSystem) -> TransitionSystem:
         return False
 
     keep = [e for i, e in enumerate(ts.edges) if not dominated(i, e)]
-    return TransitionSystem(list(ts.states), list(ts.initial), dict(ts.labels), keep, ts.colored)
+    return TransitionSystem._derived(
+        list(ts.states), list(ts.initial), dict(ts.labels), keep, ts.colored
+    )
 
 
 def _label_masks(systems: list[TransitionSystem]):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -382,3 +383,27 @@ def test_failed_fill_states_include_the_query_future():
     assert not prior.prior_entails(o, d, q)
     word = prior._search_word(o, d, ("A", "B", "C"), prior._compile(q))
     assert _is_model(o, d, word) and not eval_lasso(word, q, 0)
+
+
+def test_ontology_hash_and_constants_are_cached_values():
+    rng = random.Random(8400)
+    for _ in range(200):
+        text = "\n".join(
+            rng.choice(_AXIOMS).format(**dict(zip("ab", rng.sample(["A", "B", "C"], 2))))
+            for _ in range(rng.randint(1, 3))
+        )
+        o, twin = load(text), load(text)
+        assert set(vars(o)) == {"axioms"}  # nothing is computed at parse time
+        if rng.random() < 0.5:
+            hash(o)
+        atoms: set = set()
+        for a in o.axioms:
+            prior._collect_atoms(a, atoms)
+        assert o.atoms == frozenset(atoms)
+        assert o.size_measure == sum(prior._size(a) for a in o.axioms)
+        assert o.temporal_count == sum(prior._temporal_count(a) for a in o.axioms)
+        parts = [t for a in o.axioms for t in prior._temporal_parts(a)]
+        assert o.temporal_parts == tuple(dict.fromkeys(parts))
+        assert hash(o) == hash((o.axioms,)) == hash(twin) and o == twin
+        assert {o: 1}[twin] == 1
+        assert set(vars(pickle.loads(pickle.dumps(o)))) == {"axioms"}

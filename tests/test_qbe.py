@@ -426,3 +426,34 @@ def test_until_classes_of_one_set_share_one_build(monkeypatch, onto):
     assert len(calls) == len(e.instances)
     decide(Problem(QueryClass.SIMPLE_UNTIL, e, onto))
     assert len(calls) == len(e.instances)
+
+
+@pytest.mark.parametrize("atoms", ["AB", "ABC"])
+@pytest.mark.parametrize("allow_empty_blocks", [False, True])
+def test_prefix_query_equals_blocks_to_query(atoms, allow_empty_blocks):
+    from ltlqbe.qbe import _block_parts, _blocks_to_query, _prefix_query
+
+    blocks = _block_parts(list(atoms))
+    tails = blocks if allow_empty_blocks else [b for b in blocks if b[0]]
+    prefixes = [(b,) for b in blocks]
+    count = 0
+    while prefixes:
+        count += len(prefixes)
+        for prefix in prefixes:
+            got = _prefix_query(prefix)
+            slots = [(fs(p.name for p in props),) for props, _ in prefix]
+            want = _blocks_to_query(slots, QueryClass.PATH_DIAMOND)
+            assert got == want and str(got) == str(want)
+        prefixes = [p + (b,) for p in prefixes if len(p) < 4 for b in tails]
+    n, m = len(blocks), len(tails)
+    assert count == n * (1 + m + m**2 + m**3)
+
+
+def test_prior_path_search_asks_the_cached_prior_entails():
+    info = prior.prior_entails.cache_info()
+    o = prior.load_prior_ontology("A -> F B")
+    e = ex([[("A", 0)], [("B", 2)]], [[("C", 1)]])
+    v = prior_path_search(o, e, QueryClass.PATH_DIAMOND)
+    assert v.separable and str(v.witness) == "F B"
+    after = prior.prior_entails.cache_info()
+    assert after.hits + after.misses > info.hits + info.misses

@@ -223,3 +223,59 @@ def test_prune_dominated_edges_matches_pairwise_reference(seed):
         pruned = prune_dominated_edges(q)
         assert pruned.edges == _prune_reference(q)
         assert pruned.states == q.states and pruned.initial == q.initial and pruned.labels == q.labels
+
+
+def _random_quotient(rng: random.Random) -> TransitionSystem:
+    sig = frozenset("ABC")
+    if rng.random() < 0.5:
+        return bisim_quotient(rand_system(rng, n=rng.randrange(1, 7), colored=rng.random() < 0.5))
+    build = repr_plain if rng.random() < 0.5 else repr_plain_br
+    parts = [
+        build(D({(rng.choice("ABC"), rng.randrange(0, 4)) for _ in range(rng.randrange(0, 5))}), sig)
+        for _ in range(rng.randrange(1, 3))
+    ]
+    return bisim_quotient(product(parts, reachable_only=True) if len(parts) > 1 else parts[0])
+
+
+def test_derived_systems_pass_the_public_checks():
+    # product, disjoint_union, bisim_quotient and prune_dominated_edges skip
+    # the constructor's checks; rebuilding their outputs through it must
+    # raise nothing and give the same out-lists
+    rng = random.Random(41000)
+    for _ in range(100):
+        q, other = _random_quotient(rng), _random_quotient(rng)
+        derived = [q, prune_dominated_edges(q)]
+        if q.colored == other.colored:
+            pair = [q, other]
+            derived += [product(pair), product(pair, reachable_only=True), disjoint_union(pair)]
+        for t in derived:
+            again = TransitionSystem(t.states, t.initial, t.labels, t.edges, t.colored)
+            assert all(again.out(x) == t.out(x) for x in t.states)
+
+
+def test_product_keeps_one_of_equal_parallel_edge_intersections():
+    s1 = ts([0, 1], [0], {0: set(), 1: set()}, [(0, 1, {"A", "B"}, BLACK), (0, 1, {"A", "C"}, BLACK)])
+    s2 = ts([0, 1], [0], {0: set(), 1: set()}, [(0, 1, {"A"}, BLACK)])
+    p = product([s1, s2], reachable_only=True)
+    assert p.edges == [Edge((0, 0), (1, 1), frozenset({"A"}))]
+    full = product([s1, s2])
+    assert full.edges == p.edges
+
+
+def test_product_of_quotients_keeps_every_distinct_edge():
+    rng = random.Random(42000)
+    for _ in range(60):
+        a, b = _random_quotient(rng), _random_quotient(rng)
+        if a.colored != b.colored:
+            continue
+        p = product([a, b], reachable_only=True)
+        keys = [(e.src, e.dst, e.color, e.label) for e in p.edges]
+        assert len(keys) == len(set(keys))
+        for v in p.states:
+            expect = {
+                (f.dst, g.dst, f.color, f.label & g.label)
+                for f in a.out(v[0])
+                for g in b.out(v[1])
+                if not a.colored or f.color == g.color
+            }
+            assert {((e.dst[0], e.dst[1], e.color, e.label)) for e in p.out(v)} == expect
