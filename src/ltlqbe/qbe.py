@@ -42,7 +42,7 @@ from .tsys import (
     bisim_quotient,
     disjoint_union,
     failing_run,
-    failing_subtree,
+    failing_subtree_of_union,
     product,
     prune_dominated_edges,
 )
@@ -371,7 +371,7 @@ def horn_diamond_search(
 
 @lru_cache(maxsize=4)
 def _until_systems(e: ExampleSet, onto: HornOntology | None, black_red: bool):
-    """The quotiented positive product and the union of the negatives' systems.
+    """The quotiented positive product and the negatives' systems.
 
     path-until and simple-until build the same pair, so it is cached per
     example set; callers must not change the systems.  A set's classes are
@@ -394,7 +394,7 @@ def _until_systems(e: ExampleSet, onto: HornOntology | None, black_red: bool):
     pos = [shrink(build(d)) for d in e.positives]
     neg = [shrink(build(d)) for d in e.negatives]
     prod = bisim_quotient(product(pos, reachable_only=True))
-    return prod, disjoint_union(neg)
+    return prod, tuple(neg)
 
 
 def decide_until_family(e: ExampleSet, onto: HornOntology | None, cls: QueryClass) -> Verdict:
@@ -404,11 +404,12 @@ def decide_until_family(e: ExampleSet, onto: HornOntology | None, cls: QueryClas
         raise ValueError("need at least one positive example")
     if not e.negatives:
         return Verdict(True, TOP)
-    prod, union = _until_systems(e, onto, cls is QueryClass.FULL_UNTIL)
+    prod, neg = _until_systems(e, onto, cls is QueryClass.FULL_UNTIL)
     if cls is QueryClass.PATH_UNTIL:
-        run = failing_run(prod, union)
+        # containment in a union does not split by component
+        run = failing_run(prod, disjoint_union(neg))
         return Verdict(False) if run is None else Verdict(True, query_from_run(run))
-    tree = failing_subtree(prod, union)
+    tree = failing_subtree_of_union(prod, neg)
     return Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))
 
 

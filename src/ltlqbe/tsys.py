@@ -2,14 +2,29 @@
 
 States carry atom-set labels, edges carry subsets of the signature plus the
 pseudo-letter BOT ("no intermediate point required") and an optional color.
-Simulation is the greatest relation refined to a fixpoint; containment is
-the run-wise weakening decided over (state, candidate-set) pairs.
+
+States are arbitrary hashable values, often nested tuples that are slow to
+hash, so the simulation game and the bisimulation quotient number each
+system's states 0..n-1 in list order once per call and work on integers:
+labels become bitmasks (`_View`), a pair of states (x, y) is the code
+x * n_t + y, and quotient classes are small ids.
+
+Simulation is the greatest relation refined to a fixpoint over the pairs
+reachable in the game (`_play`).  Each live pair keeps, per s-edge, a count
+of its live t-matches, and a pair that dies decrements the counts that
+watch it (Henzinger, Henzinger & Kopke, FOCS 1995), so checking a pair is
+one look at its counts, not a rescan of its matches.  Pairs die in the order
+of a LIFO worklist seeded in discovery order, which fixes every rank and so
+every failing subtree, whatever the hash seed.  Against a disjoint union,
+`failing_subtree_of_union` plays one game per part and stops at the first
+part that simulates.  Containment is the run-wise weakening decided over
+(state, candidate-set) pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 BOT = "⊥"
 
@@ -159,40 +174,59 @@ def disjoint_union(systems: list[TransitionSystem]) -> TransitionSystem:
 def bisim_quotient(ts: TransitionSystem) -> TransitionSystem:
     """Collapse exact-bisimilar states; simulation verdicts are unchanged.
 
-    Partition refinement on (label, set of (color, edge label, target class))
-    signatures.  Parallel quotient edges whose labels are subsumed by another
-    edge of the same color and target are dropped: they help neither the
-    attacker (weaker demands) nor the defender (weaker offers).
+    Partition refinement on integer class ids: states are numbered in list
+    order, and each round maps every state's signature (its class, and the
+    set of (color, edge label, target class) moves) to a new id with one
+    dict, until the number of classes stops growing or equals the number of
+    states.  Each class is represented by its first state, and the
+    quotient's states and edges keep the input order.  Parallel quotient
+    edges whose labels are subsumed by another edge of the same color and
+    target are dropped: they help neither the attacker (weaker demands) nor
+    the defender (weaker offers).
     """
-    cls: dict = {x: ts.label(x) for x in ts.states}
-    while True:
-        sig = {}
-        for x in ts.states:
-            moves = frozenset((e.color, e.label, cls[e.dst]) for e in ts.out(x))
-            sig[x] = (ts.label(x), moves)
-        if len(set(sig.values())) == len(set(cls.values())):
-            break
-        cls = sig
-    rep: dict = {}
-    for x in ts.states:
-        rep.setdefault(cls[x], x)
-    to_rep = {x: rep[cls[x]] for x in ts.states}
-    states = list(dict.fromkeys(to_rep[x] for x in ts.states))
-    labels = {s: ts.label(s) for s in states}
-    grouped: dict = {}
+    states = ts.states
+    n = len(states)
+    index = {x: i for i, x in enumerate(states)}
+    kinds: dict = {}  # (color, label) -> id
+    coded = []  # (src, dst, edge) per edge, in input order
+    moves: list[list] = [[] for _ in range(n)]
     for e in ts.edges:
-        if to_rep[e.src] != e.src:
+        src, dst = index[e.src], index[e.dst]
+        coded.append((src, dst, e))
+        moves[src].append((kinds.setdefault((e.color, e.label), len(kinds)) * n, dst))
+    ids: dict = {}
+    cls = [ids.setdefault(ts.label(x), len(ids)) for x in states]
+    count = len(ids)
+    while count < n:  # a partition into singletons is stable
+        ids = {}
+        new = [
+            ids.setdefault((c, frozenset([k + cls[d] for k, d in ms])), len(ids))
+            for c, ms in zip(cls, moves)
+        ]
+        if len(ids) == count:
+            break
+        cls, count = new, len(ids)
+    rep: dict = {}
+    for i, c in enumerate(cls):
+        rep.setdefault(c, i)
+    to_rep = [rep[c] for c in cls]
+    grouped: dict = {}
+    for src, dst, e in coded:
+        if to_rep[src] != src:
             continue
+        d = to_rep[dst]
         # a dict, not a set: edges come out in input order, whatever the hash seed
-        grouped.setdefault((e.src, to_rep[e.dst], e.color), {})[e.label] = None
+        grouped.setdefault((src, d, e.color), {}).setdefault(e.label, e if d == dst else None)
     edges = []
     for (src, dst, color), labs in grouped.items():
-        for lab in labs:
-            if any(lab < other for other in labs):
+        for lab, e in labs.items():
+            if len(labs) > 1 and any(lab < other for other in labs):
                 continue
-            edges.append(Edge(src, dst, lab, color))
-    initial = list(dict.fromkeys(to_rep[x] for x in ts.initial))
-    return TransitionSystem._derived(states, initial, labels, edges, ts.colored)
+            edges.append(e if e is not None else Edge(states[src], states[dst], lab, color))
+    kept = [x for i, x in enumerate(states) if to_rep[i] == i]
+    labels = {x: ts.label(x) for x in kept}
+    initial = list(dict.fromkeys(states[to_rep[index[x]]] for x in ts.initial))
+    return TransitionSystem._derived(kept, initial, labels, edges, ts.colored)
 
 
 def prune_dominated_edges(ts: TransitionSystem) -> TransitionSystem:
@@ -203,37 +237,153 @@ def prune_dominated_edges(ts: TransitionSystem) -> TransitionSystem:
     extra from the attacker, so simulation and containment verdicts against
     (or from) the pruned system are unchanged, in products too.
     """
-    alive, _ = _simulation_ranks(ts, ts)
+    v, _, alive, _ = _game(ts, ts)
+    n = len(ts.states)
     siblings: dict = {}
-    for i, e in enumerate(ts.edges):
-        siblings.setdefault((e.src, e.color), []).append((i, e))
-
-    def dominated(i: int, e: Edge) -> bool:
-        for j, f in siblings[e.src, e.color]:
-            if i != j and e.label <= f.label and (e.dst, f.dst) in alive:
-                # of two mutually dominating edges the earlier one stays
-                mutual = f.label <= e.label and (f.dst, e.dst) in alive
-                if not mutual or j < i:
-                    return True
-        return False
-
-    keep = [e for i, e in enumerate(ts.edges) if not dominated(i, e)]
+    for i, (src, dst, lab, color) in enumerate(v.edges):
+        siblings.setdefault((src, color), []).append((i, dst, lab))
+    dropped = bytearray(len(v.edges))
+    for group in siblings.values():
+        if len(group) < 2:
+            continue
+        for i, dst, lab in group:
+            for j, fdst, flab in group:
+                if j != i and lab & flab == lab and dst * n + fdst in alive:
+                    # of two mutually dominating edges the earlier one stays
+                    mutual = flab & lab == flab and fdst * n + dst in alive
+                    if not mutual or j < i:
+                        dropped[i] = 1
+                        break
+    keep = [e for e, gone in zip(ts.edges, dropped) if not gone]
     return TransitionSystem._derived(
         list(ts.states), list(ts.initial), dict(ts.labels), keep, ts.colored
     )
 
 
-def _label_masks(systems: list[TransitionSystem]):
-    alphabet = sorted(_full_alphabet(systems))
-    index = {a: 1 << i for i, a in enumerate(alphabet)}
+def _masker():
+    """A memoised map from labels to bitmasks; letters get bits as they appear."""
+    bits: dict = {}
+    memo: dict = {}
 
     def mask(label: frozenset[str]) -> int:
-        m = 0
-        for a in label:
-            m |= index[a]
+        m = memo.get(label)
+        if m is None:
+            m = 0
+            for a in label:
+                b = bits.get(a)
+                if b is None:
+                    b = bits[a] = 1 << len(bits)
+                m |= b
+            memo[label] = m
         return m
 
     return mask
+
+
+class _View:
+    """A system's states numbered 0..n-1 in list order, with bitmask labels.
+
+    edges lists (src, dst, label mask, color) in edge order, out[x] the
+    (dst, label mask, color) of x's edges and rev[y] the sources of the
+    edges into y, both in edge order.
+    """
+
+    __slots__ = ("states", "init", "lab", "edges", "out", "rev")
+
+    def __init__(self, ts: TransitionSystem, mask):
+        self.states = ts.states
+        index = {x: i for i, x in enumerate(ts.states)}
+        self.init = [index[x] for x in ts.initial]
+        self.lab = [mask(ts.label(x)) for x in ts.states]
+        self.edges = [(index[e.src], index[e.dst], mask(e.label), e.color) for e in ts.edges]
+        self.out = [[] for _ in ts.states]
+        self.rev = [[] for _ in ts.states]
+        for src, dst, lab, color in self.edges:
+            self.out[src].append((dst, lab, color))
+            self.rev[dst].append(src)
+
+
+def _play(sv: _View, tv: _View):
+    """The simulation game of s by t on pair codes x * n_t + y.
+
+    Returns the surviving pairs and the rank map, as `_simulation_ranks`
+    describes them.  Only pairs reachable from the initial pairs are played.
+    Each live pair keeps, per s-edge, the count of its live t-matches (one
+    per matching t-edge); a dead pair decrements the counts that watch it,
+    so a pair defends iff none of its counts is 0.  Deaths follow a LIFO
+    worklist seeded with the pairs in discovery order, and each death pushes
+    its live, unqueued predecessor pairs in edge order.
+    """
+    n_t = len(tv.states)
+    s_lab, t_lab, s_out, t_out = sv.lab, tv.lab, sv.out, tv.out
+    rank: dict[int, int] = {}
+    found: list[int] = []
+    counts: dict[int, list] = {}
+    watchers: dict[int, list] = {}  # pair -> (counts of a pair, s-edge), once per t-edge into it
+    # only pairs reachable in the game can influence the verdict at the
+    # initial states, so the refinement is restricted to them
+    stack = [x * n_t + y for x in sv.init for y in tv.init]
+    seen = set(stack)
+    while stack:
+        p = stack.pop()
+        x, y = divmod(p, n_t)
+        lx = s_lab[x]
+        if lx & t_lab[y] != lx:
+            rank[p] = 0
+            continue
+        found.append(p)
+        ty = t_out[y]
+        live = counts[p] = []
+        for i, (dst, lab, color) in enumerate(s_out[x]):
+            base = dst * n_t
+            row = [base + z for z, flab, fcolor in ty if fcolor == color and lab & flab == lab]
+            for q in row:
+                w = watchers.get(q)
+                if w is None:
+                    watchers[q] = [(live, i)]
+                else:
+                    w.append((live, i))
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+            live.append(len(row))
+    # pairs dead on labels never were live matches
+    for q in rank:
+        for live, i in watchers.get(q, ()):
+            live[i] -= 1
+    alive = set(found)
+    rev_s, rev_t = sv.rev, tv.rev
+    counter = 0
+    queue = list(found)  # discovery order, so the refinement does not follow set hashing
+    queued = set(queue)
+    while queue:
+        p = queue.pop()
+        queued.discard(p)
+        if p not in alive or 0 not in counts[p]:
+            continue
+        alive.discard(p)
+        counter += 1
+        rank[p] = counter
+        for live, i in watchers.get(p, ()):
+            live[i] -= 1
+        x, y = divmod(p, n_t)
+        preds_t = rev_t[y]
+        for xp in rev_s[x]:
+            base = xp * n_t
+            for yp in preds_t:
+                q = base + yp
+                if q in alive and q not in queued:
+                    queue.append(q)
+                    queued.add(q)
+    return alive, rank
+
+
+def _game(s: TransitionSystem, t: TransitionSystem):
+    """The views of s and t (one view when s is t) and the game of s by t."""
+    mask = _masker()
+    sv = _View(s, mask)
+    tv = sv if t is s else _View(t, mask)
+    return (sv, tv, *_play(sv, tv))
 
 
 def _simulation_ranks(s: TransitionSystem, t: TransitionSystem):
@@ -242,91 +392,24 @@ def _simulation_ranks(s: TransitionSystem, t: TransitionSystem):
     rank 0 marks pairs dead on labels alone; surviving pairs are absent from
     the rank map.  A pair dies only when some s-edge has all its t-matches
     already dead, so ranks strictly decrease along the attacker strategy.
+    The game runs on integer pair codes (`_play`); this translates its
+    result back to pairs of states.
     """
-    mask = _label_masks([s, t])
-    s_lab = {x: mask(s.label(x)) for x in s.states}
-    t_lab = {y: mask(t.label(y)) for y in t.states}
-    s_out = {x: [(e.dst, mask(e.label), e.color) for e in s.out(x)] for x in s.states}
-    t_out = {y: [(f.dst, mask(f.label), f.color) for f in t.out(y)] for y in t.states}
-
-    match_cache: dict = {}
-
-    def matches(x, i, y):
-        key = (x, i, y)
-        got = match_cache.get(key)
-        if got is None:
-            _, lab, color = s_out[x][i]
-            got = tuple(
-                dst for dst, flab, fcolor in t_out[y] if fcolor == color and lab & flab == lab
-            )
-            match_cache[key] = got
-        return got
-
-    # only pairs reachable in the simulation game can influence the verdict
-    # at the initial states, so the refinement is restricted to them
-    rank: dict[tuple, int] = {}
-    alive: set[tuple] = set()
-    found: list[tuple] = []
-    stack = [(x, y) for x in s.initial for y in t.initial]
-    seen_pairs = set(stack)
-    while stack:
-        pair = stack.pop()
-        x, y = pair
-        if s_lab[x] & t_lab[y] != s_lab[x]:
-            rank[pair] = 0
-            continue
-        alive.add(pair)
-        found.append(pair)
-        for i in range(len(s_out[x])):
-            dst = s_out[x][i][0]
-            for z in matches(x, i, y):
-                nxt = (dst, z)
-                if nxt not in seen_pairs:
-                    seen_pairs.add(nxt)
-                    stack.append(nxt)
-    rev_s: dict = {}
-    rev_t: dict = {}
-    for e in s.edges:
-        rev_s.setdefault(e.dst, []).append(e.src)
-    for f in t.edges:
-        rev_t.setdefault(f.dst, []).append(f.src)
-
-    def defends(x, y) -> bool:
-        for i in range(len(s_out[x])):
-            dst = s_out[x][i][0]
-            if not any((dst, z) in alive for z in matches(x, i, y)):
-                return False
-        return True
-
-    counter = 0
-    queue = list(found)  # discovery order, so the refinement does not follow set hashing
-    queued = set(queue)
-    while queue:
-        pair = queue.pop()
-        queued.discard(pair)
-        if pair not in alive:
-            continue
-        x, y = pair
-        if defends(x, y):
-            continue
-        alive.discard(pair)
-        counter += 1
-        rank[pair] = counter
-        for xp in rev_s.get(x, ()):
-            for yp in rev_t.get(y, ()):
-                prev = (xp, yp)
-                if prev in alive and prev not in queued:
-                    queue.append(prev)
-                    queued.add(prev)
-    return alive, rank
+    _, _, alive, rank = _game(s, t)
+    n_t, xs, ys = len(t.states), s.states, t.states
+    return (
+        {(xs[p // n_t], ys[p % n_t]) for p in alive},
+        {(xs[p // n_t], ys[p % n_t]): r for p, r in rank.items()},
+    )
 
 
 def simulates(s: TransitionSystem, t: TransitionSystem) -> bool:
     """True iff every finite subtree of s's computation tree embeds into t's."""
     if s.colored != t.colored:
         raise ValueError("mixed colored and uncolored systems")
-    alive, _ = _simulation_ranks(s, t)
-    return all(any((x, y) in alive for y in t.initial) for x in s.initial)
+    sv, tv, alive, rank = _game(s, t)
+    game = (tv, len(t.states), alive, rank)
+    return all(_answered(x, game) for x in sv.init)
 
 
 @dataclass(frozen=True)
@@ -427,90 +510,70 @@ def extract_failing_subtree(s: TransitionSystem, t: TransitionSystem) -> Tree:
 
 def failing_subtree(s: TransitionSystem, t: TransitionSystem) -> Tree | None:
     """A subtree as extract_failing_subtree gives it, or None if t simulates s."""
-    if s.colored != t.colored:
+    return failing_subtree_of_union(s, [t])
+
+
+def failing_subtree_of_union(s: TransitionSystem, parts: Sequence[TransitionSystem]) -> Tree | None:
+    """`failing_subtree(s, disjoint_union(parts))`, one game per part.
+
+    The parts of a disjoint union never interact, so each part's game is the
+    union's game restricted to that part, with the same death order inside
+    the part.  The first part that simulates s ends the search.  Otherwise
+    the parts' live pairs and ranks together are the union's, up to rank
+    values, which the attacker only compares within one part.
+    """
+    if any(s.colored != t.colored for t in parts):
         raise ValueError("mixed colored and uncolored systems")
-    alive, rank = _simulation_ranks(s, t)
-
-    def build(x, targets: tuple) -> Tree:
-        chosen: dict[Edge, list] = {}
-        for y in targets:
-            if (x, y) in alive:
-                raise AssertionError("build called on a live pair")
-            if rank[(x, y)] == 0:
-                continue  # label mismatch, defeated by the root itself
-            edge = None
-            for e in s.out(x):
-                matches = [
-                    f.dst
-                    for f in t.out(y)
-                    if f.color == e.color and e.label <= f.label
-                ]
-                if all(
-                    rank.get((e.dst, z), None) is not None
-                    and rank[(e.dst, z)] < rank[(x, y)]
-                    for z in matches
-                ):
-                    edge = e
-                    break
-            if edge is None:
-                raise AssertionError("no defeating edge for a dead pair")
-            chosen.setdefault(edge, []).extend(
-                f.dst for f in t.out(y) if f.color == edge.color and edge.label <= f.label
-            )
-        children = []
-        for e, succs in chosen.items():
-            children.append((e.label, e.color, build(e.dst, tuple(dict.fromkeys(succs)))))
-        return Tree(s.label(x), tuple(children))
-
-    for x in s.initial:
-        if not any((x, y) in alive for y in t.initial):
-            return build(x, tuple(t.initial))
+    mask = _masker()
+    sv = _View(s, mask)
+    games = []  # per part: (view, state count, live pairs, ranks)
+    for t in parts:
+        tv = sv if t is s else _View(t, mask)
+        game = (tv, len(t.states), *_play(sv, tv))
+        if all(_answered(x, game) for x in sv.init):
+            return None
+        games.append(game)
+    for x in sv.init:
+        if not any(_answered(x, game) for game in games):
+            targets = [(k, y) for k, game in enumerate(games) for y in game[0].init]
+            return _attack(s, sv, games, x, targets)
     return None
 
 
-def embeds(tree: Tree, t: TransitionSystem) -> bool:
-    """Brute-force check that `tree` maps into t's computation tree."""
-
-    def fits(node: Tree, y) -> bool:
-        if not node.label <= t.label(y):
-            return False
-        for lab, color, child in node.children:
-            if not any(
-                f.color == color and lab <= f.label and fits(child, f.dst)
-                for f in t.out(y)
-            ):
-                return False
-        return True
-
-    return any(fits(tree, y) for y in t.initial)
+def _answered(x: int, game: tuple) -> bool:
+    """True iff some initial t-state of the game simulates s-state x."""
+    tv, n_t, alive, _ = game
+    return any(x * n_t + y in alive for y in tv.init)
 
 
-def run_embeds(run: Run, t: TransitionSystem) -> bool:
-    """Brute-force check that the run is label-subsumed by some run of t."""
+def _attack(s: TransitionSystem, sv: _View, games: list, x: int, targets: list) -> Tree:
+    """The attacker's tree from s-state x against the (part, t-state) targets.
 
-    def fits(i: int, y) -> bool:
-        if not run.node_labels[i] <= t.label(y):
-            return False
-        if i + 1 == len(run.node_labels):
-            return True
-        return any(
-            run.edge_labels[i] <= f.label and fits(i + 1, f.dst) for f in t.out(y)
-        )
-
-    return any(fits(0, y) for y in t.initial)
-
-
-def to_dot(ts: TransitionSystem, name: str = "ts") -> str:
-    """GraphViz rendering for debugging; not a stability contract."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    index = {x: i for i, x in enumerate(ts.states)}
-    for x in ts.states:
-        label = ",".join(sorted(ts.label(x))) or "∅"
-        shape = "doublecircle" if x in ts.initial else "circle"
-        lines.append(f'  n{index[x]} [label="{label}", shape={shape}];')
-    for e in ts.edges:
-        label = ",".join(sorted(e.label)) or "∅"
-        color = "red" if e.color == RED else "black"
-        lines.append(f'  n{index[e.src]} -> n{index[e.dst]} [label="{label}", color={color}];')
-    lines.append("}")
-    return "\n".join(lines)
+    At each dead pair it picks the first s-edge whose every t-match died
+    strictly earlier, and the children gather the matches of all targets.
+    """
+    outs = sv.out[x]
+    chosen: dict[int, list] = {}
+    for k, y in targets:
+        tv, n_t, alive, rank = games[k]
+        p = x * n_t + y
+        if p in alive:
+            raise AssertionError("attack on a live pair")
+        r = rank[p]
+        if r == 0:
+            continue  # label mismatch, defeated by the root itself
+        ty = tv.out[y]
+        for i, (dst, lab, color) in enumerate(outs):
+            matches = [z for z, flab, fcolor in ty if fcolor == color and lab & flab == lab]
+            if all(rank.get(dst * n_t + z, r) < r for z in matches):
+                chosen.setdefault(i, []).extend((k, z) for z in matches)
+                break
+        else:
+            raise AssertionError("no defeating edge for a dead pair")
+    edges = s.out(sv.states[x])
+    children = []
+    for i, succs in chosen.items():
+        e = edges[i]
+        child = _attack(s, sv, games, outs[i][0], list(dict.fromkeys(succs)))
+        children.append((e.label, e.color, child))
+    return Tree(s.label(sv.states[x]), tuple(children))

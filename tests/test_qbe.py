@@ -428,6 +428,21 @@ def test_until_classes_of_one_set_share_one_build(monkeypatch, onto):
     assert len(calls) == len(e.instances)
 
 
+@pytest.mark.parametrize("cls", [QueryClass.SIMPLE_UNTIL, QueryClass.FULL_UNTIL])
+def test_simulating_first_negative_plays_one_game(monkeypatch, cls):
+    from ltlqbe import qbe, tsys
+
+    pos = [("A", 1), ("B", 3)]
+    e = ex([pos], [pos, [("B", 2)]])
+    qbe._until_systems.cache_clear()
+    qbe._until_systems(e, None, cls is QueryClass.FULL_UNTIL)  # pruning plays its own games
+    games = []
+    original = tsys._play
+    monkeypatch.setattr(tsys, "_play", lambda *args: games.append(args) or original(*args))
+    assert not decide(Problem(cls, e)).separable
+    assert len(games) == 1
+
+
 @pytest.mark.parametrize("atoms", ["AB", "ABC"])
 @pytest.mark.parametrize("allow_empty_blocks", [False, True])
 def test_prefix_query_equals_blocks_to_query(atoms, allow_empty_blocks):

@@ -9,22 +9,72 @@ from ltlqbe.tsys import (
     BOT,
     RED,
     Edge,
+    Run,
     TransitionSystem,
+    Tree,
+    _full_alphabet,
     _simulation_ranks,
     bisim_quotient,
     contained_in,
     disjoint_union,
-    embeds,
     extract_failing_run,
     extract_failing_subtree,
+    failing_subtree,
+    failing_subtree_of_union,
     product,
     prune_dominated_edges,
-    run_embeds,
     simulates,
-    to_dot,
 )
 
 D = DataInstance.of
+
+
+def embeds(tree: Tree, t: TransitionSystem) -> bool:
+    """Brute-force check that `tree` maps into t's computation tree."""
+
+    def fits(node: Tree, y) -> bool:
+        if not node.label <= t.label(y):
+            return False
+        for lab, color, child in node.children:
+            if not any(
+                f.color == color and lab <= f.label and fits(child, f.dst)
+                for f in t.out(y)
+            ):
+                return False
+        return True
+
+    return any(fits(tree, y) for y in t.initial)
+
+
+def run_embeds(run: Run, t: TransitionSystem) -> bool:
+    """Brute-force check that the run is label-subsumed by some run of t."""
+
+    def fits(i: int, y) -> bool:
+        if not run.node_labels[i] <= t.label(y):
+            return False
+        if i + 1 == len(run.node_labels):
+            return True
+        return any(
+            run.edge_labels[i] <= f.label and fits(i + 1, f.dst) for f in t.out(y)
+        )
+
+    return any(fits(0, y) for y in t.initial)
+
+
+def to_dot(ts: TransitionSystem, name: str = "ts") -> str:
+    """GraphViz rendering for debugging a failing test."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    index = {x: i for i, x in enumerate(ts.states)}
+    for x in ts.states:
+        label = ",".join(sorted(ts.label(x))) or "∅"
+        shape = "doublecircle" if x in ts.initial else "circle"
+        lines.append(f'  n{index[x]} [label="{label}", shape={shape}];')
+    for e in ts.edges:
+        label = ",".join(sorted(e.label)) or "∅"
+        color = "red" if e.color == RED else "black"
+        lines.append(f'  n{index[e.src]} -> n{index[e.dst]} [label="{label}", color={color}];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def ts(states, initial, labels, edges, colored=False):
@@ -207,34 +257,34 @@ def _prune_reference(t: TransitionSystem) -> list[Edge]:
 @pytest.mark.parametrize("seed", range(4))
 def test_prune_dominated_edges_matches_pairwise_reference(seed):
     rng = random.Random(34000 + seed)
-    sig = frozenset("ABC")
     for _ in range(25):
         kind = rng.randrange(3)
         if kind == 0:
             t = rand_system(rng, n=rng.randrange(1, 7), colored=rng.random() < 0.5)
         else:
-            build = repr_plain if kind == 1 else repr_plain_br
-            parts = [
-                build(D({(rng.choice("ABC"), rng.randrange(0, 4)) for _ in range(rng.randrange(0, 5))}), sig)
-                for _ in range(rng.randrange(1, 3))
-            ]
-            t = product(parts, reachable_only=True) if len(parts) > 1 else parts[0]
+            t = _repr_product(rng, colored=kind == 2)
         q = bisim_quotient(t)
         pruned = prune_dominated_edges(q)
         assert pruned.edges == _prune_reference(q)
         assert pruned.states == q.states and pruned.initial == q.initial and pruned.labels == q.labels
 
 
-def _random_quotient(rng: random.Random) -> TransitionSystem:
+def _repr_product(rng: random.Random, colored: bool) -> TransitionSystem:
+    """The reachable product of one or two random data systems (black/red
+    when colored)."""
     sig = frozenset("ABC")
-    if rng.random() < 0.5:
-        return bisim_quotient(rand_system(rng, n=rng.randrange(1, 7), colored=rng.random() < 0.5))
-    build = repr_plain if rng.random() < 0.5 else repr_plain_br
+    build = repr_plain_br if colored else repr_plain
     parts = [
         build(D({(rng.choice("ABC"), rng.randrange(0, 4)) for _ in range(rng.randrange(0, 5))}), sig)
         for _ in range(rng.randrange(1, 3))
     ]
-    return bisim_quotient(product(parts, reachable_only=True) if len(parts) > 1 else parts[0])
+    return product(parts, reachable_only=True) if len(parts) > 1 else parts[0]
+
+
+def _random_quotient(rng: random.Random) -> TransitionSystem:
+    if rng.random() < 0.5:
+        return bisim_quotient(rand_system(rng, n=rng.randrange(1, 7), colored=rng.random() < 0.5))
+    return bisim_quotient(_repr_product(rng, colored=rng.random() >= 0.5))
 
 
 def test_derived_systems_pass_the_public_checks():
@@ -279,3 +329,273 @@ def test_product_of_quotients_keeps_every_distinct_edge():
                 if not a.colored or f.color == g.color
             }
             assert {((e.dst[0], e.dst[1], e.color, e.label)) for e in p.out(v)} == expect
+
+
+# ---------------------------------------------------------------------------
+# The integer game and refinement against the tuple-keyed code they replaced
+
+
+def _label_masks_reference(systems):
+    alphabet = sorted(_full_alphabet(systems))
+    index = {a: 1 << i for i, a in enumerate(alphabet)}
+
+    def mask(label):
+        m = 0
+        for a in label:
+            m |= index[a]
+        return m
+
+    return mask
+
+
+def _simulation_ranks_reference(s, t):
+    """The game with a rescan of every match after each death."""
+    mask = _label_masks_reference([s, t])
+    s_lab = {x: mask(s.label(x)) for x in s.states}
+    t_lab = {y: mask(t.label(y)) for y in t.states}
+    s_out = {x: [(e.dst, mask(e.label), e.color) for e in s.out(x)] for x in s.states}
+    t_out = {y: [(f.dst, mask(f.label), f.color) for f in t.out(y)] for y in t.states}
+
+    match_cache: dict = {}
+
+    def matches(x, i, y):
+        key = (x, i, y)
+        got = match_cache.get(key)
+        if got is None:
+            _, lab, color = s_out[x][i]
+            got = tuple(
+                dst for dst, flab, fcolor in t_out[y] if fcolor == color and lab & flab == lab
+            )
+            match_cache[key] = got
+        return got
+
+    rank: dict = {}
+    alive: set = set()
+    found: list = []
+    stack = [(x, y) for x in s.initial for y in t.initial]
+    seen_pairs = set(stack)
+    while stack:
+        pair = stack.pop()
+        x, y = pair
+        if s_lab[x] & t_lab[y] != s_lab[x]:
+            rank[pair] = 0
+            continue
+        alive.add(pair)
+        found.append(pair)
+        for i in range(len(s_out[x])):
+            dst = s_out[x][i][0]
+            for z in matches(x, i, y):
+                nxt = (dst, z)
+                if nxt not in seen_pairs:
+                    seen_pairs.add(nxt)
+                    stack.append(nxt)
+    rev_s: dict = {}
+    rev_t: dict = {}
+    for e in s.edges:
+        rev_s.setdefault(e.dst, []).append(e.src)
+    for f in t.edges:
+        rev_t.setdefault(f.dst, []).append(f.src)
+
+    def defends(x, y) -> bool:
+        for i in range(len(s_out[x])):
+            dst = s_out[x][i][0]
+            if not any((dst, z) in alive for z in matches(x, i, y)):
+                return False
+        return True
+
+    counter = 0
+    queue = list(found)
+    queued = set(queue)
+    while queue:
+        pair = queue.pop()
+        queued.discard(pair)
+        if pair not in alive:
+            continue
+        x, y = pair
+        if defends(x, y):
+            continue
+        alive.discard(pair)
+        counter += 1
+        rank[pair] = counter
+        for xp in rev_s.get(x, ()):
+            for yp in rev_t.get(y, ()):
+                prev = (xp, yp)
+                if prev in alive and prev not in queued:
+                    queue.append(prev)
+                    queued.add(prev)
+    return alive, rank
+
+
+def _failing_subtree_reference(s, t):
+    """The attacker's tree built over the reference game's state pairs."""
+    alive, rank = _simulation_ranks_reference(s, t)
+
+    def build(x, targets: tuple) -> Tree:
+        chosen: dict = {}
+        for y in targets:
+            assert (x, y) not in alive
+            if rank[(x, y)] == 0:
+                continue
+            edge = None
+            for e in s.out(x):
+                matches = [f.dst for f in t.out(y) if f.color == e.color and e.label <= f.label]
+                if all(
+                    rank.get((e.dst, z), None) is not None and rank[(e.dst, z)] < rank[(x, y)]
+                    for z in matches
+                ):
+                    edge = e
+                    break
+            assert edge is not None
+            chosen.setdefault(edge, []).extend(
+                f.dst for f in t.out(y) if f.color == edge.color and edge.label <= f.label
+            )
+        children = []
+        for e, succs in chosen.items():
+            children.append((e.label, e.color, build(e.dst, tuple(dict.fromkeys(succs)))))
+        return Tree(s.label(x), tuple(children))
+
+    for x in s.initial:
+        if not any((x, y) in alive for y in t.initial):
+            return build(x, tuple(t.initial))
+    return None
+
+
+def _bisim_quotient_reference(ts):
+    """The refinement that recomputes every signature over state tuples."""
+    cls: dict = {x: ts.label(x) for x in ts.states}
+    while True:
+        sig = {}
+        for x in ts.states:
+            moves = frozenset((e.color, e.label, cls[e.dst]) for e in ts.out(x))
+            sig[x] = (ts.label(x), moves)
+        if len(set(sig.values())) == len(set(cls.values())):
+            break
+        cls = sig
+    rep: dict = {}
+    for x in ts.states:
+        rep.setdefault(cls[x], x)
+    to_rep = {x: rep[cls[x]] for x in ts.states}
+    states = list(dict.fromkeys(to_rep[x] for x in ts.states))
+    labels = {s: ts.label(s) for s in states}
+    grouped: dict = {}
+    for e in ts.edges:
+        if to_rep[e.src] != e.src:
+            continue
+        grouped.setdefault((e.src, to_rep[e.dst], e.color), {})[e.label] = None
+    edges = []
+    for (src, dst, color), labs in grouped.items():
+        for lab in labs:
+            if any(lab < other for other in labs):
+                continue
+            edges.append(Edge(src, dst, lab, color))
+    initial = list(dict.fromkeys(to_rep[x] for x in ts.initial))
+    return TransitionSystem(states, initial, labels, edges, ts.colored)
+
+
+def rand_parallel_system(rng: random.Random, n: int, colored: bool, tag=None):
+    """A random system with 1-2 initial states and up to three parallel edges
+    with distinct labels between two states; states are ints, or (tag, int)
+    tuples when a tag is given."""
+    states = [i if tag is None else (tag, i) for i in range(n)]
+    labels = {x: frozenset(a for a in "AB" if rng.random() < 0.35) for x in states}
+    edges = []
+    for a in states:
+        for b in states:
+            if rng.random() < 0.4:
+                labs = {
+                    frozenset(x for x in ("A", "B", BOT) if rng.random() < 0.4)
+                    for _ in range(rng.choice((1, 1, 2, 3)))
+                }
+                for lab in labs:
+                    color = rng.choice([BLACK, RED]) if colored else BLACK
+                    edges.append((a, b, lab, color))
+    initial = rng.sample(states, min(n, rng.randint(1, 2)))
+    return ts(states, initial, labels, edges, colored)
+
+
+def _game_cases(seed: int, count: int):
+    rng = random.Random(seed)
+    for k in range(count):
+        colored = k % 2 == 1
+        if k % 5 == 4:
+            s, t = _repr_product(rng, colored), _repr_product(rng, colored)
+        else:
+            s = rand_parallel_system(rng, rng.randint(1, 7), colored, tag="s" if k % 3 else None)
+            tag = "t" if k % 3 == 1 else None
+            t = rand_parallel_system(rng, rng.randint(1, 7), colored, tag=tag)
+        yield s, t
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulation_ranks_match_the_rescan_reference(seed):
+    # the same surviving pairs and the same death order, for s = t and s != t
+    for s, t in _game_cases(43000 + seed, 100):
+        for a, b in ((s, t), (s, s), (t, t)):
+            assert _simulation_ranks(a, b) == _simulation_ranks_reference(a, b)
+
+
+def test_parallel_matching_t_edges_count_once_per_edge():
+    # (x1, y1) dies; (x0, y0)'s A-edge had two live t-matches, both into y1
+    s = ts(
+        ["x0", "x1", "x2"],
+        ["x0"],
+        {"x0": set(), "x1": set(), "x2": set()},
+        [("x0", "x1", {"A"}, BLACK), ("x1", "x2", {"A"}, BLACK)],
+    )
+    t = ts(
+        ["y0", "y1"],
+        ["y0"],
+        {"y0": set(), "y1": set()},
+        [("y0", "y1", {"A"}, BLACK), ("y0", "y1", {"A", "B"}, BLACK)],
+    )
+    alive, rank = _simulation_ranks(s, t)
+    assert (alive, rank) == _simulation_ranks_reference(s, t)
+    assert alive == set() and rank == {("x0", "y0"): 2, ("x1", "y1"): 1}
+    assert not simulates(s, t)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bisim_quotient_matches_the_tuple_reference(seed):
+    # same representatives, initial states, labels and edges, in order
+    for s, t in _game_cases(44000 + seed, 80):
+        for x in (s, t):
+            got, want = bisim_quotient(x), _bisim_quotient_reference(x)
+            assert got.states == want.states
+            assert got.initial == want.initial
+            assert got.labels == want.labels
+            assert got.edges == want.edges
+            assert got.colored == want.colored
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_failing_subtree_of_union_equals_the_union_game(seed):
+    rng = random.Random(45000 + seed)
+    for k in range(60):
+        colored = k % 2 == 1
+        if k % 3 == 0:
+            s = rand_parallel_system(rng, rng.randint(1, 6), colored)
+            parts = [
+                rand_parallel_system(rng, rng.randint(1, 6), colored)
+                for _ in range(rng.randint(1, 3))
+            ]
+        else:
+            s = bisim_quotient(_repr_product(rng, colored))
+            parts = [
+                prune_dominated_edges(bisim_quotient(_repr_product(rng, colored)))
+                for _ in range(rng.randint(1, 3))
+            ]
+        union = disjoint_union(parts)
+        tree = failing_subtree_of_union(s, parts)
+        assert tree == failing_subtree(s, union) == _failing_subtree_reference(s, union)
+        assert (tree is None) == simulates(s, union)
+
+
+def test_union_of_parts_that_each_fail_can_simulate():
+    # each part simulates one of s's two initial states, so no single part
+    # simulates s but their union does
+    s = ts(["a", "b"], ["a", "b"], {"a": {"A"}, "b": {"B"}}, [])
+    part_a = ts([0], [0], {0: {"A"}}, [])
+    part_b = ts([0], [0], {0: {"B"}}, [])
+    assert not simulates(s, part_a) and not simulates(s, part_b)
+    assert failing_subtree_of_union(s, [part_a, part_b]) is None
+    assert failing_subtree_of_union(s, [part_a]) == Tree(frozenset({"B"}))
