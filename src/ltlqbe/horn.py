@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import DataInstance, ExampleSet, LassoModel, Query, eval_lasso
+from .core import DataInstance, LassoModel, Query, eval_lasso
 
 FRESH_PREFIX = "Dia__"
 
@@ -502,14 +502,3 @@ def certain_answer(onto: HornOntology, data: DataInstance, q: Query, at: int) ->
     """True iff q holds at `at` in every model of (onto, data)."""
     cm = canonical_model(onto, data)
     return eval_lasso(cm.lasso, q, cm.lasso.fold(at))
-
-
-def depth_bounds(onto: HornOntology, examples: ExampleSet) -> tuple[int, int]:
-    """(k, m): position and next-depth budgets covering all canonical models."""
-    k = 0
-    m = 1
-    for d in examples.instances:
-        cm = canonical_model(onto, d)
-        k = max(k, d.max_timestamp + cm.handle)
-        m *= cm.period
-    return k, m

@@ -25,6 +25,7 @@ from .core import (
     QueryClass,
     TOP,
     Until,
+    _path_query,
     atoms_conj,
     conj,
     eval_data,
@@ -324,35 +325,23 @@ def dp_path(
 
 
 def _blocks_to_query(blocks, cls: QueryClass) -> Query:
-    if cls is QueryClass.PATH_NEXT_DIAMOND:
-        # single spine: the next block's diamond hangs off the last slot
-        def spine(i: int) -> Query:
-            slots = blocks[i]
-            tail = Diamond(spine(i + 1)) if i + 1 < len(blocks) else None
-            q: Query = TOP
-            for t in range(len(slots) - 1, -1, -1):
-                base = atoms_conj(slots[t])
-                if t == len(slots) - 1 and tail is not None:
-                    q = conj([base, tail])
-                else:
-                    q = conj([base, Next(q)]) if q is not TOP else base
-            return q
+    if cls is not QueryClass.PATH_NEXT_DIAMOND:
+        return _path_query(blocks)
 
-        return spine(0)
-
-    def block_query(slots) -> Query:
+    # single spine: the next block's diamond hangs off the last slot
+    def spine(i: int) -> Query:
+        slots = blocks[i]
+        tail = Diamond(spine(i + 1)) if i + 1 < len(blocks) else None
         q: Query = TOP
         for t in range(len(slots) - 1, -1, -1):
             base = atoms_conj(slots[t])
-            q = conj([base, Next(q)]) if q is not TOP else base
+            if t == len(slots) - 1 and tail is not None:
+                q = conj([base, tail])
+            else:
+                q = conj([base, Next(q)]) if q is not TOP else base
         return q
 
-    q: Query = TOP
-    for slots in reversed(blocks[1:]):
-        inner = block_query(slots)
-        q = conj([inner, Diamond(q)]) if q is not TOP else inner
-    head = block_query(blocks[0])
-    return head if q is TOP else conj([head, Diamond(q)])
+    return spine(0)
 
 
 def horn_diamond_search(

@@ -1,16 +1,19 @@
-"""Transition-system representations of (ontology, data) pairs.
+"""Transition-system representations of lasso words.
 
-Plain and Horn builders produce the position systems used for until-path
-containment and simple-until simulation; the black/red builders encode full
-until nesting with two edge colors, driven by the successor calculus
-(lessdot) and its gap sets (nabla), in plain and wrap-around (M, P) forms.
+Every builder reads one `LassoModel`: plain data is the word of its facts
+followed by empty letters forever (`LassoModel.of_data`), and a Horn
+ontology's data is its canonical-model lasso.  The position system serves
+until-path containment and simple-until simulation; the black/red system
+encodes full until nesting with two edge colors, driven by the wrap-around
+successor calculus (lessdot_mp) and its gap sets (nabla_mp).  Plain lessdot
+and nabla are that calculus with an empty periodic zone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from .core import DataInstance
+from .core import DataInstance, LassoModel
 from .horn import HornOntology, canonical_model
 from .tsys import BLACK, BOT, RED, Edge, TransitionSystem
 
@@ -24,35 +27,25 @@ def _label(points, letters, sigma_bot: frozenset[str]) -> frozenset[str]:
     return frozenset(out & sigma_bot)
 
 
-def repr_plain(d: DataInstance, sig: frozenset[str]) -> TransitionSystem:
-    """Positions 0..max+1 with all forward jumps and an empty looping sink."""
+def _data_word(d: DataInstance, sig: frozenset[str]):
+    """d's word and `sig`, once `sig` is checked to cover d."""
     if not d.signature <= sig:
         raise ValueError("signature does not cover the data instance")
+    return LassoModel.of_data(d), sig
+
+
+def _horn_word(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None):
+    """The canonical lasso and `sig`, by default the data's and user atoms."""
+    word = canonical_model(onto, d).lasso
+    return word, (d.signature | onto.user_atoms if sig is None else sig)
+
+
+def _positions(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
+    """Positions 0..pre+per-1 with all forward jumps and the loop's wraps."""
     sigma_bot = sig | {BOT}
-    last = d.max_timestamp + 1
-    states = list(range(last + 1))
-    labels = {j: d.atoms_at(j) for j in range(last)}
-    labels[last] = frozenset()
-    edges = []
-    for j in range(last + 1):
-        for k in range(j + 1, last + 1):
-            edges.append(Edge(j, k, _label(range(j + 1, k), d.atoms_at, sigma_bot)))
-    edges.append(Edge(last, last, sigma_bot))
-    return TransitionSystem(states, [0], labels, edges)
-
-
-def repr_horn(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = None) -> TransitionSystem:
-    """Canonical-model positions 0..M+p-1 with forward jumps and loop wraps."""
-    cm = canonical_model(onto, d)
-    if sig is None:
-        sig = d.signature | onto.user_atoms
-    sigma_bot = sig | {BOT}
-    m_start = cm.lasso.pre  # max timestamp + handle
-    total = m_start + cm.period
-
-    def letters(n: int) -> frozenset[str]:
-        return cm.lasso.letter(n)
-
+    letters = word.letter
+    m_start = word.pre
+    total = m_start + word.per
     states = list(range(total))
     labels = {n: letters(n) & sig for n in states}
     edges = []
@@ -66,37 +59,18 @@ def repr_horn(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = 
     return TransitionSystem(states, [0], labels, edges)
 
 
+def repr_plain(d: DataInstance, sig: frozenset[str]) -> TransitionSystem:
+    """Positions 0..max+1 with all forward jumps and an empty looping sink."""
+    return _positions(*_data_word(d, sig))
+
+
+def repr_horn(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = None) -> TransitionSystem:
+    """Canonical-model positions 0..M+p-1 with forward jumps and loop wraps."""
+    return _positions(*_horn_word(onto, d, sig))
+
+
 # ---------------------------------------------------------------------------
 # The successor calculus
-
-
-def _mu_plain(dset: frozenset[int], eset: frozenset[int]):
-    mu = {}
-    for x in dset:
-        later = [e for e in eset if e > x]
-        if not later:
-            return None
-        mu[x] = min(later)
-    return mu
-
-
-def lessdot(dset: frozenset[int], eset: frozenset[int]) -> bool:
-    """True iff mapping each point to its next eset-point is total and onto."""
-    if not dset or not eset:
-        raise ValueError("lessdot is defined for nonempty sets")
-    mu = _mu_plain(dset, eset)
-    return mu is not None and set(mu.values()) == set(eset)
-
-
-def nabla(dset: frozenset[int], eset: frozenset[int]) -> frozenset[int]:
-    """Union of the open gaps (x, next(x)); requires the successor map total."""
-    mu = _mu_plain(dset, eset)
-    if mu is None:
-        raise ValueError("nabla: successor map undefined")
-    out: set[int] = set()
-    for x, e in mu.items():
-        out.update(range(x + 1, e))
-    return frozenset(out)
 
 
 def _mu_mp(dset, eset, m_start: int, period_end: int):
@@ -138,6 +112,17 @@ def nabla_mp(dset: frozenset[int], eset: frozenset[int], m_start: int, period_en
     for x, e in mu.items():
         out |= _bwn(x, e, m_start, period_end)
     return frozenset(out)
+
+
+def lessdot(dset: frozenset[int], eset: frozenset[int]) -> bool:
+    """True iff mapping each point to its next eset-point is total and onto:
+    lessdot_mp with an empty periodic zone."""
+    return lessdot_mp(dset, eset, 0, 0)
+
+
+def nabla(dset: frozenset[int], eset: frozenset[int]) -> frozenset[int]:
+    """Union of the open gaps (x, next(x)); requires the successor map total."""
+    return nabla_mp(dset, eset, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +176,26 @@ def _successor_sets(points: list[int], n_positions: int, wrap_start: int):
         yield from extend(size, False)
 
 
-def _build_br(letters, n_positions: int, sigma_bot, wrap_start: int, with_z: bool, max_ts: int):
+def _build_br(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
     """Worklist construction of the two-colored system from the calculus.
 
     States are ("p", phi_set, psi_set); black edges advance the psi side,
     red edges the phi side.  The successors of a point set D are the E with
-    D lessdot_mp E (plain lessdot when wrap_start == n_positions); since the
+    D lessdot_mp E, positions at or after word.pre being periodic; since the
     successor map takes D onto E, |E| <= |D|.  Each point set's successor
     list is built once per system.
-    """
-    sig = frozenset(a for a in sigma_bot if a != BOT)
 
-    def pair(phi: frozenset[int], psi: frozenset[int]):
-        return ("p", phi, psi)
+    The tail form is read off the word.  A loop of empty letters is the empty
+    tail: the positions are the prefix's, the periodic zone is empty (plain
+    lessdot), and state z stands for every later position.  Any other loop
+    wraps: the positions are the prefix's and the loop's, and no z is made.
+    """
+    sigma_bot = sig | {BOT}
+    letters = word.letter
+    wrap_start = word.pre
+    with_z = not any(word.loop)
+    n_positions = wrap_start if with_z else wrap_start + word.per
+    last = n_positions - 1
 
     def points_label(points) -> frozenset[str]:
         return _label(points, letters, sigma_bot)
@@ -213,14 +205,7 @@ def _build_br(letters, n_positions: int, sigma_bot, wrap_start: int, with_z: boo
         labels[_Z] = frozenset()
     edges: list[Edge] = []
     states = [_ORIGIN, _U] + ([_Z] if with_z else [])
-    seen = set(states)
-
-    def reach(state):
-        if state not in seen:
-            seen.add(state)
-            states.append(state)
-            queue.append(state)
-
+    queue = [_ORIGIN]
     # point set -> [(target pair, label of E, label of the gaps)]
     successor_lists: dict = {}
 
@@ -229,20 +214,20 @@ def _build_br(letters, n_positions: int, sigma_bot, wrap_start: int, with_z: boo
             moves = successor_lists[points] = []
             for g in _successor_sets(sorted(points), n_positions, wrap_start):
                 f = nabla_mp(points, g, wrap_start, n_positions)
-                moves.append((pair(f, g), points_label(g), points_label(f)))
+                moves.append((("p", f, g), points_label(g), points_label(f)))
         for tgt, tgt_label, gap_label in successor_lists[points]:
             if tgt not in labels:
                 labels[tgt] = tgt_label
-            reach(tgt)
+                states.append(tgt)
+                queue.append(tgt)
             edges.append(Edge(src, tgt, gap_label, color))
 
-    queue = [_ORIGIN]
     while queue:
         state = queue.pop()
         if state == _ORIGIN:
             successors_from(frozenset({0}), _ORIGIN, BLACK)
             if with_z:
-                edges.append(Edge(_ORIGIN, _Z, points_label(range(0, max_ts)), BLACK))
+                edges.append(Edge(_ORIGIN, _Z, points_label(range(0, last)), BLACK))
             continue
         if state in (_Z, _U):
             continue
@@ -253,9 +238,9 @@ def _build_br(letters, n_positions: int, sigma_bot, wrap_start: int, with_z: boo
         else:
             edges.append(Edge(state, _U, sigma_bot, RED))
         if with_z:
-            edges.append(Edge(state, _Z, points_label(range(max(psi), max_ts)), BLACK))
+            edges.append(Edge(state, _Z, points_label(range(max(psi), last)), BLACK))
             if phi:
-                edges.append(Edge(state, _Z, points_label(range(max(phi), max_ts)), RED))
+                edges.append(Edge(state, _Z, points_label(range(max(phi), last)), RED))
     if with_z:
         edges.append(Edge(_Z, _Z, sigma_bot, BLACK))
         edges.append(Edge(_Z, _Z, sigma_bot, RED))
@@ -267,17 +252,10 @@ def _build_br(letters, n_positions: int, sigma_bot, wrap_start: int, with_z: boo
 
 def repr_plain_br(d: DataInstance, sig: frozenset[str]) -> TransitionSystem:
     """Two-colored system over subsets of [0, max]; z models the empty tail."""
-    if not d.signature <= sig:
-        raise ValueError("signature does not cover the data instance")
-    n = d.max_timestamp + 1
-    return _build_br(d.atoms_at, n, sig | {BOT}, n, True, d.max_timestamp)
+    return _build_br(*_data_word(d, sig))
 
 
 def repr_horn_br(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = None) -> TransitionSystem:
-    """Two-colored system over subsets of [0, P) with wrap-around successors."""
-    cm = canonical_model(onto, d)
-    if sig is None:
-        sig = d.signature | onto.user_atoms
-    m_start = cm.lasso.pre
-    period_end = m_start + cm.period
-    return _build_br(cm.lasso.letter, period_end, sig | {BOT}, m_start, False, d.max_timestamp)
+    """Two-colored system over the canonical lasso: the z-tail form when its
+    loop is empty, otherwise subsets of [0, M+p) with wrap-around successors."""
+    return _build_br(*_horn_word(onto, d, sig))

@@ -11,7 +11,7 @@ from conftest import (
     rand_query,
 )
 from ltlqbe import horn
-from ltlqbe.core import DataInstance, ExampleSet, eval_data, eval_lasso, parse_query
+from ltlqbe.core import DataInstance, eval_data, eval_lasso, parse_query
 
 D = DataInstance.of
 
@@ -125,17 +125,6 @@ def test_certain_answer_arbitrary_timepoint_folds():
     o = horn.load_ontology("A -> X A")
     d = D([("A", 0)])
     assert horn.certain_answer(o, d, parse_query("A"), 500)
-
-
-def test_depth_bounds():
-    o = horn.load_ontology("A -> C\nA -> X B\nB -> X X B\nB -> X C")
-    k, m = horn.depth_bounds(o, ExampleSet.of([D([("A", 0)])], []))
-    assert (k, m) == (2, 2)
-    k2, m2 = horn.depth_bounds(
-        horn.EMPTY_ONTOLOGY,
-        ExampleSet.of([D([("T", 2), ("V", 4)]), D([("T", 1)])], []),
-    )
-    assert m2 == 1 and k2 == 5
 
 
 def test_fresh_atom_clash_rejected():

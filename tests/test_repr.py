@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rand_horn_ontology, rand_instance
 from ltlqbe import horn
-from ltlqbe.core import DataInstance
+from ltlqbe.core import DataInstance, LassoModel
 from ltlqbe.represent import (
     _successor_sets,
     lessdot,
@@ -82,7 +82,16 @@ def test_repr_horn_state_count_and_wraps():
     assert (m_start, m_start) in wraps
 
 
+def _same_ts(a, b):
+    assert a.states == b.states
+    assert a.initial == b.initial
+    assert a.labels == b.labels
+    assert a.edges == b.edges
+
+
 def test_repr_horn_empty_ontology_equivalent_to_plain():
+    # the canonical lasso of nonempty data under no axioms is the data word;
+    # empty data has a canonical prefix of length 0, the data word length 1
     rng = random.Random(42)
     for _ in range(10):
         d = rand_instance(rng, max_ts=4)
@@ -90,6 +99,15 @@ def test_repr_horn_empty_ontology_equivalent_to_plain():
         a = repr_plain(d, sig)
         b = repr_horn(horn.EMPTY_ONTOLOGY, d, sig)
         assert simulates(a, b) and simulates(b, a)
+        if d.facts:
+            _same_ts(a, b)
+
+
+def test_repr_horn_empty_data():
+    assert horn.canonical_model(horn.EMPTY_ONTOLOGY, D([])).lasso.pre == 0
+    ts = repr_horn(horn.EMPTY_ONTOLOGY, D([]), fs({"A"}))
+    assert ts.states == [0]
+    assert ts.edges == [Edge(0, 0, fs({"A", BOT}))]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +241,9 @@ def test_repr_horn_br_small():
     o = horn.load_ontology("X A -> A")
     d = D([("A", 1)])
     ts = repr_horn_br(o, d)
-    assert ("u",) in ts.states and ("z",) not in ts.states
+    # the canonical loop is empty, so the empty tail is z
+    assert not any(horn.canonical_model(o, d).lasso.loop)
+    assert ("u",) in ts.states and ("z",) in ts.states
     assert ("0",) in ts.initial
     # canonical model makes A hold at 0 as well
     assert ts.labels[("0",)] == fs({"A"})
@@ -239,6 +259,9 @@ def test_repr_horn_br_empty_ontology_matches_plain_verdicts(seed):
     pos = [rand_instance(rng, atoms=("A", "B"), max_ts=3) for _ in range(rng.randrange(1, 3))]
     neg = [rand_instance(rng, atoms=("A", "B"), max_ts=3) for _ in range(rng.randrange(1, 3))]
     e = ExampleSet.of(pos, neg)
+    for d in e.instances:
+        if d.facts:
+            _same_ts(repr_plain_br(d, e.signature), repr_horn_br(horn.EMPTY_ONTOLOGY, d, e.signature))
     with_onto = decide_until_family(e, horn.EMPTY_ONTOLOGY, QueryClass.FULL_UNTIL)
     plain = decide_until_family(e, None, QueryClass.FULL_UNTIL)
     assert with_onto.separable == plain.separable
@@ -316,8 +339,12 @@ def _reference_plain_br(d, sig):
 
 
 def _reference_horn_br(onto, d, sig):
+    """The z-tail form over the prefix when the canonical loop is all empty,
+    otherwise the wrap-around form over prefix and loop."""
     cm = horn.canonical_model(onto, d)
     m, p = cm.lasso.pre, cm.lasso.pre + cm.period
+    if not any(cm.lasso.loop):
+        return _build_br_reference(cm.lasso.letter, m, sig | {BOT}, lessdot, nabla, True, m - 1)
     return _build_br_reference(
         cm.lasso.letter,
         p,
@@ -375,10 +402,36 @@ def test_plain_br_matches_all_subsets_reference(seed):
         _same_system(repr_plain_br(d, sig), _reference_plain_br(d, sig))
 
 
+@pytest.mark.parametrize(
+    "text, facts, prefix, loop",
+    [
+        # empty data: the canonical prefix has length 0
+        ("", [], (), (fs(),)),
+        # a prefix that ends in an empty letter
+        ("X X B -> C", [("A", 0)], (fs({"A"}), fs()), (fs(),)),
+        # derived facts before the data, then the empty tail
+        ("X A -> A", [("A", 1)], (fs({"A"}), fs({"A"})), (fs(),)),
+        # nonempty loops
+        ("A -> X A", [("A", 0)], (), (fs({"A"}),)),
+        ("A -> X B\nB -> X A", [("A", 1)], (fs(),), (fs({"A"}), fs({"B"}))),
+        ("A -> X X A", [("A", 0)], (fs({"A"}),), (fs(), fs({"A"}))),
+    ],
+)
+def test_horn_br_tail_form_follows_the_loop(text, facts, prefix, loop):
+    onto = horn.load_ontology(text) if text else horn.EMPTY_ONTOLOGY
+    d = D(facts)
+    assert horn.canonical_model(onto, d).lasso == LassoModel(prefix, loop)
+    sig = d.signature | onto.user_atoms | {"A"}
+    ts = repr_horn_br(onto, d, sig)
+    assert (("z",) in ts.states) == (not any(loop))
+    _same_system(ts, _reference_horn_br(onto, d, sig))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_horn_br_matches_all_subsets_reference(seed):
     rng = random.Random(32000 + seed)
     checked = 0
+    empty_loops = set()
     while checked < 50:
         onto = rand_horn_ontology(rng, atoms=("A", "B"), max_axioms=3)
         d = rand_instance(rng, atoms=("A", "B"), max_ts=rng.randrange(0, 4), max_facts=4)
@@ -386,7 +439,9 @@ def test_horn_br_matches_all_subsets_reference(seed):
             continue
         sig = d.signature | onto.user_atoms
         _same_system(repr_horn_br(onto, d), _reference_horn_br(onto, d, sig))
+        empty_loops.add(not any(horn.canonical_model(onto, d).lasso.loop))
         checked += 1
+    assert empty_loops == {True, False}  # both tail forms were compared
 
 
 def test_horn_br_matches_reference_on_benchmark_shaped_ontologies():
