@@ -58,11 +58,17 @@ def _load_json(path: str) -> dict:
 
 
 def _parse_instance(obj, what: str) -> DataInstance:
-    if not isinstance(obj, dict) or "facts" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("facts"), list):
         raise InputError(f"{what}: expected an object with a 'facts' list")
     facts = []
     for fact in obj["facts"]:
-        if not (isinstance(fact, list) and len(fact) == 2 and isinstance(fact[1], int)):
+        # bool is an int subclass: JSON true must not read as timestamp 1
+        if not (
+            isinstance(fact, list)
+            and len(fact) == 2
+            and isinstance(fact[0], str)
+            and type(fact[1]) is int
+        ):
             raise InputError(f"{what}: facts must be [atom, timestamp] pairs")
         if fact[1] < 0:
             raise InputError(f"{what}: negative timestamp {fact[1]}")
@@ -73,24 +79,26 @@ def _parse_instance(obj, what: str) -> DataInstance:
         raise InputError(f"{what}: {ex}") from ex
 
 
-def load_example_set(path: str) -> ExampleSet:
+def _load_document(path: str) -> dict:
     doc = _load_json(path)
-    if doc.get("format") != FORMAT_VERSION:
-        raise InputError(f"{path}: expected \"format\": {FORMAT_VERSION}")
-    positives = [
-        _parse_instance(o, f"positives[{i}]") for i, o in enumerate(doc.get("positives", []))
-    ]
-    negatives = [
-        _parse_instance(o, f"negatives[{i}]") for i, o in enumerate(doc.get("negatives", []))
-    ]
-    return ExampleSet.of(positives, negatives)
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
+        raise InputError(f"{path}: expected an object with \"format\": {FORMAT_VERSION}")
+    return doc
+
+
+def load_example_set(path: str) -> ExampleSet:
+    doc = _load_document(path)
+    sides = []
+    for side in ("positives", "negatives"):
+        objs = doc.get(side, [])
+        if not isinstance(objs, list):
+            raise InputError(f"{path}: '{side}' must be a list")
+        sides.append([_parse_instance(o, f"{side}[{i}]") for i, o in enumerate(objs)])
+    return ExampleSet.of(*sides)
 
 
 def load_data_instance(path: str) -> DataInstance:
-    doc = _load_json(path)
-    if doc.get("format") != FORMAT_VERSION:
-        raise InputError(f"{path}: expected \"format\": {FORMAT_VERSION}")
-    return _parse_instance(doc, path)
+    return _parse_instance(_load_document(path), path)
 
 
 def _load_ontology(path: str | None, kind: str):

@@ -7,7 +7,7 @@ at 0 on every positive instance, and certain-true on no negative instance.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 import itertools
@@ -33,7 +33,7 @@ from .core import (
 )
 from .horn import HornOntology, Inconsistent, canonical_model, certain_answer, consistent
 from .prior import PriorOntology, prior_consistent, prior_entails
-from .represent import repr_horn, repr_horn_br, repr_plain, repr_plain_br
+from .represent import _data_word, repr_horn, repr_horn_br, repr_plain, repr_plain_br
 from .tsys import (
     BLACK,
     BOT,
@@ -44,8 +44,10 @@ from .tsys import (
     disjoint_union,
     failing_run,
     failing_subtree_of_union,
+    pack,
     product,
     prune_dominated_edges,
+    unpack,
 )
 from . import transform
 
@@ -358,30 +360,100 @@ def horn_diamond_search(
 # Until family via transition systems
 
 
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _Store:
+    """A bounded map that drops its least recently used entry once it holds
+    more than `maxsize`, with `functools.lru_cache`'s `cache_info()` and
+    `cache_clear()`."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.cache_clear()
+
+    def get(self, key, make):
+        """The entry of key, made by make() on a miss."""
+        entries = self._entries
+        entry = entries.get(key)
+        if entry is not None:
+            self.hits += 1
+            entries.move_to_end(key)
+            return entry
+        self.misses += 1
+        entry = entries[key] = make()
+        if len(entries) > self.maxsize:
+            entries.popitem(last=False)
+        return entry
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, self.maxsize, len(self._entries))
+
+    def cache_clear(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+        self.hits = self.misses = 0
+
+
+# (form, letters, prefix length, *letter masks) -> a packed reduced system
+_instance_systems = _Store(maxsize=4096)
+
+
+def _system_key(onto: HornOntology | None, d: DataInstance, sig: frozenset[str], black_red: bool):
+    """What d's reduced system is a function of, as one flat tuple.
+
+    That is the form and the lasso word the builder reads: where its loop
+    starts, and its letters as bitmasks over `letters`, the sorted signature
+    and BOT.  Plain data's word is its own (`LassoModel.of_data`, once `sig`
+    covers it), Horn data's is its canonical lasso, with the atoms outside
+    `sig` ignored.  The form is the position or the black/red system; the
+    black/red builder reads its tail form off the whole loop, so the form
+    takes it from there too.
+    """
+    letters = (*sorted(sig), BOT)
+    word = _data_word(d, sig)[0] if onto is None else canonical_model(onto, d).lasso
+    if not black_red:
+        form = "positions"
+    else:
+        form = "black/red wrap" if any(word.loop) else "black/red z-tail"
+    masks = (sum(1 << i for i, a in enumerate(letters) if a in x) for x in word.prefix + word.loop)
+    return (form, letters, word.pre, *masks)
+
+
+def _reduced_system(onto: HornOntology | None, d: DataInstance, sig: frozenset[str], black_red: bool):
+    """`prune_dominated_edges(bisim_quotient(build))` of d's position or
+    black/red system over `sig`, from `_instance_systems`.
+
+    The entry is unpacked on every use, misses included, so a hit and a miss
+    give out the same system, with states 0..n-1 in the built list order.
+    """
+    key = _system_key(onto, d, sig, black_red)
+    letters = key[1]
+
+    def build() -> tuple:
+        if onto is None:
+            ts = repr_plain_br(d, sig) if black_red else repr_plain(d, sig)
+        else:
+            ts = repr_horn_br(onto, d, sig) if black_red else repr_horn(onto, d, sig)
+        return pack(prune_dominated_edges(bisim_quotient(ts)), letters)
+
+    return unpack(_instance_systems.get(key, build), letters)
+
+
 @lru_cache(maxsize=4)
 def _until_systems(e: ExampleSet, onto: HornOntology | None, black_red: bool):
     """The quotiented positive product and the negatives' systems.
 
-    path-until and simple-until build the same pair, so it is cached per
-    example set; callers must not change the systems.  A set's classes are
-    decided one after another, so a few entries suffice.
+    Each instance's reduced system comes from the word-keyed store
+    `_instance_systems` (`_reduced_system`): plain data and every Horn
+    ontology that give the same lasso word share one entry, across example
+    sets, and only a miss builds.  path-until and simple-until build the
+    same pair, so it is cached per example set; callers must not change the
+    systems.  A set's classes are decided one after another, so a few
+    entries suffice.
     """
     sig = e.signature | (onto.user_atoms if onto is not None else frozenset())
-    if black_red:
-        build = (
-            (lambda d: repr_plain_br(d, sig))
-            if onto is None
-            else (lambda d: repr_horn_br(onto, d, sig))
-        )
-    else:
-        build = (
-            (lambda d: repr_plain(d, sig)) if onto is None else (lambda d: repr_horn(onto, d, sig))
-        )
-    def shrink(ts):
-        return prune_dominated_edges(bisim_quotient(ts))
-
-    pos = [shrink(build(d)) for d in e.positives]
-    neg = [shrink(build(d)) for d in e.negatives]
+    pos = [_reduced_system(onto, d, sig, black_red) for d in e.positives]
+    neg = [_reduced_system(onto, d, sig, black_red) for d in e.negatives]
     prod = bisim_quotient(product(pos, reachable_only=True))
     return prod, tuple(neg)
 

@@ -260,6 +260,42 @@ def prune_dominated_edges(ts: TransitionSystem) -> TransitionSystem:
     )
 
 
+def pack(ts: TransitionSystem, letters: Sequence[str]) -> tuple:
+    """ts as ints: states renumbered 0..n-1 in list order, labels as masks
+    (bit i for letters[i], which must cover every label), and the edges as
+    one flat sequence of (src, dst, label mask, 1 if red) fours.  Sequences
+    are bytes when every value fits in one."""
+    bit = {a: 1 << i for i, a in enumerate(letters)}
+    index = {x: i for i, x in enumerate(ts.states)}
+    edges: list[int] = []
+    for e in ts.edges:
+        edges += (index[e.src], index[e.dst], sum(bit[a] for a in e.label), int(e.color == RED))
+    labels = [sum(bit[a] for a in ts.label(x)) for x in ts.states]
+    initial = [index[x] for x in ts.initial]
+    return len(ts.states), _compact(initial), _compact(labels), _compact(edges), ts.colored
+
+
+def _compact(values: list[int]) -> bytes | tuple[int, ...]:
+    return bytes(values) if all(v < 256 for v in values) else tuple(values)
+
+
+def unpack(packed: tuple, letters: Sequence[str]) -> TransitionSystem:
+    """The system `pack` encoded, with states 0..n-1."""
+    n, initial, labels, edges, colored = packed
+    label = {
+        m: frozenset(a for i, a in enumerate(letters) if m >> i & 1)
+        for m in {*labels, *edges[2::4]}
+    }
+    it = iter(edges)
+    return TransitionSystem._derived(
+        list(range(n)),
+        list(initial),
+        {x: label[m] for x, m in enumerate(labels)},
+        [Edge(s, d, label[m], RED if red else BLACK) for s, d, m, red in zip(it, it, it, it)],
+        colored,
+    )
+
+
 def _masker():
     """A memoised map from labels to bitmasks; letters get bits as they appear."""
     bits: dict = {}

@@ -159,6 +159,36 @@ def test_bad_atom_in_input_exit_two(tmp_path):
     assert main(["separable", "--class", "path-diamond", "--input", str(p)]) == 2
 
 
+# each malformed input as the document for `separable --input` and for
+# `eval --data`; the first four are one bad instance
+_BAD_INSTANCES = {
+    "bool-timestamp": {"facts": [["A", True]]},
+    "int-atom": {"facts": [[5, 1]]},
+    "null-atom": {"facts": [[None, 1]]},
+    "facts-not-a-list": {"facts": 3},
+}
+_MALFORMED = {
+    **{k: ({"format": 1, "positives": [o]}, {"format": 1, **o}) for k, o in _BAD_INSTANCES.items()},
+    "null-positives": ({"format": 1, "positives": None}, {"format": 1, "positives": None}),
+    "top-level-list": ([1], [1]),
+}
+
+
+@pytest.mark.parametrize("command", ["separable", "eval"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_example_json_exit_two(tmp_path, capsys, command, case):
+    doc = _MALFORMED[case][command == "eval"]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    if command == "separable":
+        argv = ["separable", "--class", "path-diamond", "--input", str(p)]
+    else:
+        argv = ["eval", "--query", "A", "--data", str(p)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err and err[-1].startswith("error:")
+
+
 @pytest.mark.parametrize("kind,text", [("horn", "A -> \n"), ("prior", "A -> X B\n")])
 def test_bad_ontology_exit_two(ex1, tmp_path, kind, text):
     onto = tmp_path / "o.ltl"

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -396,20 +398,41 @@ def test_prior_path_diamond_digest_is_unchanged():
     assert h.hexdigest() == _PRIOR_PATH_DIGEST
 
 
-@pytest.mark.parametrize(
-    "cache",
-    [
-        prior.prior_entails,
-        prior.prior_consistent,
-        prior._countermodels,
-        prior._valid_loops,
-        horn._canonical_model,
-        ltlqbe.qbe._until_systems,
-    ],
-    ids=lambda f: f.__wrapped__.__qualname__,
-)
-def test_caches_are_bounded(cache):
-    assert cache.cache_info().maxsize is not None
+def _module_caches() -> dict:
+    """Every object with a cache_info() in the ltlqbe modules, by the name it
+    has in the module that defines it."""
+    found = {}
+    for info in pkgutil.iter_modules(ltlqbe.__path__):
+        module = importlib.import_module(f"ltlqbe.{info.name}")
+        for attr, value in vars(module).items():
+            if (
+                hasattr(value, "cache_info")
+                and not isinstance(value, type)
+                and getattr(value, "__module__", None) == module.__name__
+            ):
+                found[attr] = value
+    return found
+
+
+_CACHES = _module_caches()
+
+
+def test_cache_walk_finds_the_known_caches():
+    known = {
+        "prior_entails",
+        "prior_consistent",
+        "_countermodels",
+        "_valid_loops",
+        "_canonical_model",
+        "_until_systems",
+        "_instance_systems",
+    }
+    assert known <= set(_CACHES)
+
+
+@pytest.mark.parametrize("name", sorted(_CACHES))
+def test_caches_are_bounded(name):
+    assert _CACHES[name].cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("onto", [None, horn.load_ontology("A -> X B")], ids=["plain", "horn"])
@@ -421,6 +444,7 @@ def test_until_classes_of_one_set_share_one_build(monkeypatch, onto):
     original = getattr(qbe, name)
     monkeypatch.setattr(qbe, name, lambda *args: calls.append(args) or original(*args))
     qbe._until_systems.cache_clear()
+    qbe._instance_systems.cache_clear()
     e = ex([[("A", 1), ("B", 3)], [("A", 2), ("B", 3)]], [[("A", 1)], [("B", 3)]])
     decide(Problem(QueryClass.PATH_UNTIL, e, onto))
     assert len(calls) == len(e.instances)

@@ -1,0 +1,201 @@
+"""The word-keyed store of the until route's per-instance systems."""
+
+import random
+
+import pytest
+
+from conftest import rand_example_set, rand_horn_ontology, rand_instance
+from ltlqbe import horn, qbe
+from ltlqbe.core import DataInstance, ExampleSet, QueryClass
+from ltlqbe.horn import Inconsistent
+from ltlqbe.qbe import UNTIL_CLASSES, Problem, decide
+from ltlqbe.represent import repr_horn, repr_horn_br, repr_plain, repr_plain_br
+from ltlqbe.tsys import BOT, bisim_quotient, pack, prune_dominated_edges, unpack
+
+D = DataInstance.of
+fs = frozenset
+
+
+@pytest.fixture(autouse=True)
+def cold_store():
+    qbe._until_systems.cache_clear()
+    qbe._instance_systems.cache_clear()
+    yield
+    qbe._until_systems.cache_clear()
+    qbe._instance_systems.cache_clear()
+
+
+def _numbered(ts):
+    """ts with its states renumbered 0..n-1 in list order."""
+    index = {x: i for i, x in enumerate(ts.states)}
+    return (
+        [index[x] for x in ts.initial],
+        [ts.label(x) for x in ts.states],
+        [(index[e.src], index[e.dst], e.label, e.color) for e in ts.edges],
+        ts.colored,
+    )
+
+
+def _reference(onto, d, sig, black_red):
+    if onto is None:
+        ts = repr_plain_br(d, sig) if black_red else repr_plain(d, sig)
+    else:
+        ts = repr_horn_br(onto, d, sig) if black_red else repr_horn(onto, d, sig)
+    return prune_dominated_edges(bisim_quotient(ts))
+
+
+def _cases(seed):
+    """(ontology or None, instance, signature) triples: plain and Horn data
+    over a few signatures."""
+    rng = random.Random(61000 + seed)
+    out = []
+    for _ in range(12):
+        d = rand_instance(rng, ("A", "B"), max_ts=3, max_facts=4)
+        sig = d.signature | fs(rng.sample(["A", "B", "C"], rng.randrange(0, 3)))
+        out.append((None, d, sig))
+        onto = rand_horn_ontology(rng, ("A", "B"), max_axioms=3)
+        if horn.consistent(onto, d):
+            out.append((onto, d, d.signature | onto.user_atoms))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unpacked_entry_equals_a_fresh_build(seed):
+    # the store warms over the seed's cases, so later ones also meet entries
+    # made from other instances with the same key
+    for onto, d, sig in _cases(seed):
+        for black_red in (False, True):
+            got = qbe._reduced_system(onto, d, sig, black_red)
+            assert got.states == list(range(len(got.states)))
+            assert _numbered(got) == _numbered(_reference(onto, d, sig, black_red))
+    info = qbe._instance_systems.cache_info()
+    assert info.hits > 0 and info.misses > 0
+
+
+def test_miss_and_hit_give_out_equal_systems():
+    d, sig = D([("A", 0), ("B", 2)]), fs({"A", "B"})
+    first = qbe._reduced_system(None, d, sig, True)
+    second = qbe._reduced_system(None, d, sig, True)
+    assert first is not second and _numbered(first) == _numbered(second)
+    assert qbe._instance_systems.cache_info()[:2] == (1, 1)
+
+
+def test_key_bits_follow_the_sorted_signature():
+    # a pinned key: under any hash seed, bit i is the i-th atom of sorted(sig)
+    d = D([("C", 0), ("A", 0), ("B", 2)])
+    key = qbe._system_key(None, d, fs({"C", "B", "A"}), True)
+    assert key == ("black/red z-tail", ("A", "B", "C", BOT), 3, 0b101, 0, 0b010, 0)
+    onto = horn.load_ontology("A -> X C\nC -> X C")
+    key = qbe._system_key(onto, D([("A", 0)]), fs({"A", "C"}), True)
+    assert key == ("black/red wrap", ("A", "C", BOT), 1, 0b01, 0b10)
+    assert qbe._system_key(onto, D([("A", 0)]), fs({"A", "C"}), False)[0] == "positions"
+
+
+def test_words_with_equal_letters_and_another_loop_start_do_not_share():
+    # empty, A, then empty forever against empty, then A and empty repeating:
+    # the same letters in the same order, with the loop starting at 2 and at 1
+    onto = horn.load_ontology("A -> X X A")
+    d, sig = D([("A", 1)]), fs({"A"})
+    assert horn.canonical_model(onto, d).lasso.pre == 1
+    for source in (None, onto, None):
+        for black_red in (False, True):
+            got = qbe._reduced_system(source, d, sig, black_red)
+            assert _numbered(got) == _numbered(_reference(source, d, sig, black_red))
+
+
+def test_sets_sharing_an_instance_build_it_once(monkeypatch):
+    calls = []
+    original = qbe.repr_plain
+    monkeypatch.setattr(qbe, "repr_plain", lambda *args: calls.append(args[0]) or original(*args))
+    shared = D([("A", 1), ("B", 3)])
+    first = ExampleSet.of([shared], [D([("A", 2)])])
+    second = ExampleSet.of([D([("B", 1)]), shared], [D([("A", 3)]), D([("B", 0)])])
+    for e in (first, second):
+        decide(Problem(QueryClass.PATH_UNTIL, e))
+    assert calls.count(shared) == 1
+    assert len(calls) == len(first.instances) + len(second.instances) - 1
+    # another signature is another key
+    decide(Problem(QueryClass.PATH_UNTIL, ExampleSet.of([D([("C", 1)])], [shared])))
+    assert calls.count(shared) == 2
+
+
+def test_empty_ontology_data_hits_the_plain_entry():
+    rng = random.Random(62000)
+    sets = [rand_example_set(rng, ("A", "B"), max_ts=3) for _ in range(10)]
+    sets = [e for e in sets if all(d.facts for d in e.instances) and e.negatives]
+    assert sets
+    for e in sets:
+        for black_red in (False, True):
+            plain = qbe._until_systems(e, None, black_red)
+            misses = qbe._instance_systems.cache_info().misses
+            horn_data = qbe._until_systems(e, horn.EMPTY_ONTOLOGY, black_red)
+            assert qbe._instance_systems.cache_info().misses == misses
+            assert [_numbered(ts) for ts in plain[1]] == [_numbered(ts) for ts in horn_data[1]]
+
+
+def _until_answers(sets):
+    out = []
+    for e, onto in sets:
+        for cls in UNTIL_CLASSES:
+            try:
+                v = decide(Problem(cls, e, onto))
+            except Inconsistent:
+                out.append(None)
+                continue
+            out.append((v.separable, str(v.witness)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["plain", "horn"])
+def test_until_answers_equal_with_a_cold_and_a_warm_store(kind):
+    rng = random.Random(63000 if kind == "plain" else 64000)
+    sets = [
+        (
+            rand_example_set(rng, ("A", "B"), max_ts=3, max_pos=2, max_neg=2),
+            None if kind == "plain" else rand_horn_ontology(rng, ("A", "B"), max_axioms=2),
+        )
+        for _ in range(30)
+    ]
+    cold = []
+    for s in sets:
+        qbe._until_systems.cache_clear()
+        qbe._instance_systems.cache_clear()
+        cold += _until_answers([s])
+    # warm: every entry was made by other sets first, in the reverse order
+    qbe._until_systems.cache_clear()
+    _until_answers(sets[::-1])
+    misses = qbe._instance_systems.cache_info().misses
+    warm = []
+    for s in sets:
+        qbe._until_systems.cache_clear()
+        warm += _until_answers([s])
+    assert warm == cold
+    assert qbe._instance_systems.cache_info().misses == misses
+
+
+def test_store_drops_the_least_recently_used_entry():
+    store = qbe._Store(maxsize=2)
+    made = []
+
+    def make(key):
+        return lambda: made.append(key) or key
+
+    for key in ("a", "b", "a", "c", "a", "b"):
+        assert store.get(key, make(key)) == key
+    # "b" was least recently used when "c" came in
+    assert made == ["a", "b", "c", "b"]
+    assert store.cache_info() == (2, 4, 2, 2)
+    store.cache_clear()
+    assert store.cache_info() == (0, 0, 2, 0)
+
+
+@pytest.mark.parametrize("atoms", ["AB", "ABCDEFGHI"], ids=["bytes", "tuples"])
+@pytest.mark.parametrize("black_red", [False, True])
+def test_pack_round_trip(atoms, black_red):
+    # nine atoms and BOT need label masks past one byte
+    d = D([(atoms[-1], 0), ("A", 2), (atoms[-1], 3)])
+    sig, letters = fs(atoms), (*sorted(atoms), BOT)
+    ts = _reference(None, d, sig, black_red)
+    packed = pack(ts, letters)
+    assert all(isinstance(p, bytes) == (atoms == "AB") for p in packed[2:4])
+    assert _numbered(unpack(packed, letters)) == _numbered(ts)
