@@ -14,16 +14,24 @@ on the folded word, validate), and each axiom with box literals in its body
 is replaced by a guarded box-free axiom that may only fire from the earliest
 timepoint at which its box literals hold in the previous round's model.
 Guards only ever loosen and the model only ever grows, so the rounds reach
-the least fixpoint of the full ontology.
+the least fixpoint of the full ontology.  A round whose guarded axioms equal
+the previous round's would rebuild the same model, so the rounds stop there.
+
+The window chase, the search for a repeating stretch and the final model
+check keep one int per atom, bit n set iff the atom holds at n.  The chase
+replays the scan of each axiom over ascending anchors (see `_window_chase`),
+so the G heads' obligations, which decide where a stretch may fold, keep
+their order.  The folded re-chase stays on atom sets.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import DataInstance, LassoModel, Query, eval_lasso
+from .prior import _word
 
 FRESH_PREFIX = "Dia__"
 
@@ -66,14 +74,30 @@ class HornAxiom:
 
 @dataclass(frozen=True)
 class HornOntology:
+    """Axioms plus the chain atoms of the F-rewrite.  Every cache on the Horn
+    route is keyed on the ontology, so its hash and its derived constants are
+    computed once, on first use, and kept on the instance."""
+
     axioms: tuple[HornAxiom, ...]
     fresh_atoms: frozenset[str] = frozenset()
 
-    @property
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copies and pickles drop the cached values: string hashes differ
+        # between processes
+        return HornOntology, (self.axioms, self.fresh_atoms)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.axioms, self.fresh_atoms))
+
+    @cached_property
     def size_measure(self) -> int:
         return sum(a.size() for a in self.axioms)
 
-    @property
+    @cached_property
     def atoms(self) -> frozenset[str]:
         out = set()
         for ax in self.axioms:
@@ -82,11 +106,11 @@ class HornOntology:
                     out.add(lit.atom)
         return frozenset(out)
 
-    @property
+    @cached_property
     def user_atoms(self) -> frozenset[str]:
         return self.atoms - self.fresh_atoms
 
-    @property
+    @cached_property
     def max_shift(self) -> int:
         shifts = [l.shift for ax in self.axioms for l in ax.body + (ax.head,)]
         return max(shifts, default=0)
@@ -117,7 +141,7 @@ def _tokenize_axiom(text: str, line_no: int):
     return tokens
 
 
-def _parse_literal(tokens, i, line_no, in_body):
+def _parse_literal(tokens, i, line_no, end, in_body):
     diamond = False
     shift = 0
     forall = False
@@ -143,7 +167,7 @@ def _parse_literal(tokens, i, line_no, in_body):
         else:
             return (shift, forall, value, diamond), i + 1
         i += 1
-    col = tokens[i][2] if i < len(tokens) else len("")
+    col = tokens[i][2] if i < len(tokens) else end
     raise OntologyParseError("expected an atom or 'false'", line_no, col)
 
 
@@ -159,7 +183,7 @@ def load_ontology(text: str) -> HornOntology:
         body = []
         i = 0
         while True:
-            lit, i = _parse_literal(tokens, i, line_no, in_body=True)
+            lit, i = _parse_literal(tokens, i, line_no, len(line), in_body=True)
             body.append(lit)
             if i < len(tokens) and tokens[i][0] == "amp":
                 i += 1
@@ -169,7 +193,7 @@ def load_ontology(text: str) -> HornOntology:
             col = tokens[i][2] if i < len(tokens) else len(line)
             raise OntologyParseError("expected '->'", line_no, col)
         i += 1
-        head, i = _parse_literal(tokens, i, line_no, in_body=False)
+        head, i = _parse_literal(tokens, i, line_no, len(line), in_body=False)
         if i < len(tokens):
             raise OntologyParseError(f"unexpected {tokens[i][1]!r}", line_no, tokens[i][2])
         raw_axioms.append((body, head))
@@ -244,54 +268,94 @@ class _Bottom(Exception):
 
 
 _INCOMPATIBLE = object()
+_NO_ATOMS: frozenset[str] = frozenset()
 
 
 def _window_chase(axioms: list[_GuardedAxiom], data: DataInstance, width: int):
-    """Fixpoint on [0, width); body reads beyond the window count as false."""
-    atoms: list[set[str]] = [set() for _ in range(width)]
+    """Fixpoint on [0, width); body reads beyond the window count as false.
+
+    Returns one int per atom, bit n set iff the atom holds at n, and the G
+    heads' obligations (atom, first point) in the order they were added.
+    Both equal those of scanning the axioms in order, each over its anchors
+    in ascending order, until a pass changes nothing.  Only the head atom
+    changes during a scan, and anchor n sees the scan's own earlier writes
+    (at n' + head shift, n' < n) only through body literals on the head atom
+    with a smaller shift than the head's: such an axiom is iterated to a
+    local fixpoint, every other literal reads the state from before the
+    scan.  A G head adds atoms only from its least firing anchor on, and
+    records an obligation only when it adds one.
+    """
+    full = (1 << width) - 1
+    masks: dict[str, int] = {}
     for a, t in data.facts:
         if t < width:
-            atoms[t].add(a)
+            masks[a] = masks.get(a, 0) | 1 << t
+    plans = []
+    for ax in axioms:
+        if any(lit.atom is None for lit in ax.body):
+            continue  # a false body literal never holds
+        head = ax.head
+        read, own = [], []
+        for lit in ax.body:
+            if not head.forall and lit.atom == head.atom and lit.shift < head.shift:
+                own.append(lit.shift)
+            else:
+                read.append((lit.atom, lit.shift))
+        plans.append((full >> ax.guard << ax.guard, read, own, head))
     obligations: list[tuple[str, int]] = []
     changed = True
     while changed:
         changed = False
-        for ax in axioms:
-            for n in range(ax.guard, width):
-                ok = True
-                for lit in ax.body:
-                    t = n + lit.shift
-                    if lit.atom is None or t >= width or lit.atom not in atoms[t]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                head = ax.head
-                if head.atom is None:
-                    raise _Bottom
-                t = n + head.shift
-                if head.forall:
-                    if all(head.atom in atoms[j] for j in range(t, width)):
-                        continue
-                    for j in range(t, width):
-                        atoms[j].add(head.atom)
-                    obligations.append((head.atom, t))
-                    changed = True
-                elif t < width and head.atom not in atoms[t]:
-                    atoms[t].add(head.atom)
-                    changed = True
-    return atoms, obligations
+        for fixed, read, own, head in plans:
+            for a, s in read:
+                fixed &= masks.get(a, 0) >> s
+            if not fixed:
+                continue
+            a, hs = head.atom, head.shift
+            if a is None:
+                raise _Bottom
+            cur = masks.get(a, 0)
+            if head.forall:
+                fire = fixed & full >> hs
+                if fire:
+                    t = (fire & -fire).bit_length() - 1 + hs
+                    new = full >> t << t
+                    if new & ~cur:
+                        masks[a] = cur | new
+                        obligations.append((a, t))
+                        changed = True
+                continue
+            start = cur
+            while True:
+                fire = fixed
+                for s in own:
+                    fire &= cur >> s
+                add = fire << hs & full & ~cur
+                if not add:
+                    break
+                cur |= add
+            if cur != start:
+                masks[a] = cur
+                changed = True
+    return masks, obligations
 
 
-def _candidates(atoms, obligations, start_at, width, hist):
-    """(m, n) pairs folding the first repeating chase states, oldest first."""
+def _candidates(masks: dict[str, int], obligations, start_at, width, hist):
+    """(m, n) pairs folding the first repeating chase states, oldest first.
+
+    A state is the atoms of the last `hist` positions up to n, as the bits of
+    each atom's mask there, plus the obligations active by n.  A window that
+    starts before position 0 is keyed by n alone, never equal to another.
+    """
     margin = 2 * hist + 2
+    end = width - margin
+    rows = tuple(masks.values())
+    low = (1 << hist) - 1
     seen: dict[tuple, int] = {}
     out = []
-    for n in range(start_at, width - margin):
-        window = tuple(
-            frozenset(atoms[j]) if j >= 0 else None for j in range(n - hist + 1, n + 1)
-        )
+    for n in range(start_at, end):
+        lo = n - hist + 1
+        window = tuple(r >> lo & low for r in rows) if lo >= 0 else n
         active = frozenset(a for a, s in obligations if s <= n)
         state = (window, active)
         m = seen.get(state)
@@ -299,15 +363,21 @@ def _candidates(atoms, obligations, start_at, width, hist):
             seen[state] = n
             continue
         p = n - m
-        if all(atoms[q] == atoms[q - p] for q in range(n, width - margin)):
+        span = (1 << end - n) - 1
+        if not any((r ^ r << p) >> n & span for r in rows):
             # also offer loop-aligned later starts; a head fired from inside
             # the prefix may need a longer handle to stay representable
             for j in range(6):
-                if n + j * p < width - margin:
+                if n + j * p < end:
                     out.append((m + j * p, n + j * p))
             if len(out) >= 4:
                 break
     return out
+
+
+def _letters(masks: dict[str, int], count: int) -> tuple[frozenset[str], ...]:
+    """The first `count` positions of a chase state, one atom set each."""
+    return tuple(frozenset(a for a, r in masks.items() if r >> j & 1) for j in range(count))
 
 
 def _folded_chase(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop):
@@ -316,6 +386,9 @@ def _folded_chase(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop)
     Returns (prefix, loop) or _INCOMPATIBLE when a single-point head fired
     from a prefix position would land inside the loop: folding would smear
     it over every loop pass, so the shape cannot represent the least model.
+    It stays on atom sets: a read that wraps round the loop sees the writes
+    of the same scan or not depending on the anchors' order, and whether a
+    prefix anchor's write into the loop is new depends on that state.
     """
     pre, per = len(prefix), len(loop)
     entries = [set(s) for s in prefix] + [set(s) for s in loop]
@@ -358,44 +431,52 @@ def _folded_chase(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop)
                         return _INCOMPATIBLE
                     entries[ft].add(head.atom)
                     changed = True
-    new_prefix = tuple(frozenset(s) for s in entries[:pre])
-    new_loop = tuple(frozenset(s) for s in entries[pre:])
-    return new_prefix, new_loop
+    # the cached models keep these letters; about 40 % of them are empty,
+    # and those share one object
+    word = tuple(frozenset(s) if s else _NO_ATOMS for s in entries)
+    return word[:pre], word[pre:]
 
 
 def _is_model(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop) -> bool:
+    """Whether the lasso holds the data and satisfies every guarded axiom."""
     pre, per = len(prefix), len(loop)
-    entries = list(prefix) + list(loop)
+    size = pre + per
+    entries = prefix + loop
 
     def fold(t: int) -> int:
-        return t if t < pre + per else pre + (t - pre) % per
-
-    def holds_from(atom: str, start: int) -> bool:
-        if any(atom not in entries[j] for j in range(pre, pre + per)):
-            return False
-        return all(atom in entries[j] for j in range(start, pre))
+        return t if t < size else pre + (t - pre) % per
 
     for a, t in data.facts:
         if a not in entries[fold(t)]:
             return False
+    masks, full, looped = _word(prefix, loop)
+    # body reads reach past the word: unroll the loop over the largest shift
+    reach = size + max((l.shift for ax in axioms for l in ax.body + (ax.head,)), default=0)
+    unrolled = {}
+    for a, r in masks.items():
+        lp, k = r >> pre, size
+        while k < reach:
+            r |= lp << k
+            k += per
+        unrolled[a] = r
     for ax in axioms:
         if ax.guard > pre:
             return False
-        for n in range(ax.guard, pre + per):
-            fires = all(
-                lit.atom is not None and lit.atom in entries[fold(n + lit.shift)]
-                for lit in ax.body
-            )
-            if not fires:
-                continue
-            head = ax.head
-            if head.atom is None:
+        fire = full >> ax.guard << ax.guard
+        for lit in ax.body:
+            fire &= 0 if lit.atom is None else unrolled.get(lit.atom, 0) >> lit.shift
+        if not fire:
+            continue
+        head = ax.head
+        if head.atom is None:
+            return False
+        if head.forall:
+            # every position from the least firing anchor's target on
+            t = (fire & -fire).bit_length() - 1 + head.shift
+            if (looped | full >> t << t) & ~masks.get(head.atom, 0):
                 return False
-            if head.forall:
-                if not holds_from(head.atom, n + head.shift):
-                    return False
-            elif head.atom not in entries[fold(n + head.shift)]:
-                return False
+        elif fire << head.shift & ~unrolled.get(head.atom, 0):
+            return False
     return True
 
 
@@ -410,11 +491,10 @@ def _least_boxfree_model(
         width = max_ts + budget
         if width <= min_prefix + 4 * hist + 8:
             width = min_prefix + 4 * hist + 8 + budget
-        atoms, obligations = _window_chase(axioms, data, width)
-        for m, n in _candidates(atoms, obligations, min_prefix, width, hist):
-            prefix = tuple(frozenset(s) for s in atoms[:m])
-            loop = tuple(frozenset(s) for s in atoms[m:n])
-            res = _folded_chase(axioms, data, prefix, loop)
+        masks, obligations = _window_chase(axioms, data, width)
+        for m, n in _candidates(masks, obligations, min_prefix, width, hist):
+            letters = _letters(masks, n)
+            res = _folded_chase(axioms, data, letters[:m], letters[m:])
             if res is _INCOMPATIBLE:
                 continue
             new_prefix, new_loop = res
@@ -449,15 +529,15 @@ def _reduce(onto: HornOntology, model) -> list[_GuardedAxiom]:
     """Replace box body literals by firing guards computed on `model`."""
     out = []
     for ax in onto.axioms:
-        exact = tuple(l for l in ax.body if not l.forall)
-        if all(not l.forall for l in ax.body):
-            out.append(_GuardedAxiom(exact, ax.head, 0))
+        if not any(l.forall for l in ax.body):
+            out.append(_GuardedAxiom(ax.body, ax.head, 0))
             continue
         if model is None:
             continue
         prefix, loop = model
         guard = _box_guard(ax, prefix, loop)
         if guard != NEVER:
+            exact = tuple(l for l in ax.body if not l.forall)
             out.append(_GuardedAxiom(exact, ax.head, max(guard, 0)))
     return out
 
@@ -471,16 +551,19 @@ def _canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel:
     hist = max(1, onto.max_shift)
     subcount = sum(1 + len(ax.body) for ax in onto.axioms)
     cap = max_ts + min(2 ** min(subcount, 10) + 4 ** min(subcount, 5), 4096) + 64
-    model = None
+    model = reduced = None
     for _ in range(4 * len(onto.axioms) * (cap + 1) + 8):
-        reduced = _reduce(onto, model)
+        guarded = _reduce(onto, model)
+        if guarded == reduced:
+            # the least model of these axioms is the one just built
+            prefix, loop = model
+            lasso = LassoModel(prefix, loop)
+            return CanonicalModel(lasso, handle=len(prefix) - max_ts, period=len(loop))
+        reduced = guarded
         try:
             prefix, loop, _, _ = _least_boxfree_model(reduced, data, hist, cap)
         except _Bottom:
             raise Inconsistent("false is derivable") from None
-        if model == (prefix, loop):
-            lasso = LassoModel(prefix, loop)
-            return CanonicalModel(lasso, handle=len(prefix) - max_ts, period=len(loop))
         model = (prefix, loop)
     raise ChaseWindowOverflow("guard iteration failed to stabilize; this indicates a bug")
 

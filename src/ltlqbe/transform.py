@@ -1,63 +1,13 @@
-"""Example-set reductions: negative splitting, pad merging, next compilation."""
+"""Example-set reductions: negative splitting, next compilation."""
 
 from __future__ import annotations
 
 from .core import DataInstance, ExampleSet
 
-PAD_B = "B"
-PAD_C = "C"
-
 
 def split_per_negative(examples: ExampleSet) -> list[ExampleSet]:
     """One singleton-negative example set per negative instance."""
     return [ExampleSet(examples.positives, (d,)) for d in examples.negatives]
-
-
-def merge_negatives_for_path_until(
-    examples: ExampleSet, pad_b: str = PAD_B, pad_c: str = PAD_C
-) -> ExampleSet:
-    """Concatenate all negatives into one, padding with fresh marker atoms.
-
-    Preserves until-path separability.  Time-0 atoms are first stripped: the
-    common time-0 atoms of the positives become an implicit rho_0 (negatives
-    missing them are already separated and are dropped).
-    """
-    if not examples.positives:
-        raise ValueError("need at least one positive example")
-    sig = examples.signature
-    if pad_b in sig or pad_c in sig:
-        raise ValueError(f"pad atoms {pad_b!r}/{pad_c!r} already occur in the signature")
-
-    rho0 = frozenset.intersection(*(d.atoms_at(0) for d in examples.positives))
-    positives = [
-        DataInstance(frozenset((a, t) for a, t in d.facts if t > 0)) for d in examples.positives
-    ]
-    negatives = [
-        DataInstance(frozenset((a, t) for a, t in d.facts if t > 0))
-        for d in examples.negatives
-        if rho0 <= d.atoms_at(0)
-    ]
-    if len(positives) == 1:
-        positives.append(positives[0])  # duplicates never change separability
-
-    m = max(d.max_timestamp for d in positives + negatives) + 2
-
-    def padded(d: DataInstance, offset: int) -> frozenset[tuple[str, int]]:
-        facts = {(a, t + offset) for a, t in d.facts}
-        facts.add((pad_b, offset))
-        facts.update((pad_c, j) for j in range(offset + 1, offset + d.max_timestamp))
-        return frozenset(facts)
-
-    new_positives = [DataInstance(padded(positives[0], 1))]
-    new_positives += [DataInstance(padded(d, m)) for d in positives[1:]]
-
-    neg_facts: set[tuple[str, int]] = set()
-    for i, d in enumerate(negatives, start=1):
-        offset = (2 * i - 1) * m
-        neg_facts.update((a, t + offset) for a, t in d.facts)
-        neg_facts.add((pad_b, offset))
-        neg_facts.update((pad_c, j) for j in range(offset + 1, 2 * i * m))
-    return ExampleSet(tuple(new_positives), (DataInstance(frozenset(neg_facts)),))
 
 
 def compile_next_to_diamond(examples: ExampleSet, sep: str = "__") -> ExampleSet:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -11,7 +13,18 @@ from conftest import (
     rand_query,
 )
 from ltlqbe import horn
-from ltlqbe.core import DataInstance, eval_data, eval_lasso, parse_query
+from ltlqbe.core import DataInstance, LassoModel, eval_data, eval_lasso, parse_query
+from ltlqbe.horn import (
+    _INCOMPATIBLE,
+    CanonicalModel,
+    ChaseWindowOverflow,
+    HornOntology,
+    Inconsistent,
+    _Bottom,
+    _folded_chase,
+    _GuardedAxiom,
+    _reduce,
+)
 
 D = DataInstance.of
 
@@ -44,6 +57,35 @@ def test_parse_reports_position():
     with pytest.raises(horn.OntologyParseError) as err:
         horn.load_ontology("A -> C\nA -> ?")
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, column", [("A -> X", 7), ("A & ", 5), ("A -> ", 6), ("A -> G X", 9), ("A", 2)]
+)
+def test_parse_reports_end_of_line_for_a_cut_off_literal(text, column):
+    with pytest.raises(horn.OntologyParseError) as err:
+        horn.load_ontology(f"B -> C\n{text}")
+    assert err.value.line == 2 and err.value.column == column - 1
+    assert f"(line 2, column {column})" in str(err.value)
+
+
+def test_ontology_hash_and_constants_are_cached_values():
+    rng = random.Random(4400)
+    for _ in range(100):
+        o = rand_horn_ontology(rng)
+        twin = HornOntology(o.axioms, o.fresh_atoms)
+        assert set(vars(o)) == {"axioms", "fresh_atoms"}  # nothing computed at parse time
+        if rng.random() < 0.5:
+            hash(o)
+        lits = [lit for ax in o.axioms for lit in ax.body + (ax.head,)]
+        assert o.atoms == frozenset(lit.atom for lit in lits if lit.atom is not None)
+        assert o.user_atoms == o.atoms - o.fresh_atoms
+        assert o.max_shift == max(lit.shift for lit in lits)
+        assert o.size_measure == sum(ax.size() for ax in o.axioms)
+        assert hash(o) == hash((o.axioms, o.fresh_atoms)) == hash(twin) and o == twin
+        assert {o: 1}[twin] == 1
+        for clone in (pickle.loads(pickle.dumps(o)), copy.copy(o), copy.deepcopy(o)):
+            assert set(vars(clone)) == {"axioms", "fresh_atoms"} and clone == o
 
 
 def test_diamond_body_rewrite():
@@ -204,3 +246,321 @@ def test_empty_ontology_matches_eval_data(seed):
         q = rand_query(rng, depth=3)
         at = rng.randrange(0, 3)
         assert horn.certain_answer(horn.EMPTY_ONTOLOGY, d, q, at) == eval_data(d, q, at)
+
+
+# ---------------------------------------------------------------------------
+# the bitmask chase against the set chase it replaced
+#
+# Verbatim copies of the set-based window chase, repetition search, model
+# check, box-free model and guard loop.  The bitmask versions must give the
+# same atoms at every position, the same obligations in the same order (they
+# decide where a stretch may fold), the same candidates and the same models.
+
+
+def _old_window_chase(axioms: list[_GuardedAxiom], data: DataInstance, width: int):
+    """Fixpoint on [0, width); body reads beyond the window count as false."""
+    atoms: list[set[str]] = [set() for _ in range(width)]
+    for a, t in data.facts:
+        if t < width:
+            atoms[t].add(a)
+    obligations: list[tuple[str, int]] = []
+    changed = True
+    while changed:
+        changed = False
+        for ax in axioms:
+            for n in range(ax.guard, width):
+                ok = True
+                for lit in ax.body:
+                    t = n + lit.shift
+                    if lit.atom is None or t >= width or lit.atom not in atoms[t]:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                head = ax.head
+                if head.atom is None:
+                    raise _Bottom
+                t = n + head.shift
+                if head.forall:
+                    if all(head.atom in atoms[j] for j in range(t, width)):
+                        continue
+                    for j in range(t, width):
+                        atoms[j].add(head.atom)
+                    obligations.append((head.atom, t))
+                    changed = True
+                elif t < width and head.atom not in atoms[t]:
+                    atoms[t].add(head.atom)
+                    changed = True
+    return atoms, obligations
+
+
+def _old_candidates(atoms, obligations, start_at, width, hist):
+    """(m, n) pairs folding the first repeating chase states, oldest first."""
+    margin = 2 * hist + 2
+    seen: dict[tuple, int] = {}
+    out = []
+    for n in range(start_at, width - margin):
+        window = tuple(
+            frozenset(atoms[j]) if j >= 0 else None for j in range(n - hist + 1, n + 1)
+        )
+        active = frozenset(a for a, s in obligations if s <= n)
+        state = (window, active)
+        m = seen.get(state)
+        if m is None:
+            seen[state] = n
+            continue
+        p = n - m
+        if all(atoms[q] == atoms[q - p] for q in range(n, width - margin)):
+            # also offer loop-aligned later starts; a head fired from inside
+            # the prefix may need a longer handle to stay representable
+            for j in range(6):
+                if n + j * p < width - margin:
+                    out.append((m + j * p, n + j * p))
+            if len(out) >= 4:
+                break
+    return out
+
+
+def _old_is_model(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop) -> bool:
+    pre, per = len(prefix), len(loop)
+    entries = list(prefix) + list(loop)
+
+    def fold(t: int) -> int:
+        return t if t < pre + per else pre + (t - pre) % per
+
+    def holds_from(atom: str, start: int) -> bool:
+        if any(atom not in entries[j] for j in range(pre, pre + per)):
+            return False
+        return all(atom in entries[j] for j in range(start, pre))
+
+    for a, t in data.facts:
+        if a not in entries[fold(t)]:
+            return False
+    for ax in axioms:
+        if ax.guard > pre:
+            return False
+        for n in range(ax.guard, pre + per):
+            fires = all(
+                lit.atom is not None and lit.atom in entries[fold(n + lit.shift)]
+                for lit in ax.body
+            )
+            if not fires:
+                continue
+            head = ax.head
+            if head.atom is None:
+                return False
+            if head.forall:
+                if not holds_from(head.atom, n + head.shift):
+                    return False
+            elif head.atom not in entries[fold(n + head.shift)]:
+                return False
+    return True
+
+
+def _old_least_boxfree_model(
+    axioms: list[_GuardedAxiom], data: DataInstance, hist: int, cap: int
+) -> tuple[tuple, tuple, int, int]:
+    """Exact least model of guarded box-free axioms, as (prefix, loop, m, p)."""
+    max_ts = data.max_timestamp
+    min_prefix = max([max_ts] + [ax.guard for ax in axioms])
+    budget = 64
+    while True:
+        width = max_ts + budget
+        if width <= min_prefix + 4 * hist + 8:
+            width = min_prefix + 4 * hist + 8 + budget
+        atoms, obligations = _old_window_chase(axioms, data, width)
+        for m, n in _old_candidates(atoms, obligations, min_prefix, width, hist):
+            prefix = tuple(frozenset(s) for s in atoms[:m])
+            loop = tuple(frozenset(s) for s in atoms[m:n])
+            res = _folded_chase(axioms, data, prefix, loop)
+            if res is _INCOMPATIBLE:
+                continue
+            new_prefix, new_loop = res
+            if _old_is_model(axioms, data, new_prefix, new_loop):
+                return new_prefix, new_loop, m, n - m
+        if width >= cap:
+            raise ChaseWindowOverflow(
+                f"no valid repetition within {width} positions; this indicates a bug"
+            )
+        budget *= 2
+
+
+def _old_canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel:
+    clash = {a for a, _ in data.facts} & onto.fresh_atoms
+    if clash:
+        raise ValueError(f"data uses atoms reserved by the F-rewrite: {sorted(clash)}")
+    max_ts = data.max_timestamp
+    hist = max(1, onto.max_shift)
+    subcount = sum(1 + len(ax.body) for ax in onto.axioms)
+    cap = max_ts + min(2 ** min(subcount, 10) + 4 ** min(subcount, 5), 4096) + 64
+    model = None
+    for _ in range(4 * len(onto.axioms) * (cap + 1) + 8):
+        reduced = _reduce(onto, model)
+        try:
+            prefix, loop, _, _ = _old_least_boxfree_model(reduced, data, hist, cap)
+        except _Bottom:
+            raise Inconsistent("false is derivable") from None
+        if model == (prefix, loop):
+            lasso = LassoModel(prefix, loop)
+            return CanonicalModel(lasso, handle=len(prefix) - max_ts, period=len(loop))
+        model = (prefix, loop)
+    raise ChaseWindowOverflow("guard iteration failed to stabilize; this indicates a bug")
+
+
+def _rand_guarded_axioms(rng: random.Random, atoms=("A", "B", "C")) -> list:
+    def lit() -> horn.HornLiteral:
+        atom = None if rng.random() < 0.06 else rng.choice(atoms)
+        return horn.HornLiteral(rng.randrange(0, 4), False, atom)
+
+    out = []
+    for _ in range(rng.randrange(1, 6)):
+        head = lit()
+        head = horn.HornLiteral(head.shift, rng.random() < 0.3, head.atom)
+        body = [lit() for _ in range(rng.randrange(0, 4))]
+        if head.atom is not None and rng.random() < 0.4:
+            # a body literal on the head atom, at or before the head's shift
+            body.append(horn.HornLiteral(rng.randrange(0, head.shift + 1), False, head.atom))
+        rng.shuffle(body)
+        guard = 0 if rng.random() < 0.6 else rng.randrange(1, 6)
+        out.append(_GuardedAxiom(tuple(body), head, guard))
+    return out
+
+
+def _rand_data(rng: random.Random, atoms=("A", "B", "C"), max_ts=6) -> DataInstance:
+    return D([(rng.choice(atoms), rng.randrange(0, max_ts + 1)) for _ in range(rng.randrange(1, 5))])
+
+
+def _chases(axioms, data, width):
+    """(old, new) window chases as (letters, obligations), or 'bottom'."""
+    try:
+        atoms, obligations = _old_window_chase(axioms, data, width)
+        old = ([frozenset(s) for s in atoms], obligations)
+    except _Bottom:
+        old = "bottom"
+    try:
+        masks, obligations = horn._window_chase(axioms, data, width)
+        new = (list(horn._letters(masks, width)), obligations)
+    except _Bottom:
+        new = "bottom"
+    return old, new
+
+
+def _assert_same_chase(axioms, data, width, hists=(1, 2, 3)):
+    old, new = _chases(axioms, data, width)
+    assert new == old, (axioms, sorted(data.facts), width)
+    if old == "bottom":
+        return
+    atoms, obligations = _old_window_chase(axioms, data, width)
+    masks, _ = horn._window_chase(axioms, data, width)
+    start = max([data.max_timestamp] + [ax.guard for ax in axioms])
+    for hist in hists:
+        for start_at in (0, start):
+            assert horn._candidates(masks, obligations, start_at, width, hist) == _old_candidates(
+                atoms, obligations, start_at, width, hist
+            ), (axioms, sorted(data.facts), width, hist, start_at)
+
+
+def test_chase_replays_own_writes_of_a_scan():
+    # B -> X B fills B over the whole window in one ascending scan, so the
+    # second pass of X B -> G A adds nothing; firing every anchor at once
+    # would leave B at 2 unset for a pass and record a second obligation
+    o = horn.load_ontology("X B -> G A\nB -> X B\nB -> A")
+    axioms = _reduce(o, None)
+    d = D([("B", 0), ("B", 3)])
+    atoms, obligations = _old_window_chase(axioms, d, 67)
+    assert obligations == [("A", 3)]
+    _assert_same_chase(axioms, d, 67)
+
+
+@pytest.mark.parametrize("text", ["A -> X X A", "A -> X X X A", "X X A -> A"])
+def test_window_key_before_position_zero(text):
+    # one atom and hist >= 2: windows reaching before 0 must not match a
+    # full window whose first positions are empty
+    o = horn.load_ontology(text)
+    axioms = _reduce(o, None)
+    for d in (D([("A", 0)]), D([("A", 1)]), D([("A", 0), ("A", 1)])):
+        _assert_same_chase(axioms, d, 64, hists=(o.max_shift,))
+        atoms, obligations = _old_window_chase(axioms, d, 64)
+        assert _old_candidates(atoms, obligations, 0, 64, o.max_shift)
+
+
+def test_mask_chase_equals_set_chase_on_random_guarded_axioms():
+    rng = random.Random(44000)
+    kinds = {"G head": 0, "own literal": 0, "false head": 0, "false body": 0, "guard": 0, "bottom": 0}
+    for _ in range(400):
+        axioms = _rand_guarded_axioms(rng)
+        data = _rand_data(rng)
+        width = rng.randrange(12, 90)
+        _assert_same_chase(axioms, data, width)
+        for ax in axioms:
+            kinds["G head"] += ax.head.forall
+            kinds["own literal"] += any(
+                l.atom == ax.head.atom and l.shift < ax.head.shift for l in ax.body
+            ) and not ax.head.forall
+            kinds["false head"] += ax.head.atom is None
+            kinds["false body"] += any(l.atom is None for l in ax.body)
+            kinds["guard"] += ax.guard > 0
+        kinds["bottom"] += _chases(axioms, data, width)[0] == "bottom"
+    assert all(count >= 20 for count in kinds.values()), kinds
+
+
+def test_mask_chase_equals_set_chase_on_reduced_ontologies():
+    # X, G and F bodies, G and false heads, as the guard rounds see them
+    rng = random.Random(45000)
+    for _ in range(150):
+        o = rand_horn_ontology(rng, atoms=("A", "B", "C"), max_axioms=4)
+        d = rand_instance(rng, atoms=("A", "B", "C"), max_ts=4)
+        models = [None]
+        try:
+            cm = horn.canonical_model(o, d)
+            models.append((cm.lasso.prefix, cm.lasso.loop))
+        except Inconsistent:
+            pass
+        for model in models:
+            axioms = _reduce(o, model)
+            for width in (d.max_timestamp + 64, 40):
+                _assert_same_chase(axioms, d, width, hists=(max(1, o.max_shift),))
+
+
+def test_mask_model_check_equals_set_model_check():
+    rng = random.Random(46000)
+    verdicts = set()
+    for _ in range(600):
+        axioms = _rand_guarded_axioms(rng, atoms=("A", "B"))
+        data = _rand_data(rng, atoms=("A", "B"), max_ts=3)
+
+        def letter():
+            return frozenset(a for a in ("A", "B") if rng.random() < 0.7)
+
+        prefix = tuple(letter() for _ in range(rng.randrange(data.max_timestamp + 1, 8)))
+        loop = tuple(letter() for _ in range(rng.randrange(1, 4)))
+        got = horn._is_model(axioms, data, prefix, loop)
+        assert got == _old_is_model(axioms, data, prefix, loop), (axioms, prefix, loop)
+        verdicts.add(got)
+        try:
+            res = _folded_chase(axioms, data, prefix, loop)
+        except _Bottom:
+            continue
+        if res is not _INCOMPATIBLE:
+            assert horn._is_model(axioms, data, *res) == _old_is_model(axioms, data, *res)
+    assert verdicts == {True, False}
+
+
+def _outcome(build, onto, data):
+    try:
+        return build(onto, data)
+    except Inconsistent:
+        return "inconsistent"
+
+
+def test_canonical_model_equals_set_guard_loop():
+    rng = random.Random(47000)
+    outcomes = set()
+    for _ in range(300):
+        o = rand_horn_ontology(rng, atoms=("A", "B", "C"), max_axioms=4)
+        d = rand_instance(rng, atoms=("A", "B", "C"), max_ts=4)
+        old = _outcome(_old_canonical_model, o, d)
+        new = _outcome(horn._canonical_model.__wrapped__, o, d)
+        assert new == old, (o.axioms, sorted(d.facts))
+        outcomes.add(type(new))
+    assert outcomes == {str, CanonicalModel}
