@@ -543,7 +543,9 @@ def _reduce(onto: HornOntology, model) -> list[_GuardedAxiom]:
 
 
 @lru_cache(maxsize=4096)
-def _canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel:
+def _canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel | None:
+    """The least model, or None when (onto, data) has none, so that this
+    outcome is cached too (`lru_cache` keeps no exceptions)."""
     clash = {a for a, _ in data.facts} & onto.fresh_atoms
     if clash:
         raise ValueError(f"data uses atoms reserved by the F-rewrite: {sorted(clash)}")
@@ -563,14 +565,17 @@ def _canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel:
         try:
             prefix, loop, _, _ = _least_boxfree_model(reduced, data, hist, cap)
         except _Bottom:
-            raise Inconsistent("false is derivable") from None
+            return None
         model = (prefix, loop)
     raise ChaseWindowOverflow("guard iteration failed to stabilize; this indicates a bug")
 
 
 def canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel:
     """Least model of (onto, data) as a lasso; raises Inconsistent when none."""
-    return _canonical_model(onto, data)
+    cm = _canonical_model(onto, data)
+    if cm is None:
+        raise Inconsistent("false is derivable")
+    return cm
 
 
 def consistent(onto: HornOntology, data: DataInstance) -> bool:

@@ -11,6 +11,7 @@ from collections import OrderedDict, deque, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 import itertools
+from operator import le
 
 from .core import (
     And,
@@ -158,8 +159,14 @@ def _drop_inconsistent(p: Problem) -> tuple[ExampleSet, Verdict | None, str | No
 # Breadth-first search for the diamond path classes over lasso words
 
 
+@lru_cache(maxsize=64)
+def data_lasso(d: DataInstance) -> LassoModel:
+    """d's own word (`LassoModel.of_data`), built once per instance."""
+    return LassoModel.of_data(d)
+
+
 def data_lassos(e: ExampleSet) -> list[LassoModel]:
-    return [LassoModel.of_data(d) for d in e.instances]
+    return [data_lasso(d) for d in e.instances]
 
 
 def dp_path(
@@ -187,6 +194,20 @@ def dp_path(
     on its positions only up to k: nodes store them clamped at k.  Each
     block, each node's list of moves and each negative's advance over a move
     is computed once per call.
+
+    A node's list holds only its non-dominated moves.  A move's slots alone
+    fix each negative's advance and whether the move accepts; its ends only
+    bound the anchors of later moves, which lie beyond them.  So the list
+    drops a move when an earlier one in it has the same slots and ends that
+    are nowhere larger.  In particular each positive anchors a block of width
+    c only at the first position past its end with that window of c + 1
+    letters: a later position gives the same slots, larger ends and a later
+    anchor vector.  The earlier move's successor is stored first and can make
+    every move the dropped one's could, with the same outcome, so a node
+    reached only through dropped moves would store nothing new and accept
+    nothing.  The search therefore stores the other nodes in the same order,
+    from the same parents, and returns the same verdict and witness; only
+    fewer nodes count against node_cap.
     """
     if cls not in PATH_CLASSES:
         raise ValueError(f"dp_path does not handle {cls}")
@@ -205,11 +226,8 @@ def dp_path(
     rows = [(m.prefix + m.loop * (horizon // m.per + 1))[: horizon + 1] for m in models]
     pos_letters, neg_letters = rows[:npos], rows[npos:]
 
-    # A move attaches the block of width c at some anchors: (slots, next
-    # clamped ends, last slot nonempty, steps, advances).  steps maps a node's
-    # clamped negative positions to its (successor, accepts) under the move,
-    # advances maps (negative, clamped position) to that negative's next one.
-    # chains: anchors -> [(slots, move or None if the move is barred)] by width c
+    # chains: anchors -> [(slots, clamped ends, or None if the block is barred)]
+    # by width c
     chains: dict = {}
 
     def extend(chain: list, anchors: tuple[int, ...], c: int) -> None:
@@ -226,12 +244,34 @@ def dp_path(
                 all_top and (not allow_empty_blocks or t > 0 and not anchored)
                 or require_nonempty and not all(slots)
             )
-            move = None
-            if not barred:
-                shift = t if anchored else 0
-                move = (slots, tuple(min(a + shift, k) for a in anchors), bool(rho), {}, {})
-            chain.append((slots, move))
+            shift = t if anchored else 0
+            chain.append((slots, None if barred else tuple(min(a + shift, k) for a in anchors)))
 
+    # prevs[c][i][a]: the last anchor before a, or 0, whose window of c + 1
+    # letters of positive i equals a's; a comes first in (x, top] with its
+    # window iff that one is at most x
+    prevs: list = []
+
+    def window_prevs(c: int) -> list:
+        while len(prevs) <= c:
+            width = len(prevs) + 1
+            layer = []
+            for row in pos_letters:
+                seen: dict = {}
+                prev = [0] * (top + 1)
+                for a in range(1, top + 1):
+                    window = row[a : a + width]
+                    prev[a] = seen.get(window, 0)
+                    seen[window] = a
+                layer.append(prev)
+            prevs.append(layer)
+        return prevs[c]
+
+    # (slots, clamped ends) -> its move: (slots, ends, last slot nonempty,
+    # steps, advances).  steps maps a node's clamped negative positions to
+    # its (successor, accepts) under the move, advances maps (negative,
+    # clamped position) to that negative's next one.
+    made: dict = {}
     # clamped ends -> the moves open to a node, listed as the search first walks them
     tables: dict = {}
 
@@ -241,18 +281,29 @@ def dp_path(
 
     def _fill_table(ends):
         table = []
-        vecs = [
-            (anchors, chains.setdefault(anchors, []))
-            for anchors in itertools.product(*(range(x + 1, top + 1) for x in ends))
-        ]
         for c in c_range:
-            for anchors, chain in vecs:
+            kept: dict = {}  # slots -> the ends of this width's moves kept with them
+            firsts = [
+                [a for a in range(x + 1, top + 1) if prev[a] <= x]
+                for prev, x in zip(window_prevs(c), ends)
+            ]
+            for anchors in itertools.product(*firsts):
+                chain = chains.setdefault(anchors, [])
                 if len(chain) <= c:
                     extend(chain, anchors, c)
-                move = chain[c][1]
-                if move is not None:
-                    table.append(move)
-                    yield move
+                key = chain[c]
+                slots, new_ends = key
+                if new_ends is None:
+                    continue
+                others = kept.setdefault(slots, [])
+                if any(all(map(le, old, new_ends)) for old in others):
+                    continue
+                others.append(new_ends)
+                move = made.get(key)
+                if move is None:
+                    move = made[key] = (slots, new_ends, bool(slots[-1]), {}, {})
+                table.append(move)
+                yield move
         tables[ends] = table
 
     def step(move, negs):

@@ -1,5 +1,7 @@
+from collections import deque
 import hashlib
 import importlib
+import itertools
 import os
 import pkgutil
 import random
@@ -14,6 +16,8 @@ from ltlqbe import horn, prior
 from ltlqbe.core import (
     DataInstance,
     ExampleSet,
+    LassoModel,
+    Query,
     QueryClass,
     classify,
     parse_query,
@@ -28,6 +32,7 @@ from ltlqbe.qbe import (
     UnsupportedProblem,
     Verdict,
     WitnessError,
+    _blocks_to_query,
     data_lassos,
     decide,
     decide_until_family,
@@ -98,6 +103,248 @@ def test_dp_path_node_cap_counts_every_insertion():
         dp_path(e, data_lassos(e), QueryClass.PATH_DIAMOND, node_cap=1)
     v = dp_path(e, data_lassos(e), QueryClass.PATH_DIAMOND, node_cap=2)
     assert v.separable and str(v.witness) == "F B"
+
+
+# dp_path as it was before it dropped dominated moves, verbatim but for its
+# name: the reference that the new search must match, verdict and witness
+
+
+def _old_dp_path(
+    e: ExampleSet,
+    models: list[LassoModel],
+    cls: QueryClass,
+    node_cap: int = 300_000,
+    require_nonempty: bool = False,
+    max_blocks: int | None = None,
+    allow_empty_blocks: bool = False,
+    max_anchor_c: int | None = None,
+) -> Verdict:
+    """Decide diamond-path separability over per-instance certain-truth words.
+
+    A search node holds, per positive, the position its last block occupies
+    and, per negative, the least position a matching assignment can occupy
+    (None once no assignment survives).  Moves attach one more block: a
+    diamond jump to fresh anchors plus a run of next-steps; each slot's
+    conjunction is the intersection of the positive letters there, the
+    strongest choice, which dominates every alternative.  The words are the
+    data's own (`data_lassos`) or the canonical-model lassos of a Horn
+    ontology (`horn_diamond_search`).
+
+    Every word is periodic from position k on, so a node's successors depend
+    on its positions only up to k: nodes store them clamped at k.  Each
+    block, each node's list of moves and each negative's advance over a move
+    is computed once per call.
+    """
+    if cls not in PATH_CLASSES:
+        raise ValueError(f"dp_path does not handle {cls}")
+    npos = len(e.positives)
+    nneg = len(models) - npos
+    k = max((m.pre for m in models), default=1)
+    m_budget = 1
+    for mm in models:
+        m_budget *= mm.per
+    top = k + m_budget
+    c_range = range(0, top + 1) if cls is not QueryClass.PATH_DIAMOND else range(0, 1)
+    anchored = cls is QueryClass.PATH_NEXT_DIAMOND  # Eq-1 chains: blocks may not overlap
+    block_limit = max_blocks if max_blocks is not None else k + nneg + 2
+
+    horizon = 2 * top + 2
+    rows = [(m.prefix + m.loop * (horizon // m.per + 1))[: horizon + 1] for m in models]
+    pos_letters, neg_letters = rows[:npos], rows[npos:]
+
+    # A move attaches the block of width c at some anchors: (slots, next
+    # clamped ends, last slot nonempty, steps, advances).  steps maps a node's
+    # clamped negative positions to its (successor, accepts) under the move,
+    # advances maps (negative, clamped position) to that negative's next one.
+    # chains: anchors -> [(slots, move or None if the move is barred)] by width c
+    chains: dict = {}
+
+    def extend(chain: list, anchors: tuple[int, ...], c: int) -> None:
+        while len(chain) <= c:
+            t = len(chain)
+            rho = None
+            for letters, a in zip(pos_letters, anchors):
+                rho = letters[a + t] if rho is None else rho & letters[a + t]
+            slots = (chain[-1][0] if chain else ()) + (rho or frozenset(),)
+            # a diamond step may not land on an all-top block, and an all-top
+            # run that does not move the block's end adds nothing over c=0
+            all_top = not any(slots)
+            barred = (
+                all_top and (not allow_empty_blocks or t > 0 and not anchored)
+                or require_nonempty and not all(slots)
+            )
+            move = None
+            if not barred:
+                shift = t if anchored else 0
+                move = (slots, tuple(min(a + shift, k) for a in anchors), bool(rho), {}, {})
+            chain.append((slots, move))
+
+    # clamped ends -> the moves open to a node, listed as the search first walks them
+    tables: dict = {}
+
+    def moves(ends):
+        table = tables.get(ends)
+        return table if table is not None else _fill_table(ends)
+
+    def _fill_table(ends):
+        table = []
+        vecs = [
+            (anchors, chains.setdefault(anchors, []))
+            for anchors in itertools.product(*(range(x + 1, top + 1) for x in ends))
+        ]
+        for c in c_range:
+            for anchors, chain in vecs:
+                if len(chain) <= c:
+                    extend(chain, anchors, c)
+                move = chain[c][1]
+                if move is not None:
+                    table.append(move)
+                    yield move
+        tables[ends] = table
+
+    def step(move, negs):
+        slots, new_ends, last, steps, advances = move
+        new_negs = []
+        for j, p in enumerate(negs):
+            if p is not None:
+                if (j, p) not in advances:
+                    advances[j, p] = neg_advance(j, p, slots)
+                p = advances[j, p]
+            new_negs.append(p)
+        result = steps[negs] = (
+            (new_ends, tuple(new_negs)),
+            last and all(x is None for x in new_negs),
+        )
+        return result
+
+    def neg_advance(j: int, prev: int, slots) -> int | None:
+        c = len(slots) - 1
+        row = neg_letters[j]
+        need = [(t, s) for t, s in enumerate(slots) if s]
+        for b in range(prev + 1, top + 1):
+            if all(s <= row[b + t] for t, s in need):
+                return min(b + c if anchored else b, k)
+        return None
+
+    parents: dict = {}
+    queue: deque = deque()
+
+    def push(node, prev, slots, depth: int) -> None:
+        parents[node] = (prev, slots)
+        if len(parents) > node_cap:
+            raise ResourceCap(f"dp_path exceeded {node_cap} nodes")
+        queue.append((node, depth))
+
+    def witness(node, slots) -> Query:
+        blocks = [slots]
+        while node is not None:
+            node, slots = parents[node]
+            blocks.append(slots)
+        blocks.reverse()
+        return _blocks_to_query(blocks, cls)
+
+    anchor_range = c_range if max_anchor_c is None else range(0, max_anchor_c + 1)
+    zero = (0,) * npos
+    for c in anchor_range:
+        chain = chains.setdefault(zero, [])
+        extend(chain, zero, c)
+        slots = chain[c][0]
+        start = min(c, k) if anchored else 0
+        negs = tuple(
+            start if all(s <= row[t] for t, s in enumerate(slots)) else None
+            for row in neg_letters
+        )
+        if all(x is None for x in negs) and slots[-1]:
+            return Verdict(True, witness(None, slots))
+        node = ((start,) * npos, negs)
+        if node not in parents:
+            push(node, None, slots, 0)
+    while queue:
+        node, depth = queue.popleft()
+        if depth >= block_limit:
+            continue
+        ends, negs = node
+        for move in moves(ends):
+            nxt, accept = move[3].get(negs) or step(move, negs)
+            if accept:
+                return Verdict(True, witness(node, move[0]))
+            if nxt not in parents:
+                push(nxt, node, move[0], depth + 1)
+    return Verdict(False)
+
+
+def _search_outcome(search, e, models, cls, options):
+    try:
+        v = search(e, models, cls, **options)
+    except ResourceCap:
+        return "cap"
+    return v.separable, v.witness, str(v.witness)
+
+
+# every flag combination, and the settings of `ltlqbe from-words` blocks mode
+_DP_OPTIONS = [
+    {"allow_empty_blocks": empty, "require_nonempty": nonempty}
+    for empty in (False, True)
+    for nonempty in (False, True)
+] + [{"require_nonempty": True, "max_blocks": 1, "max_anchor_c": 0}]
+
+
+def _assert_dp_path_equals_old(e, models, verdicts: set) -> None:
+    for cls in PATH_CLASSES:
+        for options in _DP_OPTIONS:
+            old = _search_outcome(_old_dp_path, e, models, cls, options)
+            new = _search_outcome(dp_path, e, models, cls, options)
+            assert new == old, (cls, options, e)
+            verdicts.add(old[0])
+
+
+def test_dp_path_equals_old_on_plain_sets():
+    verdicts: set = set()
+    for seed in range(150):
+        e = rand_example_set(random.Random(48000 + seed), max_ts=4, max_pos=3, max_neg=3)
+        _assert_dp_path_equals_old(e, data_lassos(e), verdicts)
+    assert verdicts == {True, False}
+
+
+def _cycling_ontology(rng):
+    """Axioms `P -> X^j Q`, whose canonical lassos often loop with period > 1."""
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        head = "X " * rng.randint(1, 3) + rng.choice("AB")
+        lines.append(f"{rng.choice('AB')} -> {head}")
+    return horn.load_ontology("\n".join(lines))
+
+
+def test_dp_path_equals_old_on_horn_lassos_with_long_loops():
+    verdicts: set = set()
+    checked = 0
+    for seed in range(150):
+        rng = random.Random(49000 + seed)
+        onto = _cycling_ontology(rng)
+        e = rand_example_set(rng, max_ts=3, max_pos=2, max_neg=1)
+        sig = e.signature | onto.user_atoms
+        models = [horn.canonical_model(onto, d).lasso.project(sig) for d in e.instances]
+        if max(m.per for m in models) < 2:
+            continue
+        checked += 1
+        _assert_dp_path_equals_old(e, models, verdicts)
+    assert checked >= 40 and verdicts == {True, False}
+
+
+def test_dp_path_walks_only_non_dominated_moves():
+    # the search before dropping dominated moves stores 15 nodes on this
+    # not-separable set; dropping them leaves 7
+    e = ex(
+        [[("A", 1), ("A", 2)], [("A", 1), ("A", 3), ("B", 0), ("B", 2)]],
+        [[("A", 1), ("A", 2), ("B", 0), ("C", 0)]],
+    )
+    cls = QueryClass.PATH_NEXT_DIAMOND
+    with pytest.raises(ResourceCap):
+        _old_dp_path(e, data_lassos(e), cls, node_cap=14)
+    assert not _old_dp_path(e, data_lassos(e), cls, node_cap=15).separable
+    with pytest.raises(ResourceCap):
+        dp_path(e, data_lassos(e), cls, node_cap=6)
+    assert not dp_path(e, data_lassos(e), cls, node_cap=7).separable
 
 
 # sha256 over the verdicts and witnesses below, recorded before dp_path
