@@ -190,6 +190,8 @@ def _cmd_canonical(args) -> int:
         onto = horn.EMPTY_ONTOLOGY
     d = load_data_instance(args.data)
     _check_reserved(onto, [d])
+    if args.window is not None and args.window < 0:
+        raise InputError(f"negative window {args.window}")
     cm = horn.canonical_model(onto, d)
     window = args.window if args.window is not None else cm.horizon
     out = {
@@ -208,27 +210,31 @@ def words_example_set(positives: list[str], negatives: list[str]) -> ExampleSet:
     """Words become instances: 1-based position i carries the letter atom."""
 
     def of_word(w: str) -> DataInstance:
-        return DataInstance.of((ch, i) for i, ch in enumerate(w, start=1))
+        try:
+            return DataInstance.of((ch, i) for i, ch in enumerate(w, start=1))
+        except ValueError as ex:
+            raise InputError(f"word {w!r}: {ex}") from ex
 
     return ExampleSet.of([of_word(w) for w in positives], [of_word(w) for w in negatives])
 
 
 def _cmd_from_words(args) -> int:
-    from .qbe import dp_path, data_lassos
+    from .qbe import data_lasso, dp_path
 
     positives = [w for w in args.positives.split(",") if w]
     negatives = [w for w in args.negatives.split(",") if w] if args.negatives else []
     if not positives:
         raise InputError("need at least one positive word")
     e = words_example_set(positives, negatives)
+    models = [data_lasso(d) for d in e.instances]
     if args.mode == "subsequence":
         verdict = dp_path(
-            e, data_lassos(e), QueryClass.PATH_DIAMOND, require_nonempty=True
+            e, models, QueryClass.PATH_DIAMOND, require_nonempty=True
         )
     else:
         verdict = dp_path(
             e,
-            data_lassos(e),
+            models,
             QueryClass.PATH_DIAMOND_CIRC_BLOCKS,
             require_nonempty=True,
             max_blocks=1,

@@ -34,21 +34,20 @@ from .core import (
 )
 from .horn import HornOntology, Inconsistent, canonical_model, certain_answer, consistent
 from .prior import PriorOntology, prior_consistent, prior_entails
-from .represent import _data_word, repr_horn, repr_horn_br, repr_plain, repr_plain_br
+from .represent import _data_word, letter_masks, letter_table, repr_horn, repr_horn_br, repr_plain, repr_plain_br
 from .tsys import (
     BLACK,
     BOT,
     RED,
     Run,
+    TransitionSystem,
     Tree,
     bisim_quotient,
     disjoint_union,
     failing_run,
     failing_subtree_of_union,
-    pack,
     product,
     prune_dominated_edges,
-    unpack,
 )
 from . import transform
 
@@ -165,10 +164,6 @@ def data_lasso(d: DataInstance) -> LassoModel:
     return LassoModel.of_data(d)
 
 
-def data_lassos(e: ExampleSet) -> list[LassoModel]:
-    return [data_lasso(d) for d in e.instances]
-
-
 def dp_path(
     e: ExampleSet,
     models: list[LassoModel],
@@ -187,7 +182,7 @@ def dp_path(
     diamond jump to fresh anchors plus a run of next-steps; each slot's
     conjunction is the intersection of the positive letters there, the
     strongest choice, which dominates every alternative.  The words are the
-    data's own (`data_lassos`) or the canonical-model lassos of a Horn
+    data's own (`data_lasso`) or the canonical-model lassos of a Horn
     ontology (`horn_diamond_search`).
 
     Every word is periodic from position k on, so a node's successors depend
@@ -445,7 +440,7 @@ class _Store:
         self.hits = self.misses = 0
 
 
-# (form, letters, prefix length, *letter masks) -> a packed reduced system
+# (form, letters, prefix length, *letter masks) -> a reduced system
 _instance_systems = _Store(maxsize=4096)
 
 
@@ -460,34 +455,32 @@ def _system_key(onto: HornOntology | None, d: DataInstance, sig: frozenset[str],
     black/red builder reads its tail form off the whole loop, so the form
     takes it from there too.
     """
-    letters = (*sorted(sig), BOT)
+    letters = letter_table(sig)
     word = _data_word(d, sig)[0] if onto is None else canonical_model(onto, d).lasso
     if not black_red:
         form = "positions"
     else:
         form = "black/red wrap" if any(word.loop) else "black/red z-tail"
-    masks = (sum(1 << i for i, a in enumerate(letters) if a in x) for x in word.prefix + word.loop)
-    return (form, letters, word.pre, *masks)
+    return (form, letters, word.pre, *letter_masks(word, letters))
 
 
-def _reduced_system(onto: HornOntology | None, d: DataInstance, sig: frozenset[str], black_red: bool):
+def _reduced_system(
+    onto: HornOntology | None, d: DataInstance, sig: frozenset[str], black_red: bool
+) -> TransitionSystem:
     """`prune_dominated_edges(bisim_quotient(build))` of d's position or
     black/red system over `sig`, from `_instance_systems`.
 
-    The entry is unpacked on every use, misses included, so a hit and a miss
-    give out the same system, with states 0..n-1 in the built list order.
+    Systems are immutable, so a hit gives out the stored system itself.
     """
-    key = _system_key(onto, d, sig, black_red)
-    letters = key[1]
 
-    def build() -> tuple:
+    def build() -> TransitionSystem:
         if onto is None:
             ts = repr_plain_br(d, sig) if black_red else repr_plain(d, sig)
         else:
             ts = repr_horn_br(onto, d, sig) if black_red else repr_horn(onto, d, sig)
-        return pack(prune_dominated_edges(bisim_quotient(ts)), letters)
+        return prune_dominated_edges(bisim_quotient(ts))
 
-    return unpack(_instance_systems.get(key, build), letters)
+    return _instance_systems.get(_system_key(onto, d, sig, black_red), build)
 
 
 @lru_cache(maxsize=4)
@@ -498,14 +491,14 @@ def _until_systems(e: ExampleSet, onto: HornOntology | None, black_red: bool):
     `_instance_systems` (`_reduced_system`): plain data and every Horn
     ontology that give the same lasso word share one entry, across example
     sets, and only a miss builds.  path-until and simple-until build the
-    same pair, so it is cached per example set; callers must not change the
-    systems.  A set's classes are decided one after another, so a few
-    entries suffice.
+    same pair, so it is cached per example set; the systems are immutable,
+    so the callers share them.  A set's classes are decided one after
+    another, so a few entries suffice.
     """
     sig = e.signature | (onto.user_atoms if onto is not None else frozenset())
     pos = [_reduced_system(onto, d, sig, black_red) for d in e.positives]
     neg = [_reduced_system(onto, d, sig, black_red) for d in e.negatives]
-    prod = bisim_quotient(product(pos, reachable_only=True))
+    prod = bisim_quotient(product(pos))
     return prod, tuple(neg)
 
 
@@ -660,7 +653,8 @@ def decide(p: Problem) -> Verdict:
 
 def _path_search(onto, e: ExampleSet, cls: QueryClass, allow_empty_blocks: bool = False) -> Verdict:
     if onto is None:
-        return dp_path(e, data_lassos(e), cls, allow_empty_blocks=allow_empty_blocks)
+        models = [data_lasso(d) for d in e.instances]
+        return dp_path(e, models, cls, allow_empty_blocks=allow_empty_blocks)
     if isinstance(onto, HornOntology):
         return horn_diamond_search(onto, e, cls, allow_empty_blocks)
     return prior_path_search(onto, e, cls, allow_empty_blocks=allow_empty_blocks)

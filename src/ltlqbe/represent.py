@@ -15,16 +15,19 @@ from bisect import bisect_left
 
 from .core import DataInstance, LassoModel
 from .horn import HornOntology, canonical_model
-from .tsys import BLACK, BOT, RED, Edge, TransitionSystem
+from .tsys import BOT, TransitionSystem
 
 
-def _label(points, letters, sigma_bot: frozenset[str]) -> frozenset[str]:
-    """Atoms (and BOT) holding at every point; all of them when no point."""
-    pts = list(points)
-    if not pts:
-        return sigma_bot
-    out = set.intersection(*(set(letters(p)) for p in pts))
-    return frozenset(out & sigma_bot)
+def letter_table(sig: frozenset[str]) -> tuple[str, ...]:
+    """The letters a system over `sig` labels with: the sorted atoms, then BOT."""
+    return (*sorted(sig), BOT)
+
+
+def letter_masks(word: LassoModel, letters: tuple[str, ...]) -> list[int]:
+    """The word's prefix and loop letters as masks, bit i for letters[i];
+    atoms outside the table are ignored."""
+    bit = {a: 1 << i for i, a in enumerate(letters)}
+    return [sum(bit.get(a, 0) for a in x) for x in word.prefix + word.loop]
 
 
 def _data_word(d: DataInstance, sig: frozenset[str]):
@@ -41,22 +44,29 @@ def _horn_word(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None):
 
 
 def _positions(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
-    """Positions 0..pre+per-1 with all forward jumps and the loop's wraps."""
-    sigma_bot = sig | {BOT}
-    letters = word.letter
+    """Positions 0..pre+per-1 with all forward jumps and the loop's wraps.
+
+    An edge's label is the AND of the masks of the positions it jumps over,
+    all bits when it jumps over none."""
+    letters = letter_table(sig)
+    full = (1 << len(letters)) - 1
+    masks = letter_masks(word, letters)
     m_start = word.pre
-    total = m_start + word.per
-    states = list(range(total))
-    labels = {n: letters(n) & sig for n in states}
+    total = len(masks)
     edges = []
     for n in range(total):
+        gap = full
         for m in range(n + 1, total):
-            edges.append(Edge(n, m, _label(range(n + 1, m), letters, sigma_bot)))
+            edges.append((n, m, gap, 0))
+            gap &= masks[m]
     for n in range(m_start, total):
+        gap = full
+        for p in range(n + 1, total):
+            gap &= masks[p]
         for m in range(m_start, n + 1):
-            points = list(range(n + 1, total)) + list(range(m_start, m))
-            edges.append(Edge(n, m, _label(points, letters, sigma_bot)))
-    return TransitionSystem(states, [0], labels, edges)
+            edges.append((n, m, gap, 0))
+            gap &= masks[m]
+    return TransitionSystem(letters, (0,), tuple(masks), tuple(edges))
 
 
 def repr_plain(d: DataInstance, sig: frozenset[str]) -> TransitionSystem:
@@ -128,9 +138,7 @@ def nabla(dset: frozenset[int], eset: frozenset[int]) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Black/red systems
 
-_ORIGIN = ("0",)
-_Z = ("z",)
-_U = ("u",)
+_ORIGIN, _U, _Z = 0, 1, 2  # the z state exists in the z-tail form only
 
 
 def _successor_sets(points: list[int], n_positions: int, wrap_start: int):
@@ -179,75 +187,77 @@ def _successor_sets(points: list[int], n_positions: int, wrap_start: int):
 def _build_br(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
     """Worklist construction of the two-colored system from the calculus.
 
-    States are ("p", phi_set, psi_set); black edges advance the psi side,
-    red edges the phi side.  The successors of a point set D are the E with
-    D lessdot_mp E, positions at or after word.pre being periodic; since the
+    States are the origin, u, z and the (phi_set, psi_set) pairs, numbered
+    in the order they are met; black edges advance the psi side, red edges
+    the phi side.  The successors of a point set D are the E with D
+    lessdot_mp E, positions at or after word.pre being periodic; since the
     successor map takes D onto E, |E| <= |D|.  Each point set's successor
-    list is built once per system.
+    list is built once per system.  A label is the AND of its points'
+    masks, all bits when there is no point.
 
     The tail form is read off the word.  A loop of empty letters is the empty
     tail: the positions are the prefix's, the periodic zone is empty (plain
     lessdot), and state z stands for every later position.  Any other loop
     wraps: the positions are the prefix's and the loop's, and no z is made.
     """
-    sigma_bot = sig | {BOT}
-    letters = word.letter
+    letters = letter_table(sig)
+    full = (1 << len(letters)) - 1
+    masks = letter_masks(word, letters)
     wrap_start = word.pre
     with_z = not any(word.loop)
     n_positions = wrap_start if with_z else wrap_start + word.per
     last = n_positions - 1
 
-    def points_label(points) -> frozenset[str]:
-        return _label(points, letters, sigma_bot)
+    def points_label(points) -> int:
+        out = full
+        for p in points:
+            out &= masks[p]
+        return out
 
-    labels = {_ORIGIN: letters(0) & sig, _U: sigma_bot}
-    if with_z:
-        labels[_Z] = frozenset()
-    edges: list[Edge] = []
-    states = [_ORIGIN, _U] + ([_Z] if with_z else [])
+    labels = [masks[0], full] + ([0] if with_z else [])
+    pairs: list = [None] * len(labels)  # state -> its (phi, psi), None for origin, u and z
+    ids: dict = {}  # (phi, psi) -> state
+    edges: list[tuple] = []
     queue = [_ORIGIN]
-    # point set -> [(target pair, label of E, label of the gaps)]
+    # point set -> [(target state, label of the gaps)]
     successor_lists: dict = {}
 
-    def successors_from(points: frozenset[int], src, color: str):
-        if points not in successor_lists:
+    def successors_from(points: frozenset[int], src: int, red: int):
+        moves = successor_lists.get(points)
+        if moves is None:
             moves = successor_lists[points] = []
             for g in _successor_sets(sorted(points), n_positions, wrap_start):
                 f = nabla_mp(points, g, wrap_start, n_positions)
-                moves.append((("p", f, g), points_label(g), points_label(f)))
-        for tgt, tgt_label, gap_label in successor_lists[points]:
-            if tgt not in labels:
-                labels[tgt] = tgt_label
-                states.append(tgt)
-                queue.append(tgt)
-            edges.append(Edge(src, tgt, gap_label, color))
+                tgt = ids.get((f, g))
+                if tgt is None:
+                    tgt = ids[f, g] = len(labels)
+                    labels.append(points_label(g))
+                    pairs.append((f, g))
+                    queue.append(tgt)
+                moves.append((tgt, points_label(f)))
+        edges.extend((src, tgt, gap, red) for tgt, gap in moves)
 
     while queue:
         state = queue.pop()
         if state == _ORIGIN:
-            successors_from(frozenset({0}), _ORIGIN, BLACK)
+            successors_from(frozenset({0}), _ORIGIN, 0)
             if with_z:
-                edges.append(Edge(_ORIGIN, _Z, points_label(range(0, last)), BLACK))
+                edges.append((_ORIGIN, _Z, points_label(range(0, last)), 0))
             continue
-        if state in (_Z, _U):
-            continue
-        _, phi, psi = state
-        successors_from(psi, state, BLACK)
+        phi, psi = pairs[state]
+        successors_from(psi, state, 0)
         if phi:
-            successors_from(phi, state, RED)
+            successors_from(phi, state, 1)
         else:
-            edges.append(Edge(state, _U, sigma_bot, RED))
+            edges.append((state, _U, full, 1))
         if with_z:
-            edges.append(Edge(state, _Z, points_label(range(max(psi), last)), BLACK))
+            edges.append((state, _Z, points_label(range(max(psi), last)), 0))
             if phi:
-                edges.append(Edge(state, _Z, points_label(range(max(phi), last)), RED))
+                edges.append((state, _Z, points_label(range(max(phi), last)), 1))
     if with_z:
-        edges.append(Edge(_Z, _Z, sigma_bot, BLACK))
-        edges.append(Edge(_Z, _Z, sigma_bot, RED))
-        edges.append(Edge(_Z, _U, sigma_bot, RED))
-    edges.append(Edge(_U, _U, sigma_bot, BLACK))
-    edges.append(Edge(_U, _U, sigma_bot, RED))
-    return TransitionSystem(states, [_ORIGIN], labels, edges, colored=True)
+        edges += [(_Z, _Z, full, 0), (_Z, _Z, full, 1), (_Z, _U, full, 1)]
+    edges += [(_U, _U, full, 0), (_U, _U, full, 1)]
+    return TransitionSystem(letters, (_ORIGIN,), tuple(labels), tuple(edges), colored=True)
 
 
 def repr_plain_br(d: DataInstance, sig: frozenset[str]) -> TransitionSystem:

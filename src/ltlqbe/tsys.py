@@ -1,30 +1,30 @@
 """Finite labelled transition systems with label subsumption.
 
-States carry atom-set labels, edges carry subsets of the signature plus the
-pseudo-letter BOT ("no intermediate point required") and an optional color.
-
-States are arbitrary hashable values, often nested tuples that are slow to
-hash, so the simulation game and the bisimulation quotient number each
-system's states 0..n-1 in list order once per call and work on integers:
-labels become bitmasks (`_View`), a pair of states (x, y) is the code
-x * n_t + y, and quotient classes are small ids.
+A system is integer-native: its states are 0..n-1, and every state and edge
+label is a bitmask over the system's letter table `letters`, the sorted
+signature followed by the pseudo-letter BOT ("no intermediate point
+required").  Edges are (src, dst, label mask, red) tuples, red being 1 on
+the red edges of a colored system.  Systems are immutable, so one system
+can be stored and shared; each call builds the adjacency lists it needs
+from the edges, in edge order.  Labels are spelled back into atom sets only
+in the extracted `Run`s and `Tree`s.
 
 Simulation is the greatest relation refined to a fixpoint over the pairs
-reachable in the game (`_play`).  Each live pair keeps, per s-edge, a count
-of its live t-matches, and a pair that dies decrements the counts that
-watch it (Henzinger, Henzinger & Kopke, FOCS 1995), so checking a pair is
-one look at its counts, not a rescan of its matches.  Pairs die in the order
-of a LIFO worklist seeded in discovery order, which fixes every rank and so
-every failing subtree, whatever the hash seed.  Against a disjoint union,
-`failing_subtree_of_union` plays one game per part and stops at the first
-part that simulates.  Containment is the run-wise weakening decided over
-(state, candidate-set) pairs.
+reachable in the game (`_play`), a pair (x, y) being the code x * n_t + y.
+Each live pair keeps, per s-edge, a count of its live t-matches, and a pair
+that dies decrements the counts that watch it (Henzinger, Henzinger & Kopke,
+FOCS 1995), so checking a pair is one look at its counts, not a rescan of
+its matches.  Pairs die in the order of a LIFO worklist seeded in discovery
+order, which fixes every rank and so every failing subtree, whatever the
+hash seed.  Against a disjoint union, `failing_subtree_of_union` plays one
+game per part and stops at the first part that simulates.  Containment is
+the run-wise weakening decided over (state, candidate-set) pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 BOT = "⊥"
 
@@ -32,170 +32,138 @@ BLACK = "black"
 RED = "red"
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: Hashable
-    dst: Hashable
-    label: frozenset[str]
-    color: str = BLACK
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class TransitionSystem:
-    states: list
-    initial: list
-    labels: dict
-    edges: list[Edge]
+    """States 0..n-1 with n = len(labels); `initial` and `labels` are tuples
+    of ints, `edges` a tuple of (src, dst, label mask, red) tuples."""
+
+    letters: tuple[str, ...]
+    initial: tuple[int, ...]
+    labels: tuple[int, ...]
+    edges: tuple[tuple[int, int, int, int], ...]
     colored: bool = False
-    _out: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         # representation builders emit at most one edge per (src, dst, color);
         # bisimulation quotients may merge targets and keep parallel edges
         # with incomparable labels, so only exact duplicates are rejected
-        seen = set()
-        for e in self.edges:
-            key = (e.src, e.dst, e.color, e.label)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            self._out.setdefault(e.src, []).append(e)
-        if self.states and not self.initial:
+        if len(set(self.edges)) != len(self.edges):
+            raise ValueError("duplicate edge")
+        if self.labels and not self.initial:
             raise ValueError("nonempty system needs an initial state")
-        if not self.colored and any(e.color != BLACK for e in self.edges):
+        if not self.colored and any(e[3] for e in self.edges):
             raise ValueError("colored edge in an uncolored system")
 
-    @classmethod
-    def _derived(cls, states, initial, labels, edges, colored) -> "TransitionSystem":
-        """A system built from already-checked ones, with its edges made
-        unique: the out-lists are filled, and the checks of `__post_init__`
-        are skipped."""
-        ts = cls.__new__(cls)
-        ts.states, ts.initial, ts.labels, ts.edges, ts.colored = states, initial, labels, edges, colored
-        ts._out = {}
-        for e in edges:
-            ts._out.setdefault(e.src, []).append(e)
-        return ts
-
-    def out(self, state) -> list[Edge]:
-        return self._out.get(state, [])
-
-    def label(self, state) -> frozenset[str]:
-        return self.labels[state]
-
     @property
-    def size(self) -> int:
-        return len(self.states)
+    def states(self) -> range:
+        return range(len(self.labels))
+
+    def spell(self, mask: int) -> frozenset[str]:
+        """The letters whose bits are set in mask."""
+        return frozenset(a for i, a in enumerate(self.letters) if mask >> i & 1)
 
 
-def product(systems: list[TransitionSystem], reachable_only: bool = False) -> TransitionSystem:
-    """Synchronous product; node and edge labels intersect, colors must agree.
+def _common(systems: Sequence[TransitionSystem]) -> tuple[tuple[str, ...], bool]:
+    """The letter table and coloring that the systems share."""
+    first = systems[0]
+    for s in systems:
+        if s.colored != first.colored:
+            raise ValueError("mixed colored and uncolored systems")
+        if s.letters != first.letters:
+            raise ValueError("systems over different letter tables")
+    return first.letters, first.colored
 
-    With reachable_only, states not reachable from the initial vectors are
-    dropped; simulation and containment never look at them.
+
+def _adjacency(ts: TransitionSystem) -> tuple[list[list], list[list]]:
+    """out[x]: the (dst, label mask, red) of x's edges; rev[y]: the sources
+    of the edges into y; both in edge order."""
+    out: list[list] = [[] for _ in ts.labels]
+    rev: list[list] = [[] for _ in ts.labels]
+    for src, dst, lab, red in ts.edges:
+        out[src].append((dst, lab, red))
+        rev[dst].append(src)
+    return out, rev
+
+
+def product(systems: list[TransitionSystem]) -> TransitionSystem:
+    """Synchronous product of the state vectors reachable from the initial
+    ones; node and edge labels intersect, colors must agree.
+
+    States are numbered in the order the breadth-first queue meets their
+    vectors, the initial vectors first.
     """
     if not systems:
         raise ValueError("product of an empty list")
-    colored = systems[0].colored
-    if any(s.colored != colored for s in systems):
-        raise ValueError("mixed colored and uncolored systems")
-    initial = [()]
+    letters, colored = _common(systems)
+    full = (1 << len(letters)) - 1
+    outs = [_adjacency(s)[0] for s in systems]
+    queue = [()]
     for s in systems:
-        initial = [v + (x,) for v in initial for x in s.initial]
-    if reachable_only:
-        states = list(initial)
-    else:
-        states = [()]
-        for s in systems:
-            states = [v + (x,) for v in states for x in s.states]
-    top = frozenset({BOT}) | _full_alphabet(systems)
-    state_set = set(states)
+        queue = [v + (x,) for v in queue for x in s.initial]
+    initial = tuple(range(len(queue)))
+    index = {v: i for i, v in enumerate(queue)}
     edges = []
-    queue = list(states)
-    i = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        combos = [((), top, None)]
-        for k in range(len(systems)):
-            new_combos = []
-            for tgt, lab, color in combos:
-                for e in systems[k].out(v[k]):
-                    if colored and color is not None and e.color != color:
-                        continue
-                    new_combos.append((tgt + (e.dst,), lab & e.label, e.color))
-            combos = new_combos
+    for i, v in enumerate(queue):  # the queue grows as the loop runs
+        combos = [((), full, -1)]
+        for out, x in zip(outs, v):
+            combos = [
+                (tgt + (dst,), lab & flab, red)
+                for tgt, lab, color in combos
+                for dst, flab, red in out[x]
+                if color < 0 or red == color  # an uncolored system's edges all have red 0
+            ]
         # parallel edges with different labels can meet in one intersection
-        for tgt, lab, color in dict.fromkeys(combos):
-            if tgt not in state_set:
-                if not reachable_only:
-                    continue  # unreachable targets exist only in reachable mode
-                state_set.add(tgt)
+        for tgt, lab, red in dict.fromkeys(combos):
+            j = index.get(tgt)
+            if j is None:
+                j = index[tgt] = len(queue)
                 queue.append(tgt)
-            edges.append(Edge(v, tgt, lab, color if colored else BLACK))
-    if reachable_only:
-        states = queue
-    labels = {}
-    for v in states:
-        lab = systems[0].label(v[0])
-        for s, x in zip(systems[1:], v[1:]):
-            lab = lab & s.label(x)
-        labels[v] = lab
-    return TransitionSystem._derived(states, initial, labels, edges, colored)
-
-
-def _full_alphabet(systems: Iterable[TransitionSystem]) -> frozenset[str]:
-    out: set[str] = set()
-    for s in systems:
-        for e in s.edges:
-            out |= e.label
-        for lab in s.labels.values():
-            out |= lab
-    return frozenset(out)
+            edges.append((i, j, lab, red))
+    labels = []
+    for v in queue:
+        lab = full
+        for s, x in zip(systems, v):
+            lab &= s.labels[x]
+        labels.append(lab)
+    return TransitionSystem(letters, initial, tuple(labels), tuple(edges), colored)
 
 
 def disjoint_union(systems: list[TransitionSystem]) -> TransitionSystem:
+    """The systems side by side, each part's states shifted past the
+    previous parts'."""
     if not systems:
-        return TransitionSystem([], [], {}, [], False)
-    colored = systems[0].colored
-    if any(s.colored != colored for s in systems):
-        raise ValueError("mixed colored and uncolored systems")
-    states = [(i, x) for i, s in enumerate(systems) for x in s.states]
-    initial = [(i, x) for i, s in enumerate(systems) for x in s.initial]
-    labels = {(i, x): s.label(x) for i, s in enumerate(systems) for x in s.states}
-    edges = [
-        Edge((i, e.src), (i, e.dst), e.label, e.color)
-        for i, s in enumerate(systems)
-        for e in s.edges
-    ]
-    return TransitionSystem._derived(states, initial, labels, edges, colored)
+        return TransitionSystem((), (), (), ())
+    letters, colored = _common(systems)
+    initial: list[int] = []
+    labels: list[int] = []
+    edges: list[tuple] = []
+    for s in systems:
+        base = len(labels)
+        initial += [base + x for x in s.initial]
+        labels += s.labels
+        edges += [(base + src, base + dst, lab, red) for src, dst, lab, red in s.edges]
+    return TransitionSystem(letters, tuple(initial), tuple(labels), tuple(edges), colored)
 
 
 def bisim_quotient(ts: TransitionSystem) -> TransitionSystem:
     """Collapse exact-bisimilar states; simulation verdicts are unchanged.
 
-    Partition refinement on integer class ids: states are numbered in list
-    order, and each round maps every state's signature (its class, and the
-    set of (color, edge label, target class) moves) to a new id with one
-    dict, until the number of classes stops growing or equals the number of
-    states.  Each class is represented by its first state, and the
-    quotient's states and edges keep the input order.  Parallel quotient
-    edges whose labels are subsumed by another edge of the same color and
-    target are dropped: they help neither the attacker (weaker demands) nor
-    the defender (weaker offers).
+    Partition refinement on class ids: each round maps every state's
+    signature (its class, and the set of (label, color, target class) moves)
+    to a new id with one dict, until the number of classes stops growing or
+    equals the number of states.  Ids are given in state order, so class c
+    is the quotient's state c, represented by its first state, and the
+    quotient's edges are the representatives' edges in input order.
+    Parallel quotient edges whose labels are subsumed by another edge of the
+    same color and target are dropped: they help neither the attacker
+    (weaker demands) nor the defender (weaker offers).
     """
-    states = ts.states
-    n = len(states)
-    index = {x: i for i, x in enumerate(states)}
-    kinds: dict = {}  # (color, label) -> id
-    coded = []  # (src, dst, edge) per edge, in input order
+    n = len(ts.labels)
     moves: list[list] = [[] for _ in range(n)]
-    for e in ts.edges:
-        src, dst = index[e.src], index[e.dst]
-        coded.append((src, dst, e))
-        moves[src].append((kinds.setdefault((e.color, e.label), len(kinds)) * n, dst))
+    for src, dst, lab, red in ts.edges:
+        moves[src].append(((lab << 1 | red) * n, dst))
     ids: dict = {}
-    cls = [ids.setdefault(ts.label(x), len(ids)) for x in states]
+    cls = [ids.setdefault(lab, len(ids)) for lab in ts.labels]
     count = len(ids)
     while count < n:  # a partition into singletons is stable
         ids = {}
@@ -207,26 +175,23 @@ def bisim_quotient(ts: TransitionSystem) -> TransitionSystem:
             break
         cls, count = new, len(ids)
     rep: dict = {}
-    for i, c in enumerate(cls):
-        rep.setdefault(c, i)
-    to_rep = [rep[c] for c in cls]
+    for x, c in enumerate(cls):
+        rep.setdefault(c, x)
     grouped: dict = {}
-    for src, dst, e in coded:
-        if to_rep[src] != src:
-            continue
-        d = to_rep[dst]
-        # a dict, not a set: edges come out in input order, whatever the hash seed
-        grouped.setdefault((src, d, e.color), {}).setdefault(e.label, e if d == dst else None)
-    edges = []
-    for (src, dst, color), labs in grouped.items():
-        for lab, e in labs.items():
-            if len(labs) > 1 and any(lab < other for other in labs):
-                continue
-            edges.append(e if e is not None else Edge(states[src], states[dst], lab, color))
-    kept = [x for i, x in enumerate(states) if to_rep[i] == i]
-    labels = {x: ts.label(x) for x in kept}
-    initial = list(dict.fromkeys(states[to_rep[index[x]]] for x in ts.initial))
-    return TransitionSystem._derived(kept, initial, labels, edges, ts.colored)
+    for src, dst, lab, red in ts.edges:
+        c = cls[src]
+        if rep[c] == src:
+            # a dict, not a set: edges come out in input order, whatever the hash seed
+            grouped.setdefault((c, cls[dst], red), {})[lab] = None
+    edges = tuple(
+        (src, dst, lab, red)
+        for (src, dst, red), labs in grouped.items()
+        for lab in labs
+        if len(labs) == 1 or not any(lab & other == lab != other for other in labs)
+    )
+    labels = tuple(ts.labels[x] for x in rep.values())
+    initial = tuple(dict.fromkeys(cls[x] for x in ts.initial))
+    return TransitionSystem(ts.letters, initial, labels, edges, ts.colored)
 
 
 def prune_dominated_edges(ts: TransitionSystem) -> TransitionSystem:
@@ -237,12 +202,13 @@ def prune_dominated_edges(ts: TransitionSystem) -> TransitionSystem:
     extra from the attacker, so simulation and containment verdicts against
     (or from) the pruned system are unchanged, in products too.
     """
-    v, _, alive, _ = _game(ts, ts)
-    n = len(ts.states)
+    adj = _adjacency(ts)
+    alive, _ = _play(ts, adj, ts, adj)
+    n = len(ts.labels)
     siblings: dict = {}
-    for i, (src, dst, lab, color) in enumerate(v.edges):
-        siblings.setdefault((src, color), []).append((i, dst, lab))
-    dropped = bytearray(len(v.edges))
+    for i, (src, dst, lab, red) in enumerate(ts.edges):
+        siblings.setdefault((src, red), []).append((i, dst, lab))
+    dropped = bytearray(len(ts.edges))
     for group in siblings.values():
         if len(group) < 2:
             continue
@@ -254,93 +220,13 @@ def prune_dominated_edges(ts: TransitionSystem) -> TransitionSystem:
                     if not mutual or j < i:
                         dropped[i] = 1
                         break
-    keep = [e for e, gone in zip(ts.edges, dropped) if not gone]
-    return TransitionSystem._derived(
-        list(ts.states), list(ts.initial), dict(ts.labels), keep, ts.colored
-    )
+    keep = tuple(e for e, gone in zip(ts.edges, dropped) if not gone)
+    return TransitionSystem(ts.letters, ts.initial, ts.labels, keep, ts.colored)
 
 
-def pack(ts: TransitionSystem, letters: Sequence[str]) -> tuple:
-    """ts as ints: states renumbered 0..n-1 in list order, labels as masks
-    (bit i for letters[i], which must cover every label), and the edges as
-    one flat sequence of (src, dst, label mask, 1 if red) fours.  Sequences
-    are bytes when every value fits in one."""
-    bit = {a: 1 << i for i, a in enumerate(letters)}
-    index = {x: i for i, x in enumerate(ts.states)}
-    edges: list[int] = []
-    for e in ts.edges:
-        edges += (index[e.src], index[e.dst], sum(bit[a] for a in e.label), int(e.color == RED))
-    labels = [sum(bit[a] for a in ts.label(x)) for x in ts.states]
-    initial = [index[x] for x in ts.initial]
-    return len(ts.states), _compact(initial), _compact(labels), _compact(edges), ts.colored
-
-
-def _compact(values: list[int]) -> bytes | tuple[int, ...]:
-    return bytes(values) if all(v < 256 for v in values) else tuple(values)
-
-
-def unpack(packed: tuple, letters: Sequence[str]) -> TransitionSystem:
-    """The system `pack` encoded, with states 0..n-1."""
-    n, initial, labels, edges, colored = packed
-    label = {
-        m: frozenset(a for i, a in enumerate(letters) if m >> i & 1)
-        for m in {*labels, *edges[2::4]}
-    }
-    it = iter(edges)
-    return TransitionSystem._derived(
-        list(range(n)),
-        list(initial),
-        {x: label[m] for x, m in enumerate(labels)},
-        [Edge(s, d, label[m], RED if red else BLACK) for s, d, m, red in zip(it, it, it, it)],
-        colored,
-    )
-
-
-def _masker():
-    """A memoised map from labels to bitmasks; letters get bits as they appear."""
-    bits: dict = {}
-    memo: dict = {}
-
-    def mask(label: frozenset[str]) -> int:
-        m = memo.get(label)
-        if m is None:
-            m = 0
-            for a in label:
-                b = bits.get(a)
-                if b is None:
-                    b = bits[a] = 1 << len(bits)
-                m |= b
-            memo[label] = m
-        return m
-
-    return mask
-
-
-class _View:
-    """A system's states numbered 0..n-1 in list order, with bitmask labels.
-
-    edges lists (src, dst, label mask, color) in edge order, out[x] the
-    (dst, label mask, color) of x's edges and rev[y] the sources of the
-    edges into y, both in edge order.
-    """
-
-    __slots__ = ("states", "init", "lab", "edges", "out", "rev")
-
-    def __init__(self, ts: TransitionSystem, mask):
-        self.states = ts.states
-        index = {x: i for i, x in enumerate(ts.states)}
-        self.init = [index[x] for x in ts.initial]
-        self.lab = [mask(ts.label(x)) for x in ts.states]
-        self.edges = [(index[e.src], index[e.dst], mask(e.label), e.color) for e in ts.edges]
-        self.out = [[] for _ in ts.states]
-        self.rev = [[] for _ in ts.states]
-        for src, dst, lab, color in self.edges:
-            self.out[src].append((dst, lab, color))
-            self.rev[dst].append(src)
-
-
-def _play(sv: _View, tv: _View):
-    """The simulation game of s by t on pair codes x * n_t + y.
+def _play(s: TransitionSystem, s_adj, t: TransitionSystem, t_adj):
+    """The simulation game of s by t on pair codes x * n_t + y, given both
+    systems' `_adjacency`.
 
     Returns the surviving pairs and the rank map, as `_simulation_ranks`
     describes them.  Only pairs reachable from the initial pairs are played.
@@ -350,15 +236,16 @@ def _play(sv: _View, tv: _View):
     worklist seeded with the pairs in discovery order, and each death pushes
     its live, unqueued predecessor pairs in edge order.
     """
-    n_t = len(tv.states)
-    s_lab, t_lab, s_out, t_out = sv.lab, tv.lab, sv.out, tv.out
+    n_t = len(t.labels)
+    s_lab, t_lab = s.labels, t.labels
+    (s_out, rev_s), (t_out, rev_t) = s_adj, t_adj
     rank: dict[int, int] = {}
     found: list[int] = []
     counts: dict[int, list] = {}
     watchers: dict[int, list] = {}  # pair -> (counts of a pair, s-edge), once per t-edge into it
     # only pairs reachable in the game can influence the verdict at the
     # initial states, so the refinement is restricted to them
-    stack = [x * n_t + y for x in sv.init for y in tv.init]
+    stack = [x * n_t + y for x in s.initial for y in t.initial]
     seen = set(stack)
     while stack:
         p = stack.pop()
@@ -370,9 +257,9 @@ def _play(sv: _View, tv: _View):
         found.append(p)
         ty = t_out[y]
         live = counts[p] = []
-        for i, (dst, lab, color) in enumerate(s_out[x]):
+        for i, (dst, lab, red) in enumerate(s_out[x]):
             base = dst * n_t
-            row = [base + z for z, flab, fcolor in ty if fcolor == color and lab & flab == lab]
+            row = [base + z for z, flab, fred in ty if fred == red and lab & flab == lab]
             for q in row:
                 w = watchers.get(q)
                 if w is None:
@@ -388,7 +275,6 @@ def _play(sv: _View, tv: _View):
         for live, i in watchers.get(q, ()):
             live[i] -= 1
     alive = set(found)
-    rev_s, rev_t = sv.rev, tv.rev
     counter = 0
     queue = list(found)  # discovery order, so the refinement does not follow set hashing
     queued = set(queue)
@@ -414,38 +300,22 @@ def _play(sv: _View, tv: _View):
     return alive, rank
 
 
-def _game(s: TransitionSystem, t: TransitionSystem):
-    """The views of s and t (one view when s is t) and the game of s by t."""
-    mask = _masker()
-    sv = _View(s, mask)
-    tv = sv if t is s else _View(t, mask)
-    return (sv, tv, *_play(sv, tv))
-
-
 def _simulation_ranks(s: TransitionSystem, t: TransitionSystem):
     """Greatest simulation of s by t plus the death order of removed pairs.
 
     rank 0 marks pairs dead on labels alone; surviving pairs are absent from
     the rank map.  A pair dies only when some s-edge has all its t-matches
     already dead, so ranks strictly decrease along the attacker strategy.
-    The game runs on integer pair codes (`_play`); this translates its
-    result back to pairs of states.
+    This translates the pair codes of `_play` back to (x, y) pairs.
     """
-    _, _, alive, rank = _game(s, t)
-    n_t, xs, ys = len(t.states), s.states, t.states
-    return (
-        {(xs[p // n_t], ys[p % n_t]) for p in alive},
-        {(xs[p // n_t], ys[p % n_t]): r for p, r in rank.items()},
-    )
+    alive, rank = _play(s, _adjacency(s), t, _adjacency(t))
+    n_t = len(t.labels)
+    return {divmod(p, n_t) for p in alive}, {divmod(p, n_t): r for p, r in rank.items()}
 
 
 def simulates(s: TransitionSystem, t: TransitionSystem) -> bool:
     """True iff every finite subtree of s's computation tree embeds into t's."""
-    if s.colored != t.colored:
-        raise ValueError("mixed colored and uncolored systems")
-    sv, tv, alive, rank = _game(s, t)
-    game = (tv, len(t.states), alive, rank)
-    return all(_answered(x, game) for x in sv.init)
+    return failing_subtree_of_union(s, [t]) is None
 
 
 @dataclass(frozen=True)
@@ -464,11 +334,14 @@ def contained_in(s: TransitionSystem, t: TransitionSystem) -> bool:
 def _containment_search(s: TransitionSystem, t: TransitionSystem):
     if s.colored or t.colored:
         raise ValueError("containment is defined for uncolored systems")
+    _common([s, t])
+    s_out, t_out = _adjacency(s)[0], _adjacency(t)[0]
+    s_lab, t_lab = s.labels, t.labels
     start: list[tuple] = []
     parents: dict = {}
     for x in s.initial:
-        ys = frozenset(y for y in t.initial if s.label(x) <= t.label(y))
-        node = (x, ys)
+        lx = s_lab[x]
+        node = (x, frozenset(y for y in t.initial if lx & t_lab[y] == lx))
         if node not in parents:
             parents[node] = None
             start.append(node)
@@ -480,16 +353,19 @@ def _containment_search(s: TransitionSystem, t: TransitionSystem):
         x, ys = node
         if not ys:
             return False, node, parents
-        for e in s.out(x):
-            ys2 = frozenset(
-                f.dst
-                for y in ys
-                for f in t.out(y)
-                if e.label <= f.label and s.label(e.dst) <= t.label(f.dst)
+        for dst, lab, _ in s_out[x]:
+            ld = s_lab[dst]
+            nxt = (
+                dst,
+                frozenset(
+                    z
+                    for y in ys
+                    for z, flab, _ in t_out[y]
+                    if lab & flab == lab and ld & t_lab[z] == ld
+                ),
             )
-            nxt = (e.dst, ys2)
             if nxt not in parents:
-                parents[nxt] = (node, e)
+                parents[nxt] = (node, lab)
                 queue.append(nxt)
     return True, None, parents
 
@@ -514,11 +390,12 @@ def failing_run(s: TransitionSystem, t: TransitionSystem) -> Run | None:
         step = parents[node]
         if step is None:
             break
-        node, edge = step
-        edge_labels.append(edge.label)
-    states.reverse()
-    edge_labels.reverse()
-    return Run(tuple(s.label(x) for x in states), tuple(edge_labels))
+        node, lab = step
+        edge_labels.append(lab)
+    return Run(
+        tuple(s.spell(s.labels[x]) for x in reversed(states)),
+        tuple(s.spell(lab) for lab in reversed(edge_labels)),
+    )
 
 
 @dataclass(frozen=True)
@@ -558,58 +435,57 @@ def failing_subtree_of_union(s: TransitionSystem, parts: Sequence[TransitionSyst
     the parts' live pairs and ranks together are the union's, up to rank
     values, which the attacker only compares within one part.
     """
-    if any(s.colored != t.colored for t in parts):
-        raise ValueError("mixed colored and uncolored systems")
-    mask = _masker()
-    sv = _View(s, mask)
-    games = []  # per part: (view, state count, live pairs, ranks)
+    _common([s, *parts])
+    s_adj = _adjacency(s)
+    games = []  # per part: (system, its out-lists, live pairs, ranks)
     for t in parts:
-        tv = sv if t is s else _View(t, mask)
-        game = (tv, len(t.states), *_play(sv, tv))
-        if all(_answered(x, game) for x in sv.init):
+        t_adj = s_adj if t is s else _adjacency(t)
+        game = (t, t_adj[0], *_play(s, s_adj, t, t_adj))
+        if all(_answered(x, game) for x in s.initial):
             return None
         games.append(game)
-    for x in sv.init:
+    for x in s.initial:
         if not any(_answered(x, game) for game in games):
-            targets = [(k, y) for k, game in enumerate(games) for y in game[0].init]
-            return _attack(s, sv, games, x, targets)
+            targets = [(k, y) for k, game in enumerate(games) for y in game[0].initial]
+            return _attack(s, s_adj[0], games, x, targets)
     return None
 
 
 def _answered(x: int, game: tuple) -> bool:
     """True iff some initial t-state of the game simulates s-state x."""
-    tv, n_t, alive, _ = game
-    return any(x * n_t + y in alive for y in tv.init)
+    t, _, alive, _ = game
+    n_t = len(t.labels)
+    return any(x * n_t + y in alive for y in t.initial)
 
 
-def _attack(s: TransitionSystem, sv: _View, games: list, x: int, targets: list) -> Tree:
+def _attack(s: TransitionSystem, s_out: list, games: list, x: int, targets: list) -> Tree:
     """The attacker's tree from s-state x against the (part, t-state) targets.
 
     At each dead pair it picks the first s-edge whose every t-match died
     strictly earlier, and the children gather the matches of all targets.
     """
-    outs = sv.out[x]
+    outs = s_out[x]
     chosen: dict[int, list] = {}
     for k, y in targets:
-        tv, n_t, alive, rank = games[k]
+        t, t_out, alive, rank = games[k]
+        n_t = len(t.labels)
         p = x * n_t + y
         if p in alive:
             raise AssertionError("attack on a live pair")
         r = rank[p]
         if r == 0:
             continue  # label mismatch, defeated by the root itself
-        ty = tv.out[y]
-        for i, (dst, lab, color) in enumerate(outs):
-            matches = [z for z, flab, fcolor in ty if fcolor == color and lab & flab == lab]
+        ty = t_out[y]
+        for i, (dst, lab, red) in enumerate(outs):
+            matches = [z for z, flab, fred in ty if fred == red and lab & flab == lab]
             if all(rank.get(dst * n_t + z, r) < r for z in matches):
                 chosen.setdefault(i, []).extend((k, z) for z in matches)
                 break
         else:
             raise AssertionError("no defeating edge for a dead pair")
-    edges = s.out(sv.states[x])
     children = []
     for i, succs in chosen.items():
-        e = edges[i]
-        child = _attack(s, sv, games, outs[i][0], list(dict.fromkeys(succs)))
-        children.append((e.label, e.color, child))
-    return Tree(s.label(sv.states[x]), tuple(children))
+        dst, lab, red = outs[i]
+        child = _attack(s, s_out, games, dst, list(dict.fromkeys(succs)))
+        children.append((s.spell(lab), RED if red else BLACK, child))
+    return Tree(s.spell(s.labels[x]), tuple(children))

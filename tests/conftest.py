@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Hashable, NamedTuple
 
 import pytest
 
 from ltlqbe import horn
 from ltlqbe.core import DataInstance, ExampleSet, LassoModel, Query
+from ltlqbe.tsys import BLACK, BOT, RED, TransitionSystem
 
 ATOMS = ("A", "B", "C")
 
@@ -155,3 +157,64 @@ def lasso_models_of(
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+# ---------------------------------------------------------------------------
+# Transition systems in the named form the reference copies are written in
+
+
+class Edge(NamedTuple):
+    src: Hashable
+    dst: Hashable
+    label: frozenset[str]
+    color: str = BLACK
+
+
+class Named:
+    """A transition system with arbitrary hashable states, atom-set labels
+    and `Edge`s, as the tests' reference copies read and build it."""
+
+    def __init__(self, states, initial, labels, edges, colored=False):
+        self.states, self.initial = list(states), list(initial)
+        self.labels, self.edges, self.colored = dict(labels), list(edges), colored
+        self._out: dict = {}
+        for e in self.edges:
+            self._out.setdefault(e.src, []).append(e)
+
+    def out(self, x) -> list[Edge]:
+        return self._out.get(x, [])
+
+    def label(self, x) -> frozenset[str]:
+        return self.labels[x]
+
+
+LETTERS = (*ATOMS, BOT)
+
+
+def numbered(ts: Named, letters=LETTERS) -> TransitionSystem:
+    """ts as a `TransitionSystem`: states numbered 0..n-1 in list order,
+    label sets turned into masks over `letters`."""
+    index = {x: i for i, x in enumerate(ts.states)}
+    bit = {a: 1 << i for i, a in enumerate(letters)}
+
+    def mask(label) -> int:
+        return sum(bit[a] for a in label)
+
+    return TransitionSystem(
+        tuple(letters),
+        tuple(index[x] for x in ts.initial),
+        tuple(mask(ts.labels[x]) for x in ts.states),
+        tuple((index[e.src], index[e.dst], mask(e.label), int(e.color == RED)) for e in ts.edges),
+        ts.colored,
+    )
+
+
+def named(ts: TransitionSystem) -> Named:
+    """ts in the named form, its states kept as the ints they are."""
+    return Named(
+        ts.states,
+        ts.initial,
+        {x: ts.spell(m) for x, m in enumerate(ts.labels)},
+        [Edge(src, dst, ts.spell(m), RED if red else BLACK) for src, dst, m, red in ts.edges],
+        ts.colored,
+    )

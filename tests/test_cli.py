@@ -369,3 +369,23 @@ def test_eval_negative_timepoint_exit_two(tmp_path):
     data = tmp_path / "d.json"
     data.write_text(json.dumps({"format": 1, "facts": [["A", 0]]}))
     assert main(["eval", "--query", "A", "--data", str(data), "--at", "-1"]) == 2
+
+
+@pytest.mark.parametrize("positives, negatives", [("a1b", "b"), ("ab", "a."), ("ab", "aXb")])
+def test_from_words_bad_letter_exit_two(capsys, positives, negatives):
+    # a letter that cannot name an atom is bad input, not an internal error
+    assert main(["from-words", "--positives", positives, "--negatives", negatives]) == 2
+    err = capsys.readouterr().err
+    assert "bad atom name" in err and "internal error" not in err
+
+
+def test_canonical_negative_window_exit_two(tmp_path, capsys):
+    onto = tmp_path / "o.ltl"
+    onto.write_text("A -> X B\n")
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"format": 1, "facts": [["A", 0]]}))
+    argv = ["canonical", "--ontology", str(onto), "--data", str(data), "--window"]
+    assert main(argv + ["-1"]) == 2
+    assert "negative window" in capsys.readouterr().err
+    rc, out = run(capsys, argv + ["0"])
+    assert rc == 0 and json.loads(out)["window"] == []

@@ -33,7 +33,7 @@ from ltlqbe.qbe import (
     Verdict,
     WitnessError,
     _blocks_to_query,
-    data_lassos,
+    data_lasso,
     decide,
     decide_until_family,
     dp_path,
@@ -49,6 +49,11 @@ from ltlqbe.tsys import BLACK, BOT, RED, Run, Tree
 
 D = DataInstance.of
 fs = frozenset
+
+
+def _words(e):
+    """Each instance's own word, as the diamond path search reads it."""
+    return [data_lasso(d) for d in e.instances]
 
 
 def ex(pos, neg):
@@ -85,14 +90,14 @@ def test_witnesses_belong_to_class():
 def test_dp_path_requires_path_class():
     e = ex([[("A", 1)]], [])
     with pytest.raises(ValueError):
-        dp_path(e, data_lassos(e), QueryClass.FULL_UNTIL)
+        dp_path(e, _words(e), QueryClass.FULL_UNTIL)
 
 
 def test_dp_path_node_cap():
     rng = random.Random(5)
     e = rand_example_set(rng, max_ts=5, max_pos=3, max_neg=3)
     with pytest.raises(ResourceCap):
-        dp_path(e, data_lassos(e), QueryClass.PATH_NEXT_DIAMOND, node_cap=3)
+        dp_path(e, _words(e), QueryClass.PATH_NEXT_DIAMOND, node_cap=3)
 
 
 def test_dp_path_node_cap_counts_every_insertion():
@@ -100,8 +105,8 @@ def test_dp_path_node_cap_counts_every_insertion():
     # with room for one node, that store already passes the cap
     e = ex([[("A", 1), ("B", 2)]], [[("A", 1)]])
     with pytest.raises(ResourceCap):
-        dp_path(e, data_lassos(e), QueryClass.PATH_DIAMOND, node_cap=1)
-    v = dp_path(e, data_lassos(e), QueryClass.PATH_DIAMOND, node_cap=2)
+        dp_path(e, _words(e), QueryClass.PATH_DIAMOND, node_cap=1)
+    v = dp_path(e, _words(e), QueryClass.PATH_DIAMOND, node_cap=2)
     assert v.separable and str(v.witness) == "F B"
 
 
@@ -127,7 +132,7 @@ def _old_dp_path(
     diamond jump to fresh anchors plus a run of next-steps; each slot's
     conjunction is the intersection of the positive letters there, the
     strongest choice, which dominates every alternative.  The words are the
-    data's own (`data_lassos`) or the canonical-model lassos of a Horn
+    data's own (`data_lasso`) or the canonical-model lassos of a Horn
     ontology (`horn_diamond_search`).
 
     Every word is periodic from position k on, so a node's successors depend
@@ -302,7 +307,7 @@ def test_dp_path_equals_old_on_plain_sets():
     verdicts: set = set()
     for seed in range(150):
         e = rand_example_set(random.Random(48000 + seed), max_ts=4, max_pos=3, max_neg=3)
-        _assert_dp_path_equals_old(e, data_lassos(e), verdicts)
+        _assert_dp_path_equals_old(e, _words(e), verdicts)
     assert verdicts == {True, False}
 
 
@@ -340,11 +345,11 @@ def test_dp_path_walks_only_non_dominated_moves():
     )
     cls = QueryClass.PATH_NEXT_DIAMOND
     with pytest.raises(ResourceCap):
-        _old_dp_path(e, data_lassos(e), cls, node_cap=14)
-    assert not _old_dp_path(e, data_lassos(e), cls, node_cap=15).separable
+        _old_dp_path(e, _words(e), cls, node_cap=14)
+    assert not _old_dp_path(e, _words(e), cls, node_cap=15).separable
     with pytest.raises(ResourceCap):
-        dp_path(e, data_lassos(e), cls, node_cap=6)
-    assert not dp_path(e, data_lassos(e), cls, node_cap=7).separable
+        dp_path(e, _words(e), cls, node_cap=6)
+    assert not dp_path(e, _words(e), cls, node_cap=7).separable
 
 
 # sha256 over the verdicts and witnesses below, recorded before dp_path
@@ -357,7 +362,7 @@ def test_witness_digest_is_unchanged():
     for seed in range(80):
         e = rand_example_set(random.Random(18000 + seed), max_ts=4, max_pos=2, max_neg=2)
         verdicts = [
-            dp_path(e, data_lassos(e), cls, allow_empty_blocks=empty)
+            dp_path(e, _words(e), cls, allow_empty_blocks=empty)
             for cls in PATH_CLASSES
             for empty in (False, True)
         ]
@@ -376,7 +381,7 @@ def test_horn_search_agrees_with_dp_on_empty_ontology():
             QueryClass.PATH_NEXT_DIAMOND,
             QueryClass.PATH_DIAMOND_CIRC_BLOCKS,
         ):
-            a = dp_path(e, data_lassos(e), cls)
+            a = dp_path(e, _words(e), cls)
             b = horn_diamond_search(horn.EMPTY_ONTOLOGY, e, cls)
             assert a.separable == b.separable
 

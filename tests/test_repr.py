@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import rand_horn_ontology, rand_instance
+from conftest import Edge, Named, named, numbered, rand_horn_ontology, rand_instance
 from ltlqbe import horn
 from ltlqbe.core import DataInstance, LassoModel
 from ltlqbe.represent import (
@@ -17,7 +17,7 @@ from ltlqbe.represent import (
     repr_plain,
     repr_plain_br,
 )
-from ltlqbe.tsys import BLACK, BOT, RED, Edge, simulates
+from ltlqbe.tsys import BLACK, BOT, RED, simulates
 
 D = DataInstance.of
 fs = frozenset
@@ -30,7 +30,7 @@ fs = frozenset
 def test_repr_plain_picture():
     d = D([("A", 1), ("B", 1), ("B", 2), ("C", 2)])
     sig = fs({"A", "B", "C"})
-    ts = repr_plain(d, sig)
+    ts = named(repr_plain(d, sig))
     assert ts.states == [0, 1, 2, 3]
     assert ts.label(1) == fs({"A", "B"}) and ts.label(3) == fs()
     by = {(e.src, e.dst): e.label for e in ts.edges}
@@ -43,7 +43,7 @@ def test_repr_plain_picture():
 
 
 def test_repr_plain_empty_data():
-    ts = repr_plain(D([]), fs({"A"}))
+    ts = named(repr_plain(D([]), fs({"A"})))
     assert ts.states == [0, 1]
     by = {(e.src, e.dst): e.label for e in ts.edges}
     assert by[(0, 1)] == fs({"A", BOT})
@@ -51,7 +51,7 @@ def test_repr_plain_empty_data():
 
 def test_repr_plain_interval_labels():
     d = D([("B", 2)])
-    ts = repr_plain(d, fs({"A", "B"}))
+    ts = named(repr_plain(d, fs({"A", "B"})))
     by = {(e.src, e.dst): e.label for e in ts.edges}
     assert BOT in by[(0, 1)]  # empty interval
     assert by[(0, 2)] == fs()  # position 1 carries nothing
@@ -73,7 +73,7 @@ def test_repr_horn_state_count_and_wraps():
     o = horn.load_ontology("A -> C\nA -> X B\nB -> X X B\nB -> X C")
     d = D([("A", 0)])
     cm = horn.canonical_model(o, d)
-    ts = repr_horn(o, d)
+    ts = named(repr_horn(o, d))
     assert len(ts.states) == d.max_timestamp + cm.handle + cm.period
     # wrap edges exist inside the periodic zone
     m_start = d.max_timestamp + cm.handle
@@ -83,10 +83,7 @@ def test_repr_horn_state_count_and_wraps():
 
 
 def _same_ts(a, b):
-    assert a.states == b.states
-    assert a.initial == b.initial
-    assert a.labels == b.labels
-    assert a.edges == b.edges
+    assert a == b
 
 
 def test_repr_horn_empty_ontology_equivalent_to_plain():
@@ -105,7 +102,7 @@ def test_repr_horn_empty_ontology_equivalent_to_plain():
 
 def test_repr_horn_empty_data():
     assert horn.canonical_model(horn.EMPTY_ONTOLOGY, D([])).lasso.pre == 0
-    ts = repr_horn(horn.EMPTY_ONTOLOGY, D([]), fs({"A"}))
+    ts = named(repr_horn(horn.EMPTY_ONTOLOGY, D([]), fs({"A"})))
     assert ts.states == [0]
     assert ts.edges == [Edge(0, 0, fs({"A", BOT}))]
 
@@ -201,7 +198,8 @@ def test_lessdot_random_cross_check(seed):
 
 def test_repr_plain_br_picture():
     d = D([("A", 1), ("B", 2), ("B", 3), ("C", 3)])
-    ts = repr_plain_br(d, fs({"A", "B", "C"}))
+    sig = fs({"A", "B", "C"})
+    ts = _same_system(repr_plain_br(d, sig), _reference_plain_br(d, sig))
     states = set(ts.states)
     assert ("p", fs(), fs({1})) in states
     assert ("p", fs({1}), fs({2})) in states
@@ -218,14 +216,13 @@ def test_repr_plain_br_picture():
 
 
 def test_repr_plain_br_empty_data():
-    ts = repr_plain_br(D([]), fs({"A"}))
-    kinds = {s[0] if isinstance(s, tuple) else s for s in ts.states}
+    ts = _same_system(repr_plain_br(D([]), fs({"A"})), _reference_plain_br(D([]), fs({"A"})))
     assert set(ts.states) == {("0",), ("z",), ("u",)}
 
 
 def test_repr_plain_br_wiring():
     d = D([("A", 1)])
-    ts = repr_plain_br(d, fs({"A"}))
+    ts = _same_system(repr_plain_br(d, fs({"A"})), _reference_plain_br(d, fs({"A"})))
     by = {(e.src, e.dst, e.color) for e in ts.edges}
     z, u, origin = ("z",), ("u",), ("0",)
     assert (z, z, BLACK) in by and (z, z, RED) in by and (z, u, RED) in by
@@ -240,7 +237,7 @@ def test_repr_plain_br_wiring():
 def test_repr_horn_br_small():
     o = horn.load_ontology("X A -> A")
     d = D([("A", 1)])
-    ts = repr_horn_br(o, d)
+    ts = _same_system(repr_horn_br(o, d), _reference_horn_br(o, d, d.signature | o.user_atoms))
     # the canonical loop is empty, so the empty tail is z
     assert not any(horn.canonical_model(o, d).lasso.loop)
     assert ("u",) in ts.states and ("z",) in ts.states
@@ -368,12 +365,13 @@ def test_successor_sets_match_filtered_subsets(seed):
         assert list(_successor_sets(sorted(dset), p, m)) == expected
 
 
-def _same_system(ts, reference):
+def _same_system(ts, reference) -> Named:
+    """The reference system, once ts is checked to be it with its states
+    numbered in the reference's list order."""
     states, labels, edges = reference
-    assert ts.states == states
-    assert ts.initial == [("0",)]
-    assert ts.labels == labels
-    assert ts.edges == edges
+    named_reference = Named(states, [("0",)], labels, edges, colored=True)
+    assert ts == numbered(named_reference, ts.letters)
+    return named_reference
 
 
 def _horn_explore_ontology(rng):
@@ -422,9 +420,8 @@ def test_horn_br_tail_form_follows_the_loop(text, facts, prefix, loop):
     d = D(facts)
     assert horn.canonical_model(onto, d).lasso == LassoModel(prefix, loop)
     sig = d.signature | onto.user_atoms | {"A"}
-    ts = repr_horn_br(onto, d, sig)
+    ts = _same_system(repr_horn_br(onto, d, sig), _reference_horn_br(onto, d, sig))
     assert (("z",) in ts.states) == (not any(loop))
-    _same_system(ts, _reference_horn_br(onto, d, sig))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -2,17 +2,16 @@ import random
 
 import pytest
 
+from conftest import Edge, Named, named, numbered
 from ltlqbe.core import DataInstance
 from ltlqbe.represent import repr_plain, repr_plain_br
 from ltlqbe.tsys import (
     BLACK,
     BOT,
     RED,
-    Edge,
     Run,
     TransitionSystem,
     Tree,
-    _full_alphabet,
     _simulation_ranks,
     bisim_quotient,
     contained_in,
@@ -31,6 +30,7 @@ D = DataInstance.of
 
 def embeds(tree: Tree, t: TransitionSystem) -> bool:
     """Brute-force check that `tree` maps into t's computation tree."""
+    t = named(t)
 
     def fits(node: Tree, y) -> bool:
         if not node.label <= t.label(y):
@@ -48,6 +48,7 @@ def embeds(tree: Tree, t: TransitionSystem) -> bool:
 
 def run_embeds(run: Run, t: TransitionSystem) -> bool:
     """Brute-force check that the run is label-subsumed by some run of t."""
+    t = named(t)
 
     def fits(i: int, y) -> bool:
         if not run.node_labels[i] <= t.label(y):
@@ -63,6 +64,7 @@ def run_embeds(run: Run, t: TransitionSystem) -> bool:
 
 def to_dot(ts: TransitionSystem, name: str = "ts") -> str:
     """GraphViz rendering for debugging a failing test."""
+    ts = named(ts)
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     index = {x: i for i, x in enumerate(ts.states)}
     for x in ts.states:
@@ -77,14 +79,55 @@ def to_dot(ts: TransitionSystem, name: str = "ts") -> str:
     return "\n".join(lines)
 
 
-def ts(states, initial, labels, edges, colored=False):
-    return TransitionSystem(
-        list(states),
-        list(initial),
-        {s: frozenset(l) for s, l in labels.items()},
-        [Edge(a, b, frozenset(lab), color) for a, b, lab, color in edges],
-        colored,
+def ts(states, initial, labels, edges, colored=False) -> TransitionSystem:
+    return numbered(
+        Named(
+            states,
+            initial,
+            {s: frozenset(l) for s, l in labels.items()},
+            [Edge(a, b, frozenset(lab), color) for a, b, lab, color in edges],
+            colored,
+        )
     )
+
+
+def reachable(t: TransitionSystem) -> set[int]:
+    seen = set(t.initial)
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for src, dst, _, _ in t.edges:
+            if src == x and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
+
+
+def _product_reference(systems: list[Named]) -> Named:
+    """The synchronous product over named systems, its states the reachable
+    tuple vectors in breadth-first order."""
+    initial = [()]
+    for s in systems:
+        initial = [v + (x,) for v in initial for x in s.initial]
+    states = list(initial)
+    seen = set(states)
+    edges = []
+    for v in states:  # the list grows as the loop runs
+        combos = [((), None, None)]
+        for s, x in zip(systems, v):
+            combos = [
+                (tgt + (e.dst,), e.label if lab is None else lab & e.label, e.color)
+                for tgt, lab, color in combos
+                for e in s.out(x)
+                if color is None or e.color == color
+            ]
+        for tgt, lab, color in dict.fromkeys(combos):
+            if tgt not in seen:
+                seen.add(tgt)
+                states.append(tgt)
+            edges.append(Edge(v, tgt, lab, color))
+    labels = {v: frozenset.intersection(*(s.label(x) for s, x in zip(systems, v))) for v in states}
+    return Named(states, initial, labels, edges, systems[0].colored)
 
 
 def rand_system(rng: random.Random, n=4, colored=False):
@@ -129,7 +172,8 @@ def test_bisim_quotient_preserves_simulation():
 def test_product_of_one_is_isomorphic():
     s = rand_system(random.Random(1))
     p = product([s])
-    assert len(p.states) == len(s.states) and len(p.edges) == len(s.edges)
+    live = reachable(s)
+    assert len(p.states) == len(live) and len(p.edges) == sum(e[0] in live for e in s.edges)
     assert simulates(p, s) and simulates(s, p)
 
 
@@ -145,10 +189,22 @@ def test_product_on_motivating_pair():
     d1 = D([("A2", 4), ("B1", 4), ("B2", 5)])
     d2 = D([("A1", 2), ("B2", 2), ("B1", 3)])
     sig = frozenset({"A1", "A2", "B1", "B2"})
-    p = product([repr_plain(d1, sig), repr_plain(d2, sig)])
-    assert (3, 1) in p.states
-    edge = next(e for e in p.edges if e.src == (3, 1) and e.dst == (4, 3))
-    assert edge.label == frozenset({"A1", "B2"})
+    a, b = repr_plain(d1, sig), repr_plain(d2, sig)
+    p = product([a, b])
+    reference = _product_reference([named(a), named(b)])
+    assert p == numbered(reference, a.letters)
+    index = {v: i for i, v in enumerate(reference.states)}
+    labels = {(src, dst): p.spell(m) for src, dst, m, _ in p.edges}
+    assert labels[index[3, 1], index[4, 3]] == frozenset({"A1", "B2"})
+
+
+def test_systems_over_different_letter_tables_do_not_mix():
+    a = ts([0], [0], {0: {"A"}}, [(0, 0, {"A"}, BLACK)])
+    b = numbered(named(a), ("A", "B", BOT))
+    for combine in (product, disjoint_union, lambda pair: failing_subtree_of_union(pair[0], pair[1:])):
+        combine([a, a])
+        with pytest.raises(ValueError, match="letter tables"):
+            combine([a, b])
 
 
 def test_disjoint_union_counts_and_simulation():
@@ -157,7 +213,7 @@ def test_disjoint_union_counts_and_simulation():
     u = disjoint_union([a, b])
     assert len(u.states) == len(a.states) + len(b.states)
     assert simulates(a, u) and simulates(b, u)
-    assert disjoint_union([]).states == []
+    assert len(disjoint_union([]).states) == 0
     single = disjoint_union([a])
     assert simulates(single, a) and simulates(a, single)
 
@@ -238,6 +294,7 @@ def test_to_dot_smoke():
 def _prune_reference(t: TransitionSystem) -> list[Edge]:
     """prune_dominated_edges as a comparison of every pair of edges."""
     alive, _ = _simulation_ranks(t, t)
+    t = named(t)
     keep = []
     for i, e in enumerate(t.edges):
         dominated = False
@@ -265,7 +322,7 @@ def test_prune_dominated_edges_matches_pairwise_reference(seed):
             t = _repr_product(rng, colored=kind == 2)
         q = bisim_quotient(t)
         pruned = prune_dominated_edges(q)
-        assert pruned.edges == _prune_reference(q)
+        assert named(pruned).edges == _prune_reference(q)
         assert pruned.states == q.states and pruned.initial == q.initial and pruned.labels == q.labels
 
 
@@ -278,7 +335,7 @@ def _repr_product(rng: random.Random, colored: bool) -> TransitionSystem:
         build(D({(rng.choice("ABC"), rng.randrange(0, 4)) for _ in range(rng.randrange(0, 5))}), sig)
         for _ in range(rng.randrange(1, 3))
     ]
-    return product(parts, reachable_only=True) if len(parts) > 1 else parts[0]
+    return product(parts) if len(parts) > 1 else parts[0]
 
 
 def _random_quotient(rng: random.Random) -> TransitionSystem:
@@ -288,28 +345,27 @@ def _random_quotient(rng: random.Random) -> TransitionSystem:
 
 
 def test_derived_systems_pass_the_public_checks():
-    # product, disjoint_union, bisim_quotient and prune_dominated_edges skip
-    # the constructor's checks; rebuilding their outputs through it must
-    # raise nothing and give the same out-lists
+    # product, disjoint_union, bisim_quotient and prune_dominated_edges build
+    # through the checked constructor; their fields are tuples, and their
+    # edges and initial states lie among their states
     rng = random.Random(41000)
     for _ in range(100):
         q, other = _random_quotient(rng), _random_quotient(rng)
         derived = [q, prune_dominated_edges(q)]
         if q.colored == other.colored:
             pair = [q, other]
-            derived += [product(pair), product(pair, reachable_only=True), disjoint_union(pair)]
+            derived += [product(pair), disjoint_union(pair)]
         for t in derived:
-            again = TransitionSystem(t.states, t.initial, t.labels, t.edges, t.colored)
-            assert all(again.out(x) == t.out(x) for x in t.states)
+            assert all(type(f) is tuple for f in (t.initial, t.labels, t.edges))
+            assert set(t.initial) <= set(t.states)
+            assert all(src in t.states and dst in t.states for src, dst, _, _ in t.edges)
 
 
 def test_product_keeps_one_of_equal_parallel_edge_intersections():
     s1 = ts([0, 1], [0], {0: set(), 1: set()}, [(0, 1, {"A", "B"}, BLACK), (0, 1, {"A", "C"}, BLACK)])
     s2 = ts([0, 1], [0], {0: set(), 1: set()}, [(0, 1, {"A"}, BLACK)])
-    p = product([s1, s2], reachable_only=True)
-    assert p.edges == [Edge((0, 0), (1, 1), frozenset({"A"}))]
-    full = product([s1, s2])
-    assert full.edges == p.edges
+    p = product([s1, s2])
+    assert named(p).edges == [Edge(0, 1, frozenset({"A"}))]
 
 
 def test_product_of_quotients_keeps_every_distinct_edge():
@@ -318,17 +374,19 @@ def test_product_of_quotients_keeps_every_distinct_edge():
         a, b = _random_quotient(rng), _random_quotient(rng)
         if a.colored != b.colored:
             continue
-        p = product([a, b], reachable_only=True)
-        keys = [(e.src, e.dst, e.color, e.label) for e in p.edges]
-        assert len(keys) == len(set(keys))
-        for v in p.states:
+        p = product([a, b])
+        assert len(p.edges) == len(set(p.edges))
+        na, nb = named(a), named(b)
+        reference = _product_reference([na, nb])
+        assert p == numbered(reference, a.letters)
+        for v in reference.states:
             expect = {
                 (f.dst, g.dst, f.color, f.label & g.label)
-                for f in a.out(v[0])
-                for g in b.out(v[1])
+                for f in na.out(v[0])
+                for g in nb.out(v[1])
                 if not a.colored or f.color == g.color
             }
-            assert {((e.dst[0], e.dst[1], e.color, e.label)) for e in p.out(v)} == expect
+            assert {((e.dst[0], e.dst[1], e.color, e.label)) for e in reference.out(v)} == expect
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +394,9 @@ def test_product_of_quotients_keeps_every_distinct_edge():
 
 
 def _label_masks_reference(systems):
-    alphabet = sorted(_full_alphabet(systems))
+    alphabet = sorted(
+        {a for s in systems for lab in [*s.labels.values(), *(e.label for e in s.edges)] for a in lab}
+    )
     index = {a: 1 << i for i, a in enumerate(alphabet)}
 
     def mask(label):
@@ -489,7 +549,7 @@ def _bisim_quotient_reference(ts):
                 continue
             edges.append(Edge(src, dst, lab, color))
     initial = list(dict.fromkeys(to_rep[x] for x in ts.initial))
-    return TransitionSystem(states, initial, labels, edges, ts.colored)
+    return Named(states, initial, labels, edges, ts.colored)
 
 
 def rand_parallel_system(rng: random.Random, n: int, colored: bool, tag=None):
@@ -531,7 +591,7 @@ def test_simulation_ranks_match_the_rescan_reference(seed):
     # the same surviving pairs and the same death order, for s = t and s != t
     for s, t in _game_cases(43000 + seed, 100):
         for a, b in ((s, t), (s, s), (t, t)):
-            assert _simulation_ranks(a, b) == _simulation_ranks_reference(a, b)
+            assert _simulation_ranks(a, b) == _simulation_ranks_reference(named(a), named(b))
 
 
 def test_parallel_matching_t_edges_count_once_per_edge():
@@ -549,8 +609,9 @@ def test_parallel_matching_t_edges_count_once_per_edge():
         [("y0", "y1", {"A"}, BLACK), ("y0", "y1", {"A", "B"}, BLACK)],
     )
     alive, rank = _simulation_ranks(s, t)
-    assert (alive, rank) == _simulation_ranks_reference(s, t)
-    assert alive == set() and rank == {("x0", "y0"): 2, ("x1", "y1"): 1}
+    assert (alive, rank) == _simulation_ranks_reference(named(s), named(t))
+    # x0, x1 and y0, y1 are numbered 0, 1
+    assert alive == set() and rank == {(0, 0): 2, (1, 1): 1}
     assert not simulates(s, t)
 
 
@@ -559,12 +620,7 @@ def test_bisim_quotient_matches_the_tuple_reference(seed):
     # same representatives, initial states, labels and edges, in order
     for s, t in _game_cases(44000 + seed, 80):
         for x in (s, t):
-            got, want = bisim_quotient(x), _bisim_quotient_reference(x)
-            assert got.states == want.states
-            assert got.initial == want.initial
-            assert got.labels == want.labels
-            assert got.edges == want.edges
-            assert got.colored == want.colored
+            assert bisim_quotient(x) == numbered(_bisim_quotient_reference(named(x)), x.letters)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -586,7 +642,7 @@ def test_failing_subtree_of_union_equals_the_union_game(seed):
             ]
         union = disjoint_union(parts)
         tree = failing_subtree_of_union(s, parts)
-        assert tree == failing_subtree(s, union) == _failing_subtree_reference(s, union)
+        assert tree == failing_subtree(s, union) == _failing_subtree_reference(named(s), named(union))
         assert (tree is None) == simulates(s, union)
 
 
