@@ -261,105 +261,85 @@ class LassoModel:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation on words as position bitmasks
+#
+# A word is a triple (masks, every, loop) over the positions 0..pre+per-1 of
+# a lasso, position n being bit n: per atom, the positions whose letter holds
+# it; all positions; and the loop positions.  Position pre+per-1 is followed
+# by pre.  Data is the lasso of its facts followed by one empty loop letter.
+
+Word = tuple[dict[str, int], int, int]
+
+
+def lasso_word(prefix, loop) -> Word:
+    """The (masks, every, loop) form of the lasso prefix·loop^ω."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for letter in (*prefix, *loop):
+        for a in letter:
+            masks[a] = masks.get(a, 0) | bit
+        bit <<= 1
+    every = bit - 1
+    return masks, every, every >> len(prefix) << len(prefix)
+
+
+def eventually(held: int, every: int, loop: int) -> int:
+    """The positions with a strictly later position in `held`: all of them if
+    `held` recurs in the loop, otherwise those before its highest position."""
+    if held & loop:
+        return every
+    return (1 << (held.bit_length() - 1)) - 1 if held else 0
+
+
+def _pred(held: int, every: int, loop: int) -> int:
+    """The positions whose successor is in `held`; the last position is
+    followed by the first loop position."""
+    return held >> 1 | ((every >> 1) + 1 if held & loop & -loop else 0)
+
+
+def positions(q: Query, word: Word) -> int:
+    """The positions of the word at which q holds."""
+    masks, every, loop = word
+    kind = type(q)
+    if kind is And:
+        out = every
+        for p in q.parts:
+            out &= masks.get(p.name, 0) if type(p) is Prop else positions(p, word)
+            if not out:
+                break
+        return out
+    if kind is Prop:
+        return masks.get(q.name, 0)
+    if kind is Diamond:
+        return eventually(positions(q.arg, word), every, loop)
+    if kind is Top:
+        return every
+    if kind is Bot:
+        return 0
+    if kind is Next:
+        return _pred(positions(q.arg, word), every, loop)
+    if kind is Until:
+        left, right = positions(q.left, word), positions(q.right, word)
+        out = 0
+        while True:  # the least fixpoint of U == X(right | left & U)
+            held = _pred(right | left & out, every, loop)
+            if held == out:
+                return out
+            out = held
+    raise TypeError(f"not a query: {q!r}")
 
 
 def eval_data(d: DataInstance, q: Query, at: int) -> bool:
-    """Truth of q at timepoint `at` in the word making exactly d's facts true.
-
-    Positions beyond max_timestamp are all alike (no atoms hold), so every
-    subquery has one truth value there; position H = max+1 stands for them.
-    """
-    h = d.max_timestamp + 1
-    table: dict[tuple[Query, int], bool] = {}
-
-    def ev(query: Query, n: int) -> bool:
-        n = min(n, h)
-        key = (query, n)
-        val = table.get(key)
-        if val is None:
-            val = _ev_data(query, n)
-            table[key] = val
-        return val
-
-    def _ev_data(query: Query, n: int) -> bool:
-        if isinstance(query, Top):
-            return True
-        if isinstance(query, Bot):
-            return False
-        if isinstance(query, Prop):
-            return n < h and (query.name, n) in d.facts
-        if isinstance(query, And):
-            return all(ev(p, n) for p in query.parts)
-        if isinstance(query, Next):
-            return ev(query.arg, n + 1)
-        if isinstance(query, Diamond):
-            return any(ev(query.arg, m) for m in range(n + 1, h + 1)) or ev(query.arg, h)
-        if isinstance(query, Until):
-            if n >= h:
-                # the immediate successor is again the all-empty class
-                return ev(query.right, h)
-            m = n + 1
-            while m <= h:
-                if ev(query.right, m):
-                    return True
-                if not ev(query.left, m):
-                    return False
-                m += 1
-            # all later positions look like h; right was already false there
-            return False
-        raise TypeError(f"not a query: {query!r}")
-
-    return ev(q, at)
+    """Truth of q at timepoint `at` in the word making exactly d's facts true."""
+    model = LassoModel.of_data(d)
+    return eval_lasso(model, q, model.fold(at))
 
 
 def eval_lasso(model: LassoModel, q: Query, at: int) -> bool:
     """Truth of q at `at` in the infinite word denoted by the lasso."""
-    pre, per = model.pre, model.per
-    if at >= pre + per:
+    if not 0 <= at < model.pre + model.per:
         raise ValueError(f"evaluation point {at} outside lasso representation")
-    table: dict[tuple[Query, int], bool] = {}
-
-    def succ(n: int) -> int:
-        n += 1
-        return n if n < pre + per else pre
-
-    def ev(query: Query, n: int) -> bool:
-        key = (query, n)
-        val = table.get(key)
-        if val is None:
-            val = _ev(query, n)
-            table[key] = val
-        return val
-
-    def _ev(query: Query, n: int) -> bool:
-        if isinstance(query, Top):
-            return True
-        if isinstance(query, Bot):
-            return False
-        if isinstance(query, Prop):
-            return query.name in model.letter(n)
-        if isinstance(query, And):
-            return all(ev(p, n) for p in query.parts)
-        if isinstance(query, Next):
-            return ev(query.arg, succ(n))
-        if isinstance(query, Diamond):
-            later = set(range(n + 1, pre + per)) | set(range(pre, pre + per))
-            return any(ev(query.arg, m) for m in later)
-        if isinstance(query, Until):
-            # walk forward through position classes; after one full cycle in
-            # the loop with `left` intact and `right` absent, nothing changes
-            m = succ(n)
-            for _ in range(pre + 2 * per + 2):
-                if ev(query.right, m):
-                    return True
-                if not ev(query.left, m):
-                    return False
-                m = succ(m)
-            return False
-        raise TypeError(f"not a query: {query!r}")
-
-    return ev(q, at)
+    return positions(q, lasso_word(model.prefix, model.loop)) >> at & 1 == 1
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .core import DataInstance, LassoModel, Query, eval_lasso
-from .prior import _word
+from .core import DataInstance, LassoModel, Query, eval_lasso, lasso_word
 
 FRESH_PREFIX = "Dia__"
 
@@ -449,7 +448,7 @@ def _is_model(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop) -> 
     for a, t in data.facts:
         if a not in entries[fold(t)]:
             return False
-    masks, full, looped = _word(prefix, loop)
+    masks, full, looped = lasso_word(prefix, loop)
     # body reads reach past the word: unroll the loop over the largest shift
     reach = size + max((l.shift for ax in axioms for l in ax.body + (ax.head,)), default=0)
     unrolled = {}

@@ -11,15 +11,14 @@ stops, of the axioms' G- and F-subformulas and of the query's F-subqueries,
 and a summary that led nowhere once is not searched again.
 
 Axioms and queries are evaluated on a word as integer bitmasks over its
-positions.  A diamond query is certain on (O, D) iff no such word is a model
-of O and D on which the query fails at 0, so entailment is a countermodel
-search; the query is compiled once into nested (atoms, F-children) form for
-it.  Every model the search finds is kept, most recent first, in a bounded
-store per (O, D), and later queries on the same (O, D) try the stored words
-before searching.  A stored word is a model of O and D whatever the query
-(atoms outside its signature are false, and none occurs in O or D), so a
-stored word that falsifies the query settles "not entailed"; "entailed" still
-comes only from the full search.
+positions (`core.lasso_word`, `core.positions`).  A diamond query is certain
+on (O, D) iff no such word is a model of O and D on which the query fails at
+0, so entailment is a countermodel search.  Every model the search finds is
+kept, most recent first, in a bounded store per (O, D), and later queries on
+the same (O, D) try the stored words before searching.  A stored word is a
+model of O and D whatever the query (atoms outside its signature are false,
+and none occurs in O or D), so a stored word that falsifies the query settles
+"not entailed"; "entailed" still comes only from the full search.
 """
 
 from __future__ import annotations
@@ -37,6 +36,9 @@ from .core import (
     Query,
     Top,
     eval_data,
+    eventually,
+    lasso_word,
+    positions,
     query_atoms,
 )
 
@@ -280,29 +282,9 @@ def load_prior_ontology(text: str) -> PriorOntology:
 
 
 # ---------------------------------------------------------------------------
-# Words as position bitmasks
-#
-# A word is a triple (masks, every, loop) over the positions 0..pre+per-1 of
-# a lasso, position n being bit n: per atom, the positions whose letter holds
-# it; all positions; and the loop positions.  Every operator looks strictly
-# forward, so the value at n depends on the letters at n and after only.
-
-
-def _word(prefix, loop) -> tuple[dict[str, int], int, int]:
-    """The (masks, every, loop) form of the lasso prefix·loop^ω."""
-    masks: dict[str, int] = {}
-    bit = 1
-    for letter in (*prefix, *loop):
-        for a in letter:
-            masks[a] = masks.get(a, 0) | bit
-        bit <<= 1
-    every = bit - 1
-    return masks, every, every >> len(prefix) << len(prefix)
-
-
-def _before_last(held: int) -> int:
-    """The positions before the highest one in `held`."""
-    return (1 << (held.bit_length() - 1)) - 1 if held else 0
+# Axioms on words as position bitmasks (`core.lasso_word`).  Every operator
+# looks strictly forward, so the value at n depends on the letters at n and
+# after only.
 
 
 def _values(f: PFormula, masks: dict[str, int], every: int, loop: int) -> int:
@@ -316,11 +298,10 @@ def _values(f: PFormula, masks: dict[str, int], every: int, loop: int) -> int:
     if isinstance(f, PNot):
         return every & ~_values(f.arg, masks, every, loop)
     if isinstance(f, PDia):
-        held = _values(f.arg, masks, every, loop)
-        return every if held & loop else _before_last(held)
+        return eventually(_values(f.arg, masks, every, loop), every, loop)
     if isinstance(f, PBox):
         failed = every & ~_values(f.arg, masks, every, loop)
-        return 0 if failed & loop else every & ~_before_last(failed)
+        return every & ~eventually(failed, every, loop)
     left = _values(f.left, masks, every, loop)
     right = _values(f.right, masks, every, loop)
     if isinstance(f, PAnd):
@@ -430,14 +411,15 @@ def _temporal_parts(f: PFormula) -> list[PFormula]:
 def _search_word(
     onto: PriorOntology, data: DataInstance, sig: tuple[str, ...], query=None
 ) -> LassoModel | None:
-    """A periodic model of (onto, data), if any; given a compiled query, one
-    on which the query fails at 0."""
+    """A periodic model of (onto, data), if any; given a diamond query, one on
+    which the query fails at 0."""
     max_ts = data.max_timestamp
     # keeping one witness per diamond subformula and one falsifier per box
     # subformula preserves every subformula value, so this slack suffices
     size = onto.temporal_count + 1
     facts = LassoModel.of_data(data).prefix
     temporal = onto.temporal_parts
+    later = _diamond_args(query) if query is not None else []
     failed: set[tuple] = set()  # see _fill_handle; shared by every loop and k
     for loop_len in range(1, size + 1):
         for loop in _valid_loops(onto, sig, loop_len):
@@ -446,32 +428,31 @@ def _search_word(
             # Empty letters between the data and the loop hold no subquery
             # that the loop does not hold everywhere, so one check covers
             # every k.
-            if query is not None and _holds(query, _word(facts, loop)) & 1:
+            if query is not None and positions(query, lasso_word(facts, loop)) & 1:
                 continue
             for k in range(max_ts, max_ts + size + 1):
                 gap = (frozenset(),) * (k - max_ts)
-                word = _fill_handle(onto, facts + gap, sig, loop, query, temporal, failed)
+                word = _fill_handle(onto, facts + gap, sig, loop, query, temporal, later, failed)
                 if word is not None:
                     return word
     return None
 
 
-def _fill_handle(onto, facts, sig, loop, query, temporal, failed) -> LassoModel | None:
+def _fill_handle(onto, facts, sig, loop, query, temporal, later, failed) -> LassoModel | None:
     """Letters over `facts` (the data's letters at 0..k) that, followed by
-    `loop`, satisfy every axiom and, given a compiled query, falsify it at 0.
+    `loop`, satisfy every axiom and, given a query, falsify it at 0.
 
     The handle is filled from its last position down; the axioms are checked
     at each position as it is filled, when every later letter is known.
     Positions not yet filled hold their facts only, and positive queries are
     monotone: when the query holds on that word, it holds however they are
     filled.  How positions 0..i can be filled depends only on i, on the
-    values at i of the axioms' `temporal` subformulas and on which
-    F-subqueries hold after i, whatever the loop and k; a state in `failed`
-    has no filling.
+    values at i of the axioms' `temporal` subformulas and on which of the
+    query's F-arguments (`later`) hold after i, whatever the loop and k; a
+    state in `failed` has no filling.
     """
     handle = list(facts)
-    word = masks, every, looped = _word(facts, loop)
-    later = _subnodes(query) if query is not None else []
+    word = masks, every, looped = lasso_word(facts, loop)
 
     def assign(i: int) -> LassoModel | None:
         if i < 0:
@@ -479,7 +460,7 @@ def _fill_handle(onto, facts, sig, loop, query, temporal, failed) -> LassoModel 
         state = (
             i,
             *(_values(t, masks, every, looped) >> i & 1 for t in temporal),
-            *(_holds(c, word) >> i > 1 for c in later),
+            *(positions(c, word) >> i > 1 for c in later),
         )
         if state in failed:
             return None
@@ -489,7 +470,7 @@ def _fill_handle(onto, facts, sig, loop, query, temporal, failed) -> LassoModel 
             handle[i] = letters
             _set_bit(masks, extra, bit)
             if all(_values(a, masks, every, looped) & bit for a in onto.axioms) and (
-                query is None or not _holds(query, word) & 1
+                query is None or not positions(query, word) & 1
             ):
                 found = assign(i - 1)
                 if found is not None:
@@ -507,51 +488,21 @@ def _sig_tuple(onto: PriorOntology, data: DataInstance, extra=frozenset()) -> tu
 
 # ---------------------------------------------------------------------------
 # Diamond queries and the countermodel store
-#
-# A compiled query is a pair (atoms, children): the conjunction of the atoms
-# and of `F c` for each compiled child c.
 
 
-def _compile(q: Query) -> tuple:
-    """The (atoms, children) form of a query in the diamond fragment."""
-    atoms: list[str] = []
-    children: list[tuple] = []
-    for p in q.parts if isinstance(q, And) else (q,):
-        if isinstance(p, Prop):
-            atoms.append(p.name)
-        elif isinstance(p, Diamond):
-            children.append(_compile(p.arg))
-        elif not isinstance(p, Top):
-            raise ValueError(f"query outside the diamond fragment: {p}")
-    return tuple(atoms), tuple(children)
+def _diamond_args(q: Query) -> list[Query]:
+    """The arguments of q's F-subqueries, outermost first; rejects a query
+    with anything but true, atoms, & and F."""
+    if isinstance(q, (Top, Prop)):
+        return []
+    if isinstance(q, And):
+        return [a for p in q.parts for a in _diamond_args(p)]
+    if isinstance(q, Diamond):
+        return [q.arg, *_diamond_args(q.arg)]
+    raise ValueError(f"query outside the diamond fragment: {q}")
 
 
-def _subnodes(node: tuple) -> list[tuple]:
-    """The nodes under an F in a compiled query."""
-    out = []
-    for child in node[1]:
-        out += [child, *_subnodes(child)]
-    return out
-
-
-def _holds(node: tuple, word: tuple) -> int:
-    """The positions of the word at which the compiled query holds."""
-    atoms, children = node
-    masks, out, loop = word
-    for a in atoms:
-        out &= masks.get(a, 0)
-    for child in children:
-        if not out:
-            break
-        held = _holds(child, word)
-        if not held & loop:
-            # F is strict: it holds before the child's last prefix position
-            out &= _before_last(held)
-        # else the child recurs in the loop, so F child holds everywhere
-    return out
-
-
-_EMPTY_WORD = _word((), (frozenset(),))
+_EMPTY_WORD = lasso_word((), (frozenset(),))
 _KEPT = 16  # countermodels kept per (ontology, instance)
 
 
@@ -563,7 +514,7 @@ def _countermodels(onto: PriorOntology, data: DataInstance) -> list:
 
 def _keep(onto: PriorOntology, data: DataInstance, model: LassoModel) -> None:
     store = _countermodels(onto, data)
-    store.insert(0, _word(model.prefix, model.loop))
+    store.insert(0, lasso_word(model.prefix, model.loop))
     del store[_KEPT:]
 
 
@@ -582,14 +533,14 @@ def prior_consistent(onto: PriorOntology, data: DataInstance) -> bool:
 @lru_cache(maxsize=65536)
 def prior_entails(onto: PriorOntology, data: DataInstance, q: Query) -> bool:
     """True iff q holds at 0 in every model of (onto, data)."""
-    node = _compile(q)
+    _diamond_args(q)  # the fragment check
     if not onto.axioms:
         return eval_data(data, q, 0)
-    if _holds(node, _EMPTY_WORD) & 1:
+    if positions(q, _EMPTY_WORD) & 1:
         return True  # valid positive queries have no countermodel anywhere
-    if any(not _holds(node, word) & 1 for word in _countermodels(onto, data)):
+    if any(not positions(q, word) & 1 for word in _countermodels(onto, data)):
         return False
-    model = _search_word(onto, data, _sig_tuple(onto, data, extra=query_atoms(q)), node)
+    model = _search_word(onto, data, _sig_tuple(onto, data, extra=query_atoms(q)), q)
     if model is None:
         return True
     _keep(onto, data, model)

@@ -12,14 +12,19 @@ and nabla are that calculus with an empty periodic zone.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 
 from .core import DataInstance, LassoModel
 from .horn import HornOntology, canonical_model
 from .tsys import BOT, TransitionSystem
 
 
+@lru_cache(maxsize=1024)
 def letter_table(sig: frozenset[str]) -> tuple[str, ...]:
-    """The letters a system over `sig` labels with: the sorted atoms, then BOT."""
+    """The letters a system over `sig` labels with: the sorted atoms, then BOT.
+
+    One tuple per signature, so the until store's keys and the systems
+    stored under them hold the same object."""
     return (*sorted(sig), BOT)
 
 

@@ -9,7 +9,20 @@ from typing import Hashable, NamedTuple
 import pytest
 
 from ltlqbe import horn
-from ltlqbe.core import DataInstance, ExampleSet, LassoModel, Query
+from ltlqbe.core import (
+    And,
+    Bot,
+    DataInstance,
+    Diamond,
+    ExampleSet,
+    LassoModel,
+    Next,
+    Prop,
+    Query,
+    Top,
+    Until,
+    conj,
+)
 from ltlqbe.tsys import BLACK, BOT, RED, TransitionSystem
 
 ATOMS = ("A", "B", "C")
@@ -42,8 +55,6 @@ def rand_horn_ontology(rng: random.Random, atoms=ATOMS, max_axioms=4) -> horn.Ho
 
 
 def rand_query(rng: random.Random, atoms=ATOMS, depth=3) -> Query:
-    from ltlqbe.core import Diamond, Next, Prop, Top, Until, conj
-
     def go(d: int) -> Query:
         choices = ["atom", "top"]
         if d > 0:
@@ -66,6 +77,108 @@ def rand_query(rng: random.Random, atoms=ATOMS, depth=3) -> Query:
 
 # ---------------------------------------------------------------------------
 # Independent reference checkers
+
+# The strict-LTL evaluators as memo walks over timepoints, verbatim but for
+# their names: the engine's bitmask evaluator (`core.positions`) is checked
+# against them.
+
+
+def ref_eval_data(d: DataInstance, q: Query, at: int) -> bool:
+    """Truth of q at timepoint `at` in the word making exactly d's facts true.
+
+    Positions beyond max_timestamp are all alike (no atoms hold), so every
+    subquery has one truth value there; position H = max+1 stands for them.
+    """
+    h = d.max_timestamp + 1
+    table: dict[tuple[Query, int], bool] = {}
+
+    def ev(query: Query, n: int) -> bool:
+        n = min(n, h)
+        key = (query, n)
+        val = table.get(key)
+        if val is None:
+            val = _ev_data(query, n)
+            table[key] = val
+        return val
+
+    def _ev_data(query: Query, n: int) -> bool:
+        if isinstance(query, Top):
+            return True
+        if isinstance(query, Bot):
+            return False
+        if isinstance(query, Prop):
+            return n < h and (query.name, n) in d.facts
+        if isinstance(query, And):
+            return all(ev(p, n) for p in query.parts)
+        if isinstance(query, Next):
+            return ev(query.arg, n + 1)
+        if isinstance(query, Diamond):
+            return any(ev(query.arg, m) for m in range(n + 1, h + 1)) or ev(query.arg, h)
+        if isinstance(query, Until):
+            if n >= h:
+                # the immediate successor is again the all-empty class
+                return ev(query.right, h)
+            m = n + 1
+            while m <= h:
+                if ev(query.right, m):
+                    return True
+                if not ev(query.left, m):
+                    return False
+                m += 1
+            # all later positions look like h; right was already false there
+            return False
+        raise TypeError(f"not a query: {query!r}")
+
+    return ev(q, at)
+
+
+def ref_eval_lasso(model: LassoModel, q: Query, at: int) -> bool:
+    """Truth of q at `at` in the infinite word denoted by the lasso."""
+    pre, per = model.pre, model.per
+    if at >= pre + per:
+        raise ValueError(f"evaluation point {at} outside lasso representation")
+    table: dict[tuple[Query, int], bool] = {}
+
+    def succ(n: int) -> int:
+        n += 1
+        return n if n < pre + per else pre
+
+    def ev(query: Query, n: int) -> bool:
+        key = (query, n)
+        val = table.get(key)
+        if val is None:
+            val = _ev(query, n)
+            table[key] = val
+        return val
+
+    def _ev(query: Query, n: int) -> bool:
+        if isinstance(query, Top):
+            return True
+        if isinstance(query, Bot):
+            return False
+        if isinstance(query, Prop):
+            return query.name in model.letter(n)
+        if isinstance(query, And):
+            return all(ev(p, n) for p in query.parts)
+        if isinstance(query, Next):
+            return ev(query.arg, succ(n))
+        if isinstance(query, Diamond):
+            later = set(range(n + 1, pre + per)) | set(range(pre, pre + per))
+            return any(ev(query.arg, m) for m in later)
+        if isinstance(query, Until):
+            # walk forward through position classes; after one full cycle in
+            # the loop with `left` intact and `right` absent, nothing changes
+            m = succ(n)
+            for _ in range(pre + 2 * per + 2):
+                if ev(query.right, m):
+                    return True
+                if not ev(query.left, m):
+                    return False
+                m = succ(m)
+            return False
+        raise TypeError(f"not a query: {query!r}")
+
+    return ev(q, at)
 
 
 def all_instances(atoms, max_ts):

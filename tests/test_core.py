@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ATOMS, all_instances, rand_instance, rand_query
-from ltlqbe import core
+from conftest import ATOMS, all_instances, rand_instance, rand_query, ref_eval_data, ref_eval_lasso
+from ltlqbe import core, horn
 from ltlqbe.core import (
     And,
     Bot,
@@ -24,8 +24,10 @@ from ltlqbe.core import (
     eval_lasso,
     format_query,
     in_class,
+    lasso_word,
     normalize_next_diamond,
     parse_query,
+    positions,
     temporal_depth,
 )
 
@@ -128,7 +130,56 @@ def test_lasso_with_empty_loop_matches_eval_data(data):
     m = LassoModel.of_data(d)
     query = rand_query(rng, depth=3)
     for at in range(m.pre):
-        assert eval_lasso(m, query, at) == eval_data(d, query, at)
+        assert eval_lasso(m, query, at) == ref_eval_data(d, query, at)
+
+
+def _rand_full_query(rng, atoms, depth):
+    """A random query over true, false, atoms, &, X, F and U."""
+    kind = rng.choice(["atom", "atom", "top", "bot"] + ["and", "next", "dia", "until"] * (depth > 0))
+    if kind == "atom":
+        return Prop(rng.choice(atoms))
+    if kind == "top":
+        return TOP
+    if kind == "bot":
+        return Bot()
+    if kind == "and":
+        return conj(_rand_full_query(rng, atoms, depth - 1) for _ in range(rng.randint(2, 3)))
+    if kind == "next":
+        return Next(_rand_full_query(rng, atoms, depth - 1))
+    if kind == "dia":
+        return Diamond(_rand_full_query(rng, atoms, depth - 1))
+    return Until(_rand_full_query(rng, atoms, depth - 1), _rand_full_query(rng, atoms, depth - 1))
+
+
+def _rand_letters(rng, atoms, n):
+    return tuple(frozenset(a for a in atoms if rng.random() < 0.4) for _ in range(n))
+
+
+def test_positions_match_the_reference_evaluators():
+    rng = random.Random(9100)
+    atoms = ("A", "B")
+    for _ in range(1500):
+        query = _rand_full_query(rng, atoms, 4)
+        per = rng.randint(1, 3)
+        loop = (frozenset(),) * per if rng.random() < 0.2 else _rand_letters(rng, atoms, per)
+        m = LassoModel(_rand_letters(rng, atoms, rng.randint(0, 4)), loop)
+        held = positions(query, lasso_word(m.prefix, m.loop))
+        for at in range(m.pre + m.per):
+            expected = ref_eval_lasso(m, query, at)
+            assert (held >> at & 1 == 1) == expected == eval_lasso(m, query, at), (str(query), m, at)
+        d = rand_instance(rng, atoms=atoms, max_ts=4, max_facts=5)
+        for at in range(d.max_timestamp + 4):
+            assert eval_data(d, query, at) == ref_eval_data(d, query, at), (str(query), d, at)
+
+
+def test_negative_timepoints_are_rejected():
+    m = lasso([set(), {"A"}], [set()])
+    with pytest.raises(ValueError):
+        eval_lasso(m, Prop("A"), -1)
+    with pytest.raises(ValueError):
+        eval_data(D([("A", 1)]), Prop("A"), -1)
+    with pytest.raises(ValueError):
+        horn.certain_answer(horn.load_ontology("A -> X B"), D([("B", 2)]), Prop("B"), -1)
 
 
 def test_of_data_matches_atoms_at():

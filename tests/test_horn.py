@@ -11,9 +11,10 @@ from conftest import (
     rand_horn_ontology,
     rand_instance,
     rand_query,
+    ref_eval_data,
 )
 from ltlqbe import horn
-from ltlqbe.core import DataInstance, LassoModel, eval_data, eval_lasso, parse_query
+from ltlqbe.core import DataInstance, LassoModel, eval_lasso, parse_query
 from ltlqbe.horn import (
     _INCOMPATIBLE,
     CanonicalModel,
@@ -264,7 +265,7 @@ def test_empty_ontology_matches_eval_data(seed):
     for _ in range(20):
         q = rand_query(rng, depth=3)
         at = rng.randrange(0, 3)
-        assert horn.certain_answer(horn.EMPTY_ONTOLOGY, d, q, at) == eval_data(d, q, at)
+        assert horn.certain_answer(horn.EMPTY_ONTOLOGY, d, q, at) == ref_eval_data(d, q, at)
 
 
 # ---------------------------------------------------------------------------

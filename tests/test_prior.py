@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import rand_instance
+from conftest import rand_instance, ref_eval_data, ref_eval_lasso
 from ltlqbe import prior
 from ltlqbe.core import (
     TOP,
@@ -13,9 +13,10 @@ from ltlqbe.core import (
     LassoModel,
     Prop,
     conj,
-    eval_data,
     eval_lasso,
+    lasso_word,
     parse_query,
+    positions,
 )
 
 D = DataInstance.of
@@ -102,7 +103,7 @@ def test_empty_ontology_matches_eval_data(seed):
 
     for _ in range(10):
         q = dia_query(2)
-        assert prior.prior_entails(prior.EMPTY_PRIOR, d, q) == eval_data(d, q, 0)
+        assert prior.prior_entails(prior.EMPTY_PRIOR, d, q) == ref_eval_data(d, q, 0)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -191,7 +192,7 @@ def _rand_lasso(rng, atoms):
 
 
 def _bit_values(q, lasso):
-    held = prior._holds(prior._compile(q), prior._word(lasso.prefix, lasso.loop))
+    held = positions(q, lasso_word(lasso.prefix, lasso.loop))
     return [bool(held >> n & 1) for n in range(lasso.pre + lasso.per)]
 
 
@@ -208,7 +209,7 @@ def test_bitmask_evaluator_matches_eval_lasso():
     for i in range(2400):
         q = fixed[i % len(fixed)] if i < 500 else _dia_query(rng, atoms, 4)
         lasso = _rand_lasso(rng, atoms)
-        expected = [eval_lasso(lasso, q, n) for n in range(lasso.pre + lasso.per)]
+        expected = [ref_eval_lasso(lasso, q, n) for n in range(lasso.pre + lasso.per)]
         assert _bit_values(q, lasso) == expected, (str(q), lasso)
 
 
@@ -226,10 +227,12 @@ def test_empty_letters_before_the_loop_keep_the_value_at_zero():
         assert eval_lasso(lasso, q, 0) == eval_lasso(longer, q, 0), (str(q), lasso)
 
 
-def test_compile_rejects_queries_outside_the_fragment():
-    for text in ("X A", "A U B", "F (A & X B)", "F false"):
-        with pytest.raises(ValueError):
-            prior._compile(parse_query(text))
+def test_entailment_rejects_queries_outside_the_fragment():
+    d = D([("A", 0)])
+    for onto in (prior.EMPTY_PRIOR, load("A -> F B")):
+        for text in ("X A", "A U B", "F (A & X B)", "F false"):
+            with pytest.raises(ValueError):
+                prior.prior_entails(onto, d, parse_query(text))
 
 
 _AXIOMS = (
@@ -314,7 +317,7 @@ def test_axiom_bitmasks_match_the_definition():
     for _ in range(1500):
         f = _rand_formula(rng, 3)
         lasso = _rand_lasso(rng, ("A", "B"))
-        held = prior._values(f, *prior._word(lasso.prefix, lasso.loop))
+        held = prior._values(f, *lasso_word(lasso.prefix, lasso.loop))
         expected = [_ref(f, lasso, n) for n in range(lasso.pre + lasso.per)]
         assert [bool(held >> n & 1) for n in range(lasso.pre + lasso.per)] == expected, (f, lasso)
 
@@ -381,7 +384,7 @@ def test_failed_fill_states_include_the_query_future():
     d = D([("C", 1)])
     q = parse_query("F (B & F A)")
     assert not prior.prior_entails(o, d, q)
-    word = prior._search_word(o, d, ("A", "B", "C"), prior._compile(q))
+    word = prior._search_word(o, d, ("A", "B", "C"), q)
     assert _is_model(o, d, word) and not eval_lasso(word, q, 0)
 
 

@@ -678,6 +678,7 @@ def test_cache_walk_finds_the_known_caches():
         "_canonical_model",
         "_until_systems",
         "_instance_systems",
+        "letter_table",
     }
     assert known <= set(_CACHES)
 

@@ -68,6 +68,15 @@ def test_miss_and_hit_give_out_equal_systems():
     assert qbe._instance_systems.cache_info()[:2] == (1, 1)
 
 
+def test_systems_over_one_signature_share_their_letter_table():
+    sig = fs({"A", "B"})
+    plain = qbe._reduced_system(None, D([("A", 0)]), fs(sig), False)
+    black_red = qbe._reduced_system(None, D([("B", 1)]), fs(sig), True)
+    horn_ts = qbe._reduced_system(horn.load_ontology("A -> X B"), D([("A", 0)]), fs(sig), False)
+    assert plain.letters is black_red.letters is horn_ts.letters
+    assert qbe._system_key(None, D([("A", 0)]), fs(sig), False)[1] is plain.letters
+
+
 def test_key_bits_follow_the_sorted_signature():
     # a pinned key: under any hash seed, bit i is the i-th atom of sorted(sig)
     d = D([("C", 0), ("A", 0), ("B", 2)])
