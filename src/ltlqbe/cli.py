@@ -24,6 +24,7 @@ from .core import (
     ParseError,
     QueryClass,
     Until,
+    data_word,
     eval_data,
     parse_query,
     subqueries,
@@ -219,14 +220,14 @@ def words_example_set(positives: list[str], negatives: list[str]) -> ExampleSet:
 
 
 def _cmd_from_words(args) -> int:
-    from .qbe import data_lasso, dp_path
+    from .qbe import dp_path
 
     positives = [w for w in args.positives.split(",") if w]
     negatives = [w for w in args.negatives.split(",") if w] if args.negatives else []
     if not positives:
         raise InputError("need at least one positive word")
     e = words_example_set(positives, negatives)
-    models = [data_lasso(d) for d in e.instances]
+    models = [data_word(d)[0] for d in e.instances]
     if args.mode == "subsequence":
         verdict = dp_path(
             e, models, QueryClass.PATH_DIAMOND, require_nonempty=True

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -281,6 +282,14 @@ def lasso_word(prefix, loop) -> Word:
         bit <<= 1
     every = bit - 1
     return masks, every, every >> len(prefix) << len(prefix)
+
+
+@lru_cache(maxsize=64)
+def data_word(d: DataInstance) -> tuple[LassoModel, Word]:
+    """d's own lasso (`LassoModel.of_data`) and its `lasso_word`, built once
+    per instance; callers share both and must not change the masks."""
+    model = LassoModel.of_data(d)
+    return model, lasso_word(model.prefix, model.loop)
 
 
 def eventually(held: int, every: int, loop: int) -> int:

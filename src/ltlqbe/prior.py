@@ -19,6 +19,12 @@ the same (O, D) try the stored words before searching.  A stored word is a
 model of O and D whatever the query (atoms outside its signature are false,
 and none occurs in O or D), so a stored word that falsifies the query settles
 "not entailed"; "entailed" still comes only from the full search.
+
+Most data needs no search (`data_is_model`).  When D's own word, its facts
+and nothing else, satisfies every axiom at every position, it is the least
+model: every model holds D's facts, and positive queries are monotone.  Then
+(O, D) is consistent, a query is certain iff it holds on that word, and the
+engine decides such instances as plain data.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .core import (
     Prop,
     Query,
     Top,
+    data_word,
     eval_data,
     eventually,
     lasso_word,
@@ -417,7 +424,7 @@ def _search_word(
     # keeping one witness per diamond subformula and one falsifier per box
     # subformula preserves every subformula value, so this slack suffices
     size = onto.temporal_count + 1
-    facts = LassoModel.of_data(data).prefix
+    facts = data_word(data)[0].prefix
     temporal = onto.temporal_parts
     later = _diamond_args(query) if query is not None else []
     failed: set[tuple] = set()  # see _fill_handle; shared by every loop and k
@@ -519,9 +526,17 @@ def _keep(onto: PriorOntology, data: DataInstance, model: LassoModel) -> None:
 
 
 @lru_cache(maxsize=4096)
+def data_is_model(onto: PriorOntology, data: DataInstance) -> bool:
+    """True iff every axiom holds at every position of data's own word, which
+    is then the least model of (onto, data)."""
+    masks, every, loop = data_word(data)[1]
+    return all(_values(a, masks, every, loop) == every for a in onto.axioms)
+
+
+@lru_cache(maxsize=4096)
 def prior_consistent(onto: PriorOntology, data: DataInstance) -> bool:
     """True iff some ultimately periodic word satisfies data and all axioms."""
-    if not onto.axioms:
+    if data_is_model(onto, data):
         return True
     model = _search_word(onto, data, _sig_tuple(onto, data), None)
     if model is None:
@@ -534,7 +549,7 @@ def prior_consistent(onto: PriorOntology, data: DataInstance) -> bool:
 def prior_entails(onto: PriorOntology, data: DataInstance, q: Query) -> bool:
     """True iff q holds at 0 in every model of (onto, data)."""
     _diamond_args(q)  # the fragment check
-    if not onto.axioms:
+    if data_is_model(onto, data):
         return eval_data(data, q, 0)
     if positions(q, _EMPTY_WORD) & 1:
         return True  # valid positive queries have no countermodel anywhere

@@ -29,11 +29,12 @@ from .core import (
     _path_query,
     atoms_conj,
     conj,
+    data_word,
     eval_data,
     in_class,
 )
 from .horn import HornOntology, Inconsistent, canonical_model, certain_answer, consistent
-from .prior import PriorOntology, prior_consistent, prior_entails
+from .prior import PriorOntology, data_is_model, prior_consistent, prior_entails
 from .represent import _data_word, letter_masks, letter_table, repr_horn, repr_horn_br, repr_plain, repr_plain_br
 from .tsys import (
     BLACK,
@@ -158,12 +159,6 @@ def _drop_inconsistent(p: Problem) -> tuple[ExampleSet, Verdict | None, str | No
 # Breadth-first search for the diamond path classes over lasso words
 
 
-@lru_cache(maxsize=64)
-def data_lasso(d: DataInstance) -> LassoModel:
-    """d's own word (`LassoModel.of_data`), built once per instance."""
-    return LassoModel.of_data(d)
-
-
 def dp_path(
     e: ExampleSet,
     models: list[LassoModel],
@@ -182,7 +177,7 @@ def dp_path(
     diamond jump to fresh anchors plus a run of next-steps; each slot's
     conjunction is the intersection of the positive letters there, the
     strongest choice, which dominates every alternative.  The words are the
-    data's own (`data_lasso`) or the canonical-model lassos of a Horn
+    data's own (`core.data_word`) or the canonical-model lassos of a Horn
     ontology (`horn_diamond_search`).
 
     Every word is periodic from position k on, so a node's successors depend
@@ -652,11 +647,12 @@ def decide(p: Problem) -> Verdict:
 
 
 def _path_search(onto, e: ExampleSet, cls: QueryClass, allow_empty_blocks: bool = False) -> Verdict:
-    if onto is None:
-        models = [data_lasso(d) for d in e.instances]
-        return dp_path(e, models, cls, allow_empty_blocks=allow_empty_blocks)
     if isinstance(onto, HornOntology):
         return horn_diamond_search(onto, e, cls, allow_empty_blocks)
+    # under a box/diamond ontology, data whose own words are models is plain
+    if onto is None or all(data_is_model(onto, d) for d in e.instances):
+        models = [data_word(d)[0] for d in e.instances]
+        return dp_path(e, models, cls, allow_empty_blocks=allow_empty_blocks)
     return prior_path_search(onto, e, cls, allow_empty_blocks=allow_empty_blocks)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 
-from .core import DataInstance, LassoModel
+from .core import DataInstance, LassoModel, data_word
 from .horn import HornOntology, canonical_model
 from .tsys import BOT, TransitionSystem
 
@@ -39,7 +39,7 @@ def _data_word(d: DataInstance, sig: frozenset[str]):
     """d's word and `sig`, once `sig` is checked to cover d."""
     if not d.signature <= sig:
         raise ValueError("signature does not cover the data instance")
-    return LassoModel.of_data(d), sig
+    return data_word(d)[0], sig
 
 
 def _horn_word(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None):

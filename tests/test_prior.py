@@ -17,6 +17,7 @@ from ltlqbe.core import (
     lasso_word,
     parse_query,
     positions,
+    query_atoms,
 )
 
 D = DataInstance.of
@@ -374,6 +375,37 @@ def test_entails_matches_bounded_enumeration():
             q = _dia_query(rng, ("A", "B"), 3)
             certain = all(eval_lasso(m, q, 0) for m in models)
             assert prior.prior_entails(onto, d, q) == certain, (onto, d, str(q))
+
+
+def test_least_word_rule_matches_the_search():
+    # When the data's own word is a model, prior_entails answers on it alone;
+    # _search_word never takes that shortcut.
+    checked = {True: 0, False: 0}
+    rng = random.Random(8800)
+    while min(checked.values()) < 400:
+        onto = _rand_prior_ontology(rng)
+        d = rand_instance(rng, atoms=("A", "B"), max_ts=2, max_facts=3)
+        checked[prior.data_is_model(onto, d)] += 1
+        assert prior.prior_consistent(onto, d) == (
+            prior._search_word(onto, d, prior._sig_tuple(onto, d), None) is not None
+        ), (onto, d)
+        for _ in range(2):
+            q = _dia_query(rng, ("A", "B"), 3)
+            sig = prior._sig_tuple(onto, d, extra=query_atoms(q))
+            expected = prior._search_word(onto, d, sig, q) is None
+            assert prior.prior_entails(onto, d, q) == expected, (onto, d, str(q))
+
+
+def test_least_word_rule_checks_every_position():
+    # the axiom holds at 0 but fails at 1, where B must be added
+    o, d = load("A -> B"), D([("A", 1)])
+    assert not prior.data_is_model(o, d)
+    assert prior.prior_entails(o, d, parse_query("F B"))
+    # the promise at 2 is not kept by the data's empty tail
+    o, d = load("A -> F B"), D([("A", 2)])
+    assert not prior.data_is_model(o, d)
+    assert prior.prior_entails(o, d, parse_query("F B"))
+    assert prior.data_is_model(o, D([("A", 1), ("B", 2)]))
 
 
 def test_failed_fill_states_include_the_query_future():

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import rand_example_set, rand_horn_ontology, rand_instance
 import ltlqbe
-from ltlqbe import horn, prior
+from ltlqbe import horn, prior, transform
 from ltlqbe.core import (
     DataInstance,
     ExampleSet,
@@ -20,6 +20,7 @@ from ltlqbe.core import (
     Query,
     QueryClass,
     classify,
+    data_word,
     parse_query,
 )
 from ltlqbe.oracle import brute_force_decide
@@ -33,7 +34,6 @@ from ltlqbe.qbe import (
     Verdict,
     WitnessError,
     _blocks_to_query,
-    data_lasso,
     decide,
     decide_until_family,
     dp_path,
@@ -53,7 +53,7 @@ fs = frozenset
 
 def _words(e):
     """Each instance's own word, as the diamond path search reads it."""
-    return [data_lasso(d) for d in e.instances]
+    return [data_word(d)[0] for d in e.instances]
 
 
 def ex(pos, neg):
@@ -132,7 +132,7 @@ def _old_dp_path(
     diamond jump to fresh anchors plus a run of next-steps; each slot's
     conjunction is the intersection of the positive letters there, the
     strongest choice, which dominates every alternative.  The words are the
-    data's own (`data_lasso`) or the canonical-model lassos of a Horn
+    data's own (`core.data_word`) or the canonical-model lassos of a Horn
     ontology (`horn_diamond_search`).
 
     Every word is periodic from position k on, so a node's successors depend
@@ -618,36 +618,73 @@ def _prior_ontology(rng):
     return prior.load_prior_ontology(f"{body} -> {head}".format(a=a, b=b))
 
 
-# recorded before _valid_loops was cached and prior_path_search carried the
-# negatives that still entail each prefix
-_PRIOR_DIGEST = "5652a122398a431d1e24e15bf99e88335bf25780442a21541051dc68f5ad1e1e"
+def _prior_digests(seed_base: int, cls: QueryClass) -> tuple[str, str]:
+    """sha256 over the verdicts and notes, and over the verdicts, witnesses
+    and notes, of 40 seeded box/diamond sets."""
+    verdicts, witnesses = hashlib.sha256(), hashlib.sha256()
+    for seed in range(40):
+        rng = random.Random(seed_base + seed)
+        onto = _prior_ontology(rng)
+        e = _two_sided_set(rng, ("A", "B"), 2)
+        v = decide(Problem(cls, e, onto))
+        verdicts.update(f"{v.separable}|{v.note}\n".encode())
+        witnesses.update(f"{v.separable}|{v.witness}|{v.note}\n".encode())
+    return verdicts.hexdigest(), witnesses.hexdigest()
+
+
+# The verdict digests were recorded when sets whose instances' own data words
+# are models moved from prior_path_search to dp_path, and equal those of the
+# code before.  The witness digests were re-recorded then: dp_path finds other
+# separators than the prefix search on such sets, with the same verdicts.
+_PRIOR_VERDICT_DIGEST = "fb0c48b2814e5cafc94627e471ef5f5f7872dbe2a91e433a2d0d06e2d1f0d292"
+_PRIOR_DIGEST = "ecab0f89da9808eac72fdb14ffab11f26c45de078e9012bc44c367c595c2a46e"
+_PRIOR_PATH_VERDICT_DIGEST = "1bc632191a777074bc4824b8f4a39411fb0471249db9a59f318026721e7c23dc"
+_PRIOR_PATH_DIGEST = "3e9b1b9c0ca4e0f9cc6a15b427d2a472842987141c9283897ea13f43a1bd9b60"
+
+
+def test_prior_branch_diamond_verdicts_are_unchanged():
+    assert _prior_digests(36000, QueryClass.BRANCH_DIAMOND)[0] == _PRIOR_VERDICT_DIGEST
 
 
 def test_prior_branch_diamond_digest_is_unchanged():
-    h = hashlib.sha256()
-    for seed in range(40):
-        rng = random.Random(36000 + seed)
-        onto = _prior_ontology(rng)
-        e = _two_sided_set(rng, ("A", "B"), 2)
-        v = decide(Problem(QueryClass.BRANCH_DIAMOND, e, onto))
-        h.update(f"{v.separable}|{v.witness}|{v.note}\n".encode())
-    assert h.hexdigest() == _PRIOR_DIGEST
+    assert _prior_digests(36000, QueryClass.BRANCH_DIAMOND)[1] == _PRIOR_DIGEST
 
 
-# recorded before prior_entails evaluated queries as position bitmasks and
-# reused countermodels
-_PRIOR_PATH_DIGEST = "ee62b238c7f25d1a14436f71a952fa3a2750958f72608a4c5a0c6a2192a345c8"
+def test_prior_path_diamond_verdicts_are_unchanged():
+    assert _prior_digests(37000, QueryClass.PATH_DIAMOND)[0] == _PRIOR_PATH_VERDICT_DIGEST
 
 
 def test_prior_path_diamond_digest_is_unchanged():
-    h = hashlib.sha256()
-    for seed in range(40):
-        rng = random.Random(37000 + seed)
+    assert _prior_digests(37000, QueryClass.PATH_DIAMOND)[1] == _PRIOR_PATH_DIGEST
+
+
+@pytest.mark.parametrize("cls", [QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND])
+def test_data_that_is_a_model_takes_the_plain_route(monkeypatch, cls):
+    # decide must not reach prior_path_search on such sets, yet agree with it
+    from ltlqbe import qbe
+
+    def refused(*args, **kwargs):
+        raise AssertionError("prior_path_search on data whose words are models")
+
+    monkeypatch.setattr(qbe, "prior_path_search", refused)
+    rng = random.Random(38000 if cls is QueryClass.PATH_DIAMOND else 39000)
+    checked = 0
+    while checked < 300:
         onto = _prior_ontology(rng)
         e = _two_sided_set(rng, ("A", "B"), 2)
-        v = decide(Problem(QueryClass.PATH_DIAMOND, e, onto))
-        h.update(f"{v.separable}|{v.witness}|{v.note}\n".encode())
-    assert h.hexdigest() == _PRIOR_PATH_DIGEST
+        if not all(prior.data_is_model(onto, d) for d in e.instances):
+            continue
+        checked += 1
+        v = decide(Problem(cls, e, onto))
+        if cls is QueryClass.PATH_DIAMOND:
+            expected = prior_path_search(onto, e, cls).separable
+        else:
+            expected = all(
+                prior_path_search(onto, sub, QueryClass.PATH_DIAMOND, allow_empty_blocks=True).separable
+                for sub in transform.split_per_negative(e)
+            )
+        assert v.separable == expected, (onto, e)
+        assert not v.separable or verify_witness(Problem(cls, e, onto), v.witness)
 
 
 def _module_caches() -> dict:
