@@ -227,7 +227,7 @@ def _cmd_from_words(args) -> int:
     if not positives:
         raise InputError("need at least one positive word")
     e = words_example_set(positives, negatives)
-    models = [data_word(d)[0] for d in e.instances]
+    models = [data_word(d) for d in e.instances]
     if args.mode == "subsequence":
         verdict = dp_path(
             e, models, QueryClass.PATH_DIAMOND, require_nonempty=True

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -246,6 +246,11 @@ class LassoModel:
             return self.prefix[n]
         return self.loop[(n - self.pre) % self.per]
 
+    @cached_property
+    def word(self) -> Word:
+        """`lasso_word(prefix, loop)`, built once; callers must not change it."""
+        return lasso_word(self.prefix, self.loop)
+
     def project(self, signature: frozenset[str]) -> "LassoModel":
         return LassoModel(
             tuple(s & signature for s in self.prefix),
@@ -285,11 +290,10 @@ def lasso_word(prefix, loop) -> Word:
 
 
 @lru_cache(maxsize=64)
-def data_word(d: DataInstance) -> tuple[LassoModel, Word]:
-    """d's own lasso (`LassoModel.of_data`) and its `lasso_word`, built once
-    per instance; callers share both and must not change the masks."""
-    model = LassoModel.of_data(d)
-    return model, lasso_word(model.prefix, model.loop)
+def data_word(d: DataInstance) -> LassoModel:
+    """d's own lasso (`LassoModel.of_data`), built once per instance, so
+    that its `word` is too."""
+    return LassoModel.of_data(d)
 
 
 def eventually(held: int, every: int, loop: int) -> int:
@@ -340,7 +344,7 @@ def positions(q: Query, word: Word) -> int:
 
 def eval_data(d: DataInstance, q: Query, at: int) -> bool:
     """Truth of q at timepoint `at` in the word making exactly d's facts true."""
-    model = LassoModel.of_data(d)
+    model = data_word(d)
     return eval_lasso(model, q, model.fold(at))
 
 
@@ -348,7 +352,7 @@ def eval_lasso(model: LassoModel, q: Query, at: int) -> bool:
     """Truth of q at `at` in the infinite word denoted by the lasso."""
     if not 0 <= at < model.pre + model.per:
         raise ValueError(f"evaluation point {at} outside lasso representation")
-    return positions(q, lasso_word(model.prefix, model.loop)) >> at & 1 == 1
+    return positions(q, model.word) >> at & 1 == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Candidate queries are explored through their truth vectors: one position set
 per instance word, computed with independent per-word until/next steps.  Two
 queries with the same vector separate the same sets, so each class closure
-runs to a fixpoint over distinct vectors, which makes the verdict exact for
-plain data and for Horn ontologies (where the words are the canonical-model
-lassos).  Box/diamond ontologies have no canonical word; for them the oracle
-enumerates diamond paths and asks the entailment checker directly.
+runs to a fixpoint over distinct vectors, which makes the verdict exact
+wherever the instances have their words (`qbe.models`: the data's own or
+the canonical-model lassos).  Box/diamond data that is no model itself has
+none; there the oracle enumerates diamond paths and asks the entailment
+checker directly.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from .core import (
     in_class,
     temporal_depth,
 )
-from .horn import HornOntology, canonical_model, consistent
-from .prior import PriorOntology, prior_consistent, prior_entails
-from .qbe import Problem, Verdict, entailed
+from .prior import prior_consistent, prior_entails
+from .qbe import Problem, Verdict, entailed, models
 
 BOT_QUERY = Bot()
 
@@ -328,34 +328,21 @@ def _separates(v, npos) -> bool:
 # Decisions
 
 
-def problem_words(p: Problem) -> list[_Word]:
-    if p.ontology is None:
-        return [_lasso_word(LassoModel.of_data(d)) for d in p.examples.instances]
-    if isinstance(p.ontology, HornOntology):
-        sig = p.examples.signature | p.ontology.user_atoms
-        return [
-            _lasso_word(canonical_model(p.ontology, d).lasso.project(sig))
-            for d in p.examples.instances
-        ]
-    raise ValueError("no positional words under box/diamond ontologies")
-
-
 def brute_force_decide(p: Problem, cap: int = 200_000) -> Verdict:
-    """Exhaustive verdict via truth-vector closure, re-verified directly."""
+    """Exhaustive verdict via truth-vector closure over the `qbe.models`
+    words, or diamond-path enumeration without them, re-verified directly."""
     e = p.examples
-    if isinstance(p.ontology, PriorOntology):
+    found = {d: models(p.ontology, d) for d in e.instances}
+    if None in found.values():
         return _brute_force_prior(p, cap)
-    if isinstance(p.ontology, HornOntology):
-        if any(not consistent(p.ontology, d) for d in e.negatives):
-            return Verdict(False, note="inconsistent negative")
-        kept = tuple(d for d in e.positives if consistent(p.ontology, d))
-        e = ExampleSet(kept, e.negatives)
-        p = Problem(p.cls, e, p.ontology)
+    if not all(found[d] for d in e.negatives):
+        return Verdict(False, note="inconsistent negative")
+    e = ExampleSet(tuple(d for d in e.positives if found[d]), e.negatives)
     if not e.positives:
         return Verdict(True, BOT_QUERY)
     if not e.negatives:
         return Verdict(True, TOP)
-    words = problem_words(p)
+    words = [_lasso_word(word) for d in e.instances for word in found[d]]
     q = _decide_on_words(words, len(e.positives), p.cls, cap)
     if q is None:
         return Verdict(False)

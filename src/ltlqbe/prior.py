@@ -424,7 +424,7 @@ def _search_word(
     # keeping one witness per diamond subformula and one falsifier per box
     # subformula preserves every subformula value, so this slack suffices
     size = onto.temporal_count + 1
-    facts = data_word(data)[0].prefix
+    facts = data_word(data).prefix
     temporal = onto.temporal_parts
     later = _diamond_args(query) if query is not None else []
     failed: set[tuple] = set()  # see _fill_handle; shared by every loop and k
@@ -521,7 +521,7 @@ def _countermodels(onto: PriorOntology, data: DataInstance) -> list:
 
 def _keep(onto: PriorOntology, data: DataInstance, model: LassoModel) -> None:
     store = _countermodels(onto, data)
-    store.insert(0, lasso_word(model.prefix, model.loop))
+    store.insert(0, model.word)
     del store[_KEPT:]
 
 
@@ -529,7 +529,7 @@ def _keep(onto: PriorOntology, data: DataInstance, model: LassoModel) -> None:
 def data_is_model(onto: PriorOntology, data: DataInstance) -> bool:
     """True iff every axiom holds at every position of data's own word, which
     is then the least model of (onto, data)."""
-    masks, every, loop = data_word(data)[1]
+    masks, every, loop = data_word(data).word
     return all(_values(a, masks, every, loop) == every for a in onto.axioms)
 
 

@@ -30,12 +30,12 @@ from .core import (
     atoms_conj,
     conj,
     data_word,
-    eval_data,
+    eval_lasso,
     in_class,
 )
-from .horn import HornOntology, Inconsistent, canonical_model, certain_answer, consistent
+from .horn import HornOntology, Inconsistent, canonical_model
 from .prior import PriorOntology, data_is_model, prior_consistent, prior_entails
-from .represent import _data_word, letter_masks, letter_table, repr_horn, repr_horn_br, repr_plain, repr_plain_br
+from .represent import letter_masks, letter_table, repr_horn, repr_horn_br, repr_plain, repr_plain_br
 from .tsys import (
     BLACK,
     BOT,
@@ -103,18 +103,28 @@ class Verdict:
     note: str | None = None
 
 
+def models(onto, d: DataInstance) -> tuple[LassoModel, ...] | None:
+    """The lasso words on all of which a query holds at 0 iff it is certain
+    on d under onto (or none), `()` when (onto, d) has no model: the Horn
+    canonical lasso without the F-rewrite's atoms, or d's own word if it is
+    a model.  None for other box/diamond data (`prior_entails` answers)."""
+    if isinstance(onto, HornOntology):
+        try:
+            lasso = canonical_model(onto, d).lasso
+        except Inconsistent:
+            return ()
+        return (lasso.project(d.signature | onto.user_atoms) if onto.fresh_atoms else lasso,)
+    if onto is None or data_is_model(onto, d):
+        return (data_word(d),)
+    return None if prior_consistent(onto, d) else ()
+
+
 def entailed(ontology, d: DataInstance, q: Query) -> bool:
     """Certain truth of q at 0 on d under the given ontology (or none)."""
-    if ontology is None:
-        return eval_data(d, q, 0)
-    if isinstance(ontology, HornOntology):
-        try:
-            return certain_answer(ontology, d, q, 0)
-        except Inconsistent:
-            return True  # no models, so everything is certain
-    if isinstance(q, Bot):  # outside prior_entails' fragment; certain only without models
-        return not prior_consistent(ontology, d)
-    return prior_entails(ontology, d, q)
+    words = models(ontology, d)
+    if words is None:  # consistent, so false is not certain
+        return not isinstance(q, Bot) and prior_entails(ontology, d, q)
+    return all(eval_lasso(word, q, 0) for word in words)
 
 
 def verify_witness(p: Problem, q: Query) -> bool:
@@ -136,23 +146,18 @@ def _checked(p: Problem, verdict: Verdict) -> Verdict:
 # Consistency preprocessing
 
 
-def _drop_inconsistent(p: Problem) -> tuple[ExampleSet, Verdict | None, str | None]:
+def _drop_inconsistent(p: Problem) -> tuple[ExampleSet, list, Verdict | None, str | None]:
+    """p's examples without the positives that have no model, and the
+    `models` of their instances in order; or a verdict if a negative has none."""
     e = p.examples
-    if p.ontology is None:
-        return e, None, None
-    if isinstance(p.ontology, HornOntology):
-        onto = p.ontology
-        sat = lambda d: consistent(onto, d)
-    else:
-        onto = p.ontology
-        sat = lambda d: prior_consistent(onto, d)
-    if any(not sat(d) for d in e.negatives):
-        return e, Verdict(False, note="a negative example is inconsistent with the ontology"), None
-    positives = tuple(d for d in e.positives if sat(d))
-    note = None
-    if len(positives) < len(e.positives):
-        note = f"dropped {len(e.positives) - len(positives)} inconsistent positive(s)"
-    return ExampleSet(positives, e.negatives), None, note
+    found = [models(p.ontology, d) for d in e.instances]
+    npos = len(e.positives)
+    if () in found[npos:]:
+        return e, found, Verdict(False, note="a negative example is inconsistent with the ontology"), None
+    kept = [(d, words) for d, words in zip(e.positives, found) if words != ()]
+    note = f"dropped {npos - len(kept)} inconsistent positive(s)" if len(kept) < npos else None
+    e = ExampleSet(tuple(d for d, _ in kept), e.negatives)
+    return e, [words for _, words in kept] + found[npos:], None, note
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +182,8 @@ def dp_path(
     diamond jump to fresh anchors plus a run of next-steps; each slot's
     conjunction is the intersection of the positive letters there, the
     strongest choice, which dominates every alternative.  The words are the
-    data's own (`core.data_word`) or the canonical-model lassos of a Horn
-    ontology (`horn_diamond_search`).
+    instances' `models`: the data's own or the canonical-model lassos of a
+    Horn ontology.
 
     Every word is periodic from position k on, so a node's successors depend
     on its positions only up to k: nodes store them clamped at k.  Each
@@ -387,14 +392,9 @@ def _blocks_to_query(blocks, cls: QueryClass) -> Query:
     return spine(0)
 
 
-def horn_diamond_search(
-    onto: HornOntology, e: ExampleSet, cls: QueryClass, allow_empty_blocks: bool = False
-) -> Verdict:
-    """The diamond path search under a Horn ontology: certain answers are the
-    letters of the instances' canonical-model lassos."""
-    sig = e.signature | onto.user_atoms
-    models = [canonical_model(onto, d).lasso.project(sig) for d in e.instances]
-    return dp_path(e, models, cls, allow_empty_blocks=allow_empty_blocks)
+def horn_diamond_search(onto: HornOntology, e: ExampleSet, cls: QueryClass, allow_empty_blocks=False) -> Verdict:
+    """`_path_search` under a Horn ontology, by a name the benchmark traces."""
+    return _path_search(onto, e, [models(onto, d) for d in e.instances], cls, allow_empty_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +444,14 @@ def _system_key(onto: HornOntology | None, d: DataInstance, sig: frozenset[str],
 
     That is the form and the lasso word the builder reads: where its loop
     starts, and its letters as bitmasks over `letters`, the sorted signature
-    and BOT.  Plain data's word is its own (`LassoModel.of_data`, once `sig`
-    covers it), Horn data's is its canonical lasso, with the atoms outside
-    `sig` ignored.  The form is the position or the black/red system; the
-    black/red builder reads its tail form off the whole loop, so the form
-    takes it from there too.
+    and BOT.  The word is d's `models` word, with the atoms outside `sig`
+    ignored.  The form is the position or the black/red system; the
+    black/red builder reads its tail form off whether the whole loop holds
+    an atom.  The word agrees: an atom of the F-rewrite, which it drops,
+    holds in a least model only where a user atom holds later.
     """
     letters = letter_table(sig)
-    word = _data_word(d, sig)[0] if onto is None else canonical_model(onto, d).lasso
+    (word,) = models(onto, d)
     if not black_red:
         form = "positions"
     else:
@@ -623,7 +623,7 @@ def _prefix_query(prefix) -> Query:
 
 
 def decide(p: Problem) -> Verdict:
-    e, early, note = _drop_inconsistent(p)
+    e, found, early, note = _drop_inconsistent(p)
     if early is not None:
         return early
     sub = Problem(p.cls, e, p.ontology)
@@ -634,9 +634,9 @@ def decide(p: Problem) -> Verdict:
     if not e.negatives:
         return _checked(sub, Verdict(True, TOP, note=note))
     if p.cls in PATH_CLASSES:
-        verdict = _path_search(p.ontology, e, p.cls)
+        verdict = _path_search(p.ontology, e, found, p.cls)
     elif p.cls in BRANCH_CLASSES:
-        verdict = _decide_branch(p.ontology, e, p.cls)
+        verdict = _decide_branch(p.ontology, e, found, p.cls)
     elif p.cls in UNTIL_CLASSES:
         verdict = decide_until_family(e, p.ontology, p.cls)
     else:
@@ -646,21 +646,19 @@ def decide(p: Problem) -> Verdict:
     return _checked(sub, verdict)
 
 
-def _path_search(onto, e: ExampleSet, cls: QueryClass, allow_empty_blocks: bool = False) -> Verdict:
-    if isinstance(onto, HornOntology):
-        return horn_diamond_search(onto, e, cls, allow_empty_blocks)
-    # under a box/diamond ontology, data whose own words are models is plain
-    if onto is None or all(data_is_model(onto, d) for d in e.instances):
-        models = [data_word(d)[0] for d in e.instances]
-        return dp_path(e, models, cls, allow_empty_blocks=allow_empty_blocks)
-    return prior_path_search(onto, e, cls, allow_empty_blocks=allow_empty_blocks)
+def _path_search(onto, e: ExampleSet, found: list, cls: QueryClass, allow_empty_blocks: bool = False) -> Verdict:
+    """dp_path over the `models` words of e's instances (`found`), if each has one."""
+    if None in found:
+        return prior_path_search(onto, e, cls, allow_empty_blocks=allow_empty_blocks)
+    return dp_path(e, [word for (word,) in found], cls, allow_empty_blocks=allow_empty_blocks)
 
 
-def _decide_branch(onto, e: ExampleSet, cls: QueryClass) -> Verdict:
+def _decide_branch(onto, e: ExampleSet, found: list, cls: QueryClass) -> Verdict:
     parts = []
-    for sub in transform.split_per_negative(e):
+    npos = len(e.positives)
+    for sub, neg in zip(transform.split_per_negative(e), found[npos:]):
         # the branching classes place no restriction on all-top blocks
-        v = _path_search(onto, sub, _BRANCH_TO_PATH[cls], allow_empty_blocks=True)
+        v = _path_search(onto, sub, found[:npos] + [neg], _BRANCH_TO_PATH[cls], allow_empty_blocks=True)
         if not v.separable:
             return Verdict(False)
         parts.append(v.witness)

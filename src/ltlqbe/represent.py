@@ -39,7 +39,7 @@ def _data_word(d: DataInstance, sig: frozenset[str]):
     """d's word and `sig`, once `sig` is checked to cover d."""
     if not d.signature <= sig:
         raise ValueError("signature does not cover the data instance")
-    return data_word(d)[0], sig
+    return data_word(d), sig
 
 
 def _horn_word(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None):

@@ -405,9 +405,6 @@ class Tree:
     label: frozenset[str]
     children: tuple[tuple[frozenset[str], str, "Tree"], ...] = ()
 
-    def depth(self) -> int:
-        return 1 + max((c.depth() for _, _, c in self.children), default=0)
-
 
 def extract_failing_subtree(s: TransitionSystem, t: TransitionSystem) -> Tree:
     """A finite subtree of s's computation tree not embeddable into t's.

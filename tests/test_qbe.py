@@ -10,17 +10,23 @@ import sys
 
 import pytest
 
-from conftest import rand_example_set, rand_horn_ontology, rand_instance
+from conftest import rand_example_set, rand_horn_ontology, rand_instance, rand_query
 import ltlqbe
 from ltlqbe import horn, prior, transform
 from ltlqbe.core import (
+    Bot,
     DataInstance,
+    Diamond,
     ExampleSet,
     LassoModel,
+    Prop,
     Query,
     QueryClass,
+    TOP,
     classify,
+    conj,
     data_word,
+    eval_data,
     parse_query,
 )
 from ltlqbe.oracle import brute_force_decide
@@ -38,8 +44,8 @@ from ltlqbe.qbe import (
     decide_until_family,
     dp_path,
     entailed,
-    horn_diamond_search,
     minimize_witness,
+    models,
     prior_path_search,
     query_from_run,
     query_from_tree,
@@ -53,7 +59,7 @@ fs = frozenset
 
 def _words(e):
     """Each instance's own word, as the diamond path search reads it."""
-    return [data_word(d)[0] for d in e.instances]
+    return [data_word(d) for d in e.instances]
 
 
 def ex(pos, neg):
@@ -376,14 +382,92 @@ def test_horn_search_agrees_with_dp_on_empty_ontology():
     for seed in range(25):
         rng = random.Random(14000 + seed)
         e = rand_example_set(rng, max_ts=4, max_pos=2, max_neg=2)
-        for cls in (
-            QueryClass.PATH_DIAMOND,
-            QueryClass.PATH_NEXT_DIAMOND,
-            QueryClass.PATH_DIAMOND_CIRC_BLOCKS,
-        ):
-            a = dp_path(e, _words(e), cls)
-            b = horn_diamond_search(horn.EMPTY_ONTOLOGY, e, cls)
-            assert a.separable == b.separable
+        for cls in PATH_CLASSES + BRANCH_CLASSES:
+            a = decide(Problem(cls, e))
+            b = decide(Problem(cls, e, horn.EMPTY_ONTOLOGY))
+            assert a.separable == b.separable, (cls, e)
+
+
+def _diamond_query(rng, depth=2) -> Query:
+    """A random query of true, atoms A and B, & and F."""
+    parts = [Prop(a) for a in "AB" if rng.random() < 0.4]
+    if depth and rng.random() < 0.7:
+        parts.append(Diamond(_diamond_query(rng, depth - 1)))
+    return conj(parts) if parts else TOP
+
+
+def _prior_ontology_with_constraint(rng):
+    """`_prior_ontology`'s axiom, half the time with `!(A & B)` as well."""
+    onto = _prior_ontology(rng)
+    if rng.random() < 0.5:
+        return onto
+    return prior.PriorOntology(onto.axioms + prior.load_prior_ontology("!(A & B)").axioms)
+
+
+def test_entailed_matches_the_answers_of_each_ontology_kind():
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(42000 + seed)
+        d = rand_instance(rng, ("A", "B"), 3)
+        q = rand_query(rng, atoms=("A", "B"))
+        assert entailed(None, d, q) == eval_data(d, q, 0)
+        onto = rand_horn_ontology(rng, atoms=("A", "B"), max_axioms=3)
+        try:
+            certain = horn.certain_answer(onto, d, q, 0)
+        except horn.Inconsistent:
+            certain = True
+        assert entailed(onto, d, q) == certain, (onto, d, str(q))
+        box = _prior_ontology_with_constraint(rng)
+        dq = _diamond_query(rng)
+        box_certain = prior.prior_entails(box, d, dq)
+        assert entailed(box, d, dq) == box_certain, (box, d, str(dq))
+        assert entailed(box, d, Bot()) == (not prior.prior_consistent(box, d))
+        seen.add((certain, box_certain, models(box, d) is None))
+    assert len(seen) == 8
+
+
+def test_models_are_empty_iff_the_data_is_inconsistent():
+    horn_empty, box_empty = set(), set()
+    for seed in range(300):
+        rng = random.Random(43000 + seed)
+        d = rand_instance(rng, ("A", "B"), 3)
+        onto = rand_horn_ontology(rng, atoms=("A", "B"), max_axioms=3)
+        box = _prior_ontology_with_constraint(rng)
+        assert (models(onto, d) == ()) == (not horn.consistent(onto, d)), (onto, d)
+        assert (models(box, d) == ()) == (not prior.prior_consistent(box, d)), (box, d)
+        horn_empty.add(models(onto, d) == ())
+        box_empty.add(models(box, d) == ())
+    assert horn_empty == box_empty == {True, False}
+
+
+def test_horn_word_keeps_the_tail_form_of_the_canonical_lasso():
+    # the until store keys the black/red form off the models word, while the
+    # builder reads it off the canonical lasso with the F-rewrite's atoms
+    fresh_in_loop = 0
+    for seed in range(600):
+        rng = random.Random(45000 + seed)
+        onto = rand_horn_ontology(rng, atoms=("A", "B", "C"), max_axioms=4)
+        d = rand_instance(rng, ("A", "B", "C"), 5)
+        if not onto.fresh_atoms or not horn.consistent(onto, d):
+            continue
+        lasso = horn.canonical_model(onto, d).lasso
+        (word,) = models(onto, d)
+        assert any(word.loop) == any(lasso.loop), (onto, d)
+        fresh_in_loop += any(s & onto.fresh_atoms for s in lasso.loop)
+    assert fresh_in_loop >= 10
+
+
+def test_empty_horn_ontology_spells_the_data_word():
+    reshaped = 0
+    for seed in range(300):
+        d = rand_instance(random.Random(44000 + seed), max_ts=5)
+        (a,), (b,) = models(None, d), models(horn.EMPTY_ONTOLOGY, d)
+        # lassos equal on max(pre) + lcm(per) positions are equal; per * per
+        # is a multiple of that lcm
+        span = max(a.pre, b.pre) + a.per * b.per
+        assert [a.letter(n) for n in range(span)] == [b.letter(n) for n in range(span)], d
+        reshaped += (a.pre, a.per) != (b.pre, b.per)
+    assert reshaped
 
 
 def test_horn_copy_axioms_block_separation():
@@ -609,6 +693,24 @@ def test_until_witness_digest_is_unchanged():
                 v = decide(Problem(cls, e, o))
                 h.update(f"{v.separable}|{v.witness}|{v.note}\n".encode())
     assert h.hexdigest() == _UNTIL_DIGEST
+
+
+# sha256 over the verdicts, witnesses and notes of the diamond path and
+# branch classes under random Horn ontologies, many with F-bodies and so
+# with fresh atoms; recorded before qbe.models chose the words
+_HORN_DIAMOND_DIGEST = "a671a2ee38dca08d09cb4d5db4ad0523ae782ccde28b11b732e9c084db599fc3"
+
+
+def test_horn_diamond_witness_digest_is_unchanged():
+    h = hashlib.sha256()
+    for seed in range(60):
+        rng = random.Random(40000 + seed)
+        onto = rand_horn_ontology(rng, atoms=("A", "B"), max_axioms=3)
+        e = _two_sided_set(rng, ("A", "B"), 3)
+        for cls in PATH_CLASSES + BRANCH_CLASSES:
+            v = decide(Problem(cls, e, onto))
+            h.update(f"{cls}|{v.separable}|{v.witness}|{v.note}\n".encode())
+    assert h.hexdigest() == _HORN_DIAMOND_DIGEST
 
 
 def _prior_ontology(rng):
