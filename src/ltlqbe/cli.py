@@ -15,7 +15,7 @@ import sys
 import time
 import traceback
 
-from . import horn, prior
+from . import horn, prior, qbe
 from .core import (
     Bot,
     DataInstance,
@@ -25,14 +25,14 @@ from .core import (
     QueryClass,
     Until,
     data_word,
-    eval_data,
+    eval_lasso,
     parse_query,
     subqueries,
 )
 from .horn import Inconsistent, OntologyParseError
 from .oracle import OracleCap, brute_force_decide
 from .prior import PriorParseError
-from .qbe import Problem, ResourceCap, UnsupportedProblem, decide, entailed, minimize_witness
+from .qbe import Problem, ResourceCap, UnsupportedProblem, decide, minimize_witness
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -171,16 +171,17 @@ def _cmd_eval(args) -> int:
     _check_reserved(onto, [d])
     if args.at < 0:
         raise InputError(f"negative timepoint {args.at}")
-    if onto is None:
-        value = eval_data(d, q, args.at)
-    elif isinstance(onto, prior.PriorOntology):
+    words = qbe.models(onto, d)
+    if words == ():
+        raise Inconsistent("they have no model")
+    if words is None:
         if args.at != 0:
             raise InputError("box/diamond entailment is defined at timepoint 0")
         if not isinstance(q, Bot) and any(isinstance(s, (Bot, Next, Until)) for s in subqueries(q)):
             raise InputError(f"box/diamond entailment takes true, false, atoms, & and F only: {q}")
-        value = entailed(onto, d, q)
+        value = not isinstance(q, Bot) and prior.prior_entails(onto, d, q)  # consistent: false is not certain
     else:
-        value = horn.certain_answer(onto, d, q, args.at)
+        value = all(eval_lasso(word, q, word.fold(args.at)) for word in words)
     print("true" if value else "false")
     return EXIT_TRUE if value else EXIT_FALSE
 
@@ -219,28 +220,29 @@ def words_example_set(positives: list[str], negatives: list[str]) -> ExampleSet:
     return ExampleSet.of([of_word(w) for w in positives], [of_word(w) for w in negatives])
 
 
-def _cmd_from_words(args) -> int:
-    from .qbe import dp_path
+def _separating_factor(positives: list[str], negatives: list[str]) -> qbe.Verdict:
+    """The first factor of the first positive, by length and then by
+    position, that is a factor of every positive and of no negative."""
+    first = positives[0]
+    for n in range(1, len(first) + 1):
+        for i in range(len(first) - n + 1):
+            f = first[i : i + n]
+            if all(f in w for w in positives) and not any(f in w for w in negatives):
+                blocks = [(frozenset(),), tuple(frozenset(ch) for ch in f)]
+                return qbe.Verdict(True, qbe._blocks_to_query(blocks, QueryClass.PATH_DIAMOND_CIRC_BLOCKS))
+    return qbe.Verdict(False)
 
+
+def _cmd_from_words(args) -> int:
     positives = [w for w in args.positives.split(",") if w]
     negatives = [w for w in args.negatives.split(",") if w] if args.negatives else []
     if not positives:
         raise InputError("need at least one positive word")
     e = words_example_set(positives, negatives)
-    models = [data_word(d) for d in e.instances]
     if args.mode == "subsequence":
-        verdict = dp_path(
-            e, models, QueryClass.PATH_DIAMOND, require_nonempty=True
-        )
+        verdict = qbe.dp_path(e, [data_word(d) for d in e.instances], QueryClass.PATH_DIAMOND)
     else:
-        verdict = dp_path(
-            e,
-            models,
-            QueryClass.PATH_DIAMOND_CIRC_BLOCKS,
-            require_nonempty=True,
-            max_blocks=1,
-            max_anchor_c=0,
-        )
+        verdict = _separating_factor(positives, negatives)
     out = {"format": FORMAT_VERSION, "separable": verdict.separable, "mode": args.mode}
     if verdict.separable:
         out["witness"] = str(verdict.witness)

@@ -190,9 +190,6 @@ class DataInstance:
     def atoms_at(self, t: int) -> frozenset[str]:
         return frozenset(name for name, u in self.facts if u == t)
 
-    def shifted(self, offset: int) -> "DataInstance":
-        return DataInstance(frozenset((a, t + offset) for a, t in self.facts))
-
     def __le__(self, other: "DataInstance") -> bool:
         return self.facts <= other.facts
 
@@ -252,9 +249,10 @@ class LassoModel:
         return lasso_word(self.prefix, self.loop)
 
     def project(self, signature: frozenset[str]) -> "LassoModel":
+        """The lasso over `signature`; letters inside it are shared, not copied."""
         return LassoModel(
-            tuple(s & signature for s in self.prefix),
-            tuple(s & signature for s in self.loop),
+            tuple(s if s <= signature else s & signature for s in self.prefix),
+            tuple(s if s <= signature else s & signature for s in self.loop),
         )
 
     @staticmethod

@@ -27,7 +27,7 @@ their order.  The folded re-chase stays on atom sets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .core import DataInstance, LassoModel, Query, eval_lasso, lasso_word
@@ -247,6 +247,8 @@ class CanonicalModel:
     lasso: LassoModel
     handle: int  # s: loop starts at max_timestamp + s
     period: int  # p
+    # the lasso without the F-rewrite's atoms: the word user queries are answered on
+    user_lasso: LassoModel | None = field(default=None, compare=False)
 
     @property
     def horizon(self) -> int:
@@ -559,7 +561,8 @@ def _canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel |
             # the least model of these axioms is the one just built
             prefix, loop = model
             lasso = LassoModel(prefix, loop)
-            return CanonicalModel(lasso, handle=len(prefix) - max_ts, period=len(loop))
+            user = lasso.project(data.signature | onto.user_atoms) if onto.fresh_atoms else lasso
+            return CanonicalModel(lasso, handle=len(prefix) - max_ts, period=len(loop), user_lasso=user)
         reduced = guarded
         try:
             prefix, loop, _, _ = _least_boxfree_model(reduced, data, hist, cap)

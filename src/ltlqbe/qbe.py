@@ -35,7 +35,7 @@ from .core import (
 )
 from .horn import HornOntology, Inconsistent, canonical_model
 from .prior import PriorOntology, data_is_model, prior_consistent, prior_entails
-from .represent import letter_masks, letter_table, repr_horn, repr_horn_br, repr_plain, repr_plain_br
+from .represent import letter_masks, letter_table, repr_plain, repr_plain_br
 from .tsys import (
     BLACK,
     BOT,
@@ -86,15 +86,6 @@ class Problem:
     examples: ExampleSet
     ontology: HornOntology | PriorOntology | None = None
 
-    def __post_init__(self):
-        if isinstance(self.ontology, PriorOntology) and self.cls not in (
-            QueryClass.PATH_DIAMOND,
-            QueryClass.BRANCH_DIAMOND,
-        ):
-            raise UnsupportedProblem(
-                "box/diamond ontologies only pair with the diamond path/branch classes"
-            )
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -110,10 +101,9 @@ def models(onto, d: DataInstance) -> tuple[LassoModel, ...] | None:
     a model.  None for other box/diamond data (`prior_entails` answers)."""
     if isinstance(onto, HornOntology):
         try:
-            lasso = canonical_model(onto, d).lasso
+            return (canonical_model(onto, d).user_lasso,)
         except Inconsistent:
             return ()
-        return (lasso.project(d.signature | onto.user_atoms) if onto.fresh_atoms else lasso,)
     if onto is None or data_is_model(onto, d):
         return (data_word(d),)
     return None if prior_consistent(onto, d) else ()
@@ -169,10 +159,7 @@ def dp_path(
     models: list[LassoModel],
     cls: QueryClass,
     node_cap: int = 300_000,
-    require_nonempty: bool = False,
-    max_blocks: int | None = None,
     allow_empty_blocks: bool = False,
-    max_anchor_c: int | None = None,
 ) -> Verdict:
     """Decide diamond-path separability over per-instance certain-truth words.
 
@@ -215,7 +202,7 @@ def dp_path(
     top = k + m_budget
     c_range = range(0, top + 1) if cls is not QueryClass.PATH_DIAMOND else range(0, 1)
     anchored = cls is QueryClass.PATH_NEXT_DIAMOND  # Eq-1 chains: blocks may not overlap
-    block_limit = max_blocks if max_blocks is not None else k + nneg + 2
+    block_limit = k + nneg + 2
 
     horizon = 2 * top + 2
     rows = [(m.prefix + m.loop * (horizon // m.per + 1))[: horizon + 1] for m in models]
@@ -235,10 +222,7 @@ def dp_path(
             # a diamond step may not land on an all-top block, and an all-top
             # run that does not move the block's end adds nothing over c=0
             all_top = not any(slots)
-            barred = (
-                all_top and (not allow_empty_blocks or t > 0 and not anchored)
-                or require_nonempty and not all(slots)
-            )
+            barred = all_top and (not allow_empty_blocks or t > 0 and not anchored)
             shift = t if anchored else 0
             chain.append((slots, None if barred else tuple(min(a + shift, k) for a in anchors)))
 
@@ -342,9 +326,8 @@ def dp_path(
         blocks.reverse()
         return _blocks_to_query(blocks, cls)
 
-    anchor_range = c_range if max_anchor_c is None else range(0, max_anchor_c + 1)
     zero = (0,) * npos
-    for c in anchor_range:
+    for c in c_range:
         chain = chains.setdefault(zero, [])
         extend(chain, zero, c)
         slots = chain[c][0]
@@ -439,19 +422,16 @@ class _Store:
 _instance_systems = _Store(maxsize=4096)
 
 
-def _system_key(onto: HornOntology | None, d: DataInstance, sig: frozenset[str], black_red: bool):
-    """What d's reduced system is a function of, as one flat tuple.
+def _system_key(word: LassoModel, sig: frozenset[str], black_red: bool):
+    """What the word's reduced system is a function of, as one flat tuple.
 
-    That is the form and the lasso word the builder reads: where its loop
+    That is the form and the word as the builder reads it: where its loop
     starts, and its letters as bitmasks over `letters`, the sorted signature
-    and BOT.  The word is d's `models` word, with the atoms outside `sig`
-    ignored.  The form is the position or the black/red system; the
-    black/red builder reads its tail form off whether the whole loop holds
-    an atom.  The word agrees: an atom of the F-rewrite, which it drops,
-    holds in a least model only where a user atom holds later.
+    and BOT, with the atoms outside `sig` ignored.  The form is the position
+    or the black/red system; the black/red builder reads its tail form off
+    whether the whole loop holds an atom.
     """
     letters = letter_table(sig)
-    (word,) = models(onto, d)
     if not black_red:
         form = "positions"
     else:
@@ -459,45 +439,41 @@ def _system_key(onto: HornOntology | None, d: DataInstance, sig: frozenset[str],
     return (form, letters, word.pre, *letter_masks(word, letters))
 
 
-def _reduced_system(
-    onto: HornOntology | None, d: DataInstance, sig: frozenset[str], black_red: bool
-) -> TransitionSystem:
-    """`prune_dominated_edges(bisim_quotient(build))` of d's position or
-    black/red system over `sig`, from `_instance_systems`.
+def _reduced_system(word: LassoModel, sig: frozenset[str], black_red: bool) -> TransitionSystem:
+    """`prune_dominated_edges(bisim_quotient(build))` of the word's position
+    or black/red system over `sig`, from `_instance_systems`.
 
     Systems are immutable, so a hit gives out the stored system itself.
     """
 
     def build() -> TransitionSystem:
-        if onto is None:
-            ts = repr_plain_br(d, sig) if black_red else repr_plain(d, sig)
-        else:
-            ts = repr_horn_br(onto, d, sig) if black_red else repr_horn(onto, d, sig)
+        ts = repr_plain_br(word, sig) if black_red else repr_plain(word, sig)
         return prune_dominated_edges(bisim_quotient(ts))
 
-    return _instance_systems.get(_system_key(onto, d, sig, black_red), build)
+    return _instance_systems.get(_system_key(word, sig, black_red), build)
 
 
 @lru_cache(maxsize=4)
-def _until_systems(e: ExampleSet, onto: HornOntology | None, black_red: bool):
-    """The quotiented positive product and the negatives' systems.
+def _until_systems(e: ExampleSet, onto, black_red: bool):
+    """The quotiented positive product and the negatives' systems, over the
+    atoms of the instances' `models` words.
 
     Each instance's reduced system comes from the word-keyed store
-    `_instance_systems` (`_reduced_system`): plain data and every Horn
-    ontology that give the same lasso word share one entry, across example
-    sets, and only a miss builds.  path-until and simple-until build the
-    same pair, so it is cached per example set; the systems are immutable,
-    so the callers share them.  A set's classes are decided one after
-    another, so a few entries suffice.
+    `_instance_systems` (`_reduced_system`): every ontology and data that
+    give the same lasso word share one entry, across example sets, and only
+    a miss builds.  path-until and simple-until build the same pair, so it
+    is cached per example set; the systems are immutable, so the callers
+    share them.  A set's classes are decided one after another, so a few
+    entries suffice.
     """
-    sig = e.signature | (onto.user_atoms if onto is not None else frozenset())
-    pos = [_reduced_system(onto, d, sig, black_red) for d in e.positives]
-    neg = [_reduced_system(onto, d, sig, black_red) for d in e.negatives]
-    prod = bisim_quotient(product(pos))
-    return prod, tuple(neg)
+    words = [word for d in e.instances for word in models(onto, d)]
+    sig = frozenset().union(*(word.word[0] for word in words))  # the atoms with a position mask
+    systems = [_reduced_system(word, sig, black_red) for word in words]
+    npos = len(e.positives)
+    return bisim_quotient(product(systems[:npos])), tuple(systems[npos:])
 
 
-def decide_until_family(e: ExampleSet, onto: HornOntology | None, cls: QueryClass) -> Verdict:
+def decide_until_family(e: ExampleSet, onto, cls: QueryClass) -> Verdict:
     if cls not in UNTIL_CLASSES:
         raise ValueError(f"decide_until_family does not handle {cls}")
     if not e.positives:
@@ -633,6 +609,8 @@ def decide(p: Problem) -> Verdict:
         return _checked(sub, Verdict(True, BOT_QUERY, note=note))
     if not e.negatives:
         return _checked(sub, Verdict(True, TOP, note=note))
+    if None in found and p.cls not in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND):
+        raise UnsupportedProblem(f"{p.cls.value} needs box/diamond data that is its own model")
     if p.cls in PATH_CLASSES:
         verdict = _path_search(p.ontology, e, found, p.cls)
     elif p.cls in BRANCH_CLASSES:

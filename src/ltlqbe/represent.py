@@ -1,8 +1,9 @@
 """Transition-system representations of lasso words.
 
-Every builder reads one `LassoModel`: plain data is the word of its facts
-followed by empty letters forever (`LassoModel.of_data`), and a Horn
-ontology's data is its canonical-model lasso.  The position system serves
+Both builders read one `LassoModel`, whatever it is the least model of:
+plain data is the word of its facts followed by empty letters forever
+(`core.data_word`), and a Horn ontology's data is its canonical-model lasso
+(`repr_horn` and `repr_horn_br` build from it).  The position system serves
 until-path containment and simple-until simulation; the black/red system
 encodes full until nesting with two edge colors, driven by the wrap-around
 successor calculus (lessdot_mp) and its gap sets (nabla_mp).  Plain lessdot
@@ -14,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 
-from .core import DataInstance, LassoModel, data_word
+from .core import DataInstance, LassoModel
 from .horn import HornOntology, canonical_model
 from .tsys import BOT, TransitionSystem
 
@@ -35,21 +36,9 @@ def letter_masks(word: LassoModel, letters: tuple[str, ...]) -> list[int]:
     return [sum(bit.get(a, 0) for a in x) for x in word.prefix + word.loop]
 
 
-def _data_word(d: DataInstance, sig: frozenset[str]):
-    """d's word and `sig`, once `sig` is checked to cover d."""
-    if not d.signature <= sig:
-        raise ValueError("signature does not cover the data instance")
-    return data_word(d), sig
-
-
-def _horn_word(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None):
-    """The canonical lasso and `sig`, by default the data's and user atoms."""
-    word = canonical_model(onto, d).lasso
-    return word, (d.signature | onto.user_atoms if sig is None else sig)
-
-
-def _positions(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
-    """Positions 0..pre+per-1 with all forward jumps and the loop's wraps.
+def repr_plain(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
+    """Positions 0..pre+per-1 with all forward jumps and the loop's wraps;
+    for data, positions 0..max+1 with an empty looping sink.
 
     An edge's label is the AND of the masks of the positions it jumps over,
     all bits when it jumps over none."""
@@ -74,14 +63,9 @@ def _positions(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
     return TransitionSystem(letters, (0,), tuple(masks), tuple(edges))
 
 
-def repr_plain(d: DataInstance, sig: frozenset[str]) -> TransitionSystem:
-    """Positions 0..max+1 with all forward jumps and an empty looping sink."""
-    return _positions(*_data_word(d, sig))
-
-
 def repr_horn(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = None) -> TransitionSystem:
-    """Canonical-model positions 0..M+p-1 with forward jumps and loop wraps."""
-    return _positions(*_horn_word(onto, d, sig))
+    """`repr_plain` of the canonical lasso, over the data's and user atoms by default."""
+    return repr_plain(canonical_model(onto, d).lasso, d.signature | onto.user_atoms if sig is None else sig)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +173,7 @@ def _successor_sets(points: list[int], n_positions: int, wrap_start: int):
         yield from extend(size, False)
 
 
-def _build_br(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
+def repr_plain_br(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
     """Worklist construction of the two-colored system from the calculus.
 
     States are the origin, u, z and the (phi_set, psi_set) pairs, numbered
@@ -265,12 +249,6 @@ def _build_br(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
     return TransitionSystem(letters, (_ORIGIN,), tuple(labels), tuple(edges), colored=True)
 
 
-def repr_plain_br(d: DataInstance, sig: frozenset[str]) -> TransitionSystem:
-    """Two-colored system over subsets of [0, max]; z models the empty tail."""
-    return _build_br(*_data_word(d, sig))
-
-
 def repr_horn_br(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = None) -> TransitionSystem:
-    """Two-colored system over the canonical lasso: the z-tail form when its
-    loop is empty, otherwise subsets of [0, M+p) with wrap-around successors."""
-    return _build_br(*_horn_word(onto, d, sig))
+    """`repr_plain_br` of the canonical lasso, over the data's and user atoms by default."""
+    return repr_plain_br(canonical_model(onto, d).lasso, d.signature | onto.user_atoms if sig is None else sig)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from conftest import named
 from ltlqbe import horn
-from ltlqbe.core import DataInstance
+from ltlqbe.core import DataInstance, data_word
 from ltlqbe.represent import repr_horn, repr_plain, repr_plain_br
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -33,11 +33,11 @@ def test_every_span_target_resolves():
 def test_system_targets_have_sized_states_and_edges():
     d, sig = DataInstance.of([("A", 0), ("B", 2)]), frozenset("AB")
     onto = horn.load_ontology("A -> X B\nB -> X A")
-    plain, plain_br = repr_plain(d, sig), repr_plain_br(d, sig)
+    plain, plain_br = repr_plain(data_word(d), sig), repr_plain_br(data_word(d), sig)
     args = {
-        "repr_plain": (d, sig),
+        "repr_plain": (data_word(d), sig),
         "repr_horn": (onto, d, sig),
-        "repr_plain_br": (d, sig),
+        "repr_plain_br": (data_word(d), sig),
         "repr_horn_br": (onto, d, sig),
         "product": ([plain, repr_horn(onto, d, sig)],),
         "bisim_quotient": (plain_br,),

@@ -199,9 +199,12 @@ def test_bad_ontology_exit_two(ex1, tmp_path, kind, text):
 
 def test_unsupported_class_under_prior_exit_two(ex1, tmp_path):
     onto = tmp_path / "o.ltl"
+    argv = ["separable", "--class", "path-until", "--input", ex1, "--ontology", str(onto)]
+    # the negative T(1) is no model of T -> F V; every instance is one of A -> F B
+    onto.write_text("T -> F V\n")
+    assert main(argv + ["--ontology-kind", "prior"]) == 2
     onto.write_text("A -> F B\n")
-    argv = ["separable", "--class", "path-until", "--input", ex1]
-    assert main(argv + ["--ontology", str(onto), "--ontology-kind", "prior"]) == 2
+    assert main(argv + ["--ontology-kind", "prior"]) == 0
 
 
 def test_data_using_a_reserved_atom_exit_two(tmp_path):
@@ -247,6 +250,28 @@ def test_eval_with_ontology(tmp_path, capsys):
     assert rc == 0 and out == "true"
 
 
+@pytest.mark.parametrize("kind,text", [("horn", "A -> false\n"), ("prior", "!A\n")])
+def test_eval_inconsistent_exit_two(tmp_path, capsys, kind, text):
+    onto = tmp_path / "o.ltl"
+    onto.write_text(text)
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"format": 1, "facts": [["A", 0]]}))
+    argv = ["eval", "--query", "B", "--data", str(data), "--ontology", str(onto)]
+    assert main(argv + ["--ontology-kind", kind]) == 2
+    assert "inconsistent" in capsys.readouterr().err
+
+
+def test_eval_prior_data_that_is_a_model_answers_every_query(tmp_path, capsys):
+    onto = tmp_path / "o.ltl"
+    onto.write_text("A -> F B\n")
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"format": 1, "facts": [["A", 0], ["B", 1]]}))
+    argv = ["eval", "--data", str(data), "--ontology", str(onto), "--ontology-kind", "prior"]
+    for query, at, expected in [("X B", 0, "true"), ("A U B", 0, "true"), ("X A", 0, "false"), ("B", 1, "true")]:
+        rc, out = run(capsys, argv + ["--query", query, "--at", str(at)])
+        assert (rc, out) == (0 if expected == "true" else 1, expected), query
+
+
 def test_eval_bad_query_exit_two(tmp_path):
     data = tmp_path / "d.json"
     data.write_text(json.dumps({"format": 1, "facts": []}))
@@ -263,6 +288,22 @@ def test_canonical_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["handle"] == 2 and doc["period"] == 2
     assert doc["prefix"] == [["A", "C"], ["B"]] and doc["loop"] == [["C"], ["B"]]
+
+
+def test_canonical_prints_the_f_rewrite_atoms(tmp_path, capsys):
+    # the printed lasso is the canonical model itself; only the words that
+    # answer queries drop the atoms the F-rewrite adds
+    from ltlqbe import horn, qbe
+    from ltlqbe.core import DataInstance
+
+    onto = tmp_path / "o.ltl"
+    onto.write_text("F A -> B\n")
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"format": 1, "facts": [["A", 2]]}))
+    rc, out = run(capsys, ["canonical", "--ontology", str(onto), "--data", str(data)])
+    assert rc == 0 and any("Dia__1" in letter for letter in json.loads(out)["prefix"])
+    (word,) = qbe.models(horn.load_ontology("F A -> B"), DataInstance.of([("A", 2)]))
+    assert not any("Dia__1" in letter for letter in word.prefix + word.loop)
 
 
 def test_canonical_round_trip(tmp_path, capsys):

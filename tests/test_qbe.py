@@ -79,8 +79,17 @@ def test_empty_negatives_separable_by_top():
 
 
 def test_prior_problem_class_restriction():
-    with pytest.raises(UnsupportedProblem):
-        Problem(QueryClass.PATH_UNTIL, ex([[("A", 1)]], []), prior.EMPTY_PRIOR)
+    # {A(1)} is no model of A -> F B: only path- and branch-diamond search it,
+    # and the early verdicts hold for every class
+    o = prior.load_prior_ontology("A -> F B")
+    e = ex([[("A", 1)]], [[("B", 1)]])
+    for cls in QueryClass:
+        assert decide(Problem(cls, ex([[("A", 1)]], []), o)).witness == TOP
+        if cls in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND):
+            assert decide(Problem(cls, e, o)).separable
+        else:
+            with pytest.raises(UnsupportedProblem):
+                decide(Problem(cls, e, o))
 
 
 def test_witnesses_belong_to_class():
@@ -292,12 +301,8 @@ def _search_outcome(search, e, models, cls, options):
     return v.separable, v.witness, str(v.witness)
 
 
-# every flag combination, and the settings of `ltlqbe from-words` blocks mode
-_DP_OPTIONS = [
-    {"allow_empty_blocks": empty, "require_nonempty": nonempty}
-    for empty in (False, True)
-    for nonempty in (False, True)
-] + [{"require_nonempty": True, "max_blocks": 1, "max_anchor_c": 0}]
+# every flag value
+_DP_OPTIONS = [{"allow_empty_blocks": empty} for empty in (False, True)]
 
 
 def _assert_dp_path_equals_old(e, models, verdicts: set) -> None:
@@ -441,8 +446,8 @@ def test_models_are_empty_iff_the_data_is_inconsistent():
 
 
 def test_horn_word_keeps_the_tail_form_of_the_canonical_lasso():
-    # the until store keys the black/red form off the models word, while the
-    # builder reads it off the canonical lasso with the F-rewrite's atoms
+    # the until route builds the black/red form off the models word, which
+    # drops the F-rewrite's atoms; it is the form of the canonical lasso
     fresh_in_loop = 0
     for seed in range(600):
         rng = random.Random(45000 + seed)
@@ -455,6 +460,14 @@ def test_horn_word_keeps_the_tail_form_of_the_canonical_lasso():
         assert any(word.loop) == any(lasso.loop), (onto, d)
         fresh_in_loop += any(s & onto.fresh_atoms for s in lasso.loop)
     assert fresh_in_loop >= 10
+
+
+def test_horn_word_is_kept_with_the_canonical_model():
+    # the F-rewrite's atoms are projected away once, in the cached entry
+    onto, d = horn.load_ontology("F A -> B"), D([("A", 2)])
+    (first,), (second,) = models(onto, d), models(onto, d)
+    assert first is second is horn.canonical_model(onto, d).user_lasso
+    assert first != horn.canonical_model(onto, d).lasso
 
 
 def test_empty_horn_ontology_spells_the_data_word():
@@ -789,6 +802,32 @@ def test_data_that_is_a_model_takes_the_plain_route(monkeypatch, cls):
         assert not v.separable or verify_witness(Problem(cls, e, onto), v.witness)
 
 
+@pytest.mark.parametrize("cls", list(QueryClass), ids=lambda cls: cls.value)
+def test_every_class_decides_box_diamond_data_that_is_a_model(cls):
+    # every model holds the data's facts and positive queries are monotone,
+    # so a query is certain iff it holds on the data's own word, if a model
+    rng = random.Random(34000)
+    checked, verdicts, refused = 0, set(), 0
+    while checked < 200:
+        onto = _prior_ontology(rng)
+        e = _two_sided_set(rng, ("A", "B"), 2)
+        if not all(prior.data_is_model(onto, d) for d in e.instances):
+            if cls not in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND) and all(
+                prior.prior_consistent(onto, d) for d in e.instances
+            ):
+                with pytest.raises(UnsupportedProblem):
+                    decide(Problem(cls, e, onto))
+                refused += 1
+            continue
+        checked += 1
+        v, plain = decide(Problem(cls, e, onto)), decide(Problem(cls, e))
+        assert (v.separable, v.witness) == (plain.separable, plain.witness), (onto, e)
+        assert brute_force_decide(Problem(cls, e, onto)).separable == v.separable, (onto, e)
+        verdicts.add(v.separable)
+    assert verdicts == {True, False}
+    assert refused or cls in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND)
+
+
 def _module_caches() -> dict:
     """Every object with a cache_info() in the ltlqbe modules, by the name it
     has in the module that defines it."""
@@ -832,9 +871,8 @@ def test_until_classes_of_one_set_share_one_build(monkeypatch, onto):
     from ltlqbe import qbe
 
     calls = []
-    name = "repr_plain" if onto is None else "repr_horn"
-    original = getattr(qbe, name)
-    monkeypatch.setattr(qbe, name, lambda *args: calls.append(args) or original(*args))
+    original = qbe.repr_plain
+    monkeypatch.setattr(qbe, "repr_plain", lambda *args: calls.append(args) or original(*args))
     qbe._until_systems.cache_clear()
     qbe._instance_systems.cache_clear()
     e = ex([[("A", 1), ("B", 3)], [("A", 2), ("B", 3)]], [[("A", 1)], [("B", 3)]])

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import Edge, Named, named, numbered, rand_horn_ontology, rand_instance
 from ltlqbe import horn
-from ltlqbe.core import DataInstance, LassoModel
+from ltlqbe.core import DataInstance, LassoModel, data_word
 from ltlqbe.represent import (
     _successor_sets,
     lessdot,
@@ -30,7 +30,7 @@ fs = frozenset
 def test_repr_plain_picture():
     d = D([("A", 1), ("B", 1), ("B", 2), ("C", 2)])
     sig = fs({"A", "B", "C"})
-    ts = named(repr_plain(d, sig))
+    ts = named(repr_plain(data_word(d), sig))
     assert ts.states == [0, 1, 2, 3]
     assert ts.label(1) == fs({"A", "B"}) and ts.label(3) == fs()
     by = {(e.src, e.dst): e.label for e in ts.edges}
@@ -43,7 +43,7 @@ def test_repr_plain_picture():
 
 
 def test_repr_plain_empty_data():
-    ts = named(repr_plain(D([]), fs({"A"})))
+    ts = named(repr_plain(data_word(D([])), fs({"A"})))
     assert ts.states == [0, 1]
     by = {(e.src, e.dst): e.label for e in ts.edges}
     assert by[(0, 1)] == fs({"A", BOT})
@@ -51,7 +51,7 @@ def test_repr_plain_empty_data():
 
 def test_repr_plain_interval_labels():
     d = D([("B", 2)])
-    ts = named(repr_plain(d, fs({"A", "B"})))
+    ts = named(repr_plain(data_word(d), fs({"A", "B"})))
     by = {(e.src, e.dst): e.label for e in ts.edges}
     assert BOT in by[(0, 1)]  # empty interval
     assert by[(0, 2)] == fs()  # position 1 carries nothing
@@ -61,7 +61,7 @@ def test_repr_plain_interval_labels():
 def test_repr_plain_state_count():
     for seed in range(10):
         d = rand_instance(random.Random(seed), max_ts=5)
-        ts = repr_plain(d, d.signature | {"Z"})
+        ts = repr_plain(data_word(d), d.signature | {"Z"})
         assert len(ts.states) == d.max_timestamp + 2
 
 
@@ -93,7 +93,7 @@ def test_repr_horn_empty_ontology_equivalent_to_plain():
     for _ in range(10):
         d = rand_instance(rng, max_ts=4)
         sig = d.signature | {"Q"}
-        a = repr_plain(d, sig)
+        a = repr_plain(data_word(d), sig)
         b = repr_horn(horn.EMPTY_ONTOLOGY, d, sig)
         assert simulates(a, b) and simulates(b, a)
         if d.facts:
@@ -199,7 +199,7 @@ def test_lessdot_random_cross_check(seed):
 def test_repr_plain_br_picture():
     d = D([("A", 1), ("B", 2), ("B", 3), ("C", 3)])
     sig = fs({"A", "B", "C"})
-    ts = _same_system(repr_plain_br(d, sig), _reference_plain_br(d, sig))
+    ts = _same_system(repr_plain_br(data_word(d), sig), _reference_plain_br(d, sig))
     states = set(ts.states)
     assert ("p", fs(), fs({1})) in states
     assert ("p", fs({1}), fs({2})) in states
@@ -216,13 +216,13 @@ def test_repr_plain_br_picture():
 
 
 def test_repr_plain_br_empty_data():
-    ts = _same_system(repr_plain_br(D([]), fs({"A"})), _reference_plain_br(D([]), fs({"A"})))
+    ts = _same_system(repr_plain_br(data_word(D([])), fs({"A"})), _reference_plain_br(D([]), fs({"A"})))
     assert set(ts.states) == {("0",), ("z",), ("u",)}
 
 
 def test_repr_plain_br_wiring():
     d = D([("A", 1)])
-    ts = _same_system(repr_plain_br(d, fs({"A"})), _reference_plain_br(d, fs({"A"})))
+    ts = _same_system(repr_plain_br(data_word(d), fs({"A"})), _reference_plain_br(d, fs({"A"})))
     by = {(e.src, e.dst, e.color) for e in ts.edges}
     z, u, origin = ("z",), ("u",), ("0",)
     assert (z, z, BLACK) in by and (z, z, RED) in by and (z, u, RED) in by
@@ -258,7 +258,7 @@ def test_repr_horn_br_empty_ontology_matches_plain_verdicts(seed):
     e = ExampleSet.of(pos, neg)
     for d in e.instances:
         if d.facts:
-            _same_ts(repr_plain_br(d, e.signature), repr_horn_br(horn.EMPTY_ONTOLOGY, d, e.signature))
+            _same_ts(repr_plain_br(data_word(d), e.signature), repr_horn_br(horn.EMPTY_ONTOLOGY, d, e.signature))
     with_onto = decide_until_family(e, horn.EMPTY_ONTOLOGY, QueryClass.FULL_UNTIL)
     plain = decide_until_family(e, None, QueryClass.FULL_UNTIL)
     assert with_onto.separable == plain.separable
@@ -397,7 +397,7 @@ def test_plain_br_matches_all_subsets_reference(seed):
     for _ in range(50):
         d = rand_instance(rng, max_ts=rng.randrange(0, 6))
         sig = d.signature | fs(rng.sample(["A", "B", "C"], rng.randrange(0, 2)))
-        _same_system(repr_plain_br(d, sig), _reference_plain_br(d, sig))
+        _same_system(repr_plain_br(data_word(d), sig), _reference_plain_br(d, sig))
 
 
 @pytest.mark.parametrize(

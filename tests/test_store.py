@@ -7,7 +7,7 @@ import pytest
 
 from conftest import rand_example_set, rand_horn_ontology, rand_instance
 from ltlqbe import horn, qbe
-from ltlqbe.core import DataInstance, ExampleSet, QueryClass
+from ltlqbe.core import DataInstance, ExampleSet, QueryClass, data_word
 from ltlqbe.horn import Inconsistent
 from ltlqbe.qbe import UNTIL_CLASSES, Problem, decide
 from ltlqbe.represent import repr_horn, repr_horn_br, repr_plain, repr_plain_br
@@ -26,9 +26,15 @@ def cold_store():
     qbe._instance_systems.cache_clear()
 
 
+def _word(onto, d):
+    (word,) = qbe.models(onto, d)
+    return word
+
+
 def _reference(onto, d, sig, black_red):
     if onto is None:
-        ts = repr_plain_br(d, sig) if black_red else repr_plain(d, sig)
+        word = data_word(d)
+        ts = repr_plain_br(word, sig) if black_red else repr_plain(word, sig)
     else:
         ts = repr_horn_br(onto, d, sig) if black_red else repr_horn(onto, d, sig)
     return prune_dominated_edges(bisim_quotient(ts))
@@ -55,37 +61,38 @@ def test_unpacked_entry_equals_a_fresh_build(seed):
     # made from other instances with the same key
     for onto, d, sig in _cases(seed):
         for black_red in (False, True):
-            assert qbe._reduced_system(onto, d, sig, black_red) == _reference(onto, d, sig, black_red)
+            assert qbe._reduced_system(_word(onto, d), sig, black_red) == _reference(onto, d, sig, black_red)
     info = qbe._instance_systems.cache_info()
     assert info.hits > 0 and info.misses > 0
 
 
 def test_miss_and_hit_give_out_equal_systems():
     d, sig = D([("A", 0), ("B", 2)]), fs({"A", "B"})
-    first = qbe._reduced_system(None, d, sig, True)
-    second = qbe._reduced_system(None, d, sig, True)
+    first = qbe._reduced_system(data_word(d), sig, True)
+    second = qbe._reduced_system(data_word(d), sig, True)
     assert first is second
     assert qbe._instance_systems.cache_info()[:2] == (1, 1)
 
 
 def test_systems_over_one_signature_share_their_letter_table():
     sig = fs({"A", "B"})
-    plain = qbe._reduced_system(None, D([("A", 0)]), fs(sig), False)
-    black_red = qbe._reduced_system(None, D([("B", 1)]), fs(sig), True)
-    horn_ts = qbe._reduced_system(horn.load_ontology("A -> X B"), D([("A", 0)]), fs(sig), False)
+    plain = qbe._reduced_system(data_word(D([("A", 0)])), fs(sig), False)
+    black_red = qbe._reduced_system(data_word(D([("B", 1)])), fs(sig), True)
+    horn_ts = qbe._reduced_system(_word(horn.load_ontology("A -> X B"), D([("A", 0)])), fs(sig), False)
     assert plain.letters is black_red.letters is horn_ts.letters
-    assert qbe._system_key(None, D([("A", 0)]), fs(sig), False)[1] is plain.letters
+    assert qbe._system_key(data_word(D([("A", 0)])), fs(sig), False)[1] is plain.letters
 
 
 def test_key_bits_follow_the_sorted_signature():
     # a pinned key: under any hash seed, bit i is the i-th atom of sorted(sig)
     d = D([("C", 0), ("A", 0), ("B", 2)])
-    key = qbe._system_key(None, d, fs({"C", "B", "A"}), True)
+    key = qbe._system_key(data_word(d), fs({"C", "B", "A"}), True)
     assert key == ("black/red z-tail", ("A", "B", "C", BOT), 3, 0b101, 0, 0b010, 0)
     onto = horn.load_ontology("A -> X C\nC -> X C")
-    key = qbe._system_key(onto, D([("A", 0)]), fs({"A", "C"}), True)
+    word = _word(onto, D([("A", 0)]))
+    key = qbe._system_key(word, fs({"A", "C"}), True)
     assert key == ("black/red wrap", ("A", "C", BOT), 1, 0b01, 0b10)
-    assert qbe._system_key(onto, D([("A", 0)]), fs({"A", "C"}), False)[0] == "positions"
+    assert qbe._system_key(word, fs({"A", "C"}), False)[0] == "positions"
 
 
 def test_words_with_equal_letters_and_another_loop_start_do_not_share():
@@ -96,7 +103,7 @@ def test_words_with_equal_letters_and_another_loop_start_do_not_share():
     assert horn.canonical_model(onto, d).lasso.pre == 1
     for source in (None, onto, None):
         for black_red in (False, True):
-            assert qbe._reduced_system(source, d, sig, black_red) == _reference(source, d, sig, black_red)
+            assert qbe._reduced_system(_word(source, d), sig, black_red) == _reference(source, d, sig, black_red)
 
 
 def test_sets_sharing_an_instance_build_it_once(monkeypatch):
@@ -108,11 +115,11 @@ def test_sets_sharing_an_instance_build_it_once(monkeypatch):
     second = ExampleSet.of([D([("B", 1)]), shared], [D([("A", 3)]), D([("B", 0)])])
     for e in (first, second):
         decide(Problem(QueryClass.PATH_UNTIL, e))
-    assert calls.count(shared) == 1
+    assert calls.count(data_word(shared)) == 1
     assert len(calls) == len(first.instances) + len(second.instances) - 1
     # another signature is another key
     decide(Problem(QueryClass.PATH_UNTIL, ExampleSet.of([D([("C", 1)])], [shared])))
-    assert calls.count(shared) == 2
+    assert calls.count(data_word(shared)) == 2
 
 
 def test_empty_ontology_data_hits_the_plain_entry():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import Edge, Named, named, numbered
-from ltlqbe.core import DataInstance
+from ltlqbe.core import DataInstance, data_word
 from ltlqbe.represent import repr_plain, repr_plain_br
 from ltlqbe.tsys import (
     BLACK,
@@ -189,7 +189,7 @@ def test_product_on_motivating_pair():
     d1 = D([("A2", 4), ("B1", 4), ("B2", 5)])
     d2 = D([("A1", 2), ("B2", 2), ("B1", 3)])
     sig = frozenset({"A1", "A2", "B1", "B2"})
-    a, b = repr_plain(d1, sig), repr_plain(d2, sig)
+    a, b = repr_plain(data_word(d1), sig), repr_plain(data_word(d2), sig)
     p = product([a, b])
     reference = _product_reference([named(a), named(b)])
     assert p == numbered(reference, a.letters)
@@ -332,7 +332,7 @@ def _repr_product(rng: random.Random, colored: bool) -> TransitionSystem:
     sig = frozenset("ABC")
     build = repr_plain_br if colored else repr_plain
     parts = [
-        build(D({(rng.choice("ABC"), rng.randrange(0, 4)) for _ in range(rng.randrange(0, 5))}), sig)
+        build(data_word(D({(rng.choice("ABC"), rng.randrange(0, 4)) for _ in range(rng.randrange(0, 5))})), sig)
         for _ in range(rng.randrange(1, 3))
     ]
     return product(parts) if len(parts) > 1 else parts[0]
