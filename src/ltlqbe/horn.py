@@ -589,6 +589,7 @@ def consistent(onto: HornOntology, data: DataInstance) -> bool:
 
 
 def certain_answer(onto: HornOntology, data: DataInstance, q: Query, at: int) -> bool:
-    """True iff q holds at `at` in every model of (onto, data)."""
-    cm = canonical_model(onto, data)
-    return eval_lasso(cm.lasso, q, cm.lasso.fold(at))
+    """True iff q holds at `at` in every model of (onto, data), evaluated on
+    the canonical lasso without the F-rewrite's atoms."""
+    lasso = canonical_model(onto, data).user_lasso
+    return eval_lasso(lasso, q, lasso.fold(at))

@@ -20,11 +20,12 @@ model of O and D whatever the query (atoms outside its signature are false,
 and none occurs in O or D), so a stored word that falsifies the query settles
 "not entailed"; "entailed" still comes only from the full search.
 
-Most data needs no search (`data_is_model`).  When D's own word, its facts
-and nothing else, satisfies every axiom at every position, it is the least
-model: every model holds D's facts, and positive queries are monotone.  Then
-(O, D) is consistent, a query is certain iff it holds on that word, and the
-engine decides such instances as plain data.
+Most data needs no search (`least_word`).  Forward chaining from D's own word
+adds, wherever the body of an axiom `body -> atoms` without ! or -> holds, its
+atoms: every model holds them, as such a body stays true on larger words.  If
+the chased word satisfies every axiom at every position, it is the least
+model, since positive queries are monotone: (O, D) is consistent, a query is
+certain iff it holds on that word, and the engine answers on it as on plain data.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .core import (
     Query,
     Top,
     data_word,
-    eval_data,
+    eval_lasso,
     eventually,
     lasso_word,
     positions,
@@ -147,6 +148,18 @@ class PriorOntology:
         """The axioms' distinct G- and F-subformulas, in order of appearance."""
         return tuple(dict.fromkeys(t for a in self.axioms for t in _temporal_parts(a)))
 
+    @cached_property
+    def chase_rules(self) -> tuple[tuple[PFormula, tuple[str, ...]], ...]:
+        """(body, head atoms) of each axiom `body -> head` (a bare head has
+        body true) with a monotone body and a conjunction of atoms as head."""
+        rules = []
+        for a in self.axioms:
+            body, head = (a.left, a.right) if isinstance(a, PImp) else (PTrue(), a)
+            atoms = _head_atoms(head)
+            if atoms is not None and _monotone(body):
+                rules.append((body, atoms))
+        return tuple(rules)
+
 
 EMPTY_PRIOR = PriorOntology(())
 
@@ -167,6 +180,23 @@ def _temporal_count(f: PFormula) -> int:
     if isinstance(f, PNot):
         return _temporal_count(f.arg)
     return _temporal_count(f.left) + _temporal_count(f.right)
+
+
+def _head_atoms(f: PFormula) -> tuple[str, ...] | None:
+    """The atoms of a conjunction of atoms; None for any other formula."""
+    if isinstance(f, PAnd):
+        left, right = _head_atoms(f.left), _head_atoms(f.right)
+        return None if left is None or right is None else left + right
+    return (f.name,) if isinstance(f, PAtom) else None
+
+
+def _monotone(f: PFormula) -> bool:
+    """True iff f has no ! and no ->, so that adding letters keeps it true."""
+    if isinstance(f, (PBox, PDia)):
+        return _monotone(f.arg)
+    if isinstance(f, (PAnd, POr)):
+        return _monotone(f.left) and _monotone(f.right)
+    return isinstance(f, (PTrue, PFalse, PAtom))
 
 
 def _collect_atoms(f: PFormula, out: set[str]) -> None:
@@ -383,25 +413,24 @@ def _valid_loops(onto: PriorOntology, sig: tuple[str, ...], loop_len: int) -> tu
     at full length the checks are exact.  No query or data changes the
     loops, so they are kept for every word search over the same signature.
     """
-    choices = list(_letter_choices(sig, frozenset()))
-    every = (1 << loop_len) - 1
-    loop: list[frozenset[str]] = [frozenset()] * loop_len
-    masks: dict[str, int] = {}
+    return tuple(_extend_loops(onto, list(_letter_choices(sig, frozenset())), [], {}, (1 << loop_len) - 1))
 
-    def go(j: int):
-        if j == loop_len:
-            yield tuple(loop)
-            return
-        bit = 1 << j
-        assigned = (bit << 1) - 1
-        for letters in choices:
-            loop[j] = letters
-            _set_bit(masks, letters, bit)
-            if not any(_loop_values(a, masks, assigned, every)[1] for a in onto.axioms):
-                yield from go(j + 1)
-            _clear_bit(masks, letters, bit)
 
-    return tuple(go(0))
+def _extend_loops(onto: PriorOntology, choices: list, loop: list, masks: dict[str, int], every: int):
+    """The loops of `_valid_loops` that extend `loop`, whose letters `masks` holds."""
+    j = len(loop)
+    if j == every.bit_length():
+        yield tuple(loop)
+        return
+    bit = 1 << j
+    assigned = (bit << 1) - 1
+    for letters in choices:
+        loop.append(letters)
+        _set_bit(masks, letters, bit)
+        if not any(_loop_values(a, masks, assigned, every)[1] for a in onto.axioms):
+            yield from _extend_loops(onto, choices, loop, masks, every)
+        _clear_bit(masks, letters, bit)
+        loop.pop()
 
 
 def _temporal_parts(f: PFormula) -> list[PFormula]:
@@ -438,16 +467,19 @@ def _search_word(
             if query is not None and positions(query, lasso_word(facts, loop)) & 1:
                 continue
             for k in range(max_ts, max_ts + size + 1):
-                gap = (frozenset(),) * (k - max_ts)
-                word = _fill_handle(onto, facts + gap, sig, loop, query, temporal, later, failed)
-                if word is not None:
-                    return word
+                base = facts + (frozenset(),) * (k - max_ts)
+                handle = list(base)
+                word = lasso_word(base, loop)
+                if _fill_handle(onto, sig, base, handle, word, query, temporal, later, failed, k):
+                    return LassoModel(tuple(handle), loop)
     return None
 
 
-def _fill_handle(onto, facts, sig, loop, query, temporal, later, failed) -> LassoModel | None:
-    """Letters over `facts` (the data's letters at 0..k) that, followed by
-    `loop`, satisfy every axiom and, given a query, falsify it at 0.
+def _fill_handle(onto, sig, facts, handle, word, query, temporal, later, failed, i: int) -> bool:
+    """Whether positions i down to 0 of `handle`, over `facts` (the data's
+    letters at 0..k), can take letters such that the word, with the loop,
+    satisfies every axiom and, given a query, falsifies it at 0; if so they
+    are left filled.  `word` holds the handle's letters as masks.
 
     The handle is filled from its last position down; the axioms are checked
     at each position as it is filled, when every later letter is known.
@@ -458,35 +490,29 @@ def _fill_handle(onto, facts, sig, loop, query, temporal, later, failed) -> Lass
     query's F-arguments (`later`) hold after i, whatever the loop and k; a
     state in `failed` has no filling.
     """
-    handle = list(facts)
-    word = masks, every, looped = lasso_word(facts, loop)
-
-    def assign(i: int) -> LassoModel | None:
-        if i < 0:
-            return LassoModel(tuple(handle), loop)
-        state = (
-            i,
-            *(_values(t, masks, every, looped) >> i & 1 for t in temporal),
-            *(positions(c, word) >> i > 1 for c in later),
-        )
-        if state in failed:
-            return None
-        bit = 1 << i
-        for letters in _letter_choices(sig, facts[i]):
-            extra = letters - facts[i]
-            handle[i] = letters
-            _set_bit(masks, extra, bit)
-            if all(_values(a, masks, every, looped) & bit for a in onto.axioms) and (
-                query is None or not positions(query, word) & 1
-            ):
-                found = assign(i - 1)
-                if found is not None:
-                    return found
-            _clear_bit(masks, extra, bit)
-        failed.add(state)
-        return None
-
-    return assign(len(facts) - 1)
+    if i < 0:
+        return True
+    masks, every, looped = word
+    state = (
+        i,
+        *(_values(t, masks, every, looped) >> i & 1 for t in temporal),
+        *(positions(c, word) >> i > 1 for c in later),
+    )
+    if state in failed:
+        return False
+    bit = 1 << i
+    for letters in _letter_choices(sig, facts[i]):
+        extra = letters - facts[i]
+        handle[i] = letters
+        _set_bit(masks, extra, bit)
+        if all(_values(a, masks, every, looped) & bit for a in onto.axioms) and (
+            query is None or not positions(query, word) & 1
+        ):
+            if _fill_handle(onto, sig, facts, handle, word, query, temporal, later, failed, i - 1):
+                return True
+        _clear_bit(masks, extra, bit)
+    failed.add(state)
+    return False
 
 
 def _sig_tuple(onto: PriorOntology, data: DataInstance, extra=frozenset()) -> tuple[str, ...]:
@@ -526,17 +552,35 @@ def _keep(onto: PriorOntology, data: DataInstance, model: LassoModel) -> None:
 
 
 @lru_cache(maxsize=4096)
-def data_is_model(onto: PriorOntology, data: DataInstance) -> bool:
-    """True iff every axiom holds at every position of data's own word, which
-    is then the least model of (onto, data)."""
-    masks, every, loop = data_word(data).word
-    return all(_values(a, masks, every, loop) == every for a in onto.axioms)
+def least_word(onto: PriorOntology, data: DataInstance) -> LassoModel | None:
+    """The least model of (onto, data) if forward chaining finds it: data's
+    own word, with each chase rule's head atoms added wherever its body holds
+    (at a loop position: at every timepoint it stands for), until nothing
+    changes; None unless every axiom then holds at every position."""
+    own = data_word(data)
+    masks, every, loop = own.word
+    masks = dict(masks)
+    changed = True
+    while changed:
+        changed = False
+        for body, head in onto.chase_rules:
+            held = _values(body, masks, every, loop)
+            for a in head:
+                if held & ~masks.get(a, 0):
+                    masks[a] = masks.get(a, 0) | held
+                    changed = True
+    if any(_values(a, masks, every, loop) != every for a in onto.axioms):
+        return None
+    if masks == own.word[0]:
+        return own
+    letters = [frozenset(a for a, held in masks.items() if held >> n & 1) for n in range(every.bit_length())]
+    return LassoModel(tuple(letters[: own.pre]), tuple(letters[own.pre :]))
 
 
 @lru_cache(maxsize=4096)
 def prior_consistent(onto: PriorOntology, data: DataInstance) -> bool:
     """True iff some ultimately periodic word satisfies data and all axioms."""
-    if data_is_model(onto, data):
+    if least_word(onto, data) is not None:
         return True
     model = _search_word(onto, data, _sig_tuple(onto, data), None)
     if model is None:
@@ -549,8 +593,9 @@ def prior_consistent(onto: PriorOntology, data: DataInstance) -> bool:
 def prior_entails(onto: PriorOntology, data: DataInstance, q: Query) -> bool:
     """True iff q holds at 0 in every model of (onto, data)."""
     _diamond_args(q)  # the fragment check
-    if data_is_model(onto, data):
-        return eval_data(data, q, 0)
+    word = least_word(onto, data)
+    if word is not None:
+        return eval_lasso(word, q, 0)
     if positions(q, _EMPTY_WORD) & 1:
         return True  # valid positive queries have no countermodel anywhere
     if any(not positions(q, word) & 1 for word in _countermodels(onto, data)):

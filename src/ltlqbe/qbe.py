@@ -34,7 +34,7 @@ from .core import (
     in_class,
 )
 from .horn import HornOntology, Inconsistent, canonical_model
-from .prior import PriorOntology, data_is_model, prior_consistent, prior_entails
+from .prior import PriorOntology, least_word, prior_consistent, prior_entails
 from .represent import letter_masks, letter_table, repr_plain, repr_plain_br
 from .tsys import (
     BLACK,
@@ -97,15 +97,17 @@ class Verdict:
 def models(onto, d: DataInstance) -> tuple[LassoModel, ...] | None:
     """The lasso words on all of which a query holds at 0 iff it is certain
     on d under onto (or none), `()` when (onto, d) has no model: the Horn
-    canonical lasso without the F-rewrite's atoms, or d's own word if it is
-    a model.  None for other box/diamond data (`prior_entails` answers)."""
+    canonical lasso without the F-rewrite's atoms, d's own word, or the
+    box/diamond least word (`prior.least_word`).  None for other box/diamond
+    data (`prior_entails` answers)."""
     if isinstance(onto, HornOntology):
         try:
             return (canonical_model(onto, d).user_lasso,)
         except Inconsistent:
             return ()
-    if onto is None or data_is_model(onto, d):
-        return (data_word(d),)
+    word = data_word(d) if onto is None else least_word(onto, d)
+    if word is not None:
+        return (word,)
     return None if prior_consistent(onto, d) else ()
 
 
@@ -360,9 +362,8 @@ def _blocks_to_query(blocks, cls: QueryClass) -> Query:
         return _path_query(blocks)
 
     # single spine: the next block's diamond hangs off the last slot
-    def spine(i: int) -> Query:
-        slots = blocks[i]
-        tail = Diamond(spine(i + 1)) if i + 1 < len(blocks) else None
+    tail = None
+    for slots in reversed(blocks):
         q: Query = TOP
         for t in range(len(slots) - 1, -1, -1):
             base = atoms_conj(slots[t])
@@ -370,9 +371,8 @@ def _blocks_to_query(blocks, cls: QueryClass) -> Query:
                 q = conj([base, tail])
             else:
                 q = conj([base, Next(q)]) if q is not TOP else base
-        return q
-
-    return spine(0)
+        tail = Diamond(q)
+    return q
 
 
 def horn_diamond_search(onto: HornOntology, e: ExampleSet, cls: QueryClass, allow_empty_blocks=False) -> Verdict:
@@ -507,20 +507,20 @@ def query_from_run(run: Run) -> Query:
 
 def query_from_tree(tree: Tree) -> Query:
     """The until query spelled by a black/red tree (black: right side, red: left)."""
-
-    def edge_query(label: frozenset[str], child: Tree) -> Query:
-        gamma = atoms_conj(child.label - {BOT})
-        blacks = [edge_query(lab, c) for lab, color, c in child.children if color == BLACK]
-        reds = [edge_query(lab, c) for lab, color, c in child.children if color == RED]
-        left = conj([_edge_conj(label)] + reds)
-        right = conj([gamma] + blacks)
-        return Until(left, right)
-
     if any(color == RED for _, color, _ in tree.children):
         raise ValueError("red edge out of a tree root")
     gamma = atoms_conj(tree.label - {BOT})
-    blacks = [edge_query(lab, child) for lab, color, child in tree.children]
+    blacks = [_edge_query(lab, child) for lab, color, child in tree.children]
     return conj([gamma] + blacks)
+
+
+def _edge_query(label: frozenset[str], child: Tree) -> Query:
+    gamma = atoms_conj(child.label - {BOT})
+    blacks = [_edge_query(lab, c) for lab, color, c in child.children if color == BLACK]
+    reds = [_edge_query(lab, c) for lab, color, c in child.children if color == RED]
+    left = conj([_edge_conj(label)] + reds)
+    right = conj([gamma] + blacks)
+    return Until(left, right)
 
 
 # ---------------------------------------------------------------------------

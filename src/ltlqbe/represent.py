@@ -141,36 +141,36 @@ def _successor_sets(points: list[int], n_positions: int, wrap_start: int):
     max(E), which wrap.  Combinations are extended in increasing order, so
     the sets come out in the order of itertools.combinations.
     """
-    chosen: list[int] = []
-
-    def hit(prev: int, e: int) -> bool:
-        # some point of D in [prev, e); prev is -1 before the first point of E
-        i = bisect_left(points, prev)
-        return i < len(points) and points[i] < e
-
-    def extend(size: int, wraps: bool):
-        i = len(chosen)
-        prev = chosen[-1] if chosen else -1
-        for e in range(prev + 1, n_positions - (size - i - 1)):
-            wrapped = wraps
-            if not hit(prev, e):
-                # only the least periodic point of E may wait for a wrap
-                if e < wrap_start or prev >= wrap_start:
-                    continue
-                wrapped = True
-            chosen.append(e)
-            if i + 1 < size:
-                yield from extend(size, wrapped)
-            else:
-                # the points of D at or after max(E) wrap: they must be
-                # periodic and need a periodic point of E to wrap to
-                tail = points[bisect_left(points, e):]
-                if (tail[0] >= wrap_start and e >= wrap_start) if tail else not wrapped:
-                    yield frozenset(chosen)
-            chosen.pop()
-
     for size in range(1, len(points) + 1):
-        yield from extend(size, False)
+        yield from _extend_successors(points, n_positions, wrap_start, [], size, False)
+
+
+def _extend_successors(points, n_positions: int, wrap_start: int, chosen: list[int], size: int, wraps: bool):
+    """The sets of `_successor_sets` of the given size that extend `chosen`,
+    in order; `wraps` tells whether a point of `chosen` waits for a wrap."""
+    i = len(chosen)
+    prev = chosen[-1] if chosen else -1
+    # e is hit without wrapping iff the first point of D at or after prev,
+    # which is -1 before the first point of E, lies before e
+    j = bisect_left(points, prev)
+    first = points[j] if j < len(points) else n_positions
+    for e in range(prev + 1, n_positions - (size - i - 1)):
+        wrapped = wraps
+        if first >= e:
+            # only the least periodic point of E may wait for a wrap
+            if e < wrap_start or prev >= wrap_start:
+                continue
+            wrapped = True
+        chosen.append(e)
+        if i + 1 < size:
+            yield from _extend_successors(points, n_positions, wrap_start, chosen, size, wrapped)
+        else:
+            # the points of D at or after max(E) wrap: they must be
+            # periodic and need a periodic point of E to wrap to
+            tail = points[bisect_left(points, e):]
+            if (tail[0] >= wrap_start and e >= wrap_start) if tail else not wrapped:
+                yield frozenset(chosen)
+        chosen.pop()
 
 
 def repr_plain_br(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:

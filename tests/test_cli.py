@@ -272,6 +272,18 @@ def test_eval_prior_data_that_is_a_model_answers_every_query(tmp_path, capsys):
         assert (rc, out) == (0 if expected == "true" else 1, expected), query
 
 
+def test_eval_prior_chased_data_answers_every_query(tmp_path, capsys):
+    # {A1} is no model of A -> B, but its least word, with B added at 1, is
+    onto = tmp_path / "o.ltl"
+    onto.write_text("A -> B\n")
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"format": 1, "facts": [["A", 1]]}))
+    argv = ["eval", "--data", str(data), "--ontology", str(onto), "--ontology-kind", "prior"]
+    for query, expected in [("X B", "true"), ("X (A & B)", "true"), ("B", "false"), ("X X B", "false")]:
+        rc, out = run(capsys, argv + ["--query", query])
+        assert (rc, out) == (0 if expected == "true" else 1, expected), query
+
+
 def test_eval_bad_query_exit_two(tmp_path):
     data = tmp_path / "d.json"
     data.write_text(json.dumps({"format": 1, "facts": []}))

@@ -14,7 +14,7 @@ from conftest import (
     ref_eval_data,
 )
 from ltlqbe import horn
-from ltlqbe.core import DataInstance, LassoModel, eval_lasso, parse_query
+from ltlqbe.core import DataInstance, LassoModel, Prop, eval_lasso, parse_query
 from ltlqbe.horn import (
     _INCOMPATIBLE,
     CanonicalModel,
@@ -187,6 +187,20 @@ def test_certain_answer_arbitrary_timepoint_folds():
     o = horn.load_ontology("A -> X A")
     d = D([("A", 0)])
     assert horn.certain_answer(o, d, parse_query("A"), 500)
+
+
+def test_certain_answer_ignores_the_f_rewrite_atoms():
+    # the canonical lasso holds the F-rewrite's atom at 0, but a model of
+    # the user's axioms need not, and qbe.entailed agrees
+    from ltlqbe import qbe
+
+    o, d = horn.load_ontology("F A -> B"), D([("A", 2)])
+    (fresh,) = o.fresh_atoms
+    q = Prop(fresh)
+    assert fresh in horn.canonical_model(o, d).lasso.letter(0)
+    assert not horn.certain_answer(o, d, q, 0)
+    assert not qbe.entailed(o, d, q)
+    assert horn.certain_answer(o, d, parse_query("B & X B"), 0) == qbe.entailed(o, d, parse_query("B & X B"))
 
 
 def test_fresh_atom_clash_rejected():

@@ -13,6 +13,7 @@ from ltlqbe.core import (
     LassoModel,
     Prop,
     conj,
+    data_word,
     eval_lasso,
     lasso_word,
     parse_query,
@@ -378,14 +379,14 @@ def test_entails_matches_bounded_enumeration():
 
 
 def test_least_word_rule_matches_the_search():
-    # When the data's own word is a model, prior_entails answers on it alone;
+    # When (onto, d) has a least word, prior_entails answers on it alone;
     # _search_word never takes that shortcut.
     checked = {True: 0, False: 0}
     rng = random.Random(8800)
     while min(checked.values()) < 400:
         onto = _rand_prior_ontology(rng)
         d = rand_instance(rng, atoms=("A", "B"), max_ts=2, max_facts=3)
-        checked[prior.data_is_model(onto, d)] += 1
+        checked[prior.least_word(onto, d) is not None] += 1
         assert prior.prior_consistent(onto, d) == (
             prior._search_word(onto, d, prior._sig_tuple(onto, d), None) is not None
         ), (onto, d)
@@ -397,15 +398,68 @@ def test_least_word_rule_matches_the_search():
 
 
 def test_least_word_rule_checks_every_position():
-    # the axiom holds at 0 but fails at 1, where B must be added
+    # the axiom holds at 0 but fails at 1, where the chase adds B
     o, d = load("A -> B"), D([("A", 1)])
-    assert not prior.data_is_model(o, d)
+    assert prior.least_word(o, d) == LassoModel((frozenset(), frozenset("AB")), (frozenset(),))
     assert prior.prior_entails(o, d, parse_query("F B"))
-    # the promise at 2 is not kept by the data's empty tail
+    # the promise at 2 is not kept by the data's empty tail, and no rule
+    # has an atom head to keep it
     o, d = load("A -> F B"), D([("A", 2)])
-    assert not prior.data_is_model(o, d)
+    assert prior.least_word(o, d) is None
     assert prior.prior_entails(o, d, parse_query("F B"))
-    assert prior.data_is_model(o, D([("A", 1), ("B", 2)]))
+    d = D([("A", 1), ("B", 2)])
+    assert prior.least_word(o, d) is data_word(d)
+
+
+def test_chase_rules_are_the_monotone_atom_headed_axioms():
+    o = load("A -> B & C\nG (A | F B) -> A\nB\n!A -> B\nA -> F B\nA -> B | C\n(A -> B) -> C")
+    assert [head for _, head in o.chase_rules] == [("B", "C"), ("A",), ("B",)]
+    assert isinstance(o.chase_rules[2][0], prior.PTrue)
+
+
+# Axioms with atom heads, with and without a monotone body, that the chase
+# fires on or must not fire on, and that can turn its word into a non-model
+_CHASED_AXIOMS = (
+    "{a} -> {b}",
+    "G {a} -> {b}",
+    "F {a} -> {b} & {a}",
+    "{a} & F {b} -> {b}",
+    "{a} | G {b} -> {b}",
+    "!{a} -> {b}",
+    "{b} -> F {a}",
+    "!({a} & {b})",
+)
+
+
+def test_chased_words_are_least_models():
+    # independent of the engine: the axioms are evaluated by definition
+    # (_ref), queries by the reference evaluator, and certainty by the
+    # word search, which never chases
+    for text, consistent in (("A -> B\n!(A & B)", False), ("A -> B\nB -> F A", True)):
+        o, d = load(text), D([("A", 1)])
+        assert prior.least_word(o, d) is None  # the chase reaches a non-model
+        assert prior.prior_consistent(o, d) == consistent
+    rng = random.Random(8900)
+    chased = 0
+    while chased < 400:
+        lines = []
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.sample(["A", "B"], 2)
+            lines.append(rng.choice(_AXIOMS + _CHASED_AXIOMS).format(a=a, b=b))
+        onto = load("\n".join(lines))
+        d = rand_instance(rng, atoms=("A", "B"), max_ts=2, max_facts=3)
+        word = prior.least_word(onto, d)
+        found = prior._search_word(onto, d, prior._sig_tuple(onto, d), None)
+        assert prior.prior_consistent(onto, d) == (found is not None), (onto, d)
+        if word is None or word == data_word(d):
+            continue
+        chased += 1
+        assert _is_model(onto, d, word), (onto, d, word)
+        for _ in range(3):
+            q = _dia_query(rng, ("A", "B"), 3)
+            sig = prior._sig_tuple(onto, d, extra=query_atoms(q))
+            certain = prior._search_word(onto, d, sig, q) is None
+            assert ref_eval_lasso(word, q, 0) == certain, (onto, d, str(q))
 
 
 def test_failed_fill_states_include_the_query_future():

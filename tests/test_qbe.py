@@ -751,8 +751,12 @@ def _prior_digests(seed_base: int, cls: QueryClass) -> tuple[str, str]:
 # are models moved from prior_path_search to dp_path, and equal those of the
 # code before.  The witness digests were re-recorded then: dp_path finds other
 # separators than the prefix search on such sets, with the same verdicts.
+# _PRIOR_DIGEST was re-recorded again when sets whose instances' least words
+# are found by chasing atom-headed axioms moved to dp_path, for the same
+# reason.  _PRIOR_PATH_DIGEST did not move: its one such set gets the same
+# witness from both searches.
 _PRIOR_VERDICT_DIGEST = "fb0c48b2814e5cafc94627e471ef5f5f7872dbe2a91e433a2d0d06e2d1f0d292"
-_PRIOR_DIGEST = "ecab0f89da9808eac72fdb14ffab11f26c45de078e9012bc44c367c595c2a46e"
+_PRIOR_DIGEST = "b72fcfa601195c1fd58abfcc8f2b0d114a4a1a23901dac761e9a97e338c2655c"
 _PRIOR_PATH_VERDICT_DIGEST = "1bc632191a777074bc4824b8f4a39411fb0471249db9a59f318026721e7c23dc"
 _PRIOR_PATH_DIGEST = "3e9b1b9c0ca4e0f9cc6a15b427d2a472842987141c9283897ea13f43a1bd9b60"
 
@@ -773,23 +777,40 @@ def test_prior_path_diamond_digest_is_unchanged():
     assert _prior_digests(37000, QueryClass.PATH_DIAMOND)[1] == _PRIOR_PATH_DIGEST
 
 
+def _least_word_sets(rng, plain: int, chased: int):
+    """Seeded `_prior_ontology` sets whose instances all have a least word:
+    `plain` sets where each is the data's own word and `chased` sets where
+    some instance's is not, with the words; and the drawn sets where some
+    instance has none, but every instance has a model."""
+    out, counts, without = [], {False: 0, True: 0}, []
+    while counts[False] < plain or counts[True] < chased:
+        onto = _prior_ontology(rng)
+        e = _two_sided_set(rng, ("A", "B"), 2)
+        words = [prior.least_word(onto, d) for d in e.instances]
+        if None in words:
+            if all(prior.prior_consistent(onto, d) for d in e.instances):
+                without.append((onto, e))
+            continue
+        kind = any(w != data_word(d) for w, d in zip(words, e.instances))
+        if counts[kind] < (chased if kind else plain):
+            counts[kind] += 1
+            out.append((onto, e, words))
+    return out, without
+
+
 @pytest.mark.parametrize("cls", [QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND])
 def test_data_that_is_a_model_takes_the_plain_route(monkeypatch, cls):
-    # decide must not reach prior_path_search on such sets, yet agree with it
+    # decide must not reach prior_path_search on sets whose instances have
+    # a least word, yet agree with it
     from ltlqbe import qbe
 
     def refused(*args, **kwargs):
-        raise AssertionError("prior_path_search on data whose words are models")
+        raise AssertionError("prior_path_search on data with least words")
 
     monkeypatch.setattr(qbe, "prior_path_search", refused)
     rng = random.Random(38000 if cls is QueryClass.PATH_DIAMOND else 39000)
-    checked = 0
-    while checked < 300:
-        onto = _prior_ontology(rng)
-        e = _two_sided_set(rng, ("A", "B"), 2)
-        if not all(prior.data_is_model(onto, d) for d in e.instances):
-            continue
-        checked += 1
+    sets, _ = _least_word_sets(rng, plain=200, chased=100)
+    for onto, e, _ in sets:
         v = decide(Problem(cls, e, onto))
         if cls is QueryClass.PATH_DIAMOND:
             expected = prior_path_search(onto, e, cls).separable
@@ -802,30 +823,32 @@ def test_data_that_is_a_model_takes_the_plain_route(monkeypatch, cls):
         assert not v.separable or verify_witness(Problem(cls, e, onto), v.witness)
 
 
+def _word_data(word: LassoModel) -> DataInstance:
+    """The data whose own word is `word`, a word with an empty loop."""
+    assert not any(word.loop)
+    return D([(a, t) for t, letter in enumerate(word.prefix) for a in letter])
+
+
 @pytest.mark.parametrize("cls", list(QueryClass), ids=lambda cls: cls.value)
 def test_every_class_decides_box_diamond_data_that_is_a_model(cls):
-    # every model holds the data's facts and positive queries are monotone,
-    # so a query is certain iff it holds on the data's own word, if a model
+    # every model holds the least word's letters and positive queries are
+    # monotone, so a query is certain iff it holds on that word: the set is
+    # decided as the plain data of the least words
     rng = random.Random(34000)
-    checked, verdicts, refused = 0, set(), 0
-    while checked < 200:
-        onto = _prior_ontology(rng)
-        e = _two_sided_set(rng, ("A", "B"), 2)
-        if not all(prior.data_is_model(onto, d) for d in e.instances):
-            if cls not in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND) and all(
-                prior.prior_consistent(onto, d) for d in e.instances
-            ):
-                with pytest.raises(UnsupportedProblem):
-                    decide(Problem(cls, e, onto))
-                refused += 1
-            continue
-        checked += 1
-        v, plain = decide(Problem(cls, e, onto)), decide(Problem(cls, e))
+    sets, without = _least_word_sets(rng, plain=150, chased=100)
+    verdicts = set()
+    for onto, e, words in sets:
+        npos = len(e.positives)
+        least = ExampleSet.of(map(_word_data, words[:npos]), map(_word_data, words[npos:]))
+        v, plain = decide(Problem(cls, e, onto)), decide(Problem(cls, least))
         assert (v.separable, v.witness) == (plain.separable, plain.witness), (onto, e)
         assert brute_force_decide(Problem(cls, e, onto)).separable == v.separable, (onto, e)
         verdicts.add(v.separable)
-    assert verdicts == {True, False}
-    assert refused or cls in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND)
+    assert verdicts == {True, False} and without
+    if cls not in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND):
+        for onto, e in without:
+            with pytest.raises(UnsupportedProblem):
+                decide(Problem(cls, e, onto))
 
 
 def _module_caches() -> dict:
@@ -926,3 +949,41 @@ def test_prior_path_search_asks_the_cached_prior_entails():
     assert v.separable and str(v.witness) == "F B"
     after = prior.prior_entails.cache_info()
     assert after.hits + after.misses > info.hits + info.misses
+
+
+def test_decide_leaves_no_reference_cycles():
+    # the cyclic collector saves what it finds under DEBUG_SAVEALL; a
+    # recursive nested closure refers to itself through its cell, so each
+    # call would leave one there
+    import gc
+    import types
+
+    o = prior.load_prior_ontology("A -> F B")
+    box_set = ex([[("A", 1)], [("B", 2), ("A", 2)]], [[("B", 1)]])
+    assert models(o, box_set.positives[0]) is None  # so prior_path_search runs
+    problems = [Problem(QueryClass.PATH_DIAMOND, box_set, o), Problem(QueryClass.BRANCH_DIAMOND, box_set, o)]
+    for seed in range(6):
+        rng = random.Random(46000 + seed)
+        plain = _two_sided_set(rng, ("A", "B", "C"), 3)
+        problems += [Problem(QueryClass.PATH_NEXT_DIAMOND, plain), Problem(QueryClass.FULL_UNTIL, plain)]
+        onto = rand_horn_ontology(rng, atoms=("A", "B"), max_axioms=3)
+        problems += [Problem(cls, _two_sided_set(rng, ("A", "B"), 3), onto) for cls in QueryClass]
+    for cache in _CACHES.values():
+        cache.cache_clear()
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        verdicts = [decide(p) for p in problems]
+        gc.collect()
+        left = {
+            f.__qualname__
+            for f in gc.garbage
+            if isinstance(f, types.FunctionType) and f.__module__.startswith("ltlqbe")
+        }
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert not left
+    separable = {p.cls for p, v in zip(problems, verdicts) if v.separable}
+    assert {QueryClass.PATH_DIAMOND, QueryClass.PATH_NEXT_DIAMOND, QueryClass.FULL_UNTIL} <= separable
