@@ -115,21 +115,12 @@ def _load_ontology(path: str | None, kind: str):
     return horn.load_ontology(text)
 
 
-def _check_reserved(onto, instances) -> None:
-    """Data may not use the atoms a Horn ontology's F-rewrite introduced."""
-    if isinstance(onto, horn.HornOntology):
-        clash = onto.fresh_atoms & frozenset().union(*(d.signature for d in instances))
-        if clash:
-            raise InputError(f"data uses atoms reserved by the F-rewrite: {sorted(clash)}")
-
-
 _CLASSES = {c.value: c for c in QueryClass}
 
 
 def _cmd_separable(args) -> int:
     e = load_example_set(args.input)
     onto = _load_ontology(args.ontology, args.ontology_kind)
-    _check_reserved(onto, e.instances)
     p = Problem(_CLASSES[args.cls], e, onto)
     t0 = time.monotonic()
     verdict = decide(p)
@@ -168,7 +159,6 @@ def _cmd_eval(args) -> int:
     q = parse_query(args.query)
     d = load_data_instance(args.data)
     onto = _load_ontology(args.ontology, args.ontology_kind)
-    _check_reserved(onto, [d])
     if args.at < 0:
         raise InputError(f"negative timepoint {args.at}")
     words = qbe.models(onto, d)
@@ -191,7 +181,6 @@ def _cmd_canonical(args) -> int:
     if onto is None:
         onto = horn.EMPTY_ONTOLOGY
     d = load_data_instance(args.data)
-    _check_reserved(onto, [d])
     if args.window is not None and args.window < 0:
         raise InputError(f"negative window {args.window}")
     cm = horn.canonical_model(onto, d)

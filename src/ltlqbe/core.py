@@ -248,13 +248,6 @@ class LassoModel:
         """`lasso_word(prefix, loop)`, built once; callers must not change it."""
         return lasso_word(self.prefix, self.loop)
 
-    def project(self, signature: frozenset[str]) -> "LassoModel":
-        """The lasso over `signature`; letters inside it are shared, not copied."""
-        return LassoModel(
-            tuple(s if s <= signature else s & signature for s in self.prefix),
-            tuple(s if s <= signature else s & signature for s in self.loop),
-        )
-
     @staticmethod
     def of_data(d: DataInstance) -> "LassoModel":
         """The word that makes exactly d's facts true (empty from max+1 on)."""

@@ -4,8 +4,9 @@ An axiom is `lit (& lit)* -> lit` where lit is `[G|X]* (atom|false)` and body
 literals may start with one `F`.  Every literal normalizes to a shift count
 plus a mode: `X X A` means "A exactly two steps ahead", while any literal
 containing `G` means "A at every point at least shift steps ahead" (all
-operators are strict).  Leading `F` is compiled away at load time with a
-fresh chain atom.
+operators are strict).  A leading `F` sets `exists`: the rest of the literal
+holds at some strictly later point, so `F X A` means "A at some point at
+least two steps ahead" and `F G A` means "A from some point on".
 
 The least model of an ontology and a data instance is ultimately periodic.
 `canonical_model` materializes it as a lasso in rounds: box-free axioms are
@@ -27,12 +28,10 @@ their order.  The folded re-chase stays on atom sets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .core import DataInstance, LassoModel, Query, eval_lasso, lasso_word
-
-FRESH_PREFIX = "Dia__"
+from .core import DataInstance, LassoModel, Query, eval_lasso, eventually, lasso_word
 
 NEVER = -1  # guard value for axioms whose box bodies hold nowhere yet
 
@@ -57,6 +56,7 @@ class HornLiteral:
     shift: int
     forall: bool
     atom: str | None  # None encodes false
+    exists: bool = False  # a leading F: the rest holds at some later point
 
     def size(self) -> int:
         return self.shift + 1
@@ -73,12 +73,11 @@ class HornAxiom:
 
 @dataclass(frozen=True)
 class HornOntology:
-    """Axioms plus the chain atoms of the F-rewrite.  Every cache on the Horn
-    route is keyed on the ontology, so its hash and its derived constants are
-    computed once, on first use, and kept on the instance."""
+    """Axioms.  Every cache on the Horn route is keyed on the ontology, so its
+    hash and its derived constants are computed once, on first use, and kept
+    on the instance."""
 
     axioms: tuple[HornAxiom, ...]
-    fresh_atoms: frozenset[str] = frozenset()
 
     def __hash__(self) -> int:
         return self._hash
@@ -86,11 +85,11 @@ class HornOntology:
     def __reduce__(self):
         # copies and pickles drop the cached values: string hashes differ
         # between processes
-        return HornOntology, (self.axioms, self.fresh_atoms)
+        return HornOntology, (self.axioms,)
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.axioms, self.fresh_atoms))
+        return hash(self.axioms)
 
     @cached_property
     def size_measure(self) -> int:
@@ -106,12 +105,9 @@ class HornOntology:
         return frozenset(out)
 
     @cached_property
-    def user_atoms(self) -> frozenset[str]:
-        return self.atoms - self.fresh_atoms
-
-    @cached_property
     def max_shift(self) -> int:
-        shifts = [l.shift for ax in self.axioms for l in ax.body + (ax.head,)]
+        # an F literal reads from shift + 1 on
+        shifts = [l.shift + l.exists for ax in self.axioms for l in ax.body + (ax.head,)]
         return max(shifts, default=0)
 
 
@@ -159,21 +155,18 @@ def _parse_literal(tokens, i, line_no, end, in_body):
             shift += 1
         elif value == "X":
             shift += 1
-        elif value == "false":
-            return (shift, forall, None, diamond), i + 1
         elif value in ("true", "U"):
             raise OntologyParseError(f"misplaced keyword {value!r}", line_no, col)
         else:
-            return (shift, forall, value, diamond), i + 1
+            return HornLiteral(shift, forall, None if value == "false" else value, diamond), i + 1
         i += 1
     col = tokens[i][2] if i < len(tokens) else end
     raise OntologyParseError("expected an atom or 'false'", line_no, col)
 
 
 def load_ontology(text: str) -> HornOntology:
-    """Parse axioms (one per line, '#' comments) and eliminate body diamonds."""
-    raw_axioms = []
-    names: set[str] = set()
+    """Parse axioms, one per line, with '#' comments."""
+    axioms = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -195,47 +188,8 @@ def load_ontology(text: str) -> HornOntology:
         head, i = _parse_literal(tokens, i, line_no, len(line), in_body=False)
         if i < len(tokens):
             raise OntologyParseError(f"unexpected {tokens[i][1]!r}", line_no, tokens[i][2])
-        raw_axioms.append((body, head))
-        for s, f, a, _ in body + [head]:
-            if a is not None:
-                names.add(a)
-
-    axioms: list[HornAxiom] = []
-    fresh: list[str] = []
-    chain_for: dict[tuple[int, bool, str | None], str] = {}
-
-    def fresh_atom() -> str:
-        n = len(fresh) + 1
-        while f"{FRESH_PREFIX}{n}" in names:
-            n += 1
-        name = f"{FRESH_PREFIX}{n}"
-        names.add(name)
-        fresh.append(name)
-        return name
-
-    for body, head in raw_axioms:
-        new_body = []
-        for shift, forall, atom, diamond in body:
-            if not diamond:
-                new_body.append(HornLiteral(shift, forall, atom))
-                continue
-            key = (shift, forall, atom)
-            chain = chain_for.get(key)
-            if chain is None:
-                chain = fresh_atom()
-                chain_for[key] = chain
-                # F C -> ... becomes X C -> R, X R -> R, with R in the body
-                axioms.append(
-                    HornAxiom((HornLiteral(shift + 1, forall, atom),), HornLiteral(0, False, chain))
-                )
-                axioms.append(
-                    HornAxiom((HornLiteral(1, False, chain),), HornLiteral(0, False, chain))
-                )
-            new_body.append(HornLiteral(0, False, chain))
-        hs, hf, ha, _ = head
-        axioms.append(HornAxiom(tuple(new_body), HornLiteral(hs, hf, ha)))
-
-    return HornOntology(tuple(axioms), frozenset(fresh))
+        axioms.append(HornAxiom(tuple(body), head))
+    return HornOntology(tuple(axioms))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +201,6 @@ class CanonicalModel:
     lasso: LassoModel
     handle: int  # s: loop starts at max_timestamp + s
     period: int  # p
-    # the lasso without the F-rewrite's atoms: the word user queries are answered on
-    user_lasso: LassoModel | None = field(default=None, compare=False)
 
     @property
     def horizon(self) -> int:
@@ -259,7 +211,7 @@ class CanonicalModel:
 class _GuardedAxiom:
     """Box-free axiom that may fire only at timepoints >= guard."""
 
-    body: tuple[HornLiteral, ...]  # exact literals only
+    body: tuple[HornLiteral, ...]  # no box literals
     head: HornLiteral
     guard: int
 
@@ -283,8 +235,9 @@ def _window_chase(axioms: list[_GuardedAxiom], data: DataInstance, width: int):
     (at n' + head shift, n' < n) only through body literals on the head atom
     with a smaller shift than the head's: such an axiom is iterated to a
     local fixpoint, every other literal reads the state from before the
-    scan.  A G head adds atoms only from its least firing anchor on, and
-    records an obligation only when it adds one.
+    scan.  An F literal is such a read literal, also on the head atom.  A G
+    head adds atoms only from its least firing anchor on, and records an
+    obligation only when it adds one.
     """
     full = (1 << width) - 1
     masks: dict[str, int] = {}
@@ -298,18 +251,19 @@ def _window_chase(axioms: list[_GuardedAxiom], data: DataInstance, width: int):
         head = ax.head
         read, own = [], []
         for lit in ax.body:
-            if not head.forall and lit.atom == head.atom and lit.shift < head.shift:
+            if not head.forall and not lit.exists and lit.atom == head.atom and lit.shift < head.shift:
                 own.append(lit.shift)
             else:
-                read.append((lit.atom, lit.shift))
+                read.append((lit.atom, lit.shift, lit.exists))
         plans.append((full >> ax.guard << ax.guard, read, own, head))
     obligations: list[tuple[str, int]] = []
     changed = True
     while changed:
         changed = False
         for fixed, read, own, head in plans:
-            for a, s in read:
-                fixed &= masks.get(a, 0) >> s
+            for a, s, ex in read:
+                r = masks.get(a, 0)
+                fixed &= (eventually(r, full, 0) if ex else r) >> s
             if not fixed:
                 continue
             a, hs = head.atom, head.shift
@@ -410,8 +364,12 @@ def _folded_chase(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop)
             for n in range(ax.guard, pre + per):
                 ok = True
                 for lit in ax.body:
-                    if lit.atom is None or lit.atom not in entries[fold(n + lit.shift)]:
-                        ok = False
+                    # false (atom None) is in no entry
+                    if lit.exists:
+                        ok = any(lit.atom in entries[j] for j in range(min(n + lit.shift + 1, pre), pre + per))
+                    else:
+                        ok = lit.atom in entries[fold(n + lit.shift)]
+                    if not ok:
                         break
                 if not ok:
                     continue
@@ -453,19 +411,26 @@ def _is_model(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop) -> 
     masks, full, looped = lasso_word(prefix, loop)
     # body reads reach past the word: unroll the loop over the largest shift
     reach = size + max((l.shift for ax in axioms for l in ax.body + (ax.head,)), default=0)
-    unrolled = {}
-    for a, r in masks.items():
+
+    def unroll(r: int) -> int:
         lp, k = r >> pre, size
         while k < reach:
             r |= lp << k
             k += per
-        unrolled[a] = r
+        return r
+
+    unrolled = {a: unroll(r) for a, r in masks.items()}
     for ax in axioms:
         if ax.guard > pre:
             return False
         fire = full >> ax.guard << ax.guard
         for lit in ax.body:
-            fire &= 0 if lit.atom is None else unrolled.get(lit.atom, 0) >> lit.shift
+            if lit.atom is None:
+                fire = 0
+            elif lit.exists:
+                fire &= unroll(eventually(masks.get(lit.atom, 0), full, looped)) >> lit.shift
+            else:
+                fire &= unrolled.get(lit.atom, 0) >> lit.shift
         if not fire:
             continue
         head = ax.head
@@ -517,6 +482,8 @@ def _box_guard(ax: HornAxiom, prefix, loop) -> int:
             continue
         if lit.atom is None or any(lit.atom not in s for s in loop):
             return NEVER
+        if lit.exists:
+            continue  # F G holds everywhere once its atom fills the loop
         h = 0
         for j in range(pre - 1, -1, -1):
             if lit.atom not in prefix[j]:
@@ -547,9 +514,6 @@ def _reduce(onto: HornOntology, model) -> list[_GuardedAxiom]:
 def _canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel | None:
     """The least model, or None when (onto, data) has none, so that this
     outcome is cached too (`lru_cache` keeps no exceptions)."""
-    clash = {a for a, _ in data.facts} & onto.fresh_atoms
-    if clash:
-        raise ValueError(f"data uses atoms reserved by the F-rewrite: {sorted(clash)}")
     max_ts = data.max_timestamp
     hist = max(1, onto.max_shift)
     subcount = sum(1 + len(ax.body) for ax in onto.axioms)
@@ -560,9 +524,7 @@ def _canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel |
         if guarded == reduced:
             # the least model of these axioms is the one just built
             prefix, loop = model
-            lasso = LassoModel(prefix, loop)
-            user = lasso.project(data.signature | onto.user_atoms) if onto.fresh_atoms else lasso
-            return CanonicalModel(lasso, handle=len(prefix) - max_ts, period=len(loop), user_lasso=user)
+            return CanonicalModel(LassoModel(prefix, loop), handle=len(prefix) - max_ts, period=len(loop))
         reduced = guarded
         try:
             prefix, loop, _, _ = _least_boxfree_model(reduced, data, hist, cap)
@@ -590,6 +552,6 @@ def consistent(onto: HornOntology, data: DataInstance) -> bool:
 
 def certain_answer(onto: HornOntology, data: DataInstance, q: Query, at: int) -> bool:
     """True iff q holds at `at` in every model of (onto, data), evaluated on
-    the canonical lasso without the F-rewrite's atoms."""
-    lasso = canonical_model(onto, data).user_lasso
+    the canonical lasso."""
+    lasso = canonical_model(onto, data).lasso
     return eval_lasso(lasso, q, lasso.fold(at))

@@ -97,12 +97,12 @@ class Verdict:
 def models(onto, d: DataInstance) -> tuple[LassoModel, ...] | None:
     """The lasso words on all of which a query holds at 0 iff it is certain
     on d under onto (or none), `()` when (onto, d) has no model: the Horn
-    canonical lasso without the F-rewrite's atoms, d's own word, or the
-    box/diamond least word (`prior.least_word`).  None for other box/diamond
-    data (`prior_entails` answers)."""
+    canonical lasso, d's own word, or the box/diamond least word
+    (`prior.least_word`).  None for other box/diamond data (`prior_entails`
+    answers)."""
     if isinstance(onto, HornOntology):
         try:
-            return (canonical_model(onto, d).user_lasso,)
+            return (canonical_model(onto, d).lasso,)
         except Inconsistent:
             return ()
     word = data_word(d) if onto is None else least_word(onto, d)

@@ -64,8 +64,8 @@ def repr_plain(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
 
 
 def repr_horn(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = None) -> TransitionSystem:
-    """`repr_plain` of the canonical lasso, over the data's and user atoms by default."""
-    return repr_plain(canonical_model(onto, d).lasso, d.signature | onto.user_atoms if sig is None else sig)
+    """`repr_plain` of the canonical lasso, over the data's and the ontology's atoms by default."""
+    return repr_plain(canonical_model(onto, d).lasso, d.signature | onto.atoms if sig is None else sig)
 
 
 # ---------------------------------------------------------------------------
@@ -250,5 +250,5 @@ def repr_plain_br(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
 
 
 def repr_horn_br(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = None) -> TransitionSystem:
-    """`repr_plain_br` of the canonical lasso, over the data's and user atoms by default."""
-    return repr_plain_br(canonical_model(onto, d).lasso, d.signature | onto.user_atoms if sig is None else sig)
+    """`repr_plain_br` of the canonical lasso, over the data's and the ontology's atoms by default."""
+    return repr_plain_br(canonical_model(onto, d).lasso, d.signature | onto.atoms if sig is None else sig)

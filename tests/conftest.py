@@ -200,6 +200,11 @@ def lasso_is_model(onto: horn.HornOntology, data: DataInstance, m: LassoModel) -
         # later copies, so checking one representative per position suffices
         if lit.atom is None:
             return False
+        if lit.exists:
+            # the rest holds at some later timepoint; the next pre + per
+            # timepoints reach a copy of every loop position
+            rest = horn.HornLiteral(lit.shift, lit.forall, lit.atom)
+            return any(lit_true(rest, j) for j in range(n + 1, n + 1 + m.pre + m.per))
         if lit.forall:
             if not all(lit.atom in s for s in m.loop):
                 return False
@@ -214,6 +219,43 @@ def lasso_is_model(onto: horn.HornOntology, data: DataInstance, m: LassoModel) -
     return True
 
 
+def rewrite_diamonds(onto: horn.HornOntology) -> horn.HornOntology:
+    """onto without F literals: each distinct body literal `F C` becomes a
+    fresh chain atom R (`Dia__k`, a name onto does not use) defined by
+    `X C -> R` and `X R -> R`, so R holds exactly where `F C` does, and R
+    takes the literal's place.  The canonical models of onto are checked
+    against those of its rewrite with the chain atoms dropped."""
+    names = set(onto.atoms)
+    chain_for: dict[tuple, str] = {}
+    axioms = []
+    for ax in onto.axioms:
+        body = []
+        for lit in ax.body:
+            if not lit.exists:
+                body.append(lit)
+                continue
+            key = (lit.shift, lit.forall, lit.atom)
+            chain = chain_for.get(key)
+            if chain is None:
+                n = len(chain_for) + 1
+                while f"Dia__{n}" in names:
+                    n += 1
+                chain = chain_for[key] = f"Dia__{n}"
+                names.add(chain)
+                axioms.append(
+                    horn.HornAxiom(
+                        (horn.HornLiteral(lit.shift + 1, lit.forall, lit.atom),),
+                        horn.HornLiteral(0, False, chain),
+                    )
+                )
+                axioms.append(
+                    horn.HornAxiom((horn.HornLiteral(1, False, chain),), horn.HornLiteral(0, False, chain))
+                )
+            body.append(horn.HornLiteral(0, False, chain))
+        axioms.append(horn.HornAxiom(tuple(body), ax.head))
+    return horn.HornOntology(tuple(axioms))
+
+
 def lasso_models_of(
     onto: horn.HornOntology,
     data: DataInstance,
@@ -224,10 +266,11 @@ def lasso_models_of(
     """All bounded-shape lasso models of (onto, data), by pruned enumeration."""
     names = sorted(set(atoms) | {a for a, _ in data.facts} | set(onto.atoms))
     letters = [frozenset(c) for r in range(len(names) + 1) for c in combinations(names, r)]
+    # an F body literal reads letters not assigned yet
     exact_axioms = [
         ax
         for ax in onto.axioms
-        if not any(l.forall for l in ax.body) and not ax.head.forall
+        if not any(l.forall or l.exists for l in ax.body) and not ax.head.forall
     ]
 
     for per in range(1, max_per + 1):

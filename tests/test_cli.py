@@ -207,14 +207,25 @@ def test_unsupported_class_under_prior_exit_two(ex1, tmp_path):
     assert main(argv + ["--ontology-kind", "prior"]) == 0
 
 
-def test_data_using_a_reserved_atom_exit_two(tmp_path):
+def test_data_may_use_any_atom_name(tmp_path, capsys):
+    # an F body literal adds no atom, so no name is kept from the data
     onto = tmp_path / "o.ltl"
-    onto.write_text("F A -> B\n")  # the F-rewrite introduces Dia__1
+    onto.write_text("F A -> B\n")
     data = tmp_path / "d.json"
-    data.write_text(json.dumps({"format": 1, "facts": [["Dia__1", 0]]}))
+    data.write_text(json.dumps({"format": 1, "facts": [["Dia__1", 0], ["A", 2]]}))
     argv = ["--data", str(data), "--ontology", str(onto)]
-    assert main(["eval", "--query", "B"] + argv) == 2
-    assert main(["canonical"] + argv) == 2
+    rc, out = run(capsys, ["eval", "--query", "B & Dia__1"] + argv)
+    assert (rc, out) == (0, "true")
+    rc, out = run(capsys, ["eval", "--query", "Dia__1", "--at", "1"] + argv)
+    assert (rc, out) == (1, "false")
+    rc, out = run(capsys, ["canonical"] + argv)
+    assert rc == 0 and json.loads(out)["prefix"] == [["B", "Dia__1"], ["B"], ["A"]]
+    example = tmp_path / "e.json"
+    positive, negative = {"facts": [["Dia__1", 0], ["A", 2]]}, {"facts": [["A", 2]]}
+    example.write_text(json.dumps({"format": 1, "positives": [positive], "negatives": [negative]}))
+    argv = ["separable", "--class", "path-diamond", "--input", str(example), "--ontology", str(onto)]
+    rc, out = run(capsys, argv + ["--emit-query"])
+    assert rc == 0 and "Dia__1" in json.loads(out)["witness"]
 
 
 @pytest.mark.parametrize("query", ["X A", "A U B", "F false"])
@@ -302,9 +313,8 @@ def test_canonical_command(tmp_path, capsys):
     assert doc["prefix"] == [["A", "C"], ["B"]] and doc["loop"] == [["C"], ["B"]]
 
 
-def test_canonical_prints_the_f_rewrite_atoms(tmp_path, capsys):
-    # the printed lasso is the canonical model itself; only the words that
-    # answer queries drop the atoms the F-rewrite adds
+def test_canonical_prints_only_data_and_ontology_atoms(tmp_path, capsys):
+    # the printed lasso is the word queries are answered on
     from ltlqbe import horn, qbe
     from ltlqbe.core import DataInstance
 
@@ -313,9 +323,10 @@ def test_canonical_prints_the_f_rewrite_atoms(tmp_path, capsys):
     data = tmp_path / "d.json"
     data.write_text(json.dumps({"format": 1, "facts": [["A", 2]]}))
     rc, out = run(capsys, ["canonical", "--ontology", str(onto), "--data", str(data)])
-    assert rc == 0 and any("Dia__1" in letter for letter in json.loads(out)["prefix"])
+    doc = json.loads(out)
+    assert rc == 0 and doc["prefix"] == [["B"], ["B"], ["A"]] and doc["loop"] == [[]]
     (word,) = qbe.models(horn.load_ontology("F A -> B"), DataInstance.of([("A", 2)]))
-    assert not any("Dia__1" in letter for letter in word.prefix + word.loop)
+    assert [sorted(s) for s in word.prefix + word.loop] == doc["prefix"] + doc["loop"]
 
 
 def test_canonical_round_trip(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 
@@ -12,6 +13,7 @@ from conftest import (
     rand_instance,
     rand_query,
     ref_eval_data,
+    rewrite_diamonds,
 )
 from ltlqbe import horn
 from ltlqbe.core import DataInstance, LassoModel, Prop, eval_lasso, parse_query
@@ -74,26 +76,26 @@ def test_ontology_hash_and_constants_are_cached_values():
     rng = random.Random(4400)
     for _ in range(100):
         o = rand_horn_ontology(rng)
-        twin = HornOntology(o.axioms, o.fresh_atoms)
-        assert set(vars(o)) == {"axioms", "fresh_atoms"}  # nothing computed at parse time
+        twin = HornOntology(o.axioms)
+        assert set(vars(o)) == {"axioms"}  # nothing computed at parse time
         if rng.random() < 0.5:
             hash(o)
         lits = [lit for ax in o.axioms for lit in ax.body + (ax.head,)]
         assert o.atoms == frozenset(lit.atom for lit in lits if lit.atom is not None)
-        assert o.user_atoms == o.atoms - o.fresh_atoms
-        assert o.max_shift == max(lit.shift for lit in lits)
+        assert o.max_shift == max(lit.shift + lit.exists for lit in lits)
         assert o.size_measure == sum(ax.size() for ax in o.axioms)
-        assert hash(o) == hash((o.axioms, o.fresh_atoms)) == hash(twin) and o == twin
+        assert hash(o) == hash(o.axioms) == hash(twin) and o == twin
         assert {o: 1}[twin] == 1
         for clone in (pickle.loads(pickle.dumps(o)), copy.copy(o), copy.deepcopy(o)):
-            assert set(vars(clone)) == {"axioms", "fresh_atoms"} and clone == o
+            assert set(vars(clone)) == {"axioms"} and clone == o
 
 
-def test_diamond_body_rewrite():
-    o = horn.load_ontology("F A -> B")
-    assert len(o.axioms) == 3
-    assert len(o.fresh_atoms) == 1
-    # chain atom semantics: B holds exactly before an A
+def test_diamond_body_literal():
+    o = horn.load_ontology("F A -> B\nF X G C & F X X A -> B")
+    assert o.axioms[0].body == (horn.HornLiteral(0, False, "A", True),)
+    assert o.axioms[1].body == (horn.HornLiteral(2, True, "C", True), horn.HornLiteral(2, False, "A", True))
+    assert o.atoms == {"A", "B", "C"} and o.max_shift == 3
+    # B holds exactly before an A
     cm = horn.canonical_model(o, D([("A", 3)]))
     for t in range(3):
         assert "B" in cm.lasso.letter(t)
@@ -150,13 +152,12 @@ def test_inconsistent_outcome_is_cached():
     assert not horn.consistent(o, d)
     info = horn._canonical_model.cache_info()
     assert (info.hits, info.misses) == (3, 1)
-    # data on a reserved atom is an input error, raised again on every call
-    f = horn.load_ontology("F A -> B")
-    reserved = D([(sorted(f.fresh_atoms)[0], 0)])
+    # data may use any atom name, and its outcome is cached like any other
+    f, d = horn.load_ontology("F A -> B"), D([("Dia__1", 0)])
     for _ in range(2):
-        with pytest.raises(ValueError):
-            horn.canonical_model(f, reserved)
-    assert horn._canonical_model.cache_info().currsize == 1
+        assert horn.canonical_model(f, d).lasso.letter(0) == {"Dia__1"}
+    info = horn._canonical_model.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
 
 
 def test_canonical_model_box_head_and_body():
@@ -189,25 +190,22 @@ def test_certain_answer_arbitrary_timepoint_folds():
     assert horn.certain_answer(o, d, parse_query("A"), 500)
 
 
-def test_certain_answer_ignores_the_f_rewrite_atoms():
-    # the canonical lasso holds the F-rewrite's atom at 0, but a model of
-    # the user's axioms need not, and qbe.entailed agrees
+def test_certain_answer_reads_f_bodies_on_the_canonical_lasso():
+    # the canonical lasso holds only data and ontology atoms, and qbe.entailed agrees
     from ltlqbe import qbe
 
     o, d = horn.load_ontology("F A -> B"), D([("A", 2)])
-    (fresh,) = o.fresh_atoms
-    q = Prop(fresh)
-    assert fresh in horn.canonical_model(o, d).lasso.letter(0)
-    assert not horn.certain_answer(o, d, q, 0)
-    assert not qbe.entailed(o, d, q)
-    assert horn.certain_answer(o, d, parse_query("B & X B"), 0) == qbe.entailed(o, d, parse_query("B & X B"))
+    assert horn.canonical_model(o, d).lasso == LassoModel((frozenset("B"), frozenset("B"), frozenset("A")), (frozenset(),))
+    for text, expected in [("B & X B", True), ("X X B", False), ("F A", True), ("X X X F B", False)]:
+        q = parse_query(text)
+        assert horn.certain_answer(o, d, q, 0) == qbe.entailed(o, d, q) == expected, text
 
 
-def test_fresh_atom_clash_rejected():
+def test_data_may_use_any_atom_name():
     o = horn.load_ontology("F A -> B")
-    (fresh,) = o.fresh_atoms
-    with pytest.raises(ValueError):
-        horn.canonical_model(o, D([(fresh, 0)]))
+    cm = horn.canonical_model(o, D([("Dia__1", 0), ("A", 2)]))
+    assert cm.lasso.letter(0) == {"Dia__1", "B"} and cm.lasso.letter(1) == {"B"}
+    assert horn.certain_answer(o, D([("Dia__1", 0), ("A", 2)]), Prop("Dia__1"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +290,11 @@ def test_empty_ontology_matches_eval_data(seed):
 
 
 def _old_window_chase(axioms: list[_GuardedAxiom], data: DataInstance, width: int):
-    """Fixpoint on [0, width); body reads beyond the window count as false."""
+    """Fixpoint on [0, width); body reads beyond the window count as false.
+
+    An F literal reads the letters as they stood when the axiom's scan
+    began; only the head atom changes during a scan.
+    """
     atoms: list[set[str]] = [set() for _ in range(width)]
     for a, t in data.facts:
         if t < width:
@@ -302,12 +304,18 @@ def _old_window_chase(axioms: list[_GuardedAxiom], data: DataInstance, width: in
     while changed:
         changed = False
         for ax in axioms:
+            before = [frozenset(s) for s in atoms]
             for n in range(ax.guard, width):
                 ok = True
                 for lit in ax.body:
                     t = n + lit.shift
-                    if lit.atom is None or t >= width or lit.atom not in atoms[t]:
+                    if lit.atom is None:
                         ok = False
+                    elif lit.exists:
+                        ok = any(lit.atom in before[j] for j in range(t + 1, width))
+                    else:
+                        ok = t < width and lit.atom in atoms[t]
+                    if not ok:
                         break
                 if not ok:
                     continue
@@ -362,6 +370,15 @@ def _old_is_model(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop)
     def fold(t: int) -> int:
         return t if t < pre + per else pre + (t - pre) % per
 
+    def holds(lit, n: int) -> bool:
+        if lit.atom is None:
+            return False
+        if lit.exists:
+            # some timepoint after n + shift; the next pre + per reach every loop position
+            first = n + lit.shift + 1
+            return any(lit.atom in entries[fold(j)] for j in range(first, first + pre + per))
+        return lit.atom in entries[fold(n + lit.shift)]
+
     def holds_from(atom: str, start: int) -> bool:
         if any(atom not in entries[j] for j in range(pre, pre + per)):
             return False
@@ -374,11 +391,7 @@ def _old_is_model(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop)
         if ax.guard > pre:
             return False
         for n in range(ax.guard, pre + per):
-            fires = all(
-                lit.atom is not None and lit.atom in entries[fold(n + lit.shift)]
-                for lit in ax.body
-            )
-            if not fires:
+            if not all(holds(lit, n) for lit in ax.body):
                 continue
             head = ax.head
             if head.atom is None:
@@ -420,9 +433,6 @@ def _old_least_boxfree_model(
 
 
 def _old_canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel:
-    clash = {a for a, _ in data.facts} & onto.fresh_atoms
-    if clash:
-        raise ValueError(f"data uses atoms reserved by the F-rewrite: {sorted(clash)}")
     max_ts = data.max_timestamp
     hist = max(1, onto.max_shift)
     subcount = sum(1 + len(ax.body) for ax in onto.axioms)
@@ -441,23 +451,36 @@ def _old_canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalMod
     raise ChaseWindowOverflow("guard iteration failed to stabilize; this indicates a bug")
 
 
-def _rand_guarded_axioms(rng: random.Random, atoms=("A", "B", "C")) -> list:
+def _rand_guarded_axioms(rng: random.Random, atoms=("A", "B", "C"), loop=None) -> tuple[list, int]:
+    """Random guarded axioms with X and F body literals, and how many of them
+    drew an F G body literal.  The guard rounds resolve such a literal on the
+    loop of the last model: the axiom keeps its guard when the atom fills
+    every loop letter and is dropped otherwise.  `loop` stands for those
+    letters, random ones by default."""
+    if loop is None:
+        loop = [frozenset(a for a in atoms if rng.random() < 0.6) for _ in range(rng.randrange(1, 3))]
+
     def lit() -> horn.HornLiteral:
         atom = None if rng.random() < 0.06 else rng.choice(atoms)
-        return horn.HornLiteral(rng.randrange(0, 4), False, atom)
+        return horn.HornLiteral(rng.randrange(0, 4), False, atom, rng.random() < 0.2)
 
-    out = []
+    out, box_diamonds = [], 0
     for _ in range(rng.randrange(1, 6)):
         head = lit()
         head = horn.HornLiteral(head.shift, rng.random() < 0.3, head.atom)
         body = [lit() for _ in range(rng.randrange(0, 4))]
         if head.atom is not None and rng.random() < 0.4:
             # a body literal on the head atom, at or before the head's shift
-            body.append(horn.HornLiteral(rng.randrange(0, head.shift + 1), False, head.atom))
+            body.append(horn.HornLiteral(rng.randrange(0, head.shift + 1), False, head.atom, rng.random() < 0.25))
         rng.shuffle(body)
         guard = 0 if rng.random() < 0.6 else rng.randrange(1, 6)
+        if rng.random() < 0.15:
+            atom = rng.choice(atoms)
+            if any(atom not in s for s in loop):
+                continue
+            box_diamonds += 1
         out.append(_GuardedAxiom(tuple(body), head, guard))
-    return out
+    return out, box_diamonds
 
 
 def _rand_data(rng: random.Random, atoms=("A", "B", "C"), max_ts=6) -> DataInstance:
@@ -520,20 +543,25 @@ def test_window_key_before_position_zero(text):
 
 def test_mask_chase_equals_set_chase_on_random_guarded_axioms():
     rng = random.Random(44000)
-    kinds = {"G head": 0, "own literal": 0, "false head": 0, "false body": 0, "guard": 0, "bottom": 0}
+    kinds = dict.fromkeys(
+        ["G head", "own literal", "false head", "false body", "guard", "bottom", "F", "F on head atom", "F G"], 0
+    )
     for _ in range(400):
-        axioms = _rand_guarded_axioms(rng)
+        axioms, box_diamonds = _rand_guarded_axioms(rng)
+        kinds["F G"] += box_diamonds
         data = _rand_data(rng)
         width = rng.randrange(12, 90)
         _assert_same_chase(axioms, data, width)
         for ax in axioms:
             kinds["G head"] += ax.head.forall
             kinds["own literal"] += any(
-                l.atom == ax.head.atom and l.shift < ax.head.shift for l in ax.body
+                l.atom == ax.head.atom and l.shift < ax.head.shift and not l.exists for l in ax.body
             ) and not ax.head.forall
             kinds["false head"] += ax.head.atom is None
             kinds["false body"] += any(l.atom is None for l in ax.body)
             kinds["guard"] += ax.guard > 0
+            kinds["F"] += any(l.exists for l in ax.body)
+            kinds["F on head atom"] += any(l.exists and l.atom == ax.head.atom for l in ax.body)
         kinds["bottom"] += _chases(axioms, data, width)[0] == "bottom"
     assert all(count >= 20 for count in kinds.values()), kinds
 
@@ -560,7 +588,6 @@ def test_mask_model_check_equals_set_model_check():
     rng = random.Random(46000)
     verdicts = set()
     for _ in range(600):
-        axioms = _rand_guarded_axioms(rng, atoms=("A", "B"))
         data = _rand_data(rng, atoms=("A", "B"), max_ts=3)
 
         def letter():
@@ -568,6 +595,7 @@ def test_mask_model_check_equals_set_model_check():
 
         prefix = tuple(letter() for _ in range(rng.randrange(data.max_timestamp + 1, 8)))
         loop = tuple(letter() for _ in range(rng.randrange(1, 4)))
+        axioms, _ = _rand_guarded_axioms(rng, atoms=("A", "B"), loop=loop)
         got = horn._is_model(axioms, data, prefix, loop)
         assert got == _old_is_model(axioms, data, prefix, loop), (axioms, prefix, loop)
         verdicts.add(got)
@@ -598,3 +626,46 @@ def test_canonical_model_equals_set_guard_loop():
         assert new == old, (o.axioms, sorted(d.facts))
         outcomes.add(type(new))
     assert outcomes == {str, CanonicalModel}
+
+
+# ---------------------------------------------------------------------------
+# F body literals against the rewrite they replaced
+
+
+def test_native_diamonds_equal_the_rewrite():
+    # each F C once became a chain atom R with X C -> R and X R -> R; the
+    # rewritten ontology's canonical lasso, without the chain atoms, must be
+    # the same infinite word as the native one, and of the same shape
+    rng = random.Random(48000)
+    pairs = box_diamonds = moved = refolded = 0
+    for _ in range(10_000):
+        if pairs >= 2000 and box_diamonds >= 300:
+            break
+        o = rand_horn_ontology(rng)
+        lits = [lit for ax in o.axioms for lit in ax.body]
+        if not any(lit.exists for lit in lits):
+            continue
+        d = rand_instance(rng)
+        pairs += 1
+        box_diamonds += any(lit.exists and lit.forall for lit in lits)
+        rewritten = rewrite_diamonds(o)
+        chain = rewritten.atoms - o.atoms
+        native = horn._canonical_model.__wrapped__(o, d)
+        reference = horn._canonical_model.__wrapped__(rewritten, d)
+        assert (native is None) == (reference is None), (o.axioms, sorted(d.facts))
+        if native is None:
+            continue
+        a, b = native.lasso, reference.lasso
+        moved += (a.pre, a.per) != (b.pre, b.per)
+        for n in range(max(a.pre, b.pre) + math.lcm(a.per, b.per)):
+            assert a.letter(n) == b.letter(n) - chain, (o.axioms, sorted(d.facts), n)
+        # the folded chase alone, from the data on the lasso's shape, must
+        # rebuild it: the least model is the least word of that shape
+        empty = frozenset()
+        rebuilt = _folded_chase(_reduce(o, (a.prefix, a.loop)), d, (empty,) * a.pre, (empty,) * a.per)
+        if rebuilt is not _INCOMPATIBLE:
+            assert rebuilt == (a.prefix, a.loop), (o.axioms, sorted(d.facts))
+            refolded += 1
+    print(f"{pairs} pairs, {box_diamonds} with F G: {moved} moved their (pre, per), {refolded} refolded")
+    assert pairs >= 2000 and box_diamonds >= 300 and refolded >= 1000
+    assert moved <= pairs // 1000, moved

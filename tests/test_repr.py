@@ -237,7 +237,7 @@ def test_repr_plain_br_wiring():
 def test_repr_horn_br_small():
     o = horn.load_ontology("X A -> A")
     d = D([("A", 1)])
-    ts = _same_system(repr_horn_br(o, d), _reference_horn_br(o, d, d.signature | o.user_atoms))
+    ts = _same_system(repr_horn_br(o, d), _reference_horn_br(o, d, d.signature | o.atoms))
     # the canonical loop is empty, so the empty tail is z
     assert not any(horn.canonical_model(o, d).lasso.loop)
     assert ("u",) in ts.states and ("z",) in ts.states
@@ -419,7 +419,7 @@ def test_horn_br_tail_form_follows_the_loop(text, facts, prefix, loop):
     onto = horn.load_ontology(text) if text else horn.EMPTY_ONTOLOGY
     d = D(facts)
     assert horn.canonical_model(onto, d).lasso == LassoModel(prefix, loop)
-    sig = d.signature | onto.user_atoms | {"A"}
+    sig = d.signature | onto.atoms | {"A"}
     ts = _same_system(repr_horn_br(onto, d, sig), _reference_horn_br(onto, d, sig))
     assert (("z",) in ts.states) == (not any(loop))
 
@@ -434,7 +434,7 @@ def test_horn_br_matches_all_subsets_reference(seed):
         d = rand_instance(rng, atoms=("A", "B"), max_ts=rng.randrange(0, 4), max_facts=4)
         if not horn.consistent(onto, d):
             continue
-        sig = d.signature | onto.user_atoms
+        sig = d.signature | onto.atoms
         _same_system(repr_horn_br(onto, d), _reference_horn_br(onto, d, sig))
         empty_loops.add(not any(horn.canonical_model(onto, d).lasso.loop))
         checked += 1
@@ -449,6 +449,6 @@ def test_horn_br_matches_reference_on_benchmark_shaped_ontologies():
         d = rand_instance(rng, atoms=("A", "B"), max_ts=3, max_facts=4)
         if not horn.consistent(onto, d):
             continue
-        sig = d.signature | onto.user_atoms
+        sig = d.signature | onto.atoms
         _same_system(repr_horn_br(onto, d, sig), _reference_horn_br(onto, d, sig))
         checked += 1

@@ -51,7 +51,7 @@ def _cases(seed):
         out.append((None, d, sig))
         onto = rand_horn_ontology(rng, ("A", "B"), max_axioms=3)
         if horn.consistent(onto, d):
-            out.append((onto, d, d.signature | onto.user_atoms))
+            out.append((onto, d, d.signature | onto.atoms))
     return out
 
 
