@@ -10,19 +10,21 @@ least two steps ahead" and `F G A` means "A from some point on".
 
 The least model of an ontology and a data instance is ultimately periodic.
 `canonical_model` materializes it as a lasso in rounds: box-free axioms are
-chased exactly (window fixpoint, fold the first repeating stretch, re-chase
-on the folded word, validate), and each axiom with box literals in its body
-is replaced by a guarded box-free axiom that may only fire from the earliest
-timepoint at which its box literals hold in the previous round's model.
+chased exactly (window fixpoint, fold the first repeating stretch, check that
+the fold is a model, else widen the window), and each axiom with box literals
+in its body is replaced by a guarded box-free axiom that may only fire from
+the earliest timepoint at which its box literals hold in the previous round's
+model.
 Guards only ever loosen and the model only ever grows, so the rounds reach
 the least fixpoint of the full ontology.  A round whose guarded axioms equal
 the previous round's would rebuild the same model, so the rounds stop there.
 
-The window chase, the search for a repeating stretch and the final model
-check keep one int per atom, bit n set iff the atom holds at n.  The chase
+The window chase, the search for a repeating stretch and the model check
+keep one int per atom, bit n set iff the atom holds at n.  The chase
 replays the scan of each axiom over ascending anchors (see `_window_chase`),
 so the G heads' obligations, which decide where a stretch may fold, keep
-their order.  The folded re-chase stays on atom sets.
+their order.  No second chase runs on the folded word: on a model it reads
+every literal as the check does, so it could add no atom.
 """
 
 from __future__ import annotations
@@ -58,17 +60,11 @@ class HornLiteral:
     atom: str | None  # None encodes false
     exists: bool = False  # a leading F: the rest holds at some later point
 
-    def size(self) -> int:
-        return self.shift + 1
-
 
 @dataclass(frozen=True)
 class HornAxiom:
     body: tuple[HornLiteral, ...]
     head: HornLiteral
-
-    def size(self) -> int:
-        return sum(l.size() for l in self.body) + self.head.size() + len(self.body)
 
 
 @dataclass(frozen=True)
@@ -90,10 +86,6 @@ class HornOntology:
     @cached_property
     def _hash(self) -> int:
         return hash(self.axioms)
-
-    @cached_property
-    def size_measure(self) -> int:
-        return sum(a.size() for a in self.axioms)
 
     @cached_property
     def atoms(self) -> frozenset[str]:
@@ -220,7 +212,6 @@ class _Bottom(Exception):
     pass
 
 
-_INCOMPATIBLE = object()
 _NO_ATOMS: frozenset[str] = frozenset()
 
 
@@ -295,105 +286,38 @@ def _window_chase(axioms: list[_GuardedAxiom], data: DataInstance, width: int):
     return masks, obligations
 
 
-def _candidates(masks: dict[str, int], obligations, start_at, width, hist):
-    """(m, n) pairs folding the first repeating chase states, oldest first.
+def _fold(masks: dict[str, int], obligations, start_at, width, hist):
+    """(m, n) folding the first repeating chase state, or None.
 
     A state is the atoms of the last `hist` positions up to n, as the bits of
     each atom's mask there, plus the obligations active by n.  A window that
     starts before position 0 is keyed by n alone, never equal to another.
+    The state at n must repeat the one at m, and the window must repeat with
+    period n - m from n to its margin.
     """
     margin = 2 * hist + 2
     end = width - margin
     rows = tuple(masks.values())
     low = (1 << hist) - 1
     seen: dict[tuple, int] = {}
-    out = []
     for n in range(start_at, end):
         lo = n - hist + 1
         window = tuple(r >> lo & low for r in rows) if lo >= 0 else n
         active = frozenset(a for a, s in obligations if s <= n)
-        state = (window, active)
-        m = seen.get(state)
-        if m is None:
-            seen[state] = n
+        m = seen.setdefault((window, active), n)
+        if m == n:
             continue
-        p = n - m
         span = (1 << end - n) - 1
-        if not any((r ^ r << p) >> n & span for r in rows):
-            # also offer loop-aligned later starts; a head fired from inside
-            # the prefix may need a longer handle to stay representable
-            for j in range(6):
-                if n + j * p < end:
-                    out.append((m + j * p, n + j * p))
-            if len(out) >= 4:
-                break
-    return out
+        if not any((r ^ r << n - m) >> n & span for r in rows):
+            return m, n
+    return None
 
 
 def _letters(masks: dict[str, int], count: int) -> tuple[frozenset[str], ...]:
-    """The first `count` positions of a chase state, one atom set each."""
-    return tuple(frozenset(a for a, r in masks.items() if r >> j & 1) for j in range(count))
-
-
-def _folded_chase(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop):
-    """Exact least fixpoint over words of the given lasso shape.
-
-    Returns (prefix, loop) or _INCOMPATIBLE when a single-point head fired
-    from a prefix position would land inside the loop: folding would smear
-    it over every loop pass, so the shape cannot represent the least model.
-    It stays on atom sets: a read that wraps round the loop sees the writes
-    of the same scan or not depending on the anchors' order, and whether a
-    prefix anchor's write into the loop is new depends on that state.
-    """
-    pre, per = len(prefix), len(loop)
-    entries = [set(s) for s in prefix] + [set(s) for s in loop]
-    for a, t in data.facts:
-        if t >= pre + per:
-            return _INCOMPATIBLE
-        entries[t].add(a)
-
-    def fold(t: int) -> int:
-        return t if t < pre + per else pre + (t - pre) % per
-
-    changed = True
-    while changed:
-        changed = False
-        for ax in axioms:
-            if ax.guard > pre:
-                return _INCOMPATIBLE  # loop anchors must all satisfy the guard
-            for n in range(ax.guard, pre + per):
-                ok = True
-                for lit in ax.body:
-                    # false (atom None) is in no entry
-                    if lit.exists:
-                        ok = any(lit.atom in entries[j] for j in range(min(n + lit.shift + 1, pre), pre + per))
-                    else:
-                        ok = lit.atom in entries[fold(n + lit.shift)]
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                head = ax.head
-                if head.atom is None:
-                    raise _Bottom
-                t = n + head.shift
-                if head.forall:
-                    for j in range(min(t, pre), pre + per):
-                        if (j >= t or j >= pre) and head.atom not in entries[j]:
-                            entries[j].add(head.atom)
-                            changed = True
-                else:
-                    ft = fold(t)
-                    if head.atom in entries[ft]:
-                        continue
-                    if n < pre and t >= pre:
-                        return _INCOMPATIBLE
-                    entries[ft].add(head.atom)
-                    changed = True
-    # the cached models keep these letters; about 40 % of them are empty,
-    # and those share one object
-    word = tuple(frozenset(s) if s else _NO_ATOMS for s in entries)
-    return word[:pre], word[pre:]
+    """The first `count` positions of a chase state, one atom set each.  The
+    cached models keep these letters; about 40 % of them are empty, and those
+    share one object."""
+    return tuple(frozenset(a for a, r in masks.items() if r >> j & 1) or _NO_ATOMS for j in range(count))
 
 
 def _is_model(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop) -> bool:
@@ -448,8 +372,10 @@ def _is_model(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop) -> 
 
 def _least_boxfree_model(
     axioms: list[_GuardedAxiom], data: DataInstance, hist: int, cap: int
-) -> tuple[tuple, tuple, int, int]:
-    """Exact least model of guarded box-free axioms, as (prefix, loop, m, p)."""
+) -> tuple[tuple, tuple]:
+    """Exact least model of guarded box-free axioms, as (prefix, loop): the
+    window chase folded at its first repeating stretch, once that fold is a
+    model (see the module docstring); a fold that is not widens the window."""
     max_ts = data.max_timestamp
     min_prefix = max([max_ts] + [ax.guard for ax in axioms])
     budget = 64
@@ -458,14 +384,12 @@ def _least_boxfree_model(
         if width <= min_prefix + 4 * hist + 8:
             width = min_prefix + 4 * hist + 8 + budget
         masks, obligations = _window_chase(axioms, data, width)
-        for m, n in _candidates(masks, obligations, min_prefix, width, hist):
+        fold = _fold(masks, obligations, min_prefix, width, hist)
+        if fold is not None:
+            m, n = fold
             letters = _letters(masks, n)
-            res = _folded_chase(axioms, data, letters[:m], letters[m:])
-            if res is _INCOMPATIBLE:
-                continue
-            new_prefix, new_loop = res
-            if _is_model(axioms, data, new_prefix, new_loop):
-                return new_prefix, new_loop, m, n - m
+            if _is_model(axioms, data, letters[:m], letters[m:]):
+                return letters[:m], letters[m:]
         if width >= cap:
             raise ChaseWindowOverflow(
                 f"no valid repetition within {width} positions; this indicates a bug"
@@ -527,7 +451,7 @@ def _canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel |
             return CanonicalModel(LassoModel(prefix, loop), handle=len(prefix) - max_ts, period=len(loop))
         reduced = guarded
         try:
-            prefix, loop, _, _ = _least_boxfree_model(reduced, data, hist, cap)
+            prefix, loop = _least_boxfree_model(reduced, data, hist, cap)
         except _Bottom:
             return None
         model = (prefix, loop)
