@@ -461,10 +461,11 @@ def _until_systems(e: ExampleSet, onto, black_red: bool):
     Each instance's reduced system comes from the word-keyed store
     `_instance_systems` (`_reduced_system`): every ontology and data that
     give the same lasso word share one entry, across example sets, and only
-    a miss builds.  path-until and simple-until build the same pair, so it
-    is cached per example set; the systems are immutable, so the callers
-    share them.  A set's classes are decided one after another, so a few
-    entries suffice.
+    a miss builds.  Every until class plays path-until's and simple-until's
+    games on the position pair first (`decide_until_family`); full-until
+    builds the black/red pair only when neither separates.  The systems are
+    immutable, so the callers share them.  A set's classes are decided one
+    after another, so a few entries suffice.
     """
     words = [word for d in e.instances for word in models(onto, d)]
     sig = frozenset().union(*(word.word[0] for word in words))  # the atoms with a position mask
@@ -474,12 +475,26 @@ def _until_systems(e: ExampleSet, onto, black_red: bool):
 
 
 def decide_until_family(e: ExampleSet, onto, cls: QueryClass) -> Verdict:
+    """Decide cls along the chain path-until ⊆ simple-until ⊆ full-until: the
+    classes up to cls play their own games in turn, so the witness comes from
+    the least class of the chain that separates, and lies in every larger one."""
     if cls not in UNTIL_CLASSES:
         raise ValueError(f"decide_until_family does not handle {cls}")
     if not e.positives:
         raise ValueError("need at least one positive example")
     if not e.negatives:
         return Verdict(True, TOP)
+    for least in UNTIL_CLASSES[: UNTIL_CLASSES.index(cls) + 1]:
+        verdict = _until_game(e, onto, least)
+        if verdict.separable:
+            break
+    return verdict
+
+
+@lru_cache(maxsize=4)
+def _until_game(e: ExampleSet, onto, cls: QueryClass) -> Verdict:
+    """The verdict of cls's own game on e's `_until_systems`, cached so that
+    deciding a set's classes in turn plays each game once."""
     prod, neg = _until_systems(e, onto, cls is QueryClass.FULL_UNTIL)
     if cls is QueryClass.PATH_UNTIL:
         # containment in a union does not split by component

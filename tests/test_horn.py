@@ -720,6 +720,27 @@ def test_canonical_model_equals_set_guard_loop_on_long_loops():
     assert longer_than_20 >= 25, longer_than_20
 
 
+@pytest.mark.parametrize("text", ["A -> X B", "A -> X B\nB -> X X A", "A -> X X B\nB -> X A"])
+def test_a_fold_that_is_no_model_widens_the_window(monkeypatch, text):
+    # the first fold folds the first letter onto itself, which holds A but
+    # not the B that A forces next: the model check must reject it and the
+    # chase widen to the least model
+    o, d = horn.load_ontology(text), D([("A", 0)])
+    axioms, hist, cap = _reduce(o, None), max(1, o.max_shift), 4096
+    least = horn._least_boxfree_model(axioms, d, hist, cap)
+    original, widths = horn._fold, []
+
+    def first_not_a_model(masks, obligations, start_at, width, hist):
+        widths.append(width)
+        return (0, 1) if len(widths) == 1 else original(masks, obligations, start_at, width, hist)
+
+    monkeypatch.setattr(horn, "_fold", first_not_a_model)
+    first = horn._letters(horn._window_chase(axioms, d, 64)[0], 1)
+    assert not horn._is_model(axioms, d, (), first)
+    assert horn._least_boxfree_model(axioms, d, hist, cap) == least
+    assert len(widths) == 2 and widths[0] < widths[1]
+
+
 # ---------------------------------------------------------------------------
 # F body literals against the rewrite they replaced
 

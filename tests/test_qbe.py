@@ -27,6 +27,7 @@ from ltlqbe.core import (
     conj,
     data_word,
     eval_data,
+    in_class,
     parse_query,
 )
 from ltlqbe.oracle import brute_force_decide
@@ -689,10 +690,14 @@ def test_witness_does_not_depend_on_hash_seed():
     assert len(witnesses) == 1
 
 
-# sha256 over the verdicts and witnesses below, recorded before the black/red
-# builder drew its successor sets directly, edge pruning compared siblings
-# only and path-until and simple-until shared one build
-_UNTIL_DIGEST = "c6a7462b45d7834ea85e2969c36861298a53c7396eca60d08bd74bc3686aeb41"
+# sha256 over the verdicts and notes, and over the verdicts, witnesses and
+# notes, of the sets below.  The verdict digest was recorded before the until
+# classes were decided along their chain, and equals that of the code before.
+# The witness digest was re-recorded then: simple-until and full-until answer
+# with the witness of the least class of path-until ⊆ simple-until ⊆
+# full-until that separates, where they played only their own games before.
+_UNTIL_VERDICT_DIGEST = "acd21a740d313941dbf7c377b2c22ef09b1d37a22e4b6839c23dc0976341390d"
+_UNTIL_DIGEST = "04e6ed323ed9c83ab119f42d63112e7ca079b462fa9a9c4b24f230fe3f9f4a9f"
 
 
 def _two_sided_set(rng, atoms, max_ts):
@@ -702,8 +707,8 @@ def _two_sided_set(rng, atoms, max_ts):
     return ExampleSet.of(pos, neg)
 
 
-def test_until_witness_digest_is_unchanged():
-    h = hashlib.sha256()
+def _until_digests() -> tuple[str, str]:
+    verdicts, witnesses = hashlib.sha256(), hashlib.sha256()
     for seed in range(60):
         rng = random.Random(35000 + seed)
         plain = _two_sided_set(rng, ("A", "B", "C"), 3)
@@ -712,8 +717,67 @@ def test_until_witness_digest_is_unchanged():
         for e, o in ((plain, None), (horn_set, onto)):
             for cls in UNTIL_CLASSES:
                 v = decide(Problem(cls, e, o))
-                h.update(f"{v.separable}|{v.witness}|{v.note}\n".encode())
-    assert h.hexdigest() == _UNTIL_DIGEST
+                verdicts.update(f"{v.separable}|{v.note}\n".encode())
+                witnesses.update(f"{v.separable}|{v.witness}|{v.note}\n".encode())
+    return verdicts.hexdigest(), witnesses.hexdigest()
+
+
+def test_until_verdict_digest_is_unchanged():
+    assert _until_digests()[0] == _UNTIL_VERDICT_DIGEST
+
+
+def test_until_witness_digest_is_unchanged():
+    assert _until_digests()[1] == _UNTIL_DIGEST
+
+
+def _direct_until_family(e, onto, cls):
+    """`decide_until_family` as it was before the chain: every class plays
+    only its own game, full-until straight on the black/red systems."""
+    from ltlqbe import qbe, tsys
+
+    prod, neg = qbe._until_systems(e, onto, cls is QueryClass.FULL_UNTIL)
+    if cls is QueryClass.PATH_UNTIL:
+        run = tsys.failing_run(prod, tsys.disjoint_union(neg))
+        return Verdict(False) if run is None else Verdict(True, query_from_run(run))
+    tree = tsys.failing_subtree_of_union(prod, neg)
+    return Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))
+
+
+def _chain_and_direct(monkeypatch, e, onto) -> list:
+    """(chain verdict, direct verdict) per until class, both through decide."""
+    from ltlqbe import qbe
+
+    direct = []
+    with monkeypatch.context() as m:
+        m.setattr(qbe, "decide_until_family", _direct_until_family)
+        for cls in UNTIL_CLASSES:
+            direct.append(decide(Problem(cls, e, onto)))
+    return [(decide(Problem(cls, e, onto)), d) for cls, d in zip(UNTIL_CLASSES, direct)]
+
+
+@pytest.mark.parametrize("kind", ["plain", "horn"])
+def test_until_chain_equals_the_direct_routes(monkeypatch, kind):
+    # a witness of a smaller class of the chain separates in every larger
+    # one, so deciding along the chain must give each class's own verdict
+    rng = random.Random(49000)
+    seen = {}  # the least class that separates (or None) -> count
+    for _ in range(300 if kind == "plain" else 100):
+        if kind == "plain":
+            e, onto = _two_sided_set(rng, ("A", "B", "C"), 3), None
+        else:
+            onto = rand_horn_ontology(rng, atoms=("A", "B"), max_axioms=3)
+            e = _two_sided_set(rng, ("A", "B"), 3)
+        pairs = _chain_and_direct(monkeypatch, e, onto)
+        assert [c.separable for c, _ in pairs] == [d.separable for _, d in pairs], (onto, e)
+        least = next((cls for cls, (c, _) in zip(UNTIL_CLASSES, pairs) if c.separable), None)
+        seen[least] = seen.get(least, 0) + 1
+        (_, _), (simple, _), (full, _) = pairs
+        if simple.separable:
+            assert in_class(full.witness, QueryClass.SIMPLE_UNTIL), (onto, e)
+    # simple-until is the least class on 1 of the 300 plain sets and on none
+    # of the Horn sets
+    assert set(seen) - {QueryClass.SIMPLE_UNTIL} == {QueryClass.PATH_UNTIL, QueryClass.FULL_UNTIL, None}, seen
+    assert (QueryClass.SIMPLE_UNTIL in seen) == (kind == "plain"), seen
 
 
 # sha256 over the verdicts, witnesses and notes of the diamond path and
@@ -897,35 +961,76 @@ def test_caches_are_bounded(name):
     assert _CACHES[name].cache_info().maxsize is not None
 
 
-@pytest.mark.parametrize("onto", [None, horn.load_ontology("A -> X B")], ids=["plain", "horn"])
-def test_until_classes_of_one_set_share_one_build(monkeypatch, onto):
+def _clear_until_caches():
     from ltlqbe import qbe
 
-    calls = []
-    original = qbe.repr_plain
-    monkeypatch.setattr(qbe, "repr_plain", lambda *args: calls.append(args) or original(*args))
-    qbe._until_systems.cache_clear()
-    qbe._instance_systems.cache_clear()
+    for cache in (qbe._until_game, qbe._until_systems, qbe._instance_systems):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("onto", [None, horn.load_ontology("A -> X B")], ids=["plain", "horn"])
+def test_until_classes_of_one_set_share_one_build(monkeypatch, onto):
+    # the position systems are built once for the set's classes; deciding
+    # them in order plays each class's game at most once, and full-until
+    # builds no black/red system when path-until or simple-until separates
+    from ltlqbe import qbe
+
+    calls, games, builds = [], [], []
+
+    def counted(name, log):
+        fn = getattr(qbe, name)
+        monkeypatch.setattr(qbe, name, lambda *args: log.append((name, args[0])) or fn(*args))
+
+    counted("repr_plain", calls)
+    counted("repr_plain_br", builds)
+    counted("failing_run", games)
+    counted("failing_subtree_of_union", games)
+    _clear_until_caches()
     e = ex([[("A", 1), ("B", 3)], [("A", 2), ("B", 3)]], [[("A", 1)], [("B", 3)]])
     decide(Problem(QueryClass.PATH_UNTIL, e, onto))
     assert len(calls) == len(e.instances)
     decide(Problem(QueryClass.SIMPLE_UNTIL, e, onto))
     assert len(calls) == len(e.instances)
+    assert decide(Problem(QueryClass.FULL_UNTIL, e, onto)).separable
+    # path-until separates the plain set, simple-until the Horn one
+    played = ["failing_run"] if onto is None else ["failing_run", "failing_subtree_of_union"]
+    assert [name for name, _ in games] == played and not builds
+
+    rng = random.Random(49000)
+    seen = set()
+    for _ in range(300 if onto is None else 100):
+        o = None if onto is None else rand_horn_ontology(rng, atoms=("A", "B"), max_axioms=3)
+        e = _two_sided_set(rng, ("A", "B", "C") if o is None else ("A", "B"), 3)
+        _clear_until_caches()
+        games.clear()
+        builds.clear()
+        verdicts = [decide(Problem(cls, e, o)) for cls in UNTIL_CLASSES]
+        assert len(games) == len({(name, id(s)) for name, s in games}) <= 3
+        least = next((cls for cls, v in zip(UNTIL_CLASSES, verdicts) if v.separable), None)
+        seen.add(least)
+        if least in (QueryClass.PATH_UNTIL, QueryClass.SIMPLE_UNTIL):
+            assert not builds, (o, e)
+    assert {QueryClass.PATH_UNTIL, QueryClass.FULL_UNTIL, None} <= seen
 
 
 @pytest.mark.parametrize("cls", [QueryClass.SIMPLE_UNTIL, QueryClass.FULL_UNTIL])
 def test_simulating_first_negative_plays_one_game(monkeypatch, cls):
+    # each simulation game of the chain up to cls, simple-until's on the
+    # position systems and then full-until's own on the black/red ones,
+    # ends at the first negative, which simulates the product
     from ltlqbe import qbe, tsys
 
     pos = [("A", 1), ("B", 3)]
     e = ex([pos], [pos, [("B", 2)]])
-    qbe._until_systems.cache_clear()
-    qbe._until_systems(e, None, cls is QueryClass.FULL_UNTIL)  # pruning plays its own games
+    _clear_until_caches()
+    # pruning plays its own games
+    systems = [qbe._until_systems(e, None, black_red) for black_red in (False, True)]
     games = []
     original = tsys._play
     monkeypatch.setattr(tsys, "_play", lambda *args: games.append(args) or original(*args))
     assert not decide(Problem(cls, e)).separable
-    assert len(games) == 1
+    played = systems[: UNTIL_CLASSES.index(cls)]
+    assert [(s, t) for s, _, t, _ in games] == [(prod, neg[0]) for prod, neg in played]
 
 
 @pytest.mark.parametrize("atoms", ["AB", "ABC"])
