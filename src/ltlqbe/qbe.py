@@ -62,6 +62,21 @@ PATH_CLASSES = (
 BRANCH_CLASSES = (QueryClass.BRANCH_DIAMOND, QueryClass.BRANCH_NEXT_DIAMOND)
 UNTIL_CLASSES = (QueryClass.PATH_UNTIL, QueryClass.SIMPLE_UNTIL, QueryClass.FULL_UNTIL)
 
+# each class -> the classes whose grammar contains its own, itself included: the closure
+# of path-diamond ⊆ path-next-diamond, circ-blocks, branch-diamond ⊆ branch-next-diamond
+# ⊆ simple-until ⊆ full-until and of path-next-diamond ⊆ path-until ⊆ simple-until
+_PD, _PND, _CIRC, _BD, _BND, _PU, _SU, _FU = QueryClass
+SUPERCLASSES = {
+    _PD: frozenset(QueryClass),
+    _PND: frozenset({_PND, _BND, _PU, _SU, _FU}),
+    _CIRC: frozenset({_CIRC, _BND, _SU, _FU}),
+    _BD: frozenset({_BD, _BND, _SU, _FU}),
+    _BND: frozenset({_BND, _SU, _FU}),
+    _PU: frozenset({_PU, _SU, _FU}),
+    _SU: frozenset({_SU, _FU}),
+    _FU: frozenset({_FU}),
+}
+
 _BRANCH_TO_PATH = {
     QueryClass.BRANCH_DIAMOND: QueryClass.PATH_DIAMOND,
     QueryClass.BRANCH_NEXT_DIAMOND: QueryClass.PATH_DIAMOND_CIRC_BLOCKS,
@@ -477,31 +492,30 @@ def _until_systems(e: ExampleSet, onto, black_red: bool):
 def decide_until_family(e: ExampleSet, onto, cls: QueryClass) -> Verdict:
     """Decide cls along the chain path-until ⊆ simple-until ⊆ full-until: the
     classes up to cls play their own games in turn, so the witness comes from
-    the least class of the chain that separates, and lies in every larger one."""
+    the least class of the chain that separates, and lies in every larger one.
+    Each game's verdict joins the set's `_verdicts`, so each is played once."""
     if cls not in UNTIL_CLASSES:
         raise ValueError(f"decide_until_family does not handle {cls}")
     if not e.positives:
         raise ValueError("need at least one positive example")
     if not e.negatives:
         return Verdict(True, TOP)
+    known = _verdicts.get((e, onto), dict)
     for least in UNTIL_CLASSES[: UNTIL_CLASSES.index(cls) + 1]:
-        verdict = _until_game(e, onto, least)
+        verdict = _known_verdict(known, least)
+        if verdict is None:
+            prod, neg = _until_systems(e, onto, least is QueryClass.FULL_UNTIL)
+            if least is QueryClass.PATH_UNTIL:
+                # containment in a union does not split by component
+                run = failing_run(prod, disjoint_union(neg))
+                verdict = Verdict(False) if run is None else Verdict(True, query_from_run(run))
+            else:
+                tree = failing_subtree_of_union(prod, neg)
+                verdict = Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))
+            known[least] = verdict
         if verdict.separable:
             break
     return verdict
-
-
-@lru_cache(maxsize=4)
-def _until_game(e: ExampleSet, onto, cls: QueryClass) -> Verdict:
-    """The verdict of cls's own game on e's `_until_systems`, cached so that
-    deciding a set's classes in turn plays each game once."""
-    prod, neg = _until_systems(e, onto, cls is QueryClass.FULL_UNTIL)
-    if cls is QueryClass.PATH_UNTIL:
-        # containment in a union does not split by component
-        run = failing_run(prod, disjoint_union(neg))
-        return Verdict(False) if run is None else Verdict(True, query_from_run(run))
-    tree = failing_subtree_of_union(prod, neg)
-    return Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))
 
 
 def _edge_conj(label: frozenset[str]) -> Query:
@@ -612,6 +626,18 @@ def _prefix_query(prefix) -> Query:
 # ---------------------------------------------------------------------------
 # The facade
 
+# (example set without its inconsistent positives, ontology) -> {class: verdict}, in decided order
+_verdicts = _Store(maxsize=4)
+
+
+def _known_verdict(known: dict, cls: QueryClass) -> Verdict | None:
+    """The verdict of cls that the set's known verdicts settle: a witness
+    that lies in cls, or not separable in a class whose grammar contains cls's."""
+    for decided, verdict in known.items():
+        if (in_class(verdict.witness, cls) if verdict.separable else decided in SUPERCLASSES[cls]):
+            return verdict
+    return None
+
 
 def decide(p: Problem) -> Verdict:
     e, found, early, note = _drop_inconsistent(p)
@@ -626,14 +652,16 @@ def decide(p: Problem) -> Verdict:
         return _checked(sub, Verdict(True, TOP, note=note))
     if None in found and p.cls not in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND):
         raise UnsupportedProblem(f"{p.cls.value} needs box/diamond data that is its own model")
-    if p.cls in PATH_CLASSES:
-        verdict = _path_search(p.ontology, e, found, p.cls)
-    elif p.cls in BRANCH_CLASSES:
-        verdict = _decide_branch(p.ontology, e, found, p.cls)
-    elif p.cls in UNTIL_CLASSES:
-        verdict = decide_until_family(e, p.ontology, p.cls)
-    else:
-        raise UnsupportedProblem(str(p.cls))
+    known = _verdicts.get((e, p.ontology), dict)
+    verdict = _known_verdict(known, p.cls)
+    if verdict is None:
+        if p.cls in PATH_CLASSES:
+            verdict = _path_search(p.ontology, e, found, p.cls)
+        elif p.cls in BRANCH_CLASSES:
+            verdict = _decide_branch(p.ontology, e, found, p.cls)
+        else:
+            verdict = decide_until_family(e, p.ontology, p.cls)
+        known[p.cls] = verdict
     if note and verdict.note is None:
         verdict = Verdict(verdict.separable, verdict.witness, note)
     return _checked(sub, verdict)

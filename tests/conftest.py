@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from itertools import combinations
 from typing import Hashable, NamedTuple
 
 import pytest
 
-from ltlqbe import horn
+import ltlqbe
+from ltlqbe import horn, qbe
 from ltlqbe.core import (
     And,
     Bot,
@@ -313,6 +316,29 @@ def lasso_models_of(
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+@pytest.fixture(autouse=True)
+def cold_verdicts():
+    """Each test starts without the verdicts an earlier test decided: a set's
+    answers may come from the verdicts already known for it (`qbe._verdicts`)."""
+    qbe._verdicts.cache_clear()
+
+
+def module_caches() -> dict:
+    """Every object with a cache_info() in the ltlqbe modules, by the name it
+    has in the module that defines it."""
+    found = {}
+    for info in pkgutil.iter_modules(ltlqbe.__path__):
+        module = importlib.import_module(f"ltlqbe.{info.name}")
+        for attr, value in vars(module).items():
+            if (
+                hasattr(value, "cache_info")
+                and not isinstance(value, type)
+                and getattr(value, "__module__", None) == module.__name__
+            ):
+                found[attr] = value
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,16 @@
 from collections import deque
 import hashlib
-import importlib
 import itertools
 import os
-import pkgutil
 import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import rand_example_set, rand_horn_ontology, rand_instance, rand_query
+from conftest import module_caches, rand_example_set, rand_horn_ontology, rand_instance, rand_query
 import ltlqbe
-from ltlqbe import horn, prior, transform
+from ltlqbe import horn, prior, qbe, transform
 from ltlqbe.core import (
     Bot,
     DataInstance,
@@ -363,24 +361,38 @@ def test_dp_path_walks_only_non_dominated_moves():
     assert not dp_path(e, _words(e), cls, node_cap=7).separable
 
 
-# sha256 over the verdicts and witnesses below, recorded before dp_path
-# clamped its search states and memoised its blocks and moves
-_WITNESS_DIGEST = "058b6684277b9f77ff80ed08b84e41171ba3d8ce74a6b696f637b6dc08d3ff53"
+# sha256 over the verdicts, and over the verdicts and witnesses, below.  The
+# witness digest was recorded before dp_path clamped its search states and
+# memoised its blocks and moves, and re-recorded when a set's classes came to
+# be settled by its verdicts known so far: branch-next-diamond now answers
+# with branch-diamond's witness where that separates.  The verdict digest was
+# recorded before that change.
+_WITNESS_VERDICT_DIGEST = "c21d1b0f061e7f9fb65ad17a66c3ed69acb3c01878c11a8f8f44877a6585caeb"
+_WITNESS_DIGEST = "93ddb1445e147178eabc0e6409b8d2cb2981f28f35155ac91d9126f9c958044e"
 
 
-def test_witness_digest_is_unchanged():
-    h = hashlib.sha256()
+def _witness_digests() -> tuple[str, str]:
+    verdicts, witnesses = hashlib.sha256(), hashlib.sha256()
     for seed in range(80):
         e = rand_example_set(random.Random(18000 + seed), max_ts=4, max_pos=2, max_neg=2)
-        verdicts = [
+        found = [
             dp_path(e, _words(e), cls, allow_empty_blocks=empty)
             for cls in PATH_CLASSES
             for empty in (False, True)
         ]
-        verdicts += [decide(Problem(cls, e)) for cls in BRANCH_CLASSES]
-        for v in verdicts:
-            h.update(f"{v.separable} {v.witness}\n".encode())
-    assert h.hexdigest() == _WITNESS_DIGEST
+        found += [decide(Problem(cls, e)) for cls in BRANCH_CLASSES]
+        for v in found:
+            verdicts.update(f"{v.separable}\n".encode())
+            witnesses.update(f"{v.separable} {v.witness}\n".encode())
+    return verdicts.hexdigest(), witnesses.hexdigest()
+
+
+def test_witness_verdict_digest_is_unchanged():
+    assert _witness_digests()[0] == _WITNESS_VERDICT_DIGEST
+
+
+def test_witness_digest_is_unchanged():
+    assert _witness_digests()[1] == _WITNESS_DIGEST
 
 
 def test_horn_search_agrees_with_dp_on_empty_ontology():
@@ -634,7 +646,11 @@ def test_verify_witness_checks_class():
 def test_class_monotonicity(seed):
     rng = random.Random(16000 + seed)
     e = rand_example_set(rng, max_ts=4, max_pos=2, max_neg=2)
-    verdicts = {cls: decide(Problem(cls, e)).separable for cls in QueryClass}
+    verdicts = {}
+    for cls in QueryClass:
+        # each class by its own route, not settled by another's verdict
+        qbe._verdicts.cache_clear()
+        verdicts[cls] = decide(Problem(cls, e)).separable
     if verdicts[QueryClass.PATH_UNTIL]:
         assert verdicts[QueryClass.SIMPLE_UNTIL]
     if verdicts[QueryClass.SIMPLE_UNTIL]:
@@ -744,14 +760,18 @@ def _direct_until_family(e, onto, cls):
 
 
 def _chain_and_direct(monkeypatch, e, onto) -> list:
-    """(chain verdict, direct verdict) per until class, both through decide."""
+    """(chain verdict, direct verdict) per until class, both through decide.
+    The direct route starts each class from no known verdicts, and the chain
+    from none of the direct route's."""
     from ltlqbe import qbe
 
     direct = []
     with monkeypatch.context() as m:
         m.setattr(qbe, "decide_until_family", _direct_until_family)
         for cls in UNTIL_CLASSES:
+            qbe._verdicts.cache_clear()
             direct.append(decide(Problem(cls, e, onto)))
+    qbe._verdicts.cache_clear()
     return [(decide(Problem(cls, e, onto)), d) for cls, d in zip(UNTIL_CLASSES, direct)]
 
 
@@ -780,22 +800,36 @@ def test_until_chain_equals_the_direct_routes(monkeypatch, kind):
     assert (QueryClass.SIMPLE_UNTIL in seen) == (kind == "plain"), seen
 
 
-# sha256 over the verdicts, witnesses and notes of the diamond path and
-# branch classes under random Horn ontologies, many with F-bodies and so
-# with fresh atoms; recorded before qbe.models chose the words
-_HORN_DIAMOND_DIGEST = "a671a2ee38dca08d09cb4d5db4ad0523ae782ccde28b11b732e9c084db599fc3"
+# sha256 over the verdicts and notes, and over the verdicts, witnesses and
+# notes, of the diamond path and branch classes under random Horn ontologies,
+# many with F-bodies and so with fresh atoms, decided in turn per set.  The
+# witness digest was recorded before qbe.models chose the words, and
+# re-recorded when a set's classes came to be settled by its verdicts known so
+# far: a later class now answers with an earlier class's witness where that
+# lies in it.  The verdict digest was recorded before that change.
+_HORN_DIAMOND_VERDICT_DIGEST = "d9bb1c5250c87245be543e868b17ae857d1ff0f9246c5005d0d8bb4456146d3c"
+_HORN_DIAMOND_DIGEST = "285ba7459f4482552136ecd1ba161beca17181aa0b890a6fed84ccef7bae61aa"
 
 
-def test_horn_diamond_witness_digest_is_unchanged():
-    h = hashlib.sha256()
+def _horn_diamond_digests() -> tuple[str, str]:
+    verdicts, witnesses = hashlib.sha256(), hashlib.sha256()
     for seed in range(60):
         rng = random.Random(40000 + seed)
         onto = rand_horn_ontology(rng, atoms=("A", "B"), max_axioms=3)
         e = _two_sided_set(rng, ("A", "B"), 3)
         for cls in PATH_CLASSES + BRANCH_CLASSES:
             v = decide(Problem(cls, e, onto))
-            h.update(f"{cls}|{v.separable}|{v.witness}|{v.note}\n".encode())
-    assert h.hexdigest() == _HORN_DIAMOND_DIGEST
+            verdicts.update(f"{cls}|{v.separable}|{v.note}\n".encode())
+            witnesses.update(f"{cls}|{v.separable}|{v.witness}|{v.note}\n".encode())
+    return verdicts.hexdigest(), witnesses.hexdigest()
+
+
+def test_horn_diamond_verdict_digest_is_unchanged():
+    assert _horn_diamond_digests()[0] == _HORN_DIAMOND_VERDICT_DIGEST
+
+
+def test_horn_diamond_witness_digest_is_unchanged():
+    assert _horn_diamond_digests()[1] == _HORN_DIAMOND_DIGEST
 
 
 def _prior_ontology(rng):
@@ -923,23 +957,7 @@ def test_every_class_decides_box_diamond_data_that_is_a_model(cls):
                 decide(Problem(cls, e, onto))
 
 
-def _module_caches() -> dict:
-    """Every object with a cache_info() in the ltlqbe modules, by the name it
-    has in the module that defines it."""
-    found = {}
-    for info in pkgutil.iter_modules(ltlqbe.__path__):
-        module = importlib.import_module(f"ltlqbe.{info.name}")
-        for attr, value in vars(module).items():
-            if (
-                hasattr(value, "cache_info")
-                and not isinstance(value, type)
-                and getattr(value, "__module__", None) == module.__name__
-            ):
-                found[attr] = value
-    return found
-
-
-_CACHES = _module_caches()
+_CACHES = module_caches()
 
 
 def test_cache_walk_finds_the_known_caches():
@@ -951,6 +969,7 @@ def test_cache_walk_finds_the_known_caches():
         "_canonical_model",
         "_until_systems",
         "_instance_systems",
+        "_verdicts",
         "letter_table",
     }
     assert known <= set(_CACHES)
@@ -964,7 +983,7 @@ def test_caches_are_bounded(name):
 def _clear_until_caches():
     from ltlqbe import qbe
 
-    for cache in (qbe._until_game, qbe._until_systems, qbe._instance_systems):
+    for cache in (qbe._verdicts, qbe._until_systems, qbe._instance_systems):
         cache.cache_clear()
 
 

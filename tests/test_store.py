@@ -18,7 +18,7 @@ fs = frozenset
 
 
 def _clear():
-    qbe._until_game.cache_clear()
+    qbe._verdicts.cache_clear()
     qbe._until_systems.cache_clear()
     qbe._instance_systems.cache_clear()
 
@@ -168,13 +168,13 @@ def test_until_answers_equal_with_a_cold_and_a_warm_store(kind):
         _clear()
         cold += _until_answers([s])
     # warm: every entry was made by other sets first, in the reverse order
-    qbe._until_game.cache_clear()
+    qbe._verdicts.cache_clear()
     qbe._until_systems.cache_clear()
     _until_answers(sets[::-1])
     misses = qbe._instance_systems.cache_info().misses
     warm = []
     for s in sets:
-        qbe._until_game.cache_clear()
+        qbe._verdicts.cache_clear()
         qbe._until_systems.cache_clear()
         warm += _until_answers([s])
     assert warm == cold
