@@ -62,21 +62,6 @@ PATH_CLASSES = (
 BRANCH_CLASSES = (QueryClass.BRANCH_DIAMOND, QueryClass.BRANCH_NEXT_DIAMOND)
 UNTIL_CLASSES = (QueryClass.PATH_UNTIL, QueryClass.SIMPLE_UNTIL, QueryClass.FULL_UNTIL)
 
-# each class -> the classes whose grammar contains its own, itself included: the closure
-# of path-diamond ⊆ path-next-diamond, circ-blocks, branch-diamond ⊆ branch-next-diamond
-# ⊆ simple-until ⊆ full-until and of path-next-diamond ⊆ path-until ⊆ simple-until
-_PD, _PND, _CIRC, _BD, _BND, _PU, _SU, _FU = QueryClass
-SUPERCLASSES = {
-    _PD: frozenset(QueryClass),
-    _PND: frozenset({_PND, _BND, _PU, _SU, _FU}),
-    _CIRC: frozenset({_CIRC, _BND, _SU, _FU}),
-    _BD: frozenset({_BD, _BND, _SU, _FU}),
-    _BND: frozenset({_BND, _SU, _FU}),
-    _PU: frozenset({_PU, _SU, _FU}),
-    _SU: frozenset({_SU, _FU}),
-    _FU: frozenset({_FU}),
-}
-
 _BRANCH_TO_PATH = {
     QueryClass.BRANCH_DIAMOND: QueryClass.PATH_DIAMOND,
     QueryClass.BRANCH_NEXT_DIAMOND: QueryClass.PATH_DIAMOND_CIRC_BLOCKS,
@@ -631,12 +616,10 @@ _verdicts = _Store(maxsize=4)
 
 
 def _known_verdict(known: dict, cls: QueryClass) -> Verdict | None:
-    """The verdict of cls that the set's known verdicts settle: a witness
-    that lies in cls, or not separable in a class whose grammar contains cls's."""
-    for decided, verdict in known.items():
-        if (in_class(verdict.witness, cls) if verdict.separable else decided in SUPERCLASSES[cls]):
-            return verdict
-    return None
+    """cls's own known verdict for the set, else a known witness that lies in cls."""
+    if cls in known:
+        return known[cls]
+    return next((v for v in known.values() if v.separable and in_class(v.witness, cls)), None)
 
 
 def decide(p: Problem) -> Verdict:

@@ -19,7 +19,7 @@ from conftest import (
     rand_instance,
     rand_query,
 )
-from ltlqbe import horn
+from ltlqbe import horn, qbe
 from ltlqbe.core import (
     DataInstance,
     ExampleSet,
@@ -430,6 +430,7 @@ def test_criterion_6_structural_invariants():
         verdicts = {}
         for cls in ALL_CLASSES:
             p = Problem(cls, e)
+            qbe._verdicts.cache_clear()  # each class on its own route, not from an earlier class's verdict
             v = decide(p)
             verdicts[cls] = v.separable
             if v.separable:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import rand_example_set
+from ltlqbe import qbe
 from ltlqbe.core import DataInstance, ExampleSet, QueryClass
 from ltlqbe.oracle import brute_force_decide
 from ltlqbe.qbe import Problem, decide
@@ -136,6 +137,11 @@ def test_split_matches_conjunction_of_verdicts(seed):
         QueryClass.SIMPLE_UNTIL,
         QueryClass.FULL_UNTIL,
     ):
+        # each decision on its own route, not from an earlier class's verdict
+        qbe._verdicts.cache_clear()
         whole = decide(Problem(cls, e)).separable
-        split = all(decide(Problem(cls, part)).separable for part in split_per_negative(e))
+        split = True
+        for part in split_per_negative(e):
+            qbe._verdicts.cache_clear()
+            split = split and decide(Problem(cls, part)).separable
         assert whole == split
