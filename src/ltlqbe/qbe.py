@@ -11,6 +11,7 @@ from collections import OrderedDict, deque, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 import itertools
+from math import lcm
 from operator import le
 
 from .core import (
@@ -623,6 +624,10 @@ def _known_verdict(known: dict, cls: QueryClass) -> Verdict | None:
 
 
 def decide(p: Problem) -> Verdict:
+    """p's verdict, its witness re-verified.  Known verdicts of the set
+    answer first (`_known_verdict`); a negative that holds a positive
+    (`_holds_a_positive`) is not separable in any class; otherwise p.cls's
+    own route decides.  The verdict joins the set's `_verdicts`."""
     e, found, early, note = _drop_inconsistent(p)
     if early is not None:
         return early
@@ -638,7 +643,9 @@ def decide(p: Problem) -> Verdict:
     known = _verdicts.get((e, p.ontology), dict)
     verdict = _known_verdict(known, p.cls)
     if verdict is None:
-        if p.cls in PATH_CLASSES:
+        if _holds_a_positive(found, len(e.positives)):
+            verdict = Verdict(False)
+        elif p.cls in PATH_CLASSES:
             verdict = _path_search(p.ontology, e, found, p.cls)
         elif p.cls in BRANCH_CLASSES:
             verdict = _decide_branch(p.ontology, e, found, p.cls)
@@ -648,6 +655,23 @@ def decide(p: Problem) -> Verdict:
     if note and verdict.note is None:
         verdict = Verdict(verdict.separable, verdict.witness, note)
     return _checked(sub, verdict)
+
+
+def _holds_a_positive(found: list, npos: int) -> bool:
+    """Whether some negative's words each lie above some word of one
+    positive: every positive query certain on that positive is then certain
+    on the negative, so no class separates.  `found` is `models` of the
+    positives, then the negatives; None takes no part."""
+    pos = [words for words in found[:npos] if words is not None]
+    negs = [words for words in found[npos:] if words is not None]
+    return any(all(any(_above(w, v) for v in p) for w in n) for n in negs for p in pos)
+
+
+def _above(upper: LassoModel, lower: LassoModel) -> bool:
+    """Whether each letter of upper holds lower's at the same position; both
+    words repeat from max(pre) on with period lcm(per)."""
+    n = max(upper.pre, lower.pre) + lcm(upper.per, lower.per)
+    return all(lower.letter(t) <= upper.letter(t) for t in range(n))
 
 
 def _path_search(onto, e: ExampleSet, found: list, cls: QueryClass, allow_empty_blocks: bool = False) -> Verdict:

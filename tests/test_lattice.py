@@ -2,6 +2,7 @@
 the per-set verdict memo `qbe._verdicts` where a kept witness lies in them."""
 
 import random
+from operator import le
 
 import pytest
 
@@ -74,8 +75,9 @@ def test_known_verdicts_answer_as_the_cold_routes(monkeypatch, kind):
 
 # dp_path, tsys._play and failing_run calls per class, each class decided
 # alone over the sets of _work_sets with every cache cleared before each
-# call; counted before the set's verdicts were kept across classes
-_WORK = {
+# call; counted before the set's verdicts were kept across classes, and
+# before a negative that holds a positive was answered without a search
+_WORK_BEFORE_CHECK = {
     QueryClass.PATH_DIAMOND: (34, 0, 0),
     QueryClass.PATH_NEXT_DIAMOND: (34, 0, 0),
     QueryClass.PATH_DIAMOND_CIRC_BLOCKS: (34, 0, 0),
@@ -85,6 +87,21 @@ _WORK = {
     QueryClass.SIMPLE_UNTIL: (0, 110, 34),
     QueryClass.FULL_UNTIL: (0, 168, 34),
 }
+
+# the same counts with the check: the sets it settles run no search
+_WORK = {
+    QueryClass.PATH_DIAMOND: (20, 0, 0),
+    QueryClass.PATH_NEXT_DIAMOND: (20, 0, 0),
+    QueryClass.PATH_DIAMOND_CIRC_BLOCKS: (20, 0, 0),
+    QueryClass.BRANCH_DIAMOND: (25, 0, 0),
+    QueryClass.BRANCH_NEXT_DIAMOND: (25, 0, 0),
+    QueryClass.PATH_UNTIL: (0, 55, 20),
+    QueryClass.SIMPLE_UNTIL: (0, 56, 20),
+    QueryClass.FULL_UNTIL: (0, 60, 20),
+}
+
+# of the 45 sets of _work_sets, those with a negative that holds a positive
+_HELD = 14
 
 
 def _work_sets():
@@ -99,13 +116,21 @@ def _work_sets():
 
 @pytest.mark.parametrize("cls", list(QueryClass), ids=lambda cls: cls.value)
 def test_a_class_decided_alone_runs_the_same_searches(monkeypatch, cls):
+    # a class asked alone searches as it did, but for the sets the check
+    # settles, which search nothing
     log = []
     for module, name in ((qbe, "dp_path"), (tsys, "_play"), (qbe, "failing_run")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name, **k: log.append(name) or fn(*a, **k))
+    held = []
+    check = qbe._holds_a_positive
+    monkeypatch.setattr(qbe, "_holds_a_positive", lambda *a: held.append(check(*a)) or held[-1])
     caches = module_caches().values()
     for e, onto in _work_sets():
         for cache in caches:
             cache.cache_clear()
         decide(Problem(cls, e, onto))
-    assert tuple(map(log.count, ("dp_path", "_play", "failing_run"))) == _WORK[cls]
+    counts = tuple(map(log.count, ("dp_path", "_play", "failing_run")))
+    assert counts == _WORK[cls]
+    assert all(map(le, counts, _WORK_BEFORE_CHECK[cls]))
+    assert held.count(True) == _HELD

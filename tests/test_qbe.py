@@ -1032,15 +1032,23 @@ def test_until_classes_of_one_set_share_one_build(monkeypatch, onto):
     assert {QueryClass.PATH_UNTIL, QueryClass.FULL_UNTIL, None} <= seen
 
 
-@pytest.mark.parametrize("cls", [QueryClass.SIMPLE_UNTIL, QueryClass.FULL_UNTIL])
-def test_simulating_first_negative_plays_one_game(monkeypatch, cls):
+@pytest.mark.parametrize(
+    "cls, e",
+    [
+        (QueryClass.SIMPLE_UNTIL, ex([[("A", 1)], [("A", 2)]], [[("A", 3)], [("B", 2)]])),
+        # full-until separates the set above; this one is the least of a
+        # seeded search (rand_instance over A, B up to 3, seed 3438)
+        (QueryClass.FULL_UNTIL, ex([[("A", 0)], [("B", 2)]], [[("A", 1)], [("B", 1)]])),
+    ],
+    ids=["QueryClass.SIMPLE_UNTIL", "QueryClass.FULL_UNTIL"],
+)
+def test_simulating_first_negative_plays_one_game(monkeypatch, cls, e):
     # each simulation game of the chain up to cls, simple-until's on the
     # position systems and then full-until's own on the black/red ones,
-    # ends at the first negative, which simulates the product
+    # ends at the first negative, which simulates the product; no negative
+    # holds a positive, so the games are played
     from ltlqbe import qbe, tsys
 
-    pos = [("A", 1), ("B", 3)]
-    e = ex([pos], [pos, [("B", 2)]])
     _clear_until_caches()
     # pruning plays its own games
     systems = [qbe._until_systems(e, None, black_red) for black_red in (False, True)]
@@ -1050,6 +1058,21 @@ def test_simulating_first_negative_plays_one_game(monkeypatch, cls):
     assert not decide(Problem(cls, e)).separable
     played = systems[: UNTIL_CLASSES.index(cls)]
     assert [(s, t) for s, _, t, _ in games] == [(prod, neg[0]) for prod, neg in played]
+
+
+@pytest.mark.parametrize("cls", UNTIL_CLASSES, ids=lambda cls: cls.value)
+def test_holding_negative_builds_no_system_and_plays_no_game(monkeypatch, cls):
+    from ltlqbe import qbe, tsys
+
+    pos = [("A", 1), ("B", 3)]
+    e = ex([pos], [[("B", 2)], pos + [("A", 2)]])
+    _clear_until_caches()
+    calls = []
+    for module, name in ((qbe, "_reduced_system"), (tsys, "_play"), (qbe, "failing_run")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    assert not decide(Problem(cls, e)).separable
+    assert calls == []
 
 
 @pytest.mark.parametrize("atoms", ["AB", "ABC"])
