@@ -28,10 +28,12 @@ from .core import (
     TOP,
     Until,
     _path_query,
+    _pred,
     atoms_conj,
     conj,
     data_word,
     eval_lasso,
+    eventually,
     in_class,
 )
 from .horn import HornOntology, Inconsistent, canonical_model
@@ -61,6 +63,7 @@ PATH_CLASSES = (
     QueryClass.PATH_DIAMOND_CIRC_BLOCKS,
 )
 BRANCH_CLASSES = (QueryClass.BRANCH_DIAMOND, QueryClass.BRANCH_NEXT_DIAMOND)
+DIAMOND_CLASSES = PATH_CLASSES + BRANCH_CLASSES
 UNTIL_CLASSES = (QueryClass.PATH_UNTIL, QueryClass.SIMPLE_UNTIL, QueryClass.FULL_UNTIL)
 
 _BRANCH_TO_PATH = {
@@ -79,6 +82,10 @@ class ResourceCap(RuntimeError):
 
 class WitnessError(AssertionError):
     """A separable verdict failed its own witness re-verification."""
+
+
+class LatticeError(AssertionError):
+    """Two verdicts of one example set contradict the class lattice."""
 
 
 @dataclass(frozen=True)
@@ -627,7 +634,11 @@ def decide(p: Problem) -> Verdict:
     """p's verdict, its witness re-verified.  Known verdicts of the set
     answer first (`_known_verdict`); a negative that holds a positive
     (`_holds_a_positive`) is not separable in any class; otherwise p.cls's
-    own route decides.  The verdict joins the set's `_verdicts`."""
+    own route decides.  The verdict joins the set's `_verdicts`.  When a
+    path class's search finds no separator and a negative's word simulates
+    the positives' product (`_simulates_product`), no diamond class
+    separates: all five join as not separable, and a kept separable one is
+    a `LatticeError`."""
     e, found, early, note = _drop_inconsistent(p)
     if early is not None:
         return early
@@ -647,6 +658,10 @@ def decide(p: Problem) -> Verdict:
             verdict = Verdict(False)
         elif p.cls in PATH_CLASSES:
             verdict = _path_search(p.ontology, e, found, p.cls)
+            if not verdict.separable and None not in found and _simulates_product(found, len(e.positives)):
+                if any(known[cls].separable for cls in DIAMOND_CLASSES if cls in known):
+                    raise LatticeError("a kept diamond witness separates, yet a negative simulates the product")
+                known.update(dict.fromkeys(DIAMOND_CLASSES, verdict))
         elif p.cls in BRANCH_CLASSES:
             verdict = _decide_branch(p.ontology, e, found, p.cls)
         else:
@@ -672,6 +687,56 @@ def _above(upper: LassoModel, lower: LassoModel) -> bool:
     words repeat from max(pre) on with period lcm(per)."""
     n = max(upper.pre, lower.pre) + lcm(upper.per, lower.per)
     return all(lower.letter(t) <= upper.letter(t) for t in range(n))
+
+
+def _simulates_product(found: list, npos: int) -> bool:
+    """Whether some negative's word simulates, from 0 and under X and F, the
+    product of the positives' words.  A query of atoms, ∧, X and F that holds
+    on every positive holds on their product, and simulation carries it to
+    that negative (Hennessy & Milner 1985), so no diamond class separates;
+    until queries are not preserved.  `found` is `models` of the positives,
+    then the negatives, one word each.
+
+    A product state is a tuple of folded positions, numbered in
+    `itertools.product` order; its X-successor is the componentwise one and
+    its F-successors form the orthant ∏ [min(t+1, pre), pre+per).  For each
+    negative, each state keeps the mask of the negative's positions that may
+    simulate it, refined by the X-successor's `_pred` and by the orthant's
+    `eventually` masks until nothing changes.  Those masks are each 2^m − 1,
+    so their AND is their minimum, which one backward pass takes over every
+    orthant at once."""
+    axes = []  # per positive: its letters, X-successors, orthant starts and (stride, size)
+    stride = 1
+    for (w,) in reversed(found[:npos]):
+        n = w.pre + w.per
+        axes.append(([w.letter(t) for t in range(n)], [w.fold(t + 1) * stride for t in range(n)],
+                     [min(t + 1, w.pre) * stride for t in range(n)], (stride, n)))
+        stride *= n
+    letters, succs, starts, dims = zip(*reversed(axes))
+    labels = [frozenset.intersection(*ls) for ls in itertools.product(*letters)]
+    xs = list(map(sum, itertools.product(*succs)))
+    los = list(map(sum, itertools.product(*starts)))
+    # per axis, backwards: the states that are not last along it, and its stride
+    inner = [([s for s in reversed(range(stride)) if s // st % n < n - 1], st) for st, n in dims]
+    for (word,) in found[npos:]:
+        masks, every, loop = word.word
+        sim = []
+        for label in labels:
+            m = every
+            for a in label:
+                m &= masks.get(a, 0)
+            sim.append(m)
+        while sim[0] & 1:
+            least = [eventually(m, every, loop) for m in sim]
+            for states, st in inner:
+                for s in states:
+                    if least[s + st] < least[s]:
+                        least[s] = least[s + st]
+            new = [m & _pred(sim[x], every, loop) & least[lo] for m, x, lo in zip(sim, xs, los)]
+            if new == sim:
+                return True
+            sim = new
+    return False
 
 
 def _path_search(onto, e: ExampleSet, found: list, cls: QueryClass, allow_empty_blocks: bool = False) -> Verdict:

@@ -134,3 +134,41 @@ def test_a_class_decided_alone_runs_the_same_searches(monkeypatch, cls):
     assert counts == _WORK[cls]
     assert all(map(le, counts, _WORK_BEFORE_CHECK[cls]))
     assert held.count(True) == _HELD
+
+
+# dp_path calls with the five diamond classes of each set of _work_sets
+# decided in turn, every cache cleared before each set: with the product
+# simulation off, and on; and the number of sets it settles
+_IN_ORDER_DP_PATH = (32, 28)
+_SETTLED = 1
+
+
+def _diamond_classes_in_turn(monkeypatch) -> list[tuple[int, bool]]:
+    """Per set of _work_sets: the dp_path calls of its five diamond classes
+    decided in turn, and whether the product simulation settled it."""
+    log = []
+    dp_path, simulates = qbe.dp_path, qbe._simulates_product
+    monkeypatch.setattr(qbe, "dp_path", lambda *a, **k: log.append("dp_path") or dp_path(*a, **k))
+    monkeypatch.setattr(qbe, "_simulates_product", lambda *a: log.append(simulates(*a)) or log[-1])
+    caches = module_caches().values()
+    per_set = []
+    for e, onto in _work_sets():
+        for cache in caches:
+            cache.cache_clear()
+        del log[:]
+        for cls in qbe.DIAMOND_CLASSES:
+            decide(Problem(cls, e, onto))
+        per_set.append((log.count("dp_path"), True in log))
+    return per_set
+
+
+def test_diamond_classes_in_turn_search_a_settled_set_once(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(qbe, "_simulates_product", lambda *a: False)
+        before = _diamond_classes_in_turn(m)
+    after = _diamond_classes_in_turn(monkeypatch)
+    assert (sum(n for n, _ in before), sum(n for n, _ in after)) == _IN_ORDER_DP_PATH
+    settled = [i for i, (_, fired) in enumerate(after) if fired]
+    assert len(settled) == _SETTLED
+    for i, ((old, _), (new, fired)) in enumerate(zip(before, after)):
+        assert new == (1 if fired else old), i
