@@ -146,11 +146,10 @@ def _checked(p: Problem, verdict: Verdict) -> Verdict:
 # Consistency preprocessing
 
 
-def _drop_inconsistent(p: Problem) -> tuple[ExampleSet, list, Verdict | None, str | None]:
-    """p's examples without the positives that have no model, and the
+def _drop_inconsistent(e: ExampleSet, onto) -> tuple[ExampleSet, list, Verdict | None, str | None]:
+    """e without the positives that have no model under onto, and the
     `models` of their instances in order; or a verdict if a negative has none."""
-    e = p.examples
-    found = [models(p.ontology, d) for d in e.instances]
+    found = [models(onto, d) for d in e.instances]
     npos = len(e.positives)
     if () in found[npos:]:
         return e, found, Verdict(False, note="a negative example is inconsistent with the ontology"), None
@@ -482,18 +481,18 @@ def _until_systems(e: ExampleSet, onto, black_red: bool):
     return bisim_quotient(product(systems[:npos])), tuple(systems[npos:])
 
 
-def decide_until_family(e: ExampleSet, onto, cls: QueryClass) -> Verdict:
+def decide_until_family(e: ExampleSet, onto, cls: QueryClass, known: dict) -> Verdict:
     """Decide cls along the chain path-until ⊆ simple-until ⊆ full-until: the
     classes up to cls play their own games in turn, so the witness comes from
     the least class of the chain that separates, and lies in every larger one.
-    Each game's verdict joins the set's `_verdicts`, so each is played once."""
+    Each game's verdict joins the set's known verdicts `known`, so each is
+    played once."""
     if cls not in UNTIL_CLASSES:
         raise ValueError(f"decide_until_family does not handle {cls}")
     if not e.positives:
         raise ValueError("need at least one positive example")
     if not e.negatives:
         return Verdict(True, TOP)
-    known = _verdicts.get((e, onto), dict)
     for least in UNTIL_CLASSES[: UNTIL_CLASSES.index(cls) + 1]:
         verdict = _known_verdict(known, least)
         if verdict is None:
@@ -619,8 +618,33 @@ def _prefix_query(prefix) -> Query:
 # ---------------------------------------------------------------------------
 # The facade
 
-# (example set without its inconsistent positives, ontology) -> {class: verdict}, in decided order
+# (example set as given, ontology) -> its `_Record`
 _verdicts = _Store(maxsize=4)
+
+
+class _Record(dict):
+    """A set's known verdicts, class -> verdict in decided order, and
+    `_drop_inconsistent`'s result for it (`dropped`)."""
+
+    __slots__ = ("dropped",)
+
+
+def _record(e: ExampleSet, onto) -> _Record:
+    """e's record in `_verdicts`.  A new one drops e's inconsistent positives
+    once, and holds every class not separable when a negative holds a
+    positive (`_holds_a_positive`) or the positives share no atom
+    (`_share_no_atom`)."""
+
+    def make() -> _Record:
+        record = _Record()
+        record.dropped = kept, found, early, _ = _drop_inconsistent(e, onto)
+        npos = len(kept.positives)
+        if early is None and npos and kept.negatives:
+            if _holds_a_positive(found, npos) or _share_no_atom(found[:npos]):
+                record.update(dict.fromkeys(QueryClass, Verdict(False)))
+        return record
+
+    return _verdicts.get((e, onto), make)
 
 
 def _known_verdict(known: dict, cls: QueryClass) -> Verdict | None:
@@ -631,15 +655,18 @@ def _known_verdict(known: dict, cls: QueryClass) -> Verdict | None:
 
 
 def decide(p: Problem) -> Verdict:
-    """p's verdict, its witness re-verified.  Known verdicts of the set
-    answer first (`_known_verdict`); a negative that holds a positive
-    (`_holds_a_positive`) is not separable in any class; otherwise p.cls's
-    own route decides.  The verdict joins the set's `_verdicts`.  When a
-    path class's search finds no separator and a negative's word simulates
-    the positives' product (`_simulates_product`), no diamond class
-    separates: all five join as not separable, and a kept separable one is
-    a `LatticeError`."""
-    e, found, early, note = _drop_inconsistent(p)
+    """p's verdict, its witness re-verified.  The set's record (`_record`)
+    drops its inconsistent positives and settles every class as not
+    separable when a negative holds a positive or the positives share no
+    atom, once per set; then, after the early answers and the
+    `UnsupportedProblem` check, known verdicts of the set answer first
+    (`_known_verdict`), else p.cls's own route decides.  The verdict joins
+    the record.  When a path class's search finds no separator and a
+    negative's word simulates the positives' product (`_simulates_product`),
+    no diamond class separates: all five join as not separable, and a kept
+    separable one is a `LatticeError`."""
+    known = _record(p.examples, p.ontology)
+    e, found, early, note = known.dropped
     if early is not None:
         return early
     sub = Problem(p.cls, e, p.ontology)
@@ -651,12 +678,9 @@ def decide(p: Problem) -> Verdict:
         return _checked(sub, Verdict(True, TOP, note=note))
     if None in found and p.cls not in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND):
         raise UnsupportedProblem(f"{p.cls.value} needs box/diamond data that is its own model")
-    known = _verdicts.get((e, p.ontology), dict)
     verdict = _known_verdict(known, p.cls)
     if verdict is None:
-        if _holds_a_positive(found, len(e.positives)):
-            verdict = Verdict(False)
-        elif p.cls in PATH_CLASSES:
+        if p.cls in PATH_CLASSES:
             verdict = _path_search(p.ontology, e, found, p.cls)
             if not verdict.separable and None not in found and _simulates_product(found, len(e.positives)):
                 if any(known[cls].separable for cls in DIAMOND_CLASSES if cls in known):
@@ -665,7 +689,7 @@ def decide(p: Problem) -> Verdict:
         elif p.cls in BRANCH_CLASSES:
             verdict = _decide_branch(p.ontology, e, found, p.cls)
         else:
-            verdict = decide_until_family(e, p.ontology, p.cls)
+            verdict = decide_until_family(e, p.ontology, p.cls, known)
         known[p.cls] = verdict
     if note and verdict.note is None:
         verdict = Verdict(verdict.separable, verdict.witness, note)
@@ -680,6 +704,17 @@ def _holds_a_positive(found: list, npos: int) -> bool:
     pos = [words for words in found[:npos] if words is not None]
     negs = [words for words in found[npos:] if words is not None]
     return any(all(any(_above(w, v) for v in p) for w in n) for n in negs for p in pos)
+
+
+def _share_no_atom(pos: list) -> bool:
+    """Whether every positive has one `models` word (`pos`) and no atom
+    occurs in all of them.  A query that holds somewhere holds everywhere
+    unless it requires an atom (req a = {a}, req(φ∧ψ) = req φ ∪ req ψ,
+    req Xφ = req Fφ = req φ, req(φ U ψ) = req ψ), and one that holds on a
+    word has its required atoms there; so a query true on every positive
+    requires none and is true on every negative: no class separates.  The
+    atoms are the words' own, which a Horn ontology may add to."""
+    return None not in pos and not frozenset.intersection(*(frozenset(word.word[0]) for (word,) in pos))
 
 
 def _above(upper: LassoModel, lower: LassoModel) -> bool:

@@ -17,7 +17,7 @@ from test_qbe import _prior_ontology, _two_sided_set, ex
 def _kept(e, onto):
     """The set's examples after `_drop_inconsistent` and their `models`, or
     None when a negative has no model."""
-    kept, found, early, _ = qbe._drop_inconsistent(Problem(QueryClass.PATH_DIAMOND, e, onto))
+    kept, found, early, _ = qbe._drop_inconsistent(e, onto)
     return None if early is not None else (kept, found)
 
 
@@ -62,6 +62,7 @@ def test_a_holding_negative_separates_in_no_class(monkeypatch, kind):
             answer = _answer(Problem(cls, e, onto))
             with monkeypatch.context() as m:
                 m.setattr(qbe, "_holds_a_positive", lambda *a: False)
+                m.setattr(qbe, "_share_no_atom", lambda *a: False)
                 qbe._verdicts.cache_clear()
                 assert _answer(Problem(cls, e, onto)) == answer, (cls, e, onto)
             assert answer is False or answer == "UnsupportedProblem"

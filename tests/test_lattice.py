@@ -88,8 +88,9 @@ _WORK_BEFORE_CHECK = {
     QueryClass.FULL_UNTIL: (0, 168, 34),
 }
 
-# the same counts with the check: the sets it settles run no search
-_WORK = {
+# the same counts with that check, before positives that share no atom were
+# answered without a search
+_WORK_BEFORE_SHARED_ATOMS = {
     QueryClass.PATH_DIAMOND: (20, 0, 0),
     QueryClass.PATH_NEXT_DIAMOND: (20, 0, 0),
     QueryClass.PATH_DIAMOND_CIRC_BLOCKS: (20, 0, 0),
@@ -100,8 +101,22 @@ _WORK = {
     QueryClass.FULL_UNTIL: (0, 60, 20),
 }
 
-# of the 45 sets of _work_sets, those with a negative that holds a positive
+# the same counts with both checks: the sets they settle run no search
+_WORK = {
+    QueryClass.PATH_DIAMOND: (19, 0, 0),
+    QueryClass.PATH_NEXT_DIAMOND: (19, 0, 0),
+    QueryClass.PATH_DIAMOND_CIRC_BLOCKS: (19, 0, 0),
+    QueryClass.BRANCH_DIAMOND: (24, 0, 0),
+    QueryClass.BRANCH_NEXT_DIAMOND: (24, 0, 0),
+    QueryClass.PATH_UNTIL: (0, 52, 19),
+    QueryClass.SIMPLE_UNTIL: (0, 52, 19),
+    QueryClass.FULL_UNTIL: (0, 52, 19),
+}
+
+# of the 45 sets of _work_sets, those with a negative that holds a positive,
+# and those of the others whose positives share no atom
 _HELD = 14
+_SHARED = 1
 
 
 def _work_sets():
@@ -116,15 +131,16 @@ def _work_sets():
 
 @pytest.mark.parametrize("cls", list(QueryClass), ids=lambda cls: cls.value)
 def test_a_class_decided_alone_runs_the_same_searches(monkeypatch, cls):
-    # a class asked alone searches as it did, but for the sets the check
-    # settles, which search nothing
+    # a class asked alone searches as it did, but for the sets the checks
+    # settle, which search nothing
     log = []
     for module, name in ((qbe, "dp_path"), (tsys, "_play"), (qbe, "failing_run")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name, **k: log.append(name) or fn(*a, **k))
-    held = []
-    check = qbe._holds_a_positive
-    monkeypatch.setattr(qbe, "_holds_a_positive", lambda *a: held.append(check(*a)) or held[-1])
+    fired = {"_holds_a_positive": [], "_share_no_atom": []}
+    for name, out in fired.items():
+        check = getattr(qbe, name)
+        monkeypatch.setattr(qbe, name, lambda *a, check=check, out=out: out.append(check(*a)) or out[-1])
     caches = module_caches().values()
     for e, onto in _work_sets():
         for cache in caches:
@@ -132,15 +148,20 @@ def test_a_class_decided_alone_runs_the_same_searches(monkeypatch, cls):
         decide(Problem(cls, e, onto))
     counts = tuple(map(log.count, ("dp_path", "_play", "failing_run")))
     assert counts == _WORK[cls]
-    assert all(map(le, counts, _WORK_BEFORE_CHECK[cls]))
-    assert held.count(True) == _HELD
+    assert all(map(le, counts, _WORK_BEFORE_SHARED_ATOMS[cls]))
+    assert all(map(le, _WORK_BEFORE_SHARED_ATOMS[cls], _WORK_BEFORE_CHECK[cls]))
+    assert (fired["_holds_a_positive"].count(True), fired["_share_no_atom"].count(True)) == (_HELD, _SHARED)
 
 
 # dp_path calls with the five diamond classes of each set of _work_sets
 # decided in turn, every cache cleared before each set: with the product
-# simulation off, and on; and the number of sets it settles
-_IN_ORDER_DP_PATH = (32, 28)
-_SETTLED = 1
+# simulation off, and on; and the number of sets it settles.  Before
+# positives that share no atom were answered without a search, and with
+# that check (the one set the simulation settled is then settled first)
+_IN_ORDER_DP_PATH_BEFORE_SHARED_ATOMS = (32, 28)
+_SETTLED_BEFORE_SHARED_ATOMS = 1
+_IN_ORDER_DP_PATH = (27, 27)
+_SETTLED = 0
 
 
 def _diamond_classes_in_turn(monkeypatch) -> list[tuple[int, bool]]:
@@ -162,13 +183,25 @@ def _diamond_classes_in_turn(monkeypatch) -> list[tuple[int, bool]]:
     return per_set
 
 
-def test_diamond_classes_in_turn_search_a_settled_set_once(monkeypatch):
+def _simulation_off_and_on(monkeypatch) -> tuple[list, list]:
     with monkeypatch.context() as m:
         m.setattr(qbe, "_simulates_product", lambda *a: False)
         before = _diamond_classes_in_turn(m)
-    after = _diamond_classes_in_turn(monkeypatch)
-    assert (sum(n for n, _ in before), sum(n for n, _ in after)) == _IN_ORDER_DP_PATH
+    return before, _diamond_classes_in_turn(monkeypatch)
+
+
+def test_diamond_classes_in_turn_search_a_settled_set_once(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(qbe, "_share_no_atom", lambda *a: False)
+        before, after = _simulation_off_and_on(m)
+    assert (sum(n for n, _ in before), sum(n for n, _ in after)) == _IN_ORDER_DP_PATH_BEFORE_SHARED_ATOMS
     settled = [i for i, (_, fired) in enumerate(after) if fired]
-    assert len(settled) == _SETTLED
+    assert len(settled) == _SETTLED_BEFORE_SHARED_ATOMS
     for i, ((old, _), (new, fired)) in enumerate(zip(before, after)):
         assert new == (1 if fired else old), i
+    # with the shared-atom check, no set searches more
+    shared = _simulation_off_and_on(monkeypatch)
+    assert tuple(sum(n for n, _ in run) for run in shared) == _IN_ORDER_DP_PATH
+    assert sum(fired for _, fired in shared[1]) == _SETTLED
+    for run in shared:
+        assert all(new <= old for (new, _), (old, _) in zip(run, after))

@@ -565,7 +565,7 @@ def test_query_from_tree_rejects_red_root():
 
 def test_until_family_requires_positive():
     with pytest.raises(ValueError):
-        decide_until_family(ExampleSet.of([], [D([])]), None, QueryClass.PATH_UNTIL)
+        decide_until_family(ExampleSet.of([], [D([])]), None, QueryClass.PATH_UNTIL, {})
 
 
 def test_prior_path_search_examples():
@@ -746,9 +746,10 @@ def test_until_witness_digest_is_unchanged():
     assert _until_digests()[1] == _UNTIL_DIGEST
 
 
-def _direct_until_family(e, onto, cls):
+def _direct_until_family(e, onto, cls, known):
     """`decide_until_family` as it was before the chain: every class plays
-    only its own game, full-until straight on the black/red systems."""
+    only its own game, full-until straight on the black/red systems, and
+    reads no known verdicts."""
     from ltlqbe import qbe, tsys
 
     prod, neg = qbe._until_systems(e, onto, cls is QueryClass.FULL_UNTIL)
@@ -1036,9 +1037,10 @@ def test_until_classes_of_one_set_share_one_build(monkeypatch, onto):
     "cls, e",
     [
         (QueryClass.SIMPLE_UNTIL, ex([[("A", 1)], [("A", 2)]], [[("A", 3)], [("B", 2)]])),
-        # full-until separates the set above; this one is the least of a
-        # seeded search (rand_instance over A, B up to 3, seed 3438)
-        (QueryClass.FULL_UNTIL, ex([[("A", 0)], [("B", 2)]], [[("A", 1)], [("B", 1)]])),
+        # full-until separates the set above; this one's positives share A,
+        # and it is the least of a seeded search (two positives and two
+        # negatives by rand_instance over A, B up to 3, seeds 0-250: seed 87)
+        (QueryClass.FULL_UNTIL, ex([[("A", 0)], [("A", 2), ("B", 2)]], [[], [("B", 0)]])),
     ],
     ids=["QueryClass.SIMPLE_UNTIL", "QueryClass.FULL_UNTIL"],
 )
@@ -1046,7 +1048,8 @@ def test_simulating_first_negative_plays_one_game(monkeypatch, cls, e):
     # each simulation game of the chain up to cls, simple-until's on the
     # position systems and then full-until's own on the black/red ones,
     # ends at the first negative, which simulates the product; no negative
-    # holds a positive, so the games are played
+    # holds a positive and the positives share an atom, so the games are
+    # played
     from ltlqbe import qbe, tsys
 
     _clear_until_caches()

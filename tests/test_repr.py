@@ -259,8 +259,8 @@ def test_repr_horn_br_empty_ontology_matches_plain_verdicts(seed):
     for d in e.instances:
         if d.facts:
             _same_ts(repr_plain_br(data_word(d), e.signature), repr_horn_br(horn.EMPTY_ONTOLOGY, d, e.signature))
-    with_onto = decide_until_family(e, horn.EMPTY_ONTOLOGY, QueryClass.FULL_UNTIL)
-    plain = decide_until_family(e, None, QueryClass.FULL_UNTIL)
+    with_onto = decide_until_family(e, horn.EMPTY_ONTOLOGY, QueryClass.FULL_UNTIL, {})
+    plain = decide_until_family(e, None, QueryClass.FULL_UNTIL, {})
     assert with_onto.separable == plain.separable
     assert plain.separable == brute_force_decide(Problem(QueryClass.FULL_UNTIL, e)).separable
 
