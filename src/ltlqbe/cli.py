@@ -178,8 +178,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_canonical(args) -> int:
     onto = _load_ontology(args.ontology, "horn")
-    if onto is None:
-        onto = horn.EMPTY_ONTOLOGY
     d = load_data_instance(args.data)
     if args.window is not None and args.window < 0:
         raise InputError(f"negative window {args.window}")

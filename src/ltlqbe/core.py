@@ -373,17 +373,6 @@ def _is_atom_conj(q: Query, allow_bot: bool = False) -> bool:
     return not temporal and (allow_bot or not has_bot)
 
 
-def _is_path_next(q: Query) -> bool:
-    """Single X-spine: rho0 & X(rho1 & X(...))."""
-    _, _, temporal = _split_conj(q)
-    if len(temporal) > 1:
-        return False
-    if not temporal:
-        return True
-    step = temporal[0]
-    return isinstance(step, Next) and _is_path_next(step.arg)
-
-
 def _is_path(q: Query, ops: tuple[type, ...], need_atom: bool = False) -> bool:
     """Single temporal spine; every F must land on a block with an atom.
 
@@ -493,67 +482,10 @@ def classify(q: Query) -> frozenset[QueryClass]:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting Q[X,F] queries into conjunctions of diamond paths of X-blocks
+# Diamond paths of X-blocks as queries
 
 _Block = tuple[frozenset[str], ...]
 _Path = tuple[_Block, ...]
-
-
-def _block_union(a: _Block, b: _Block) -> _Block:
-    n = max(len(a), len(b))
-    pad = (frozenset(),)
-    a += pad * (n - len(a))
-    b += pad * (n - len(b))
-    return tuple(x | y for x, y in zip(a, b))
-
-
-def _norm(q: Query) -> list[_Path] | None:
-    """Paths whose conjunction is equivalent to q; None encodes false."""
-    if isinstance(q, Bot):
-        return None
-    if isinstance(q, Top):
-        return [((frozenset(),),)]
-    if isinstance(q, Prop):
-        return [((frozenset({q.name}),),)]
-    if isinstance(q, And):
-        acc: list[_Path] = []
-        for p in q.parts:
-            sub = _norm(p)
-            if sub is None:
-                return None
-            acc.extend(sub)
-        merged = _block_union(acc[0][0], acc[0][0])
-        for path in acc:
-            merged = _block_union(merged, path[0])
-        out = [(merged,) + path[1:] for path in acc if len(path) > 1]
-        return _dedup(out) if out else [(merged,)]
-    if isinstance(q, Next):
-        sub = _norm(q.arg)
-        if sub is None:
-            return None
-        shift = (frozenset(),)
-        return _dedup([tuple(shift + b for b in path) for path in sub])
-    if isinstance(q, Diamond):
-        sub = _norm(q.arg)
-        if sub is None:
-            return None
-        head = sub[0][0]
-        for path in sub:
-            head = _block_union(head, path[0])
-        top = (frozenset(),)
-        out = [(top, head) + path[1:] for path in sub if len(path) > 1]
-        return _dedup(out) if out else [(top, head)]
-    raise ValueError(f"query outside Q[X,F]: {q}")
-
-
-def _dedup(paths: list[_Path]) -> list[_Path]:
-    seen = set()
-    out = []
-    for p in paths:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
 
 
 def _block_query(block: _Block) -> Query:
@@ -574,22 +506,6 @@ def _path_query(path: _Path) -> Query:
     if q is TOP:
         return head
     return conj([head, Diamond(q)])
-
-
-def normalize_next_diamond(q: Query) -> list[Query]:
-    """Rewrite an X/F-query into an equivalent list of diamond paths of X-blocks.
-
-    Uses X F k == F X k, X(a & b) == Xa & Xb and the distribution of
-    conjunctions under F; rejects queries containing U.
-    """
-    if _has_node(q, (Until,)):
-        raise ValueError("normalize_next_diamond: query contains U")
-    paths = _norm(q)
-    if paths is None:
-        return [BOT]
-    out = [_path_query(p) for p in paths]
-    nontrivial = [p for p in out if p is not TOP]
-    return nontrivial or [TOP]
 
 
 # ---------------------------------------------------------------------------

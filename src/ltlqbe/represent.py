@@ -6,8 +6,9 @@ plain data is the word of its facts followed by empty letters forever
 (`repr_horn` and `repr_horn_br` build from it).  The position system serves
 until-path containment and simple-until simulation; the black/red system
 encodes full until nesting with two edge colors, driven by the wrap-around
-successor calculus (lessdot_mp) and its gap sets (nabla_mp).  Plain lessdot
-and nabla are that calculus with an empty periodic zone.
+successor calculus: the successor sets E of a point set D (D lessdot_mp E,
+enumerated by `_successor_sets`) and their gap sets (`nabla_mp`).  Plain
+lessdot and nabla are that calculus with an empty periodic zone.
 """
 
 from __future__ import annotations
@@ -89,14 +90,6 @@ def _mu_mp(dset, eset, m_start: int, period_end: int):
     return mu
 
 
-def lessdot_mp(dset: frozenset[int], eset: frozenset[int], m_start: int, period_end: int) -> bool:
-    """Wrap-around lessdot: periodic-zone points may wrap to min(eset)."""
-    if not dset or not eset:
-        raise ValueError("lessdot_mp is defined for nonempty sets")
-    mu = _mu_mp(dset, eset, m_start, period_end)
-    return mu is not None and set(mu.values()) == set(eset)
-
-
 def _bwn(x: int, e: int, m_start: int, period_end: int) -> set[int]:
     if x < e:
         return set(range(x + 1, e))
@@ -111,17 +104,6 @@ def nabla_mp(dset: frozenset[int], eset: frozenset[int], m_start: int, period_en
     for x, e in mu.items():
         out |= _bwn(x, e, m_start, period_end)
     return frozenset(out)
-
-
-def lessdot(dset: frozenset[int], eset: frozenset[int]) -> bool:
-    """True iff mapping each point to its next eset-point is total and onto:
-    lessdot_mp with an empty periodic zone."""
-    return lessdot_mp(dset, eset, 0, 0)
-
-
-def nabla(dset: frozenset[int], eset: frozenset[int]) -> frozenset[int]:
-    """Union of the open gaps (x, next(x)); requires the successor map total."""
-    return nabla_mp(dset, eset, 0, 0)
 
 
 # ---------------------------------------------------------------------------

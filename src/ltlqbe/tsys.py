@@ -228,8 +228,12 @@ def _play(s: TransitionSystem, s_adj, t: TransitionSystem, t_adj):
     """The simulation game of s by t on pair codes x * n_t + y, given both
     systems' `_adjacency`.
 
-    Returns the surviving pairs and the rank map, as `_simulation_ranks`
-    describes them.  Only pairs reachable from the initial pairs are played.
+    Returns the greatest simulation's surviving pairs and the death order
+    of the removed ones: rank 0 marks pairs dead on labels alone, and
+    surviving pairs are absent from the rank map.  A pair dies only when
+    some s-edge has all its t-matches already dead, so ranks strictly
+    decrease along the attacker strategy.  Only pairs reachable from the
+    initial pairs are played.
     Each live pair keeps, per s-edge, the count of its live t-matches (one
     per matching t-edge); a dead pair decrements the counts that watch it,
     so a pair defends iff none of its counts is 0.  Deaths follow a LIFO
@@ -298,19 +302,6 @@ def _play(s: TransitionSystem, s_adj, t: TransitionSystem, t_adj):
                     queue.append(q)
                     queued.add(q)
     return alive, rank
-
-
-def _simulation_ranks(s: TransitionSystem, t: TransitionSystem):
-    """Greatest simulation of s by t plus the death order of removed pairs.
-
-    rank 0 marks pairs dead on labels alone; surviving pairs are absent from
-    the rank map.  A pair dies only when some s-edge has all its t-matches
-    already dead, so ranks strictly decrease along the attacker strategy.
-    This translates the pair codes of `_play` back to (x, y) pairs.
-    """
-    alive, rank = _play(s, _adjacency(s), t, _adjacency(t))
-    n_t = len(t.labels)
-    return {divmod(p, n_t) for p in alive}, {divmod(p, n_t): r for p, r in rank.items()}
 
 
 def simulates(s: TransitionSystem, t: TransitionSystem) -> bool:
@@ -412,19 +403,16 @@ def extract_failing_subtree(s: TransitionSystem, t: TransitionSystem) -> Tree:
     Built from the attacker strategy of the simulation game: at each dead
     pair pick an s-edge whose every t-match died strictly earlier.
     """
-    tree = failing_subtree(s, t)
+    tree = failing_subtree_of_union(s, [t])
     if tree is None:
         raise ValueError("extract_failing_subtree: simulation holds")
     return tree
 
 
-def failing_subtree(s: TransitionSystem, t: TransitionSystem) -> Tree | None:
-    """A subtree as extract_failing_subtree gives it, or None if t simulates s."""
-    return failing_subtree_of_union(s, [t])
-
-
 def failing_subtree_of_union(s: TransitionSystem, parts: Sequence[TransitionSystem]) -> Tree | None:
-    """`failing_subtree(s, disjoint_union(parts))`, one game per part.
+    """A subtree as extract_failing_subtree gives it against
+    `disjoint_union(parts)`, or None if that union simulates s; one game per
+    part.
 
     The parts of a disjoint union never interact, so each part's game is the
     union's game restricted to that part, with the same death order inside

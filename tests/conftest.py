@@ -26,6 +26,7 @@ from ltlqbe.core import (
     Until,
     conj,
 )
+from ltlqbe.represent import _mu_mp, nabla_mp
 from ltlqbe.tsys import BLACK, BOT, RED, TransitionSystem
 
 ATOMS = ("A", "B", "C")
@@ -189,6 +190,60 @@ def all_instances(atoms, max_ts):
     slots = [(a, t) for a in atoms for t in range(max_ts + 1)]
     for mask in range(1 << len(slots)):
         yield DataInstance.of(slots[i] for i in range(len(slots)) if mask >> i & 1)
+
+
+# References that the library does not run: the successor calculus's
+# relation by its definition, over the successor map `represent._mu_mp`
+# (the black/red builder runs only `_mu_mp` and the gap sets `nabla_mp`),
+# and next-compilation, a criterion-5 reduction.
+
+
+def lessdot_mp(dset: frozenset[int], eset: frozenset[int], m_start: int, period_end: int) -> bool:
+    """Wrap-around lessdot: periodic-zone points may wrap to min(eset)."""
+    if not dset or not eset:
+        raise ValueError("lessdot_mp is defined for nonempty sets")
+    mu = _mu_mp(dset, eset, m_start, period_end)
+    return mu is not None and set(mu.values()) == set(eset)
+
+
+def lessdot(dset: frozenset[int], eset: frozenset[int]) -> bool:
+    """True iff mapping each point to its next eset-point is total and onto:
+    lessdot_mp with an empty periodic zone."""
+    return lessdot_mp(dset, eset, 0, 0)
+
+
+def nabla(dset: frozenset[int], eset: frozenset[int]) -> frozenset[int]:
+    """Union of the open gaps (x, next(x)); requires the successor map total."""
+    return nabla_mp(dset, eset, 0, 0)
+
+
+def compile_next_to_diamond(examples: ExampleSet, sep: str = "__") -> ExampleSet:
+    """Add shifted copies A__k(t) for A(t+k), turning next depth into atoms.
+
+    Preserves separability between the next-diamond and diamond branching
+    classes: m is the largest positive timestamp and only atoms occurring in
+    positives get shifted copies.
+    """
+    m = max((d.max_timestamp for d in examples.positives), default=0)
+    pos_atoms = frozenset().union(*(d.signature for d in examples.positives)) if examples.positives else frozenset()
+    fresh = {f"{a}{sep}{k}" for a in pos_atoms for k in range(1, m + 1)}
+    clash = fresh & examples.signature
+    if clash:
+        raise ValueError(f"compiled atom names already occur: {sorted(clash)[:3]}")
+
+    def compiled(d: DataInstance) -> DataInstance:
+        facts = set(d.facts)
+        for a, t in d.facts:
+            if a not in pos_atoms:
+                continue
+            for k in range(1, min(t, m) + 1):
+                facts.add((f"{a}{sep}{k}", t - k))
+        return DataInstance(frozenset(facts))
+
+    return ExampleSet(
+        tuple(compiled(d) for d in examples.positives),
+        tuple(compiled(d) for d in examples.negatives),
+    )
 
 
 def lasso_is_model(onto: horn.HornOntology, data: DataInstance, m: LassoModel) -> bool:

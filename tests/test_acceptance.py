@@ -12,8 +12,12 @@ import time
 import pytest
 
 from conftest import (
+    compile_next_to_diamond,
     lasso_is_model,
     lasso_models_of,
+    lessdot,
+    lessdot_mp,
+    nabla,
     rand_example_set,
     rand_horn_ontology,
     rand_instance,
@@ -30,8 +34,7 @@ from ltlqbe.core import (
 )
 from ltlqbe.oracle import brute_force_decide
 from ltlqbe.qbe import Problem, decide, entailed, verify_witness
-from ltlqbe.represent import lessdot, lessdot_mp, nabla, nabla_mp
-from ltlqbe.transform import compile_next_to_diamond
+from ltlqbe.represent import nabla_mp
 
 D = DataInstance.of
 fs = frozenset

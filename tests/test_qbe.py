@@ -565,7 +565,7 @@ def test_query_from_tree_rejects_red_root():
 
 def test_until_family_requires_positive():
     with pytest.raises(ValueError):
-        decide_until_family(ExampleSet.of([], [D([])]), None, QueryClass.PATH_UNTIL, {})
+        decide_until_family(ExampleSet.of([], [D([])]), QueryClass.PATH_UNTIL, {})
 
 
 def test_prior_path_search_examples():
@@ -746,13 +746,13 @@ def test_until_witness_digest_is_unchanged():
     assert _until_digests()[1] == _UNTIL_DIGEST
 
 
-def _direct_until_family(e, onto, cls, known):
+def _direct_until_family(e, cls, known):
     """`decide_until_family` as it was before the chain: every class plays
     only its own game, full-until straight on the black/red systems, and
     reads no known verdicts."""
     from ltlqbe import qbe, tsys
 
-    prod, neg = qbe._until_systems(e, onto, cls is QueryClass.FULL_UNTIL)
+    prod, neg = qbe._until_systems(known, cls is QueryClass.FULL_UNTIL)
     if cls is QueryClass.PATH_UNTIL:
         run = tsys.failing_run(prod, tsys.disjoint_union(neg))
         return Verdict(False) if run is None else Verdict(True, query_from_run(run))
@@ -968,7 +968,6 @@ def test_cache_walk_finds_the_known_caches():
         "_countermodels",
         "_valid_loops",
         "_canonical_model",
-        "_until_systems",
         "_instance_systems",
         "_verdicts",
         "letter_table",
@@ -984,7 +983,7 @@ def test_caches_are_bounded(name):
 def _clear_until_caches():
     from ltlqbe import qbe
 
-    for cache in (qbe._verdicts, qbe._until_systems, qbe._instance_systems):
+    for cache in (qbe._verdicts, qbe._instance_systems):
         cache.cache_clear()
 
 
@@ -1054,7 +1053,7 @@ def test_simulating_first_negative_plays_one_game(monkeypatch, cls, e):
 
     _clear_until_caches()
     # pruning plays its own games
-    systems = [qbe._until_systems(e, None, black_red) for black_red in (False, True)]
+    systems = [qbe._until_systems(qbe._record(e, None), black_red) for black_red in (False, True)]
     games = []
     original = tsys._play
     monkeypatch.setattr(tsys, "_play", lambda *args: games.append(args) or original(*args))

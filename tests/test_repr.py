@@ -3,14 +3,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import Edge, Named, named, numbered, rand_horn_ontology, rand_instance
-from ltlqbe import horn
+from conftest import Edge, Named, lessdot, lessdot_mp, nabla, named, numbered, rand_horn_ontology, rand_instance
+from ltlqbe import horn, qbe
 from ltlqbe.core import DataInstance, LassoModel, data_word
 from ltlqbe.represent import (
     _successor_sets,
-    lessdot,
-    lessdot_mp,
-    nabla,
     nabla_mp,
     repr_horn,
     repr_horn_br,
@@ -246,6 +243,14 @@ def test_repr_horn_br_small():
     assert ts.labels[("0",)] == fs({"A"})
 
 
+def _unsettled_record(e, onto):
+    """e's record in `qbe._verdicts` with no known verdicts, so that
+    `decide_until_family` plays the games even where a certificate settles e."""
+    record = qbe._record(e, onto)
+    record.clear()
+    return record
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_repr_horn_br_empty_ontology_matches_plain_verdicts(seed):
     rng = random.Random(13000 + seed)
@@ -259,8 +264,8 @@ def test_repr_horn_br_empty_ontology_matches_plain_verdicts(seed):
     for d in e.instances:
         if d.facts:
             _same_ts(repr_plain_br(data_word(d), e.signature), repr_horn_br(horn.EMPTY_ONTOLOGY, d, e.signature))
-    with_onto = decide_until_family(e, horn.EMPTY_ONTOLOGY, QueryClass.FULL_UNTIL, {})
-    plain = decide_until_family(e, None, QueryClass.FULL_UNTIL, {})
+    with_onto = decide_until_family(e, QueryClass.FULL_UNTIL, _unsettled_record(e, horn.EMPTY_ONTOLOGY))
+    plain = decide_until_family(e, QueryClass.FULL_UNTIL, _unsettled_record(e, None))
     assert with_onto.separable == plain.separable
     assert plain.separable == brute_force_decide(Problem(QueryClass.FULL_UNTIL, e)).separable
 

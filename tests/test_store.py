@@ -19,7 +19,6 @@ fs = frozenset
 
 def _clear():
     qbe._verdicts.cache_clear()
-    qbe._until_systems.cache_clear()
     qbe._instance_systems.cache_clear()
 
 
@@ -133,9 +132,9 @@ def test_empty_ontology_data_hits_the_plain_entry():
     assert sets
     for e in sets:
         for black_red in (False, True):
-            plain = qbe._until_systems(e, None, black_red)
+            plain = qbe._until_systems(qbe._record(e, None), black_red)
             misses = qbe._instance_systems.cache_info().misses
-            horn_data = qbe._until_systems(e, horn.EMPTY_ONTOLOGY, black_red)
+            horn_data = qbe._until_systems(qbe._record(e, horn.EMPTY_ONTOLOGY), black_red)
             assert qbe._instance_systems.cache_info().misses == misses
             assert all(a is b for a, b in zip(plain[1], horn_data[1], strict=True))
 
@@ -169,13 +168,11 @@ def test_until_answers_equal_with_a_cold_and_a_warm_store(kind):
         cold += _until_answers([s])
     # warm: every entry was made by other sets first, in the reverse order
     qbe._verdicts.cache_clear()
-    qbe._until_systems.cache_clear()
     _until_answers(sets[::-1])
     misses = qbe._instance_systems.cache_info().misses
     warm = []
     for s in sets:
         qbe._verdicts.cache_clear()
-        qbe._until_systems.cache_clear()
         warm += _until_answers([s])
     assert warm == cold
     assert qbe._instance_systems.cache_info().misses == misses
@@ -203,8 +200,8 @@ def test_a_hit_gives_out_the_stored_system():
     first = ExampleSet.of([D([("A", 2)])], [shared])
     second = ExampleSet.of([D([("B", 1)])], [D([("A", 3)]), shared])
     for black_red in (False, True):
-        ts = qbe._until_systems(first, None, black_red)[1][0]
-        assert qbe._until_systems(second, None, black_red)[1][1] is ts
+        ts = qbe._until_systems(qbe._record(first, None), black_red)[1][0]
+        assert qbe._until_systems(qbe._record(second, None), black_red)[1][1] is ts
         assert any(entry is ts for entry in qbe._instance_systems._entries.values())
         assert all(type(f) is tuple for f in (ts.letters, ts.initial, ts.labels, ts.edges))
         with pytest.raises(dataclasses.FrozenInstanceError):

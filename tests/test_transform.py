@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from conftest import rand_example_set
+from conftest import compile_next_to_diamond, rand_example_set
 from ltlqbe import qbe
 from ltlqbe.core import DataInstance, ExampleSet, QueryClass
 from ltlqbe.oracle import brute_force_decide
 from ltlqbe.qbe import Problem, decide
-from ltlqbe.transform import compile_next_to_diamond, split_per_negative
+from ltlqbe.transform import split_per_negative
 from test_acceptance import merge_negatives_for_path_until
 
 D = DataInstance.of

@@ -12,13 +12,13 @@ from ltlqbe.tsys import (
     Run,
     TransitionSystem,
     Tree,
-    _simulation_ranks,
+    _adjacency,
+    _play,
     bisim_quotient,
     contained_in,
     disjoint_union,
     extract_failing_run,
     extract_failing_subtree,
-    failing_subtree,
     failing_subtree_of_union,
     product,
     prune_dominated_edges,
@@ -291,9 +291,17 @@ def test_to_dot_smoke():
     assert text.startswith("digraph") and "->" in text
 
 
+def _ranks(s: TransitionSystem, t: TransitionSystem):
+    """The simulation game of s by t as `_play` plays it, with its pair codes
+    decoded to (x, y) pairs: the surviving pairs and the rank map."""
+    alive, rank = _play(s, _adjacency(s), t, _adjacency(t))
+    n_t = len(t.labels)
+    return {divmod(p, n_t) for p in alive}, {divmod(p, n_t): r for p, r in rank.items()}
+
+
 def _prune_reference(t: TransitionSystem) -> list[Edge]:
     """prune_dominated_edges as a comparison of every pair of edges."""
-    alive, _ = _simulation_ranks(t, t)
+    alive, _ = _ranks(t, t)
     t = named(t)
     keep = []
     for i, e in enumerate(t.edges):
@@ -591,7 +599,7 @@ def test_simulation_ranks_match_the_rescan_reference(seed):
     # the same surviving pairs and the same death order, for s = t and s != t
     for s, t in _game_cases(43000 + seed, 100):
         for a, b in ((s, t), (s, s), (t, t)):
-            assert _simulation_ranks(a, b) == _simulation_ranks_reference(named(a), named(b))
+            assert _ranks(a, b) == _simulation_ranks_reference(named(a), named(b))
 
 
 def test_parallel_matching_t_edges_count_once_per_edge():
@@ -608,7 +616,7 @@ def test_parallel_matching_t_edges_count_once_per_edge():
         {"y0": set(), "y1": set()},
         [("y0", "y1", {"A"}, BLACK), ("y0", "y1", {"A", "B"}, BLACK)],
     )
-    alive, rank = _simulation_ranks(s, t)
+    alive, rank = _ranks(s, t)
     assert (alive, rank) == _simulation_ranks_reference(named(s), named(t))
     # x0, x1 and y0, y1 are numbered 0, 1
     assert alive == set() and rank == {(0, 0): 2, (1, 1): 1}
@@ -642,7 +650,7 @@ def test_failing_subtree_of_union_equals_the_union_game(seed):
             ]
         union = disjoint_union(parts)
         tree = failing_subtree_of_union(s, parts)
-        assert tree == failing_subtree(s, union) == _failing_subtree_reference(named(s), named(union))
+        assert tree == failing_subtree_of_union(s, [union]) == _failing_subtree_reference(named(s), named(union))
         assert (tree is None) == simulates(s, union)
 
 
