@@ -4,6 +4,7 @@ from .core import (
     DataInstance,
     ExampleSet,
     LassoModel,
+    ParseError,
     Query,
     QueryClass,
     classify,
@@ -13,8 +14,8 @@ from .core import (
     parse_query,
     temporal_depth,
 )
-from .horn import HornOntology, Inconsistent, canonical_model, certain_answer, load_ontology
-from .prior import PriorOntology, load_prior_ontology, prior_consistent, prior_entails
+from .horn import HornOntology, Inconsistent, OntologyParseError, canonical_model, certain_answer, load_ontology
+from .prior import PriorOntology, PriorParseError, load_prior_ontology, prior_consistent, prior_entails
 from .qbe import Problem, Verdict, decide, minimize_witness, verify_witness
 
 __version__ = "0.1.0"
@@ -23,6 +24,7 @@ __all__ = [
     "DataInstance",
     "ExampleSet",
     "LassoModel",
+    "ParseError",
     "Query",
     "QueryClass",
     "classify",
@@ -33,10 +35,12 @@ __all__ = [
     "temporal_depth",
     "HornOntology",
     "Inconsistent",
+    "OntologyParseError",
     "canonical_model",
     "certain_answer",
     "load_ontology",
     "PriorOntology",
+    "PriorParseError",
     "load_prior_ontology",
     "prior_consistent",
     "prior_entails",

@@ -29,9 +29,8 @@ from .core import (
     parse_query,
     subqueries,
 )
-from .horn import Inconsistent, OntologyParseError
+from .horn import Inconsistent
 from .oracle import OracleCap, brute_force_decide
-from .prior import PriorParseError
 from .qbe import Problem, ResourceCap, UnsupportedProblem, decide, minimize_witness
 
 EXIT_TRUE = 0
@@ -283,7 +282,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if ex.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, ParseError, OntologyParseError, PriorParseError, UnsupportedProblem) as ex:
+    except (InputError, ParseError, UnsupportedProblem) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceCap, OracleCap) as ex:

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -509,104 +509,131 @@ def _path_query(path: _Path) -> Query:
 
 
 # ---------------------------------------------------------------------------
-# Query text grammar
+# Formula text grammar
+#
+# Queries, Horn axioms and box/diamond axioms are fragments of one grammar.
+# Binary operators, loosest first: -> (groups right), |, U (groups right), &;
+# the prefixes !, X, F and G bind tightest; operands are atoms, true, false
+# and parenthesised formulas.  A fragment maps each operator and constant it
+# takes to a constructor; the parser rejects any other where it stands.
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at column {pos + 1})")
-        self.pos = pos
+    """Bad formula text at 0-based `column` of `line` (None for a query)."""
+
+    def __init__(self, message: str, column: int, line: int | None = None):
+        where = f"at column {column + 1}" if line is None else f"line {line}, column {column + 1}"
+        super().__init__(f"{message} ({where})")
+        self.line, self.column = line, column
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<amp>&)|(?P<lp>\()|(?P<rp>\)))")
+class Fragment(NamedTuple):
+    """A language of the grammar: the constructor of each operator and
+    constant it takes, keyed by token, of its atoms, and of a whole formula.
+    A constructor rejects its arguments by raising ValueError."""
+
+    name: str
+    atom: Callable
+    ops: dict[str, Callable]
+    whole: Callable = lambda f: f
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m:
-            if text[i:].strip():
-                raise ParseError(f"unexpected character {text[i:].lstrip()[0]!r}", i)
-            break
-        kind = m.lastgroup
-        value = m.group(kind)
-        tokens.append((kind, value, m.start(kind)))
-        i = m.end()
-    return tokens
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|->|\S")
+_BINARY = {"->": (0, 0), "|": (1, 2), "U": (2, 2), "&": (3, 4)}  # power, right operand's power
+_PREFIX = frozenset("!XFG")  # of power 5: a prefix takes the operand that follows it
+_WORDS = frozenset({*_BINARY, *_PREFIX, "true", "false", "(", ")"})  # the tokens that are not atoms
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")  # an atom starts with one
 
 
-class _QueryParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.text = text
+def _error(message: str, text: str, index: int, line: int | None) -> ParseError:
+    """A ParseError at token `index` of text, or at its end past the last token."""
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == index:
+            return ParseError(message, m.start(), line)
+    return ParseError(message, len(text), line)
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
 
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+def _refuse(token: str, name: str, text: str, index: int, line: int | None):
+    raise _error(f"{token!r} is not allowed in {name}", text, index, line)
 
-    def parse(self) -> Query:
-        q = self.until()
-        kind, value, pos = self.peek()
-        if kind is not None:
-            raise ParseError(f"unexpected {value!r}", pos)
-        return q
 
-    def until(self) -> Query:
-        left = self.conj()
-        kind, value, _ = self.peek()
-        if kind == "name" and value == "U":
-            self.take()
-            return Until(left, self.until())
-        return left
+def _unexpected(token: str) -> str:
+    odd = token not in _WORDS and token[0] not in _LETTERS
+    return f"unexpected {'character ' if odd else ''}{token!r}"
 
-    def conj(self) -> Query:
-        parts = [self.unary()]
-        while True:
-            kind, _, _ = self.peek()
-            if kind != "amp":
-                break
-            self.take()
-            parts.append(self.unary())
-        return conj(parts)
 
-    def unary(self) -> Query:
-        kind, value, pos = self.peek()
-        if kind == "name" and value == "X":
-            self.take()
-            return Next(self.unary())
-        if kind == "name" and value == "F":
-            self.take()
-            return Diamond(self.unary())
-        return self.primary()
+def parse_formula(text: str, fragment: Fragment, line: int | None = None):
+    """The value that `fragment`'s constructors build from one formula.  A
+    rejected operator or constant is blamed where it stands, a rejected
+    argument where the (last) argument starts, a rejected formula at its end."""
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+    tokens.append(")")  # closes the "(" that `pending` starts with
+    name, atom, ops, whole = fragment
+    values = []  # complete operands
+    pending = [(None, -1, end)]  # (constructor, its right operand's power, token index); "(" has none
+    operand = True  # an operand comes next
+    for i, token in enumerate(tokens):
+        if operand:
+            if token not in _WORDS and token[0] in _LETTERS:
+                value = atom(token)
+            elif token == "true" or token == "false":
+                value = (ops.get(token) or _refuse(token, name, text, i, line))()
+            elif token in _PREFIX:
+                pending.append((ops.get(token) or _refuse(token, name, text, i, line), 5, i))
+                continue
+            elif token == "(":
+                pending.append((None, -1, i))
+                continue
+            else:
+                raise _error("expected a formula" if i == end else _unexpected(token), text, i, line)
+        elif token in _BINARY or token == ")":
+            power, right = _BINARY.get(token, (-1, -1))
+            while pending[-1][1] > power:  # the right operands that end here
+                build, _, at = pending.pop()
+                last = values.pop()
+                try:
+                    values[-1] = build(values[-1], last)
+                except ValueError as ex:
+                    raise _error(str(ex), text, at + 1, line) from None
+            if token != ")":
+                pending.append((ops.get(token) or _refuse(token, name, text, i, line), right, i))
+                operand = True
+                continue
+            if (pending.pop()[2] == end) != (i == end):  # not the "(" this ")" closes
+                raise _error("expected ')'" if i == end else "unexpected ')'", text, i, line)
+            value = values.pop()
+        else:
+            raise _error(_unexpected(token), text, i, line)
+        while pending and pending[-1][1] == 5:
+            build, _, at = pending.pop()
+            try:
+                value = build(value)
+            except ValueError as ex:
+                raise _error(str(ex), text, at + 1, line) from None
+        values.append(value)
+        operand = False
+    try:
+        return whole(values[0])
+    except ValueError as ex:
+        raise _error(str(ex), text, end, line) from None
 
-    def primary(self) -> Query:
-        kind, value, pos = self.take()
-        if kind == "lp":
-            q = self.until()
-            kind, value, pos = self.take()
-            if kind != "rp":
-                raise ParseError("expected ')'", pos)
-            return q
-        if kind == "name":
-            if value == "true":
-                return TOP
-            if value == "false":
-                return BOT
-            if value in RESERVED_WORDS:
-                raise ParseError(f"misplaced keyword {value!r}", pos)
-            return Prop(value)
-        raise ParseError("expected a query", pos)
+
+def parse_lines(text: str, fragment: Fragment) -> tuple:
+    """One formula per line; blank lines and lines starting with '#' are skipped."""
+    lines = enumerate(text.splitlines(), start=1)
+    return tuple([parse_formula(line, fragment, n) for n, line in lines if (s := line.lstrip()) and s[0] != "#"])
+
+
+_QUERY = Fragment(
+    "queries",
+    Prop,
+    {"U": Until, "&": lambda a, b: conj((a, b)), "X": Next, "F": Diamond, "true": lambda: TOP, "false": lambda: BOT},
+)
 
 
 def parse_query(text: str) -> Query:
-    return _QueryParser(text).parse()
+    return parse_formula(text, _QUERY)
 
 
 def format_query(q: Query) -> str:

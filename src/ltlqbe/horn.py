@@ -29,13 +29,24 @@ every literal as the check does, so it could add no atom.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import starmap
 
-from .core import DataInstance, LassoModel, Query, eval_lasso, eventually, lasso_word
+from .core import (
+    DataInstance,
+    Fragment,
+    LassoModel,
+    ParseError,
+    Query,
+    eval_lasso,
+    eventually,
+    lasso_word,
+    parse_lines,
+)
 
 NEVER = -1  # guard value for axioms whose box bodies hold nowhere yet
+OntologyParseError = ParseError  # the former name of Horn parse errors
 
 
 class Inconsistent(Exception):
@@ -44,13 +55,6 @@ class Inconsistent(Exception):
 
 class ChaseWindowOverflow(RuntimeError):
     """No repetition found within the window bound (a bug, not bad input)."""
-
-
-class OntologyParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column + 1})")
-        self.line = line
-        self.column = column
 
 
 @dataclass(frozen=True)
@@ -103,85 +107,58 @@ class HornOntology:
         return max(shifts, default=0)
 
 
-EMPTY_ONTOLOGY = HornOntology(())
-
-
 # ---------------------------------------------------------------------------
 # Parsing
-
-_AXIOM_TOKEN = re.compile(r"[ \t]*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<amp>&)|(?P<arrow>->))")
-
-
-def _tokenize_axiom(text: str, line_no: int):
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _AXIOM_TOKEN.match(text, i)
-        if not m:
-            rest = text[i:].strip()
-            if rest:
-                raise OntologyParseError(f"unexpected character {rest[0]!r}", line_no, i)
-            break
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        i = m.end()
-    return tokens
+#
+# A literal reads as (shift, forall, atom, exists) while it is parsed, and a
+# body as a list of literals.
 
 
-def _parse_literal(tokens, i, line_no, end, in_body):
-    diamond = False
-    shift = 0
-    forall = False
-    while i < len(tokens):
-        kind, value, col = tokens[i]
-        if kind != "name":
-            break
-        if value == "F":
-            if shift or forall or diamond:
-                raise OntologyParseError("F may only lead a literal", line_no, col)
-            if not in_body:
-                raise OntologyParseError("F is not allowed in axiom heads", line_no, col)
-            diamond = True
-        elif value == "G":
-            forall = True
-            shift += 1
-        elif value == "X":
-            shift += 1
-        elif value in ("true", "U"):
-            raise OntologyParseError(f"misplaced keyword {value!r}", line_no, col)
-        else:
-            return HornLiteral(shift, forall, None if value == "false" else value, diamond), i + 1
-        i += 1
-    col = tokens[i][2] if i < len(tokens) else end
-    raise OntologyParseError("expected an atom or 'false'", line_no, col)
+def _prefix(shift: int, forall: bool, exists: bool):
+    """The constructor of X, G or F on a literal that has no F yet."""
+
+    def build(lit):
+        if type(lit) is not tuple:
+            raise ValueError("X, G and F apply to a literal only")
+        if lit[3]:
+            raise ValueError("F may only lead a literal")
+        return (lit[0] + shift, lit[1] or forall, lit[2], exists)
+
+    return build
+
+
+def _body(part) -> list:
+    if type(part) not in (tuple, list):
+        raise ValueError("an axiom body is a conjunction of literals")
+    return [part] if type(part) is tuple else part
+
+
+def _axiom(body, head) -> HornAxiom:
+    if type(head) is not tuple:
+        raise ValueError("an axiom head is one literal")
+    if head[3]:
+        raise ValueError("F is not allowed in axiom heads")
+    return HornAxiom(tuple(starmap(HornLiteral, _body(body))), HornLiteral(*head))
+
+
+def _whole(axiom):
+    if type(axiom) is not HornAxiom:
+        raise ValueError("expected '->'")
+    return axiom
+
+
+_HORN = Fragment(
+    "Horn axioms",
+    lambda name: (0, False, name, False),
+    {"->": _axiom, "&": lambda left, right: _body(left) + _body(right), "false": lambda: (0, False, None, False),
+     "X": _prefix(1, False, False), "G": _prefix(1, True, False), "F": _prefix(0, False, True)},
+    _whole,
+)
 
 
 def load_ontology(text: str) -> HornOntology:
     """Parse axioms, one per line, with '#' comments."""
-    axioms = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = _tokenize_axiom(line, line_no)
-        body = []
-        i = 0
-        while True:
-            lit, i = _parse_literal(tokens, i, line_no, len(line), in_body=True)
-            body.append(lit)
-            if i < len(tokens) and tokens[i][0] == "amp":
-                i += 1
-                continue
-            break
-        if i >= len(tokens) or tokens[i][0] != "arrow":
-            col = tokens[i][2] if i < len(tokens) else len(line)
-            raise OntologyParseError("expected '->'", line_no, col)
-        i += 1
-        head, i = _parse_literal(tokens, i, line_no, len(line), in_body=False)
-        if i < len(tokens):
-            raise OntologyParseError(f"unexpected {tokens[i][1]!r}", line_no, tokens[i][2])
-        axioms.append(HornAxiom(tuple(body), head))
-    return HornOntology(tuple(axioms))
+    return HornOntology(parse_lines(text, _HORN))
 
 
 # ---------------------------------------------------------------------------

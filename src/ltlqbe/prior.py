@@ -30,7 +30,6 @@ certain iff it holds on that word, and the engine answers on it as on plain data
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -38,7 +37,9 @@ from .core import (
     And,
     DataInstance,
     Diamond,
+    Fragment,
     LassoModel,
+    ParseError,
     Prop,
     Query,
     Top,
@@ -46,14 +47,12 @@ from .core import (
     eval_lasso,
     eventually,
     lasso_word,
+    parse_lines,
     positions,
     query_atoms,
 )
 
-
-class PriorParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column + 1})")
+PriorParseError = ParseError  # the former name of box/diamond parse errors
 
 
 class PFormula:
@@ -161,9 +160,6 @@ class PriorOntology:
         return tuple(rules)
 
 
-EMPTY_PRIOR = PriorOntology(())
-
-
 def _size(f: PFormula) -> int:
     if isinstance(f, (PTrue, PFalse, PAtom)):
         return 1
@@ -212,110 +208,16 @@ def _collect_atoms(f: PFormula, out: set[str]) -> None:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_PRIOR_TOKEN = re.compile(
-    r"[ \t]*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<op>[&|!()]))"
+_PRIOR = Fragment(
+    "box/diamond axioms",
+    PAtom,
+    {"->": PImp, "|": POr, "&": PAnd, "!": PNot, "G": PBox, "F": PDia, "true": PTrue, "false": PFalse},
 )
 
 
-def _tokenize(text: str, line_no: int):
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _PRIOR_TOKEN.match(text, i)
-        if not m:
-            rest = text[i:].strip()
-            if rest:
-                raise PriorParseError(f"unexpected character {rest[0]!r}", line_no, i)
-            break
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        i = m.end()
-    return tokens
-
-
-class _PriorParser:
-    def __init__(self, tokens, line_no):
-        self.tokens = tokens
-        self.line_no = line_no
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, 0)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def formula(self) -> PFormula:
-        left = self.disjunction()
-        kind, value, _ = self.peek()
-        if kind == "arrow":
-            self.take()
-            return PImp(left, self.formula())
-        return left
-
-    def disjunction(self) -> PFormula:
-        f = self.conjunction()
-        while self.peek()[1] == "|":
-            self.take()
-            f = POr(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> PFormula:
-        f = self.unary()
-        while self.peek()[1] == "&":
-            self.take()
-            f = PAnd(f, self.unary())
-        return f
-
-    def unary(self) -> PFormula:
-        kind, value, pos = self.peek()
-        if value == "!":
-            self.take()
-            return PNot(self.unary())
-        if kind == "name" and value == "G":
-            self.take()
-            return PBox(self.unary())
-        if kind == "name" and value == "F":
-            self.take()
-            return PDia(self.unary())
-        if kind == "name" and value == "X":
-            raise PriorParseError("X is not allowed in box/diamond axioms", self.line_no, pos)
-        return self.primary()
-
-    def primary(self) -> PFormula:
-        kind, value, pos = self.take()
-        if value == "(":
-            f = self.formula()
-            kind, value, pos = self.take()
-            if value != ")":
-                raise PriorParseError("expected ')'", self.line_no, pos)
-            return f
-        if kind == "name":
-            if value == "true":
-                return PTrue()
-            if value == "false":
-                return PFalse()
-            if value in ("U", "X", "G", "F"):
-                raise PriorParseError(f"misplaced keyword {value!r}", self.line_no, pos)
-            return PAtom(value)
-        raise PriorParseError("expected a formula", self.line_no, pos)
-
-
 def load_prior_ontology(text: str) -> PriorOntology:
-    axioms = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parser = _PriorParser(_tokenize(line, line_no), line_no)
-        f = parser.formula()
-        if parser.i < len(parser.tokens):
-            _, value, pos = parser.tokens[parser.i]
-            raise PriorParseError(f"unexpected {value!r}", line_no, pos)
-        axioms.append(f)
-    return PriorOntology(tuple(axioms))
+    """Parse axioms, one per line, with '#' comments."""
+    return PriorOntology(parse_lines(text, _PRIOR))
 
 
 # ---------------------------------------------------------------------------

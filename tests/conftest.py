@@ -11,7 +11,7 @@ from typing import Hashable, NamedTuple
 import pytest
 
 import ltlqbe
-from ltlqbe import horn, qbe
+from ltlqbe import horn, prior, qbe
 from ltlqbe.core import (
     And,
     Bot,
@@ -30,6 +30,10 @@ from ltlqbe.represent import _mu_mp, nabla_mp
 from ltlqbe.tsys import BLACK, BOT, RED, TransitionSystem
 
 ATOMS = ("A", "B", "C")
+
+# the empty ontologies, under which every route answers as on plain data
+EMPTY_ONTOLOGY = horn.HornOntology(())
+EMPTY_PRIOR = prior.PriorOntology(())
 
 
 def rand_instance(rng: random.Random, atoms=ATOMS, max_ts=5, max_facts=6) -> DataInstance:

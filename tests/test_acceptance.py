@@ -28,7 +28,6 @@ from ltlqbe.core import (
     DataInstance,
     ExampleSet,
     QueryClass,
-    eval_data,
     eval_lasso,
     parse_query,
 )

@@ -197,6 +197,26 @@ def test_bad_ontology_exit_two(ex1, tmp_path, kind, text):
     assert main(argv + ["--ontology", str(onto), "--ontology-kind", kind]) == 2
 
 
+@pytest.mark.parametrize(
+    "kind, text, where",
+    [("horn", "A -> B\nA -> F B\n", "(line 2, column 6)"), ("prior", "# c\n\nA U B\n", "(line 3, column 3)")],
+)
+def test_bad_ontology_names_line_and_column(ex1, tmp_path, capsys, kind, text, where):
+    onto = tmp_path / "o.ltl"
+    onto.write_text(text)
+    argv = ["separable", "--class", "path-diamond", "--input", ex1, "--ontology", str(onto)]
+    assert main(argv + ["--ontology-kind", kind]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and err.endswith(where)
+
+
+def test_bad_query_names_its_column(tmp_path, capsys):
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"format": 1, "facts": [["A", 0]]}))
+    assert main(["eval", "--query", "A | B", "--data", str(data)]) == 2
+    assert capsys.readouterr().err.strip() == "error: '|' is not allowed in queries (at column 3)"
+
+
 def test_unsupported_class_under_prior_exit_two(ex1, tmp_path):
     onto = tmp_path / "o.ltl"
     argv = ["separable", "--class", "path-until", "--input", ex1, "--ontology", str(onto)]

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import (
-    all_instances,
+    EMPTY_ONTOLOGY,
     lasso_is_model,
     lasso_models_of,
     rand_horn_ontology,
@@ -126,7 +126,7 @@ def test_canonical_model_theorem_figure():
 
 
 def test_canonical_model_empty_ontology():
-    cm = horn.canonical_model(horn.EMPTY_ONTOLOGY, D([("T", 2)]))
+    cm = horn.canonical_model(EMPTY_ONTOLOGY, D([("T", 2)]))
     assert cm.handle <= 1 and cm.period == 1
     assert list(cm.lasso.prefix) == [frozenset(), frozenset(), frozenset({"T"})]
     assert cm.lasso.loop == (frozenset(),)
@@ -275,7 +275,7 @@ def test_empty_ontology_matches_eval_data(seed):
     for _ in range(20):
         q = rand_query(rng, depth=3)
         at = rng.randrange(0, 3)
-        assert horn.certain_answer(horn.EMPTY_ONTOLOGY, d, q, at) == ref_eval_data(d, q, at)
+        assert horn.certain_answer(EMPTY_ONTOLOGY, d, q, at) == ref_eval_data(d, q, at)
 
 
 # ---------------------------------------------------------------------------

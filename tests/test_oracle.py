@@ -1,8 +1,6 @@
 import random
 from itertools import combinations
 
-import pytest
-
 from conftest import rand_example_set
 from ltlqbe import horn
 from ltlqbe.core import (
@@ -19,8 +17,6 @@ from ltlqbe.core import (
     conj,
     eval_data,
     in_class,
-    parse_query,
-    temporal_depth,
 )
 from ltlqbe.oracle import _all_subsets, brute_force_decide
 from ltlqbe.qbe import Problem

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import rand_instance, ref_eval_data, ref_eval_lasso
+from conftest import EMPTY_PRIOR, rand_instance, ref_eval_data, ref_eval_lasso
 from ltlqbe import prior
 from ltlqbe.core import (
     TOP,
@@ -53,7 +53,7 @@ def test_inconsistent_diamond_top():
 
 
 def test_consistent_empty():
-    assert prior.prior_consistent(prior.EMPTY_PRIOR, D([("A", 3)]))
+    assert prior.prior_consistent(EMPTY_PRIOR, D([("A", 3)]))
 
 
 def test_entails_disjunctive_choice():
@@ -71,9 +71,9 @@ def test_entails_valid_query():
 
 def test_entails_rejects_non_diamond_queries():
     with pytest.raises(ValueError):
-        prior.prior_entails(prior.EMPTY_PRIOR, D([]), parse_query("X A"))
+        prior.prior_entails(EMPTY_PRIOR, D([]), parse_query("X A"))
     with pytest.raises(ValueError):
-        prior.prior_entails(prior.EMPTY_PRIOR, D([]), parse_query("A U B"))
+        prior.prior_entails(EMPTY_PRIOR, D([]), parse_query("A U B"))
 
 
 def test_entails_box_forcing():
@@ -90,7 +90,6 @@ def test_entails_box_forcing():
 def test_empty_ontology_matches_eval_data(seed):
     rng = random.Random(8000 + seed)
     d = rand_instance(rng, atoms=("A", "B"), max_ts=3, max_facts=4)
-    from conftest import rand_query
     from ltlqbe.core import Diamond, Prop, Top, conj
 
     def dia_query(depth):
@@ -105,7 +104,7 @@ def test_empty_ontology_matches_eval_data(seed):
 
     for _ in range(10):
         q = dia_query(2)
-        assert prior.prior_entails(prior.EMPTY_PRIOR, d, q) == ref_eval_data(d, q, 0)
+        assert prior.prior_entails(EMPTY_PRIOR, d, q) == ref_eval_data(d, q, 0)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -231,7 +230,7 @@ def test_empty_letters_before_the_loop_keep_the_value_at_zero():
 
 def test_entailment_rejects_queries_outside_the_fragment():
     d = D([("A", 0)])
-    for onto in (prior.EMPTY_PRIOR, load("A -> F B")):
+    for onto in (EMPTY_PRIOR, load("A -> F B")):
         for text in ("X A", "A U B", "F (A & X B)", "F false"):
             with pytest.raises(ValueError):
                 prior.prior_entails(onto, d, parse_query(text))

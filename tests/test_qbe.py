@@ -8,7 +8,15 @@ import sys
 
 import pytest
 
-from conftest import module_caches, rand_example_set, rand_horn_ontology, rand_instance, rand_query
+from conftest import (
+    EMPTY_ONTOLOGY,
+    EMPTY_PRIOR,
+    module_caches,
+    rand_example_set,
+    rand_horn_ontology,
+    rand_instance,
+    rand_query,
+)
 import ltlqbe
 from ltlqbe import horn, prior, qbe, transform
 from ltlqbe.core import (
@@ -37,7 +45,6 @@ from ltlqbe.qbe import (
     ResourceCap,
     UnsupportedProblem,
     Verdict,
-    WitnessError,
     _blocks_to_query,
     decide,
     decide_until_family,
@@ -401,7 +408,7 @@ def test_horn_search_agrees_with_dp_on_empty_ontology():
         e = rand_example_set(rng, max_ts=4, max_pos=2, max_neg=2)
         for cls in PATH_CLASSES + BRANCH_CLASSES:
             a = decide(Problem(cls, e))
-            b = decide(Problem(cls, e, horn.EMPTY_ONTOLOGY))
+            b = decide(Problem(cls, e, EMPTY_ONTOLOGY))
             assert a.separable == b.separable, (cls, e)
 
 
@@ -495,7 +502,7 @@ def test_empty_horn_ontology_spells_the_data_word():
     reshaped = 0
     for seed in range(300):
         d = rand_instance(random.Random(44000 + seed), max_ts=5)
-        (a,), (b,) = models(None, d), models(horn.EMPTY_ONTOLOGY, d)
+        (a,), (b,) = models(None, d), models(EMPTY_ONTOLOGY, d)
         # lassos equal on max(pre) + lcm(per) positions are equal; per * per
         # is a multiple of that lcm
         span = max(a.pre, b.pre) + a.per * b.per
@@ -604,7 +611,7 @@ def test_prior_engine_matches_plain_on_empty_ontology():
         e = rand_example_set(rng, atoms=("A", "B"), max_ts=2, max_pos=2, max_neg=2)
         for cls in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND):
             plain = decide(Problem(cls, e))
-            under = decide(Problem(cls, e, prior.EMPTY_PRIOR))
+            under = decide(Problem(cls, e, EMPTY_PRIOR))
             assert plain.separable == under.separable
 
 

@@ -3,7 +3,18 @@ from itertools import combinations
 
 import pytest
 
-from conftest import Edge, Named, lessdot, lessdot_mp, nabla, named, numbered, rand_horn_ontology, rand_instance
+from conftest import (
+    EMPTY_ONTOLOGY,
+    Edge,
+    Named,
+    lessdot,
+    lessdot_mp,
+    nabla,
+    named,
+    numbered,
+    rand_horn_ontology,
+    rand_instance,
+)
 from ltlqbe import horn, qbe
 from ltlqbe.core import DataInstance, LassoModel, data_word
 from ltlqbe.represent import (
@@ -91,15 +102,15 @@ def test_repr_horn_empty_ontology_equivalent_to_plain():
         d = rand_instance(rng, max_ts=4)
         sig = d.signature | {"Q"}
         a = repr_plain(data_word(d), sig)
-        b = repr_horn(horn.EMPTY_ONTOLOGY, d, sig)
+        b = repr_horn(EMPTY_ONTOLOGY, d, sig)
         assert simulates(a, b) and simulates(b, a)
         if d.facts:
             _same_ts(a, b)
 
 
 def test_repr_horn_empty_data():
-    assert horn.canonical_model(horn.EMPTY_ONTOLOGY, D([])).lasso.pre == 0
-    ts = named(repr_horn(horn.EMPTY_ONTOLOGY, D([]), fs({"A"})))
+    assert horn.canonical_model(EMPTY_ONTOLOGY, D([])).lasso.pre == 0
+    ts = named(repr_horn(EMPTY_ONTOLOGY, D([]), fs({"A"})))
     assert ts.states == [0]
     assert ts.edges == [Edge(0, 0, fs({"A", BOT}))]
 
@@ -263,8 +274,8 @@ def test_repr_horn_br_empty_ontology_matches_plain_verdicts(seed):
     e = ExampleSet.of(pos, neg)
     for d in e.instances:
         if d.facts:
-            _same_ts(repr_plain_br(data_word(d), e.signature), repr_horn_br(horn.EMPTY_ONTOLOGY, d, e.signature))
-    with_onto = decide_until_family(e, QueryClass.FULL_UNTIL, _unsettled_record(e, horn.EMPTY_ONTOLOGY))
+            _same_ts(repr_plain_br(data_word(d), e.signature), repr_horn_br(EMPTY_ONTOLOGY, d, e.signature))
+    with_onto = decide_until_family(e, QueryClass.FULL_UNTIL, _unsettled_record(e, EMPTY_ONTOLOGY))
     plain = decide_until_family(e, QueryClass.FULL_UNTIL, _unsettled_record(e, None))
     assert with_onto.separable == plain.separable
     assert plain.separable == brute_force_decide(Problem(QueryClass.FULL_UNTIL, e)).separable
@@ -421,7 +432,7 @@ def test_plain_br_matches_all_subsets_reference(seed):
     ],
 )
 def test_horn_br_tail_form_follows_the_loop(text, facts, prefix, loop):
-    onto = horn.load_ontology(text) if text else horn.EMPTY_ONTOLOGY
+    onto = horn.load_ontology(text) if text else EMPTY_ONTOLOGY
     d = D(facts)
     assert horn.canonical_model(onto, d).lasso == LassoModel(prefix, loop)
     sig = d.signature | onto.atoms | {"A"}

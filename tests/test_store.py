@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import rand_example_set, rand_horn_ontology, rand_instance
+from conftest import EMPTY_ONTOLOGY, rand_example_set, rand_horn_ontology, rand_instance
 from ltlqbe import horn, qbe
 from ltlqbe.core import DataInstance, ExampleSet, QueryClass, data_word
 from ltlqbe.horn import Inconsistent
@@ -134,7 +134,7 @@ def test_empty_ontology_data_hits_the_plain_entry():
         for black_red in (False, True):
             plain = qbe._until_systems(qbe._record(e, None), black_red)
             misses = qbe._instance_systems.cache_info().misses
-            horn_data = qbe._until_systems(qbe._record(e, horn.EMPTY_ONTOLOGY), black_red)
+            horn_data = qbe._until_systems(qbe._record(e, EMPTY_ONTOLOGY), black_red)
             assert qbe._instance_systems.cache_info().misses == misses
             assert all(a is b for a, b in zip(plain[1], horn_data[1], strict=True))
 
