@@ -452,7 +452,19 @@ def _is_simple(q: Query) -> bool:
 
 
 def _has_node(q: Query, kinds: tuple[type, ...]) -> bool:
-    return any(isinstance(s, kinds) for s in subqueries(q))
+    """Whether q has a subquery of one of the kinds, by one walk of q."""
+    if isinstance(q, kinds):
+        return True
+    if isinstance(q, And):
+        for p in q.parts:
+            if _has_node(p, kinds):
+                return True
+        return False
+    if isinstance(q, (Next, Diamond)):
+        return _has_node(q.arg, kinds)
+    if isinstance(q, Until):
+        return _has_node(q.left, kinds) or _has_node(q.right, kinds)
+    return False
 
 
 def in_class(q: Query, cls: QueryClass) -> bool:

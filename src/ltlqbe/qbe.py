@@ -1,8 +1,11 @@
 """The separability engine: per-class deciders and witness extraction.
 
-Every separable verdict carries a witness query and is re-verified before
-being returned: the witness must lie in the requested class, be certain-true
-at 0 on every positive instance, and certain-true on no negative instance.
+Every separable verdict carries a witness query that is checked before it is
+returned: the witness must lie in the requested class, be certain-true at 0
+on every positive instance, and certain-true on no negative instance.  The
+first time a witness leaves `decide` for an example set, `verify_witness`
+checks all three; for each later class it answers there, `in_class` checks
+the first again (`_Record.checked`).
 """
 
 from __future__ import annotations
@@ -134,10 +137,22 @@ def verify_witness(p: Problem, q: Query) -> bool:
     return all(not entailed(p.ontology, d, q) for d in p.examples.negatives)
 
 
-def _checked(p: Problem, verdict: Verdict) -> Verdict:
+def _checked(p: Problem, verdict: Verdict, known: _Record) -> Verdict:
+    """verdict, once a separable one's witness is checked for p: by
+    `verify_witness` on p's set as `known` keeps it (`dropped`) the first
+    time it leaves `decide` for the set, else by `in_class` unless
+    `known.checked` already holds it in p.cls."""
     if verdict.separable:
-        if verdict.witness is None or not verify_witness(p, verdict.witness):
-            raise WitnessError(f"witness {verdict.witness} does not separate ({p.cls.value})")
+        q = verdict.witness
+        classes = known.checked.get(verdict)
+        if classes is None:
+            if q is None or not verify_witness(Problem(p.cls, known.dropped[0], p.ontology), q):
+                raise WitnessError(f"witness {q} does not separate ({p.cls.value})")
+            known.checked[verdict] = {p.cls}
+        elif p.cls not in classes:
+            if not in_class(q, p.cls):
+                raise WitnessError(f"witness {q} does not separate ({p.cls.value})")
+            classes.add(p.cls)
     return verdict
 
 
@@ -495,7 +510,8 @@ def decide_until_family(e: ExampleSet, cls: QueryClass, known: _Record) -> Verdi
     classes up to cls play their own games in turn, so the witness comes from
     the least class of the chain that separates, and lies in every larger one.
     e is the set as its record `known` keeps it (`dropped`).  Each game's
-    verdict joins the set's known verdicts, so each is played once."""
+    not-separable verdict joins the set's known verdicts, so each is played
+    once; a separating witness is kept by `decide` once it checks."""
     if cls not in UNTIL_CLASSES:
         raise ValueError(f"decide_until_family does not handle {cls}")
     if not e.positives:
@@ -513,9 +529,10 @@ def decide_until_family(e: ExampleSet, cls: QueryClass, known: _Record) -> Verdi
             else:
                 tree = failing_subtree_of_union(prod, neg)
                 verdict = Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))
-            known[least] = verdict
+            if not verdict.separable:
+                known[least] = verdict
         if verdict.separable:
-            break
+            break  # kept by decide once its witness checks
     return verdict
 
 
@@ -632,11 +649,14 @@ _verdicts = _Store(maxsize=4)
 
 
 class _Record(dict):
-    """A set's known verdicts, class -> verdict in decided order,
-    `_drop_inconsistent`'s result for it (`dropped`) and its until systems
-    (`systems`, by black_red, from `_until_systems`)."""
+    """A set's known verdicts, class -> not-separable verdict; the separable
+    verdicts whose witness passed `_checked` (`checked`, in checked order),
+    each with the classes it answers; `_drop_inconsistent`'s result for the
+    set (`dropped`) and its until systems (`systems`, by black_red, from
+    `_until_systems`).  A later class a kept witness answers costs one
+    `in_class` walk, which `_known_verdict` makes and keeps for `_checked`."""
 
-    __slots__ = ("dropped", "systems")
+    __slots__ = ("dropped", "systems", "checked")
 
 
 def _record(e: ExampleSet, onto) -> _Record:
@@ -649,6 +669,7 @@ def _record(e: ExampleSet, onto) -> _Record:
         record = _Record()
         record.dropped = kept, found, early, _ = _drop_inconsistent(e, onto)
         record.systems = {}
+        record.checked = {}
         npos = len(kept.positives)
         if early is None and npos and kept.negatives:
             if _holds_a_positive(found, npos) or _share_no_atom(found[:npos]):
@@ -658,35 +679,40 @@ def _record(e: ExampleSet, onto) -> _Record:
     return _verdicts.get((e, onto), make)
 
 
-def _known_verdict(known: dict, cls: QueryClass) -> Verdict | None:
-    """cls's own known verdict for the set, else a known witness that lies in cls."""
+def _known_verdict(known: _Record, cls: QueryClass) -> Verdict | None:
+    """cls's own not-separable verdict for the set, else the first checked
+    witness that lies in cls, which is then kept as checked in cls."""
     if cls in known:
         return known[cls]
-    return next((v for v in known.values() if v.separable and in_class(v.witness, cls)), None)
+    for verdict, classes in known.checked.items():
+        if cls in classes or in_class(verdict.witness, cls):
+            classes.add(cls)
+            return verdict
+    return None
 
 
 def decide(p: Problem) -> Verdict:
-    """p's verdict, its witness re-verified.  The set's record (`_record`)
-    drops its inconsistent positives and settles every class as not
-    separable when a negative holds a positive or the positives share no
+    """p's verdict, its witness checked for p.cls.  The set's record
+    (`_record`) drops its inconsistent positives and settles every class as
+    not separable when a negative holds a positive or the positives share no
     atom, once per set; then, after the early answers and the
     `UnsupportedProblem` check, known verdicts of the set answer first
-    (`_known_verdict`), else p.cls's own route decides.  The verdict joins
-    the record.  When a path class's search finds no separator and a
+    (`_known_verdict`), else p.cls's own route decides and `_checked` checks
+    its witness.  A not-separable verdict joins the record, a witness once
+    it checks.  When a path class's search finds no separator and a
     negative's word simulates the positives' product (`_simulates_product`),
-    no diamond class separates: all five join as not separable, and a kept
-    separable one is a `LatticeError`."""
+    no diamond class separates: all five join as not separable, and a
+    witness kept for one of them is a `LatticeError`."""
     known = _record(p.examples, p.ontology)
     e, found, early, note = known.dropped
     if early is not None:
         return early
-    sub = Problem(p.cls, e, p.ontology)
     if not e.positives:
         # every query is certain-true on zero positives; false never is on
         # a consistent negative
-        return _checked(sub, Verdict(True, BOT_QUERY, note=note))
+        return _checked(p, Verdict(True, BOT_QUERY, note=note), known)
     if not e.negatives:
-        return _checked(sub, Verdict(True, TOP, note=note))
+        return _checked(p, Verdict(True, TOP, note=note), known)
     if None in found and p.cls not in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND):
         raise UnsupportedProblem(f"{p.cls.value} needs box/diamond data that is its own model")
     verdict = _known_verdict(known, p.cls)
@@ -694,17 +720,19 @@ def decide(p: Problem) -> Verdict:
         if p.cls in PATH_CLASSES:
             verdict = _path_search(p.ontology, e, found, p.cls)
             if not verdict.separable and None not in found and _simulates_product(found, len(e.positives)):
-                if any(known[cls].separable for cls in DIAMOND_CLASSES if cls in known):
+                if any(not classes.isdisjoint(DIAMOND_CLASSES) for classes in known.checked.values()):
                     raise LatticeError("a kept diamond witness separates, yet a negative simulates the product")
                 known.update(dict.fromkeys(DIAMOND_CLASSES, verdict))
         elif p.cls in BRANCH_CLASSES:
             verdict = _decide_branch(p.ontology, e, found, p.cls)
         else:
             verdict = decide_until_family(e, p.cls, known)
-        known[p.cls] = verdict
+        if not verdict.separable:
+            known[p.cls] = verdict
+        verdict = _checked(p, verdict, known)
     if note and verdict.note is None:
         verdict = Verdict(verdict.separable, verdict.witness, note)
-    return _checked(sub, verdict)
+    return verdict
 
 
 def _holds_a_positive(found: list, npos: int) -> bool:

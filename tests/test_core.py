@@ -291,6 +291,26 @@ def test_in_class_agrees_with_classify():
             assert in_class(query, cls) == (cls in expected), (str(query), cls)
 
 
+def _has_node_reference(query, kinds) -> bool:
+    """`core._has_node` as it was: a scan of every subquery."""
+    return any(isinstance(s, kinds) for s in core.subqueries(query))
+
+
+def test_in_class_agrees_with_the_subquery_scan(monkeypatch):
+    # _has_node walks the query by its own recursion; in_class must answer
+    # as it did when _has_node scanned core.subqueries
+    rng = random.Random(37600)
+    queries = [rand_query(rng, depth=rng.randrange(0, 5)) for _ in range(2000)]
+    kinds = [(Until,), (Next,), (Diamond,), (And,), (Prop,), (Top,), (Next, Until)]
+    for query in queries:
+        for kind in kinds:
+            assert core._has_node(query, kind) == _has_node_reference(query, kind), (str(query), kind)
+    fast = [[in_class(query, cls) for cls in QueryClass] for query in queries]
+    monkeypatch.setattr(core, "_has_node", _has_node_reference)
+    assert fast == [[in_class(query, cls) for cls in QueryClass] for query in queries]
+    assert {True, False} <= {x for row in fast for x in row}
+
+
 def test_conj_flattening():
     a, b = Prop("A"), Prop("B")
     flat = conj([a, conj([b, a])])

@@ -205,3 +205,47 @@ def test_diamond_classes_in_turn_search_a_settled_set_once(monkeypatch):
     assert sum(fired for _, fired in shared[1]) == _SETTLED
     for run in shared:
         assert all(new <= old for (new, _), (old, _) in zip(run, after))
+
+
+# verify_witness calls per class with the classes of each set of _work_sets
+# decided in turn, every cache cleared before each set: before a set's
+# record kept the witnesses it had checked, when every separable verdict
+# re-verified its witness, and with them, when a kept witness answers a
+# later class after one in_class walk
+_CHECKS_BEFORE_KEPT_WITNESSES = {
+    QueryClass.PATH_DIAMOND: 26,
+    QueryClass.PATH_NEXT_DIAMOND: 30,
+    QueryClass.PATH_DIAMOND_CIRC_BLOCKS: 30,
+    QueryClass.BRANCH_DIAMOND: 30,
+    QueryClass.BRANCH_NEXT_DIAMOND: 30,
+    QueryClass.PATH_UNTIL: 30,
+    QueryClass.SIMPLE_UNTIL: 30,
+    QueryClass.FULL_UNTIL: 30,
+}
+_CHECKS = {
+    QueryClass.PATH_DIAMOND: 26,
+    QueryClass.PATH_NEXT_DIAMOND: 4,
+    QueryClass.PATH_DIAMOND_CIRC_BLOCKS: 0,
+    QueryClass.BRANCH_DIAMOND: 4,
+    QueryClass.BRANCH_NEXT_DIAMOND: 0,
+    QueryClass.PATH_UNTIL: 0,
+    QueryClass.SIMPLE_UNTIL: 0,
+    QueryClass.FULL_UNTIL: 0,
+}
+
+
+def test_a_kept_witness_is_verified_once_per_set(monkeypatch):
+    log = []  # (set index, class, witness) per verify_witness call
+    verify = qbe.verify_witness
+    monkeypatch.setattr(qbe, "verify_witness", lambda p, q: log.append((i, p.cls, q)) or verify(p, q))
+    caches = module_caches().values()
+    for i, (e, onto) in enumerate(_work_sets()):
+        for cache in caches:
+            cache.cache_clear()
+        for cls in QueryClass:
+            decide(Problem(cls, e, onto))
+    counts = {cls: sum(c is cls for _, c, _ in log) for cls in QueryClass}
+    assert counts == _CHECKS
+    assert all(counts[cls] <= _CHECKS_BEFORE_KEPT_WITNESSES[cls] for cls in QueryClass)
+    checked = [(i, q) for i, _, q in log]
+    assert len(set(checked)) == len(checked)

@@ -45,6 +45,7 @@ from ltlqbe.qbe import (
     ResourceCap,
     UnsupportedProblem,
     Verdict,
+    WitnessError,
     _blocks_to_query,
     decide,
     decide_until_family,
@@ -647,6 +648,64 @@ def test_verify_witness_checks_class():
     # F F A separates but is not a diamond path (all-top block)
     assert not verify_witness(p, parse_query("F F A"))
     assert verify_witness(Problem(QueryClass.BRANCH_DIAMOND, e), parse_query("F F A"))
+
+
+def test_a_witness_that_fails_its_check_answers_no_other_class(monkeypatch):
+    # a separable verdict is kept for its set only once its witness checks:
+    # a wrong path-diamond witness raises there, and the classes asked after
+    # it decide as they do cold
+    e = ex([[("A", 1)]], [[("B", 1)]])
+    search = qbe._path_search
+
+    def wrong_path_diamond(onto, e, found, cls, allow_empty_blocks=False):
+        if cls is QueryClass.PATH_DIAMOND and not allow_empty_blocks:
+            return Verdict(True, parse_query("F B"))
+        return search(onto, e, found, cls, allow_empty_blocks)
+
+    monkeypatch.setattr(qbe, "_path_search", wrong_path_diamond)
+    later = (QueryClass.PATH_NEXT_DIAMOND, QueryClass.BRANCH_DIAMOND)
+    cold = []
+    for cls in later:
+        qbe._verdicts.cache_clear()
+        cold.append(decide(Problem(cls, e)))
+    assert str(cold[0].witness) == "X A" and cold[1].separable
+    qbe._verdicts.cache_clear()
+    with pytest.raises(WitnessError, match="F B"):
+        decide(Problem(QueryClass.PATH_DIAMOND, e))
+    assert [decide(Problem(cls, e)) for cls in later] == cold
+
+
+def test_a_kept_witness_is_checked_for_each_class_it_answers(monkeypatch):
+    # A U B separates in every until class and passes its check there; a
+    # route that returns it for path-diamond fails the class test
+    e = ex([[("B", 1)], [("A", 1), ("B", 2)]], [[("B", 5)]])
+    until = parse_query("A U B")
+    qbe._verdicts.cache_clear()
+    assert decide(Problem(QueryClass.FULL_UNTIL, e)).witness == until
+    monkeypatch.setattr(qbe, "_path_search", lambda *a, **k: Verdict(True, until))
+    with pytest.raises(WitnessError, match="path-diamond"):
+        decide(Problem(QueryClass.PATH_DIAMOND, e))
+
+
+def test_verify_witness_reads_no_record(monkeypatch):
+    # a set's record keeps the witnesses it has checked, but verify_witness
+    # does not consult it: on a kept witness it still asks entailed on every
+    # instance, so tests that call it on decide's witnesses check them anew
+    e = ex([[("A", 1)], [("A", 1), ("B", 3)]], [[("B", 1)], [("A", 0)]])
+    qbe._verdicts.cache_clear()
+    verdict = decide(Problem(QueryClass.PATH_DIAMOND, e))
+    assert verdict in qbe._record(e, None).checked
+    witness = verdict.witness
+    asked = []
+    entailed = qbe.entailed
+    monkeypatch.setattr(qbe, "entailed", lambda onto, d, q: asked.append(d) or entailed(onto, d, q))
+    for cls in QueryClass:
+        if in_class(witness, cls):
+            del asked[:]
+            assert verify_witness(Problem(cls, e), witness)
+            assert asked == list(e.instances)
+    # nor does it take the record's word for another set
+    assert not verify_witness(Problem(QueryClass.PATH_DIAMOND, ExampleSet(e.negatives, e.positives)), witness)
 
 
 @pytest.mark.parametrize("seed", range(20))

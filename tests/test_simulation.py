@@ -114,9 +114,11 @@ def test_a_firing_check_against_a_kept_separable_verdict_is_an_error(monkeypatch
     assert decide(Problem(QueryClass.BRANCH_DIAMOND, _BRANCH_ONLY)).separable
     with pytest.raises(LatticeError):
         decide(Problem(QueryClass.PATH_DIAMOND, _BRANCH_ONLY))
-    # neither verdict replaces the kept one
+    # neither verdict replaces the kept one: no class joins as not
+    # separable, and the record keeps branch-diamond's checked witness
     (known,) = qbe._verdicts._entries.values()
-    assert list(known) == [QueryClass.BRANCH_DIAMOND] and known[QueryClass.BRANCH_DIAMOND].separable
+    assert not known
+    assert [(v.separable, classes) for v, classes in known.checked.items()] == [(True, {QueryClass.BRANCH_DIAMOND})]
 
 
 def test_a_lattice_contradiction_exits_five(monkeypatch, tmp_path, capsys):
