@@ -475,7 +475,11 @@ def least_word(onto: PriorOntology, data: DataInstance) -> LassoModel | None:
         return None
     if masks == own.word[0]:
         return own
-    letters = [frozenset(a for a, held in masks.items() if held >> n & 1) for n in range(every.bit_length())]
+    grown = 0  # the positions the chase added an atom at; the others keep own's letters
+    for a, held in masks.items():
+        grown |= held & ~own.word[0].get(a, 0)
+    letters = [frozenset(a for a, held in masks.items() if held >> n & 1) if grown >> n & 1 else letter
+               for n, letter in enumerate((*own.prefix, *own.loop))]
     return LassoModel(tuple(letters[: own.pre]), tuple(letters[own.pre :]))
 
 

@@ -662,8 +662,8 @@ class _Record(dict):
 def _record(e: ExampleSet, onto) -> _Record:
     """e's record in `_verdicts`.  A new one drops e's inconsistent positives
     once, and holds every class not separable when a negative holds a
-    positive (`_holds_a_positive`) or the positives share no atom
-    (`_share_no_atom`)."""
+    positive (`_holds_a_positive`) or no atom is anchored in the positives,
+    at 0 in all of them or after 0 in all (`_share_no_atom`)."""
 
     def make() -> _Record:
         record = _Record()
@@ -694,8 +694,8 @@ def _known_verdict(known: _Record, cls: QueryClass) -> Verdict | None:
 def decide(p: Problem) -> Verdict:
     """p's verdict, its witness checked for p.cls.  The set's record
     (`_record`) drops its inconsistent positives and settles every class as
-    not separable when a negative holds a positive or the positives share no
-    atom, once per set; then, after the early answers and the
+    not separable when a negative holds a positive or no atom is anchored in
+    the positives, once per set; then, after the early answers and the
     `UnsupportedProblem` check, known verdicts of the set answer first
     (`_known_verdict`), else p.cls's own route decides and `_checked` checks
     its witness.  A not-separable verdict joins the record, a witness once
@@ -746,14 +746,25 @@ def _holds_a_positive(found: list, npos: int) -> bool:
 
 
 def _share_no_atom(pos: list) -> bool:
-    """Whether every positive has one `models` word (`pos`) and no atom
-    occurs in all of them.  A query that holds somewhere holds everywhere
-    unless it requires an atom (req a = {a}, req(φ∧ψ) = req φ ∪ req ψ,
-    req Xφ = req Fφ = req φ, req(φ U ψ) = req ψ), and one that holds on a
-    word has its required atoms there; so a query true on every positive
-    requires none and is true on every negative: no class separates.  The
-    atoms are the words' own, which a Horn ontology may add to."""
-    return None not in pos and not frozenset.intersection(*(frozenset(word.word[0]) for (word,) in pos))
+    """Whether every positive has one `models` word (`pos`) and no atom is
+    anchored: at position 0 in every word, or after 0 (≥ 1, or in the loop,
+    which may start at 0) in every word.  Let a query require req a = {a},
+    req ⊥ = {⊥}, req(φ∧ψ) = req φ ∪ req ψ, req Xφ = req Fφ = req φ and
+    req(φ U ψ) = req ψ; one that requires nothing holds everywhere (for
+    φ U ψ at t, take t′ = t+1).  By induction over ∧ and the strict X, F
+    and U: if φ holds at a tuple t of positions, one per word, each atom it
+    requires holds at t if it is a conjunct of φ, else at a tuple later in
+    every word.  So from (0,…,0) each is anchored, and with none a query
+    true on every positive requires nothing and holds on every negative.
+    The atoms are the words' own, which a Horn ontology may add to."""
+    if None in pos:
+        return False
+    words = [word.word for (word,) in pos]
+    for a in words[0][0]:
+        held = [(masks.get(a, 0), every & ~1 | loop) for masks, every, loop in words]
+        if all(m & 1 for m, _ in held) or all(m & later for m, later in held):
+            return False
+    return True
 
 
 def _above(upper: LassoModel, lower: LassoModel) -> bool:

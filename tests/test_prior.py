@@ -410,6 +410,13 @@ def test_least_word_rule_checks_every_position():
     assert prior.least_word(o, d) is data_word(d)
 
 
+def test_a_chased_word_keeps_the_letters_the_chase_did_not_change():
+    o, d = load("A -> B"), D([("A", 1), ("C", 3)])
+    own, word = data_word(d), prior.least_word(o, d)
+    assert word.letter(1) == frozenset("AB")
+    assert all(word.letter(n) is own.letter(n) for n in (0, 2, 3, 4))
+
+
 def test_chase_rules_are_the_monotone_atom_headed_axioms():
     o = load("A -> B & C\nG (A | F B) -> A\nB\n!A -> B\nA -> F B\nA -> B | C\n(A -> B) -> C")
     assert [head for _, head in o.chase_rules] == [("B", "C"), ("A",), ("B",)]

@@ -1102,10 +1102,14 @@ def test_until_classes_of_one_set_share_one_build(monkeypatch, onto):
     "cls, e",
     [
         (QueryClass.SIMPLE_UNTIL, ex([[("A", 1)], [("A", 2)]], [[("A", 3)], [("B", 2)]])),
-        # full-until separates the set above; this one's positives share A,
-        # and it is the least of a seeded search (two positives and two
-        # negatives by rand_instance over A, B up to 3, seeds 0-250: seed 87)
-        (QueryClass.FULL_UNTIL, ex([[("A", 0)], [("A", 2), ("B", 2)]], [[], [("B", 0)]])),
+        # full-until separates the set above; this one's positives hold A
+        # at 0, and it has the fewest facts of a seeded search (two
+        # positives and two negatives by rand_instance over A, B up to 3,
+        # seeds 0-250, on which the games are played: seed 158)
+        (
+            QueryClass.FULL_UNTIL,
+            ex([[("A", 0), ("A", 3), ("B", 3)], [("A", 0), ("B", 0)]], [[("A", 0), ("A", 1), ("B", 2)], []]),
+        ),
     ],
     ids=["QueryClass.SIMPLE_UNTIL", "QueryClass.FULL_UNTIL"],
 )
@@ -1113,8 +1117,8 @@ def test_simulating_first_negative_plays_one_game(monkeypatch, cls, e):
     # each simulation game of the chain up to cls, simple-until's on the
     # position systems and then full-until's own on the black/red ones,
     # ends at the first negative, which simulates the product; no negative
-    # holds a positive and the positives share an atom, so the games are
-    # played
+    # holds a positive and an atom is anchored in the positives, so the
+    # games are played
     from ltlqbe import qbe, tsys
 
     _clear_until_caches()

@@ -1,8 +1,10 @@
-"""Positives that share no atom, and a set's record: `decide` makes one
-record per example set (`qbe._record`), which drops the inconsistent
-positives once and, when a negative holds a positive or the positives'
-`models` words share no atom (`qbe._share_no_atom`), keeps every class not
-separable."""
+"""Positives in which no atom is anchored, and a set's record: `decide`
+makes one record per example set (`qbe._record`), which drops the
+inconsistent positives once and, when a negative holds a positive or no atom
+is anchored in the positives' `models` words (`qbe._share_no_atom`), keeps
+every class not separable.  An atom is anchored when it holds at 0 in every
+word, or after 0 in every word; the check once fired only when no atom was
+in every word (`_share_none`), and it still fires there."""
 
 import random
 
@@ -10,7 +12,7 @@ import pytest
 
 from conftest import rand_horn_ontology, rand_instance
 from ltlqbe import horn, prior, qbe, tsys
-from ltlqbe.core import ExampleSet, QueryClass
+from ltlqbe.core import DataInstance, ExampleSet, QueryClass, parse_query
 from ltlqbe.qbe import Problem, UnsupportedProblem, Verdict, decide
 from test_holds import _kept
 from test_qbe import ex
@@ -18,9 +20,14 @@ from test_qbe import ex
 _ATOMS = ("A", "B", "C")
 
 
-def _fires(e, onto) -> bool:
+def _fires(e, onto, check=None) -> bool:
     kept = _kept(e, onto)
-    return kept is not None and qbe._share_no_atom(kept[1][: len(kept[0].positives)])
+    return kept is not None and (check or qbe._share_no_atom)(kept[1][: len(kept[0].positives)])
+
+
+def _share_none(pos: list) -> bool:
+    """The check as it was: every positive has one word and no atom is in all."""
+    return None not in pos and not frozenset.intersection(*(frozenset(word.word[0]) for (word,) in pos))
 
 
 def _sets(kind: str) -> list:
@@ -56,7 +63,63 @@ def test_positives_that_share_no_atom_separate_in_no_class(monkeypatch, kind):
             assert not decide(Problem(cls, e, onto)).separable, (cls, e, onto)
 
 
+def _apart_positive(rng: random.Random) -> DataInstance:
+    """One or two atoms, each at 0 or each only after 0."""
+    facts = set()
+    for a in rng.sample(_ATOMS, rng.randint(1, 2)):
+        late = rng.random() < 0.5
+        facts |= {(a, rng.randint(1, 3) if late else 0) for _ in range(rng.randint(1, 2))}
+    return DataInstance.of(facts)
+
+
+def _apart_sets(kind: str) -> list:
+    """Sets of two or three positives that often share atoms at different
+    anchors, as {A@0} and {A@2} do, and one or two negatives."""
+    rng = random.Random({"plain": 63000, "horn": 64000}[kind])
+    sets = []
+    for _ in range(200 if kind == "plain" else 100):
+        pos = [_apart_positive(rng) for _ in range(rng.randint(2, 3))]
+        neg = [rand_instance(rng, _ATOMS, 3, 3) for _ in range(rng.randint(1, 2))]
+        onto = None if kind == "plain" else rand_horn_ontology(rng, atoms=_ATOMS, max_axioms=3)
+        sets.append((ExampleSet.of(pos, neg), onto))
+    return sets
+
+
+# the least number of sets, of 200 plain and 100 Horn, on which the check
+# fires where the positives share an atom, and of those, on which no
+# negative holds a positive
+_MIN_APART = {"plain": (60, 50), "horn": (20, 15)}
+
+
+@pytest.mark.parametrize("kind", ["plain", "horn"])
+def test_positives_with_no_anchored_atom_separate_in_no_class(monkeypatch, kind):
+    # where the positives share an atom, but none at 0 in all of them or
+    # after 0 in all, each class's own route, with both checks off and no
+    # known verdicts, finds the set not separable
+    fired = [(e, onto) for e, onto in _apart_sets(kind) if _fires(e, onto) and not _fires(e, onto, _share_none)]
+    held = [qbe._holds_a_positive(found, len(kept.positives)) for kept, found in map(_kept, *zip(*fired))]
+    assert len(fired) >= _MIN_APART[kind][0] and held.count(False) >= _MIN_APART[kind][1]
+    monkeypatch.setattr(qbe, "_share_no_atom", lambda *a: False)
+    monkeypatch.setattr(qbe, "_holds_a_positive", lambda *a: False)
+    for e, onto in fired:
+        for cls in QueryClass:
+            qbe._verdicts.cache_clear()
+            assert not decide(Problem(cls, e, onto)).separable, (cls, e, onto)
+
+
+def test_a_loop_from_0_anchors_after_0():
+    # A -> X A makes {A@0}'s word A^ω, a loop that starts at 0: A holds
+    # after 0 there as in {A@2}
+    onto = horn.load_ontology("A -> X A")
+    e = ex([[("A", 0)], [("A", 2)]], [[("B", 0)]])
+    assert not _fires(e, onto)
+    for cls in QueryClass:
+        assert decide(Problem(cls, e, onto)) == Verdict(True, parse_query("F A")), cls
+
+
 _APART = ex([[("A", 1)], [("B", 1)]], [[("C", 0)]])
+# C is in both positives, at 0 in one and only after 0 in the other
+_C_APART = ex([[("C", 0), ("B", 3)], [("C", 2)]], [[("A", 0), ("B", 2)]])
 
 
 def test_positives_apart_search_nothing(monkeypatch):
@@ -70,16 +133,21 @@ def test_positives_apart_search_nothing(monkeypatch):
     ):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
-    for cls in QueryClass:
-        assert decide(Problem(cls, _APART)) == Verdict(False), cls
+    for e in (_APART, _C_APART):
+        for cls in QueryClass:
+            assert decide(Problem(cls, e)) == Verdict(False), (cls, e)
     assert calls == []
 
 
 def test_a_shared_atom_separates():
-    e = ex([[("A", 1)], [("A", 2)]], [[("C", 0)]])
-    assert not _fires(e, None)
-    for cls in QueryClass:
-        assert decide(Problem(cls, e)).separable, cls
+    # A after 0 in both positives, then A at 0 in both
+    for e in (
+        ex([[("A", 1)], [("A", 2)]], [[("C", 0)]]),
+        ex([[("A", 0)], [("A", 0), ("B", 3)]], [[("B", 0)]]),
+    ):
+        assert not _fires(e, None)
+        for cls in QueryClass:
+            assert decide(Problem(cls, e)).separable, (cls, e)
 
 
 def test_the_atoms_are_the_canonical_models():
