@@ -270,9 +270,10 @@ def _fold(masks: dict[str, int], obligations, start_at, width, hist):
     each atom's mask there, plus the obligations active by n.  A window that
     starts before position 0 is keyed by n alone, never equal to another.
     The state at n must repeat the one at m, and the window must repeat with
-    period n - m from n to its margin.
+    period n - m from n to its margin, a quarter of the window or more: the
+    window's end can spoil a stretch that backward chains carry far back.
     """
-    margin = 2 * hist + 2
+    margin = max(2 * hist + 2, width // 4)
     end = width - margin
     rows = tuple(masks.values())
     low = (1 << hist) - 1

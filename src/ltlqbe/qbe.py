@@ -49,7 +49,6 @@ from .tsys import (
     TransitionSystem,
     Tree,
     bisim_quotient,
-    disjoint_union,
     failing_run,
     failing_subtree_of_union,
     product,
@@ -523,8 +522,8 @@ def decide_until_family(e: ExampleSet, cls: QueryClass, known: _Record) -> Verdi
         if verdict is None:
             prod, neg = _until_systems(known, least is QueryClass.FULL_UNTIL)
             if least is QueryClass.PATH_UNTIL:
-                # containment in a union does not split by component
-                run = failing_run(prod, disjoint_union(neg))
+                # each run needs a match in some negative, not all in one
+                run = failing_run(prod, neg)
                 verdict = Verdict(False) if run is None else Verdict(True, query_from_run(run))
             else:
                 tree = failing_subtree_of_union(prod, neg)
@@ -652,11 +651,12 @@ class _Record(dict):
     """A set's known verdicts, class -> not-separable verdict; the separable
     verdicts whose witness passed `_checked` (`checked`, in checked order),
     each with the classes it answers; `_drop_inconsistent`'s result for the
-    set (`dropped`) and its until systems (`systems`, by black_red, from
-    `_until_systems`).  A later class a kept witness answers costs one
+    set (`dropped`), its until systems (`systems`, by black_red, from
+    `_until_systems`) and, when it dropped a positive, each answer's noted
+    copy (`noted`).  A later class a kept witness answers costs one
     `in_class` walk, which `_known_verdict` makes and keeps for `_checked`."""
 
-    __slots__ = ("dropped", "systems", "checked")
+    __slots__ = ("dropped", "systems", "checked", "noted")
 
 
 def _record(e: ExampleSet, onto) -> _Record:
@@ -668,8 +668,7 @@ def _record(e: ExampleSet, onto) -> _Record:
     def make() -> _Record:
         record = _Record()
         record.dropped = kept, found, early, _ = _drop_inconsistent(e, onto)
-        record.systems = {}
-        record.checked = {}
+        record.systems, record.checked, record.noted = {}, {}, {}
         npos = len(kept.positives)
         if early is None and npos and kept.negatives:
             if _holds_a_positive(found, npos) or _share_no_atom(found[:npos]):
@@ -707,15 +706,14 @@ def decide(p: Problem) -> Verdict:
     e, found, early, note = known.dropped
     if early is not None:
         return early
-    if not e.positives:
+    if not e.positives or not e.negatives:
         # every query is certain-true on zero positives; false never is on
         # a consistent negative
-        return _checked(p, Verdict(True, BOT_QUERY, note=note), known)
-    if not e.negatives:
-        return _checked(p, Verdict(True, TOP, note=note), known)
-    if None in found and p.cls not in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND):
+        verdict = _checked(p, Verdict(True, TOP if e.positives else BOT_QUERY), known)
+    elif None in found and p.cls not in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND):
         raise UnsupportedProblem(f"{p.cls.value} needs box/diamond data that is its own model")
-    verdict = _known_verdict(known, p.cls)
+    else:
+        verdict = _known_verdict(known, p.cls)
     if verdict is None:
         if p.cls in PATH_CLASSES:
             verdict = _path_search(p.ontology, e, found, p.cls)
@@ -730,8 +728,8 @@ def decide(p: Problem) -> Verdict:
         if not verdict.separable:
             known[p.cls] = verdict
         verdict = _checked(p, verdict, known)
-    if note and verdict.note is None:
-        verdict = Verdict(verdict.separable, verdict.witness, note)
+    if note:
+        verdict = known.noted.setdefault(verdict, Verdict(verdict.separable, verdict.witness, note))
     return verdict
 
 

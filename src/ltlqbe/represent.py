@@ -61,7 +61,7 @@ def repr_plain(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
         for m in range(m_start, n + 1):
             edges.append((n, m, gap, 0))
             gap &= masks[m]
-    return TransitionSystem(letters, (0,), tuple(masks), tuple(edges))
+    return TransitionSystem(letters, 0, tuple(masks), tuple(edges))
 
 
 def repr_horn(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = None) -> TransitionSystem:
@@ -228,7 +228,7 @@ def repr_plain_br(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
     if with_z:
         edges += [(_Z, _Z, full, 0), (_Z, _Z, full, 1), (_Z, _U, full, 1)]
     edges += [(_U, _U, full, 0), (_U, _U, full, 1)]
-    return TransitionSystem(letters, (_ORIGIN,), tuple(labels), tuple(edges), colored=True)
+    return TransitionSystem(letters, _ORIGIN, tuple(labels), tuple(edges), colored=True)
 
 
 def repr_horn_br(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = None) -> TransitionSystem:

@@ -16,9 +16,10 @@ that dies decrements the counts that watch it (Henzinger, Henzinger & Kopke,
 FOCS 1995), so checking a pair is one look at its counts, not a rescan of
 its matches.  Pairs die in the order of a LIFO worklist seeded in discovery
 order, which fixes every rank and so every failing subtree, whatever the
-hash seed.  Against a disjoint union, `failing_subtree_of_union` plays one
-game per part and stops at the first part that simulates.  Containment is
-the run-wise weakening decided over (state, candidate-set) pairs.
+hash seed.  Against several systems, the parts, `failing_subtree_of_union`
+plays one game per part and stops at the first part that simulates.
+Containment is the run-wise weakening decided over (state, candidate-set)
+pairs, the parts' states numbered one after another (`failing_run`).
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ RED = "red"
 
 @dataclass(frozen=True, slots=True)
 class TransitionSystem:
-    """States 0..n-1 with n = len(labels); `initial` and `labels` are tuples
-    of ints, `edges` a tuple of (src, dst, label mask, red) tuples."""
+    """States 0..n-1 with n = len(labels); `initial` is one state, `labels`
+    a tuple of ints, `edges` a tuple of (src, dst, label mask, red) tuples."""
 
     letters: tuple[str, ...]
-    initial: tuple[int, ...]
+    initial: int
     labels: tuple[int, ...]
     edges: tuple[tuple[int, int, int, int], ...]
     colored: bool = False
@@ -49,8 +50,8 @@ class TransitionSystem:
         # with incomparable labels, so only exact duplicates are rejected
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edge")
-        if self.labels and not self.initial:
-            raise ValueError("nonempty system needs an initial state")
+        if not 0 <= self.initial < len(self.labels):
+            raise ValueError("initial state out of range")
         if not self.colored and any(e[3] for e in self.edges):
             raise ValueError("colored edge in an uncolored system")
 
@@ -87,21 +88,18 @@ def _adjacency(ts: TransitionSystem) -> tuple[list[list], list[list]]:
 
 def product(systems: list[TransitionSystem]) -> TransitionSystem:
     """Synchronous product of the state vectors reachable from the initial
-    ones; node and edge labels intersect, colors must agree.
+    one; node and edge labels intersect, colors must agree.
 
     States are numbered in the order the breadth-first queue meets their
-    vectors, the initial vectors first.
+    vectors, the initial vector first.
     """
     if not systems:
         raise ValueError("product of an empty list")
     letters, colored = _common(systems)
     full = (1 << len(letters)) - 1
     outs = [_adjacency(s)[0] for s in systems]
-    queue = [()]
-    for s in systems:
-        queue = [v + (x,) for v in queue for x in s.initial]
-    initial = tuple(range(len(queue)))
-    index = {v: i for i, v in enumerate(queue)}
+    queue = [tuple(s.initial for s in systems)]
+    index = {queue[0]: 0}
     edges = []
     for i, v in enumerate(queue):  # the queue grows as the loop runs
         combos = [((), full, -1)]
@@ -125,24 +123,7 @@ def product(systems: list[TransitionSystem]) -> TransitionSystem:
         for s, x in zip(systems, v):
             lab &= s.labels[x]
         labels.append(lab)
-    return TransitionSystem(letters, initial, tuple(labels), tuple(edges), colored)
-
-
-def disjoint_union(systems: list[TransitionSystem]) -> TransitionSystem:
-    """The systems side by side, each part's states shifted past the
-    previous parts'."""
-    if not systems:
-        return TransitionSystem((), (), (), ())
-    letters, colored = _common(systems)
-    initial: list[int] = []
-    labels: list[int] = []
-    edges: list[tuple] = []
-    for s in systems:
-        base = len(labels)
-        initial += [base + x for x in s.initial]
-        labels += s.labels
-        edges += [(base + src, base + dst, lab, red) for src, dst, lab, red in s.edges]
-    return TransitionSystem(letters, tuple(initial), tuple(labels), tuple(edges), colored)
+    return TransitionSystem(letters, 0, tuple(labels), tuple(edges), colored)
 
 
 def bisim_quotient(ts: TransitionSystem) -> TransitionSystem:
@@ -190,8 +171,7 @@ def bisim_quotient(ts: TransitionSystem) -> TransitionSystem:
         if len(labs) == 1 or not any(lab & other == lab != other for other in labs)
     )
     labels = tuple(ts.labels[x] for x in rep.values())
-    initial = tuple(dict.fromkeys(cls[x] for x in ts.initial))
-    return TransitionSystem(ts.letters, initial, labels, edges, ts.colored)
+    return TransitionSystem(ts.letters, cls[ts.initial], labels, edges, ts.colored)
 
 
 def prune_dominated_edges(ts: TransitionSystem) -> TransitionSystem:
@@ -233,7 +213,7 @@ def _play(s: TransitionSystem, s_adj, t: TransitionSystem, t_adj):
     surviving pairs are absent from the rank map.  A pair dies only when
     some s-edge has all its t-matches already dead, so ranks strictly
     decrease along the attacker strategy.  Only pairs reachable from the
-    initial pairs are played.
+    initial pair are played.
     Each live pair keeps, per s-edge, the count of its live t-matches (one
     per matching t-edge); a dead pair decrements the counts that watch it,
     so a pair defends iff none of its counts is 0.  Deaths follow a LIFO
@@ -248,8 +228,8 @@ def _play(s: TransitionSystem, s_adj, t: TransitionSystem, t_adj):
     counts: dict[int, list] = {}
     watchers: dict[int, list] = {}  # pair -> (counts of a pair, s-edge), once per t-edge into it
     # only pairs reachable in the game can influence the verdict at the
-    # initial states, so the refinement is restricted to them
-    stack = [x * n_t + y for x in s.initial for y in t.initial]
+    # initial pair, so the refinement is restricted to them
+    stack = [s.initial * n_t + t.initial]
     seen = set(stack)
     while stack:
         p = stack.pop()
@@ -319,24 +299,28 @@ class Run:
 
 def contained_in(s: TransitionSystem, t: TransitionSystem) -> bool:
     """True iff every run of s is label-subsumed by an equal-length run of t."""
-    return _containment_search(s, t)[0]
+    return _containment_search(s, [t])[0]
 
 
-def _containment_search(s: TransitionSystem, t: TransitionSystem):
-    if s.colored or t.colored:
+def _containment_search(s: TransitionSystem, parts: Sequence[TransitionSystem]):
+    """Breadth-first search over pairs of an s-state and the set of the
+    parts' states, numbered one after another, that end a matching run.
+    Returns whether every run of s is matched, the first pair with an empty
+    set, and the parent map."""
+    if s.colored:
         raise ValueError("containment is defined for uncolored systems")
-    _common([s, t])
-    s_out, t_out = _adjacency(s)[0], _adjacency(t)[0]
-    s_lab, t_lab = s.labels, t.labels
-    start: list[tuple] = []
-    parents: dict = {}
-    for x in s.initial:
-        lx = s_lab[x]
-        node = (x, frozenset(y for y in t.initial if lx & t_lab[y] == lx))
-        if node not in parents:
-            parents[node] = None
-            start.append(node)
-    queue = list(start)
+    _common([s, *parts])
+    s_out, s_lab = _adjacency(s)[0], s.labels
+    t_lab, t_out, start = [], [], []
+    for t in parts:
+        base = len(t_lab)
+        start.append(base + t.initial)
+        t_lab += t.labels
+        t_out += [[(base + dst, lab) for dst, lab, _ in out] for out in _adjacency(t)[0]]
+    lx = s_lab[s.initial]
+    node = (s.initial, frozenset(y for y in start if lx & t_lab[y] == lx))
+    parents: dict = {node: None}
+    queue = [node]
     i = 0
     while i < len(queue):
         node = queue[i]
@@ -351,7 +335,7 @@ def _containment_search(s: TransitionSystem, t: TransitionSystem):
                 frozenset(
                     z
                     for y in ys
-                    for z, flab, _ in t_out[y]
+                    for z, flab in t_out[y]
                     if lab & flab == lab and ld & t_lab[z] == ld
                 ),
             )
@@ -363,15 +347,16 @@ def _containment_search(s: TransitionSystem, t: TransitionSystem):
 
 def extract_failing_run(s: TransitionSystem, t: TransitionSystem) -> Run:
     """A shortest run of s with no matching run of t; containment must fail."""
-    run = failing_run(s, t)
+    run = failing_run(s, [t])
     if run is None:
         raise ValueError("extract_failing_run: containment holds")
     return run
 
 
-def failing_run(s: TransitionSystem, t: TransitionSystem) -> Run | None:
-    """A shortest run of s with no matching run of t, or None if s is contained in t."""
-    ok, node, parents = _containment_search(s, t)
+def failing_run(s: TransitionSystem, parts: Sequence[TransitionSystem]) -> Run | None:
+    """A shortest run of s with no matching run in any part, or None if
+    every run of s has one in some part."""
+    ok, node, parents = _containment_search(s, parts)
     if ok:
         return None
     states = []
@@ -410,37 +395,25 @@ def extract_failing_subtree(s: TransitionSystem, t: TransitionSystem) -> Tree:
 
 
 def failing_subtree_of_union(s: TransitionSystem, parts: Sequence[TransitionSystem]) -> Tree | None:
-    """A subtree as extract_failing_subtree gives it against
-    `disjoint_union(parts)`, or None if that union simulates s; one game per
-    part.
+    """A finite subtree of s's computation tree that embeds into no part's,
+    or None if some part simulates s; one game per part.
 
-    The parts of a disjoint union never interact, so each part's game is the
-    union's game restricted to that part, with the same death order inside
-    the part.  The first part that simulates s ends the search.  Otherwise
-    the parts' live pairs and ranks together are the union's, up to rank
-    values, which the attacker only compares within one part.
+    The first part that simulates s ends the search.  Otherwise the tree is
+    the attacker's against all parts at once: the parts never interact, so
+    each part keeps its own game, and the attacker compares ranks only
+    within one part.
     """
     _common([s, *parts])
     s_adj = _adjacency(s)
+    x = s.initial
     games = []  # per part: (system, its out-lists, live pairs, ranks)
     for t in parts:
         t_adj = s_adj if t is s else _adjacency(t)
-        game = (t, t_adj[0], *_play(s, s_adj, t, t_adj))
-        if all(_answered(x, game) for x in s.initial):
+        alive, rank = _play(s, s_adj, t, t_adj)
+        if x * len(t.labels) + t.initial in alive:
             return None
-        games.append(game)
-    for x in s.initial:
-        if not any(_answered(x, game) for game in games):
-            targets = [(k, y) for k, game in enumerate(games) for y in game[0].initial]
-            return _attack(s, s_adj[0], games, x, targets)
-    return None
-
-
-def _answered(x: int, game: tuple) -> bool:
-    """True iff some initial t-state of the game simulates s-state x."""
-    t, _, alive, _ = game
-    n_t = len(t.labels)
-    return any(x * n_t + y in alive for y in t.initial)
+        games.append((t, t_adj[0], alive, rank))
+    return _attack(s, s_adj[0], games, x, [(k, t.initial) for k, t in enumerate(parts)])
 
 
 def _attack(s: TransitionSystem, s_out: list, games: list, x: int, targets: list) -> Tree:

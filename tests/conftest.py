@@ -412,8 +412,9 @@ class Edge(NamedTuple):
 
 
 class Named:
-    """A transition system with arbitrary hashable states, atom-set labels
-    and `Edge`s, as the tests' reference copies read and build it."""
+    """A transition system with arbitrary hashable states, a list of initial
+    states, atom-set labels and `Edge`s, as the tests' reference copies read
+    and build it."""
 
     def __init__(self, states, initial, labels, edges, colored=False):
         self.states, self.initial = list(states), list(initial)
@@ -433,9 +434,11 @@ LETTERS = (*ATOMS, BOT)
 
 
 def numbered(ts: Named, letters=LETTERS) -> TransitionSystem:
-    """ts as a `TransitionSystem`: states numbered 0..n-1 in list order,
-    label sets turned into masks over `letters`."""
+    """ts, which has one initial state, as a `TransitionSystem`: states
+    numbered 0..n-1 in list order, label sets turned into masks over
+    `letters`."""
     index = {x: i for i, x in enumerate(ts.states)}
+    (initial,) = ts.initial
     bit = {a: 1 << i for i, a in enumerate(letters)}
 
     def mask(label) -> int:
@@ -443,7 +446,7 @@ def numbered(ts: Named, letters=LETTERS) -> TransitionSystem:
 
     return TransitionSystem(
         tuple(letters),
-        tuple(index[x] for x in ts.initial),
+        index[initial],
         tuple(mask(ts.labels[x]) for x in ts.states),
         tuple((index[e.src], index[e.dst], mask(e.label), int(e.color == RED)) for e in ts.edges),
         ts.colored,
@@ -454,7 +457,7 @@ def named(ts: TransitionSystem) -> Named:
     """ts in the named form, its states kept as the ints they are."""
     return Named(
         ts.states,
-        ts.initial,
+        [ts.initial],
         {x: ts.spell(m) for x, m in enumerate(ts.labels)},
         [Edge(src, dst, ts.spell(m), RED if red else BLACK) for src, dst, m, red in ts.edges],
         ts.colored,

@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 from ltlqbe import cli
 from ltlqbe.cli import main
 from ltlqbe.qbe import WitnessError
+from test_horn import LONG_CHAIN_ONTOLOGY
 
 EX1 = {
     "format": 1,
@@ -366,6 +368,19 @@ def test_canonical_round_trip(tmp_path, capsys):
     o = horn.load_ontology("X H -> T")
     d = DataInstance.of([("H", 3), ("V", 4)])
     assert eval_lasso(lasso, q, 0) == horn.certain_answer(o, d, q, 0)
+
+
+def test_canonical_folds_a_long_backward_chain(tmp_path, capsys):
+    # a consistent input whose chase once overflowed its fold margin (exit 5)
+    onto = tmp_path / "o.ltl"
+    onto.write_text(LONG_CHAIN_ONTOLOGY + "\n")
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"format": 1, "facts": [["B", 0], ["D", 0]]}))
+    start = time.perf_counter()
+    rc, out = run(capsys, ["canonical", "--ontology", str(onto), "--data", str(data)])
+    assert rc == 0 and time.perf_counter() - start < 1
+    doc = json.loads(out)
+    assert doc["handle"] == 11 and doc["period"] == 24
 
 
 def test_canonical_inconsistent_exit_two(tmp_path):

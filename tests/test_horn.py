@@ -339,9 +339,12 @@ def _old_window_chase(axioms: list[_GuardedAxiom], data: DataInstance, width: in
     return atoms, obligations
 
 
-def _old_candidates(atoms, obligations, start_at, width, hist):
-    """(m, n) pairs folding the first repeating chase states, oldest first."""
-    margin = 2 * hist + 2
+def _old_candidates(atoms, obligations, start_at, width, hist, margin=None):
+    """(m, n) pairs folding the first repeating chase states, oldest first,
+    the window checked up to its last `margin` positions (2 * hist + 2 by
+    default)."""
+    if margin is None:
+        margin = 2 * hist + 2
     seen: dict[tuple, int] = {}
     out = []
     for n in range(start_at, width - margin):
@@ -576,7 +579,8 @@ def _assert_same_chase(axioms, data, width, hists=(1, 2, 3)):
     start = max([data.max_timestamp] + [ax.guard for ax in axioms])
     for hist in hists:
         for start_at in (0, start):
-            first = _old_candidates(atoms, obligations, start_at, width, hist)[:1]
+            # the fold's margin follows the window: a quarter of it or more
+            first = _old_candidates(atoms, obligations, start_at, width, hist, max(2 * hist + 2, width // 4))[:1]
             assert horn._fold(masks, obligations, start_at, width, hist) == (first[0] if first else None), (
                 axioms, sorted(data.facts), width, hist, start_at
             )
@@ -739,6 +743,30 @@ def test_a_fold_that_is_no_model_widens_the_window(monkeypatch, text):
     assert not horn._is_model(axioms, d, (), first)
     assert horn._least_boxfree_model(axioms, d, hist, cap) == least
     assert len(widths) == 2 and widths[0] < widths[1]
+
+
+# a backward chain longer than 2 * hist + 2 positions: at every width the
+# last B has no later B in the window, so F B & B -> X A stops there, and
+# X X X A -> A carries that gap back over the last 28 positions of A
+LONG_CHAIN_ONTOLOGY = """B -> X X X X X X X X B
+D -> X X X X X X X X X X X X D
+X X X A -> A
+F B & B -> X A
+X B & C -> X X X X C"""
+
+
+def test_a_fold_margin_that_follows_the_window_folds_a_long_backward_chain():
+    o, d = horn.load_ontology(LONG_CHAIN_ONTOLOGY), D([("B", 0), ("D", 0)])
+    cm = horn._canonical_model.__wrapped__(o, d)
+    assert (cm.handle, cm.period) == (11, 24)
+    assert lasso_is_model(o, d, cm.lasso)
+    # least: no single atom occurrence can go
+    letters = cm.lasso.prefix + cm.lasso.loop
+    occurrences = [(j, a) for j, letter in enumerate(letters) for a in letter]
+    assert len(occurrences) >= 20
+    for j, a in occurrences:
+        fewer = letters[:j] + (letters[j] - {a},) + letters[j + 1 :]
+        assert not lasso_is_model(o, d, LassoModel(fewer[: cm.lasso.pre], fewer[cm.lasso.pre :])), (j, a)
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,24 @@ def test_inconsistent_positive_dropped():
     assert v.separable and v.note and "dropped" in v.note
 
 
+def test_a_set_that_dropped_a_positive_keeps_one_noted_verdict_per_answer():
+    # each call answers with the kept noted verdict, not a fresh copy: the
+    # routed answers, the early answer of no positive left, and that of no
+    # negative
+    o = horn.load_ontology("A -> false")
+    sets = [
+        ex([[("A", 0)], [("B", 1)]], [[("C", 1)]]),
+        ex([[("A", 0)], [("B", 1)]], [[("B", 1)]]),
+        ex([[("A", 0)]], [[("C", 1)]]),
+        ex([[("A", 0)], [("B", 1)]], []),
+    ]
+    for e in sets:
+        for cls in QueryClass:
+            first = decide(Problem(cls, e, o))
+            assert first.note == "dropped 1 inconsistent positive(s)"
+            assert decide(Problem(cls, e, o)) is first
+
+
 def test_all_positives_inconsistent_yields_bot():
     o = horn.load_ontology("A -> false")
     e = ex([[("A", 0)]], [[("C", 1)]])
@@ -820,7 +838,7 @@ def _direct_until_family(e, cls, known):
 
     prod, neg = qbe._until_systems(known, cls is QueryClass.FULL_UNTIL)
     if cls is QueryClass.PATH_UNTIL:
-        run = tsys.failing_run(prod, tsys.disjoint_union(neg))
+        run = tsys.failing_run(prod, neg)
         return Verdict(False) if run is None else Verdict(True, query_from_run(run))
     tree = tsys.failing_subtree_of_union(prod, neg)
     return Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))

@@ -249,7 +249,7 @@ def test_repr_horn_br_small():
     # the canonical loop is empty, so the empty tail is z
     assert not any(horn.canonical_model(o, d).lasso.loop)
     assert ("u",) in ts.states and ("z",) in ts.states
-    assert ("0",) in ts.initial
+    assert ts.initial == [("0",)]
     # canonical model makes A hold at 0 as well
     assert ts.labels[("0",)] == fs({"A"})
 

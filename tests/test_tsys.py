@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import Edge, Named, named, numbered
+from conftest import Edge, Named, named, numbered, rand_example_set, rand_horn_ontology
+from ltlqbe import qbe
 from ltlqbe.core import DataInstance, data_word
 from ltlqbe.represent import repr_plain, repr_plain_br
 from ltlqbe.tsys import (
@@ -16,9 +17,9 @@ from ltlqbe.tsys import (
     _play,
     bisim_quotient,
     contained_in,
-    disjoint_union,
     extract_failing_run,
     extract_failing_subtree,
+    failing_run,
     failing_subtree_of_union,
     product,
     prune_dominated_edges,
@@ -92,7 +93,7 @@ def ts(states, initial, labels, edges, colored=False) -> TransitionSystem:
 
 
 def reachable(t: TransitionSystem) -> set[int]:
-    seen = set(t.initial)
+    seen = {t.initial}
     stack = list(seen)
     while stack:
         x = stack.pop()
@@ -201,21 +202,14 @@ def test_product_on_motivating_pair():
 def test_systems_over_different_letter_tables_do_not_mix():
     a = ts([0], [0], {0: {"A"}}, [(0, 0, {"A"}, BLACK)])
     b = numbered(named(a), ("A", "B", BOT))
-    for combine in (product, disjoint_union, lambda pair: failing_subtree_of_union(pair[0], pair[1:])):
+    for combine in (
+        product,
+        lambda pair: failing_subtree_of_union(pair[0], pair[1:]),
+        lambda pair: failing_run(pair[0], pair[1:]),
+    ):
         combine([a, a])
         with pytest.raises(ValueError, match="letter tables"):
             combine([a, b])
-
-
-def test_disjoint_union_counts_and_simulation():
-    a = rand_system(random.Random(3))
-    b = rand_system(random.Random(4))
-    u = disjoint_union([a, b])
-    assert len(u.states) == len(a.states) + len(b.states)
-    assert simulates(a, u) and simulates(b, u)
-    assert len(disjoint_union([]).states) == 0
-    single = disjoint_union([a])
-    assert simulates(single, a) and simulates(a, single)
 
 
 def test_simulates_reflexive_and_transitive():
@@ -353,19 +347,19 @@ def _random_quotient(rng: random.Random) -> TransitionSystem:
 
 
 def test_derived_systems_pass_the_public_checks():
-    # product, disjoint_union, bisim_quotient and prune_dominated_edges build
-    # through the checked constructor; their fields are tuples, and their
-    # edges and initial states lie among their states
+    # product, bisim_quotient and prune_dominated_edges build through the
+    # checked constructor; their fields are tuples, their initial state is
+    # one int, and it and their edges lie among their states
     rng = random.Random(41000)
     for _ in range(100):
         q, other = _random_quotient(rng), _random_quotient(rng)
         derived = [q, prune_dominated_edges(q)]
         if q.colored == other.colored:
             pair = [q, other]
-            derived += [product(pair), disjoint_union(pair)]
+            derived.append(product(pair))
         for t in derived:
-            assert all(type(f) is tuple for f in (t.initial, t.labels, t.edges))
-            assert set(t.initial) <= set(t.states)
+            assert all(type(f) is tuple for f in (t.labels, t.edges)) and type(t.initial) is int
+            assert t.initial in t.states
             assert all(src in t.states and dst in t.states for src, dst, _, _ in t.edges)
 
 
@@ -561,9 +555,9 @@ def _bisim_quotient_reference(ts):
 
 
 def rand_parallel_system(rng: random.Random, n: int, colored: bool, tag=None):
-    """A random system with 1-2 initial states and up to three parallel edges
-    with distinct labels between two states; states are ints, or (tag, int)
-    tuples when a tag is given."""
+    """A random system with a random initial state and up to three parallel
+    edges with distinct labels between two states; states are ints, or
+    (tag, int) tuples when a tag is given."""
     states = [i if tag is None else (tag, i) for i in range(n)]
     labels = {x: frozenset(a for a in "AB" if rng.random() < 0.35) for x in states}
     edges = []
@@ -577,8 +571,7 @@ def rand_parallel_system(rng: random.Random, n: int, colored: bool, tag=None):
                 for lab in labs:
                     color = rng.choice([BLACK, RED]) if colored else BLACK
                     edges.append((a, b, lab, color))
-    initial = rng.sample(states, min(n, rng.randint(1, 2)))
-    return ts(states, initial, labels, edges, colored)
+    return ts(states, [rng.choice(states)], labels, edges, colored)
 
 
 def _game_cases(seed: int, count: int):
@@ -631,11 +624,64 @@ def test_bisim_quotient_matches_the_tuple_reference(seed):
             assert bisim_quotient(x) == numbered(_bisim_quotient_reference(named(x)), x.letters)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_failing_subtree_of_union_equals_the_union_game(seed):
-    rng = random.Random(45000 + seed)
-    for k in range(60):
-        colored = k % 2 == 1
+# ---------------------------------------------------------------------------
+# Games and searches against parts, as against the glued copy they replaced
+
+
+def _old_disjoint_union(parts: list[Named]) -> Named:
+    """The parts side by side in one system, part k's state x renamed (k, x),
+    with every part's initial states."""
+    states, initial, labels, edges = [], [], {}, []
+    for k, t in enumerate(parts):
+        states += [(k, x) for x in t.states]
+        initial += [(k, x) for x in t.initial]
+        labels.update(((k, x), t.label(x)) for x in t.states)
+        edges += [Edge((k, e.src), (k, e.dst), e.label, e.color) for e in t.edges]
+    return Named(states, initial, labels, edges, parts[0].colored if parts else False)
+
+
+def _old_failing_run(s: Named, t: Named) -> Run | None:
+    """A shortest run of s with no matching run of t, by the breadth-first
+    search over (s-state, set of t-states) pairs from every pair of initial
+    states, or None if every run of s has one."""
+    parents: dict = {}
+    for x in s.initial:
+        parents.setdefault((x, frozenset(y for y in t.initial if s.label(x) <= t.label(y))), None)
+    queue = list(parents)
+    for node in queue:  # the queue grows as the loop runs
+        x, ys = node
+        if not ys:
+            break
+        for e in s.out(x):
+            nxt = (
+                e.dst,
+                frozenset(
+                    f.dst
+                    for y in ys
+                    for f in t.out(y)
+                    if e.label <= f.label and s.label(e.dst) <= t.label(f.dst)
+                ),
+            )
+            if nxt not in parents:
+                parents[nxt] = (node, e.label)
+                queue.append(nxt)
+    else:
+        return None
+    node_labels, edge_labels = [s.label(node[0])], []
+    while parents[node] is not None:
+        node, lab = parents[node]
+        node_labels.append(s.label(node[0]))
+        edge_labels.append(lab)
+    return Run(tuple(reversed(node_labels)), tuple(reversed(edge_labels)))
+
+
+def _part_cases(seed: int, count: int, colorings=(False, True)):
+    """(s, parts) pairs, colored in turn as `colorings` gives: random
+    systems, and quotients of data products against pruned quotients, one
+    to three parts each."""
+    rng = random.Random(seed)
+    for k in range(count):
+        colored = colorings[k % len(colorings)]
         if k % 3 == 0:
             s = rand_parallel_system(rng, rng.randint(1, 6), colored)
             parts = [
@@ -648,18 +694,44 @@ def test_failing_subtree_of_union_equals_the_union_game(seed):
                 prune_dominated_edges(bisim_quotient(_repr_product(rng, colored)))
                 for _ in range(rng.randint(1, 3))
             ]
-        union = disjoint_union(parts)
+        yield s, parts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_failing_subtree_of_union_equals_the_union_game(seed):
+    for s, parts in _part_cases(45000 + seed, 60):
+        union = _old_disjoint_union([named(t) for t in parts])
         tree = failing_subtree_of_union(s, parts)
-        assert tree == failing_subtree_of_union(s, [union]) == _failing_subtree_reference(named(s), named(union))
-        assert (tree is None) == simulates(s, union)
+        assert tree == _failing_subtree_reference(named(s), union)
+        assert (tree is None) == any(simulates(s, t) for t in parts)
 
 
-def test_union_of_parts_that_each_fail_can_simulate():
-    # each part simulates one of s's two initial states, so no single part
-    # simulates s but their union does
-    s = ts(["a", "b"], ["a", "b"], {"a": {"A"}, "b": {"B"}}, [])
-    part_a = ts([0], [0], {0: {"A"}}, [])
-    part_b = ts([0], [0], {0: {"B"}}, [])
-    assert not simulates(s, part_a) and not simulates(s, part_b)
-    assert failing_subtree_of_union(s, [part_a, part_b]) is None
-    assert failing_subtree_of_union(s, [part_a]) == Tree(frozenset({"B"}))
+@pytest.mark.parametrize("seed", range(4))
+def test_failing_run_equals_the_union_search(seed):
+    runs = 0
+    for s, parts in _part_cases(46000 + seed, 60, colorings=(False,)):
+        run = failing_run(s, parts)
+        assert run == _old_failing_run(named(s), _old_disjoint_union([named(t) for t in parts]))
+        assert run == failing_run(s, parts[::-1])  # the parts' order does not matter
+        if run is not None:
+            runs += 1
+            assert all(not run_embeds(run, t) for t in parts) and run_embeds(run, s)
+    assert 10 <= runs <= 50, runs
+
+
+def test_failing_run_equals_the_union_search_on_until_systems():
+    # the positive product and the negatives' position systems of random
+    # sets, plain and under Horn ontologies, as path-until searches them
+    rng = random.Random(47000)
+    runs = 0
+    for k in range(300):
+        onto = rand_horn_ontology(rng, max_axioms=2) if k % 3 == 2 else None
+        record = qbe._record(rand_example_set(rng, max_ts=4), onto)
+        e, _, early, _ = record.dropped
+        if early is not None or not e.positives:
+            continue
+        prod, neg = qbe._until_systems(record, False)
+        run = failing_run(prod, neg)
+        assert run == _old_failing_run(named(prod), _old_disjoint_union([named(t) for t in neg]))
+        runs += run is not None
+    assert runs >= 50, runs
