@@ -45,7 +45,6 @@ from .tsys import (
     BLACK,
     BOT,
     RED,
-    Run,
     TransitionSystem,
     Tree,
     bisim_quotient,
@@ -196,17 +195,17 @@ def dp_path(
 
     Every word is periodic from position k on, so a node's successors depend
     on its positions only up to k: nodes store them clamped at k.  Each
-    block, each node's list of moves and each negative's advance over a move
-    is computed once per call.
+    block is computed once per call; a node's moves are generated as it is
+    expanded.
 
-    A node's list holds only its non-dominated moves.  A move's slots alone
+    A node is expanded by its non-dominated moves only.  A move's slots alone
     fix each negative's advance and whether the move accepts; its ends only
-    bound the anchors of later moves, which lie beyond them.  So the list
-    drops a move when an earlier one in it has the same slots and ends that
-    are nowhere larger.  In particular each positive anchors a block of width
-    c only at the first position past its end with that window of c + 1
-    letters: a later position gives the same slots, larger ends and a later
-    anchor vector.  The earlier move's successor is stored first and can make
+    bound the anchors of later moves, which lie beyond them.  So a move is
+    dropped when an earlier one of the node's has the same slots and ends
+    that are nowhere larger.  In particular each positive anchors a block of
+    width c only at the first position past its end with that window of
+    c + 1 letters: a later position gives the same slots, larger ends and a
+    later anchor vector.  The earlier move's successor is stored first and can make
     every move the dropped one's could, with the same outcome, so a node
     reached only through dropped moves would store nothing new and accept
     nothing.  The search therefore stores the other nodes in the same order,
@@ -268,20 +267,8 @@ def dp_path(
             prevs.append(layer)
         return prevs[c]
 
-    # (slots, clamped ends) -> its move: (slots, ends, last slot nonempty,
-    # steps, advances).  steps maps a node's clamped negative positions to
-    # its (successor, accepts) under the move, advances maps (negative,
-    # clamped position) to that negative's next one.
-    made: dict = {}
-    # clamped ends -> the moves open to a node, listed as the search first walks them
-    tables: dict = {}
-
+    # the non-dominated (slots, clamped ends) moves open to a node at ends
     def moves(ends):
-        table = tables.get(ends)
-        return table if table is not None else _fill_table(ends)
-
-    def _fill_table(ends):
-        table = []
         for c in c_range:
             kept: dict = {}  # slots -> the ends of this width's moves kept with them
             firsts = [
@@ -292,35 +279,14 @@ def dp_path(
                 chain = chains.setdefault(anchors, [])
                 if len(chain) <= c:
                     extend(chain, anchors, c)
-                key = chain[c]
-                slots, new_ends = key
+                slots, new_ends = chain[c]
                 if new_ends is None:
                     continue
                 others = kept.setdefault(slots, [])
                 if any(all(map(le, old, new_ends)) for old in others):
                     continue
                 others.append(new_ends)
-                move = made.get(key)
-                if move is None:
-                    move = made[key] = (slots, new_ends, bool(slots[-1]), {}, {})
-                table.append(move)
-                yield move
-        tables[ends] = table
-
-    def step(move, negs):
-        slots, new_ends, last, steps, advances = move
-        new_negs = []
-        for j, p in enumerate(negs):
-            if p is not None:
-                if (j, p) not in advances:
-                    advances[j, p] = neg_advance(j, p, slots)
-                p = advances[j, p]
-            new_negs.append(p)
-        result = steps[negs] = (
-            (new_ends, tuple(new_negs)),
-            last and all(x is None for x in new_negs),
-        )
-        return result
+                yield slots, new_ends
 
     def neg_advance(j: int, prev: int, slots) -> int | None:
         c = len(slots) - 1
@@ -368,12 +334,15 @@ def dp_path(
         if depth >= block_limit:
             continue
         ends, negs = node
-        for move in moves(ends):
-            nxt, accept = move[3].get(negs) or step(move, negs)
-            if accept:
-                return Verdict(True, witness(node, move[0]))
+        for slots, new_ends in moves(ends):
+            new_negs = tuple(
+                None if p is None else neg_advance(j, p, slots) for j, p in enumerate(negs)
+            )
+            if slots[-1] and all(x is None for x in new_negs):
+                return Verdict(True, witness(node, slots))
+            nxt = (new_ends, new_negs)
             if nxt not in parents:
-                push(nxt, node, move[0], depth + 1)
+                push(nxt, node, slots, depth + 1)
     return Verdict(False)
 
 
@@ -521,13 +490,10 @@ def decide_until_family(e: ExampleSet, cls: QueryClass, known: _Record) -> Verdi
         verdict = _known_verdict(known, least)
         if verdict is None:
             prod, neg = _until_systems(known, least is QueryClass.FULL_UNTIL)
-            if least is QueryClass.PATH_UNTIL:
-                # each run needs a match in some negative, not all in one
-                run = failing_run(prod, neg)
-                verdict = Verdict(False) if run is None else Verdict(True, query_from_run(run))
-            else:
-                tree = failing_subtree_of_union(prod, neg)
-                verdict = Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))
+            # path-until: each run needs a match in some negative, not all in one
+            failing = failing_run if least is QueryClass.PATH_UNTIL else failing_subtree_of_union
+            tree = failing(prod, neg)
+            verdict = Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))
             if not verdict.separable:
                 known[least] = verdict
         if verdict.separable:
@@ -539,16 +505,6 @@ def _edge_conj(label: frozenset[str]) -> Query:
     if BOT in label:
         return BOT_QUERY
     return atoms_conj(label)
-
-
-def query_from_run(run: Run) -> Query:
-    """The until-path query spelled by a run's node and edge labels."""
-    n = len(run.node_labels)
-    q: Query = atoms_conj(run.node_labels[n - 1] - {BOT})
-    for i in range(n - 2, -1, -1):
-        step = Until(_edge_conj(run.edge_labels[i]), q)
-        q = conj([atoms_conj(run.node_labels[i] - {BOT}), step])
-    return q
 
 
 def query_from_tree(tree: Tree) -> Query:

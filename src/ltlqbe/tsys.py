@@ -7,7 +7,7 @@ required").  Edges are (src, dst, label mask, red) tuples, red being 1 on
 the red edges of a colored system.  Systems are immutable, so one system
 can be stored and shared; each call builds the adjacency lists it needs
 from the edges, in edge order.  Labels are spelled back into atom sets only
-in the extracted `Run`s and `Tree`s.
+in the extracted `Tree`s; a failing run is a chain of black edges.
 
 Simulation is the greatest relation refined to a fixpoint over the pairs
 reachable in the game (`_play`), a pair (x, y) being the code x * n_t + y.
@@ -289,14 +289,6 @@ def simulates(s: TransitionSystem, t: TransitionSystem) -> bool:
     return failing_subtree_of_union(s, [t]) is None
 
 
-@dataclass(frozen=True)
-class Run:
-    """A run as its labels: n node labels and n-1 edge labels."""
-
-    node_labels: tuple[frozenset[str], ...]
-    edge_labels: tuple[frozenset[str], ...]
-
-
 def contained_in(s: TransitionSystem, t: TransitionSystem) -> bool:
     """True iff every run of s is label-subsumed by an equal-length run of t."""
     return _containment_search(s, [t])[0]
@@ -345,7 +337,7 @@ def _containment_search(s: TransitionSystem, parts: Sequence[TransitionSystem]):
     return True, None, parents
 
 
-def extract_failing_run(s: TransitionSystem, t: TransitionSystem) -> Run:
+def extract_failing_run(s: TransitionSystem, t: TransitionSystem) -> Tree:
     """A shortest run of s with no matching run of t; containment must fail."""
     run = failing_run(s, [t])
     if run is None:
@@ -353,25 +345,17 @@ def extract_failing_run(s: TransitionSystem, t: TransitionSystem) -> Run:
     return run
 
 
-def failing_run(s: TransitionSystem, parts: Sequence[TransitionSystem]) -> Run | None:
-    """A shortest run of s with no matching run in any part, or None if
-    every run of s has one in some part."""
+def failing_run(s: TransitionSystem, parts: Sequence[TransitionSystem]) -> Tree | None:
+    """A shortest run of s with no matching run in any part, as a chain of
+    black edges, or None if every run of s has one in some part."""
     ok, node, parents = _containment_search(s, parts)
     if ok:
         return None
-    states = []
-    edge_labels = []
-    while node is not None:
-        states.append(node[0])
-        step = parents[node]
-        if step is None:
-            break
+    run = Tree(s.spell(s.labels[node[0]]))
+    while (step := parents[node]) is not None:
         node, lab = step
-        edge_labels.append(lab)
-    return Run(
-        tuple(s.spell(s.labels[x]) for x in reversed(states)),
-        tuple(s.spell(lab) for lab in reversed(edge_labels)),
-    )
+        run = Tree(s.spell(s.labels[node[0]]), ((s.spell(lab), BLACK, run),))
+    return run
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import random
@@ -767,6 +768,47 @@ def test_a_fold_margin_that_follows_the_window_folds_a_long_backward_chain():
     for j, a in occurrences:
         fewer = letters[:j] + (letters[j] - {a},) + letters[j + 1 :]
         assert not lasso_is_model(o, d, LassoModel(fewer[: cm.lasso.pre], fewer[cm.lasso.pre :])), (j, a)
+
+
+def _x_chain_ontology(rng: random.Random, atoms=("A", "B", "C", "D")) -> HornOntology:
+    """2-5 axioms `a -> X^n b` or `X^n a -> b` with n = 1..11: long forward
+    and backward chains, which need a wide fold margin."""
+    lines = []
+    for _ in range(rng.randint(2, 5)):
+        a, b, xs = rng.choice(atoms), rng.choice(atoms), "X " * rng.randint(1, 11)
+        lines.append(f"{a} -> {xs}{b}" if rng.random() < 0.5 else f"{xs}{a} -> {b}")
+    return horn.load_ontology("\n".join(lines))
+
+
+# sha256 over the canonical models (or inconsistency) of the stress pairs below
+_STRESS_DIGEST = "9c0b81e5ebd3ead23a741def8056ef09d2f70d44a1e75f1f5497d8ace6a4103c"
+
+
+def test_canonical_models_of_random_and_long_chain_ontologies_are_models():
+    atoms = ("A", "B", "C", "D")
+    rng = random.Random(31337)
+    digest = hashlib.sha256()
+    models = inconsistent = 0
+    for k in range(1500):
+        if k % 2:
+            o = _x_chain_ontology(rng, atoms)
+        else:
+            o = rand_horn_ontology(rng, atoms=atoms, max_axioms=5)
+        d = rand_instance(rng, atoms=atoms, max_ts=4, max_facts=4)
+        try:
+            cm = horn._canonical_model.__wrapped__(o, d)
+        except ChaseWindowOverflow:
+            pytest.fail(f"window overflow on {o.axioms}, {sorted(d.facts)}")
+        if cm is None:
+            inconsistent += 1
+            digest.update(b"inconsistent\n")
+            continue
+        assert lasso_is_model(o, d, cm.lasso), (o.axioms, sorted(d.facts))
+        models += 1
+        letters = [sorted(letter) for letter in cm.lasso.prefix + cm.lasso.loop]
+        digest.update(f"{cm.lasso.pre}|{letters}\n".encode())
+    print(f"models: {models}, inconsistent: {inconsistent}")
+    assert digest.hexdigest() == _STRESS_DIGEST
 
 
 # ---------------------------------------------------------------------------

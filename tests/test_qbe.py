@@ -54,11 +54,10 @@ from ltlqbe.qbe import (
     minimize_witness,
     models,
     prior_path_search,
-    query_from_run,
     query_from_tree,
     verify_witness,
 )
-from ltlqbe.tsys import BLACK, BOT, RED, Run, Tree
+from ltlqbe.tsys import BLACK, BOT, RED, Tree
 
 D = DataInstance.of
 fs = frozenset
@@ -329,6 +328,26 @@ def test_dp_path_equals_old_on_plain_sets():
     assert verdicts == {True, False}
 
 
+def _sparse_set(rng):
+    """One or two positives and one or two negatives of 1-4 facts each, at
+    timestamps up to a largest one of 8-16."""
+    max_ts = rng.randint(8, 16)
+
+    def facts():
+        return [(rng.choice("ABC"), rng.randint(0, max_ts)) for _ in range(rng.randint(1, 4))]
+
+    return ex([facts() for _ in range(rng.randint(1, 2))], [facts() for _ in range(rng.randint(1, 2))])
+
+
+def test_dp_path_equals_old_on_sparse_sets():
+    # wide horizons, where a block's chain of widths is reused the most
+    verdicts: set = set()
+    for seed in range(20):
+        e = _sparse_set(random.Random(51000 + seed))
+        _assert_dp_path_equals_old(e, _words(e), verdicts)
+    assert verdicts == {True, False}
+
+
 def _cycling_ontology(rng):
     """Axioms `P -> X^j Q`, whose canonical lassos often loop with period > 1."""
     lines = []
@@ -560,11 +579,9 @@ def test_all_positives_inconsistent_yields_bot():
 
 
 def test_query_from_run():
-    run = Run(
-        (fs(), fs({"T"}), fs({"V"})),
-        (fs({BOT}), fs({"T"})),
-    )
-    q = query_from_run(run)
+    # a failing run is a chain of black edges, spelled as a tree
+    run = Tree(fs(), ((fs({BOT}), BLACK, Tree(fs({"T"}), ((fs({"T"}), BLACK, Tree(fs({"V"}))),))),))
+    q = query_from_tree(run)
     assert str(q) == "false U T & (T U V)"
     assert QueryClass.PATH_UNTIL in classify(q)
 
@@ -838,9 +855,9 @@ def _direct_until_family(e, cls, known):
 
     prod, neg = qbe._until_systems(known, cls is QueryClass.FULL_UNTIL)
     if cls is QueryClass.PATH_UNTIL:
-        run = tsys.failing_run(prod, neg)
-        return Verdict(False) if run is None else Verdict(True, query_from_run(run))
-    tree = tsys.failing_subtree_of_union(prod, neg)
+        tree = tsys.failing_run(prod, neg)
+    else:
+        tree = tsys.failing_subtree_of_union(prod, neg)
     return Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))
 
 

@@ -10,7 +10,6 @@ from ltlqbe.tsys import (
     BLACK,
     BOT,
     RED,
-    Run,
     TransitionSystem,
     Tree,
     _adjacency,
@@ -47,20 +46,13 @@ def embeds(tree: Tree, t: TransitionSystem) -> bool:
     return any(fits(tree, y) for y in t.initial)
 
 
-def run_embeds(run: Run, t: TransitionSystem) -> bool:
-    """Brute-force check that the run is label-subsumed by some run of t."""
-    t = named(t)
-
-    def fits(i: int, y) -> bool:
-        if not run.node_labels[i] <= t.label(y):
+def is_chain(tree: Tree) -> bool:
+    """True iff every node of tree has at most one child, by a black edge."""
+    while tree.children:
+        if len(tree.children) > 1 or tree.children[0][1] != BLACK:
             return False
-        if i + 1 == len(run.node_labels):
-            return True
-        return any(
-            run.edge_labels[i] <= f.label and fits(i + 1, f.dst) for f in t.out(y)
-        )
-
-    return any(fits(0, y) for y in t.initial)
+        tree = tree.children[0][2]
+    return True
 
 
 def to_dot(ts: TransitionSystem, name: str = "ts") -> str:
@@ -242,8 +234,7 @@ def test_failing_run_single_state():
     a = ts([0], [0], {0: {"A"}}, [])
     b = ts([0], [0], {0: set()}, [])
     assert not contained_in(a, b)
-    run = extract_failing_run(a, b)
-    assert run.node_labels == (frozenset({"A"}),) and run.edge_labels == ()
+    assert extract_failing_run(a, b) == Tree(frozenset({"A"}))
 
 
 def test_failing_subtree_single_node():
@@ -275,8 +266,9 @@ def test_extracted_witnesses_reverify(seed):
         assert embeds(tree, a)  # it is a genuine subtree of a's computation tree
     if not colored and not contained_in(a, b):
         run = extract_failing_run(a, b)
-        assert not run_embeds(run, b)
-        assert run_embeds(run, a)
+        assert is_chain(run)
+        assert not embeds(run, b)
+        assert embeds(run, a)
 
 
 def test_to_dot_smoke():
@@ -640,10 +632,10 @@ def _old_disjoint_union(parts: list[Named]) -> Named:
     return Named(states, initial, labels, edges, parts[0].colored if parts else False)
 
 
-def _old_failing_run(s: Named, t: Named) -> Run | None:
+def _old_failing_run(s: Named, t: Named) -> Tree | None:
     """A shortest run of s with no matching run of t, by the breadth-first
     search over (s-state, set of t-states) pairs from every pair of initial
-    states, or None if every run of s has one."""
+    states, as a chain of black edges, or None if every run of s has one."""
     parents: dict = {}
     for x in s.initial:
         parents.setdefault((x, frozenset(y for y in t.initial if s.label(x) <= t.label(y))), None)
@@ -667,12 +659,11 @@ def _old_failing_run(s: Named, t: Named) -> Run | None:
                 queue.append(nxt)
     else:
         return None
-    node_labels, edge_labels = [s.label(node[0])], []
+    run = Tree(s.label(node[0]))
     while parents[node] is not None:
         node, lab = parents[node]
-        node_labels.append(s.label(node[0]))
-        edge_labels.append(lab)
-    return Run(tuple(reversed(node_labels)), tuple(reversed(edge_labels)))
+        run = Tree(s.label(node[0]), ((lab, BLACK, run),))
+    return run
 
 
 def _part_cases(seed: int, count: int, colorings=(False, True)):
@@ -715,7 +706,8 @@ def test_failing_run_equals_the_union_search(seed):
         assert run == failing_run(s, parts[::-1])  # the parts' order does not matter
         if run is not None:
             runs += 1
-            assert all(not run_embeds(run, t) for t in parts) and run_embeds(run, s)
+            assert is_chain(run)
+            assert all(not embeds(run, t) for t in parts) and embeds(run, s)
     assert 10 <= runs <= 50, runs
 
 
