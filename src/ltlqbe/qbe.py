@@ -10,8 +10,9 @@ the first again (`_Record.checked`).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque, namedtuple
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 import itertools
 from math import lcm
 from operator import le
@@ -364,88 +365,40 @@ def _blocks_to_query(blocks, cls: QueryClass) -> Query:
     return q
 
 
-def horn_diamond_search(onto: HornOntology, e: ExampleSet, cls: QueryClass, allow_empty_blocks=False) -> Verdict:
+def horn_diamond_search(onto: HornOntology, e: ExampleSet, cls: QueryClass) -> Verdict:
     """`_path_search` under a Horn ontology, by a name the benchmark traces."""
-    return _path_search(onto, e, [models(onto, d) for d in e.instances], cls, allow_empty_blocks)
+    return _path_search(onto, e, [models(onto, d) for d in e.instances], cls)
 
 
 # ---------------------------------------------------------------------------
 # Until family via transition systems
 
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _Store:
-    """A bounded map that drops its least recently used entry once it holds
-    more than `maxsize`, with `functools.lru_cache`'s `cache_info()` and
-    `cache_clear()`.
-
-    `_instance_systems` keys on a word's letter masks (`_system_key`), not
-    on the word: keying `_reduced_system` by `functools.lru_cache` on
-    `(word, sig, black_red)` raised the `until-plain` bench's peak RSS from
-    32.8–32.9 MB to 35.9–36.0 MB (+9.2 %, 6 of 6 pairs on a 2-core x86-64
-    VM), since those keys keep every `LassoModel` alive."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.cache_clear()
-
-    def get(self, key, make):
-        """The entry of key, made by make() on a miss."""
-        entries = self._entries
-        entry = entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            entries.move_to_end(key)
-            return entry
-        self.misses += 1
-        entry = entries[key] = make()
-        if len(entries) > self.maxsize:
-            entries.popitem(last=False)
-        return entry
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self.hits, self.misses, self.maxsize, len(self._entries))
-
-    def cache_clear(self) -> None:
-        self._entries: OrderedDict = OrderedDict()
-        self.hits = self.misses = 0
-
-
-# (form, letters, prefix length, *letter masks) -> a reduced system
-_instance_systems = _Store(maxsize=4096)
-
-
-def _system_key(word: LassoModel, sig: frozenset[str], black_red: bool):
-    """What the word's reduced system is a function of, as one flat tuple.
-
-    That is the form and the word as the builder reads it: where its loop
-    starts, and its letters as bitmasks over `letters`, the sorted signature
-    and BOT, with the atoms outside `sig` ignored.  The form is the position
-    or the black/red system; the black/red builder reads its tail form off
-    whether the whole loop holds an atom.
-    """
-    letters = letter_table(sig)
-    if not black_red:
-        form = "positions"
-    else:
-        form = "black/red wrap" if any(word.loop) else "black/red z-tail"
-    return (form, letters, word.pre, *letter_masks(word, letters))
-
-
 def _reduced_system(word: LassoModel, sig: frozenset[str], black_red: bool) -> TransitionSystem:
-    """`prune_dominated_edges(bisim_quotient(build))` of the word's position
-    or black/red system over `sig`, from `_instance_systems`.
+    """The word's position or black/red system over `sig`, from `_instance_systems`."""
+    letters = letter_table(sig)
+    return _instance_systems(black_red, letters, word.pre, *letter_masks(word, letters))
 
-    Systems are immutable, so a hit gives out the stored system itself.
+
+@lru_cache(maxsize=4096)
+def _instance_systems(black_red: bool, letters: tuple[str, ...], pre: int, *masks: int) -> TransitionSystem:
+    """`prune_dominated_edges(bisim_quotient(build))` of the word that starts
+    its loop at `pre` and whose letters are `masks` over `letters`.
+
+    The key is the word as the builders read it: the sorted signature and
+    BOT, the loop start and the letters as bitmasks, with the atoms outside
+    the signature ignored, in one flat tuple.  It holds no `LassoModel`: a
+    store keyed on the word raised the `until-plain` bench's peak RSS from
+    32.8–32.9 MB to 35.9–36.0 MB (+9.2 %, 6 of 6 pairs on a 2-core x86-64
+    VM), since its keys kept every word alive; the masks as a nested tuple
+    cost 0.14 MB more heap over that bench's pass than the flat key.  A miss
+    spells the word back from the masks.  Systems are immutable, so a hit
+    gives out the stored system itself.
     """
-
-    def build() -> TransitionSystem:
-        ts = repr_plain_br(word, sig) if black_red else repr_plain(word, sig)
-        return prune_dominated_edges(bisim_quotient(ts))
-
-    return _instance_systems.get(_system_key(word, sig, black_red), build)
+    spelled = [frozenset(a for i, a in enumerate(letters) if mask >> i & 1) for mask in masks]
+    word, sig = LassoModel(tuple(spelled[:pre]), tuple(spelled[pre:])), frozenset(letters[:-1])
+    ts = repr_plain_br(word, sig) if black_red else repr_plain(word, sig)
+    return prune_dominated_edges(bisim_quotient(ts))
 
 
 def _until_systems(record: _Record, black_red: bool):
@@ -454,13 +407,17 @@ def _until_systems(record: _Record, black_red: bool):
     black_red.
 
     The words are the record's (`dropped`), so `models` runs once per set.
-    Each instance's reduced system comes from the word-keyed store
-    `_instance_systems` (`_reduced_system`): every ontology and data that
-    give the same lasso word share one entry, across example sets, and only
-    a miss builds.  Every until class plays path-until's and simple-until's
-    games on the position pair first (`decide_until_family`); full-until
-    builds the black/red pair only when neither separates.  The systems are
-    immutable, so the callers share them.
+    Each instance's reduced system comes from `_instance_systems`
+    (`_reduced_system`), keyed by the word's letters as masks over the
+    signature: every ontology and data that give the same lasso word share
+    one entry, across example sets, and only a miss builds.  The signature
+    holds every atom of the words, so a word spelled back from its masks has
+    an empty loop exactly when the word has, and the black/red builder picks
+    the same tail form from either.  Every until class plays path-until's
+    and simple-until's games on the position pair first
+    (`decide_until_family`); full-until builds the black/red pair only when
+    neither separates.  The systems are immutable, so the callers share
+    them.
     """
     systems = record.systems.get(black_red)
     if systems is None:
@@ -599,10 +556,6 @@ def _prefix_query(prefix) -> Query:
 # ---------------------------------------------------------------------------
 # The facade
 
-# (example set as given, ontology) -> its `_Record`
-_verdicts = _Store(maxsize=4)
-
-
 class _Record(dict):
     """A set's known verdicts, class -> not-separable verdict; the separable
     verdicts whose witness passed `_checked` (`checked`, in checked order),
@@ -610,28 +563,26 @@ class _Record(dict):
     set (`dropped`), its until systems (`systems`, by black_red, from
     `_until_systems`) and, when it dropped a positive, each answer's noted
     copy (`noted`).  A later class a kept witness answers costs one
-    `in_class` walk, which `_known_verdict` makes and keeps for `_checked`."""
+    `in_class` walk, which `_known_verdict` makes and keeps for `_checked`.
+    `_record` keeps the last 4, by the set as given and its ontology."""
 
     __slots__ = ("dropped", "systems", "checked", "noted")
 
 
+@lru_cache(maxsize=4)
 def _record(e: ExampleSet, onto) -> _Record:
-    """e's record in `_verdicts`.  A new one drops e's inconsistent positives
-    once, and holds every class not separable when a negative holds a
-    positive (`_holds_a_positive`) or no atom is anchored in the positives,
-    at 0 in all of them or after 0 in all (`_share_no_atom`)."""
-
-    def make() -> _Record:
-        record = _Record()
-        record.dropped = kept, found, early, _ = _drop_inconsistent(e, onto)
-        record.systems, record.checked, record.noted = {}, {}, {}
-        npos = len(kept.positives)
-        if early is None and npos and kept.negatives:
-            if _holds_a_positive(found, npos) or _share_no_atom(found[:npos]):
-                record.update(dict.fromkeys(QueryClass, Verdict(False)))
-        return record
-
-    return _verdicts.get((e, onto), make)
+    """e's record.  A new one drops e's inconsistent positives once, and
+    holds every class not separable when a negative holds a positive
+    (`_holds_a_positive`) or no atom is anchored in the positives, at 0 in
+    all of them or after 0 in all (`_share_no_atom`)."""
+    record = _Record()
+    record.dropped = kept, found, early, _ = _drop_inconsistent(e, onto)
+    record.systems, record.checked, record.noted = {}, {}, {}
+    npos = len(kept.positives)
+    if early is None and npos and kept.negatives:
+        if _holds_a_positive(found, npos) or _share_no_atom(found[:npos]):
+            record.update(dict.fromkeys(QueryClass, Verdict(False)))
+    return record
 
 
 def _known_verdict(known: _Record, cls: QueryClass) -> Verdict | None:

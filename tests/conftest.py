@@ -380,8 +380,18 @@ def rng():
 @pytest.fixture(autouse=True)
 def cold_verdicts():
     """Each test starts without the verdicts an earlier test decided: a set's
-    answers may come from the verdicts already known for it (`qbe._verdicts`)."""
-    qbe._verdicts.cache_clear()
+    answers may come from the verdicts already known for it (`qbe._record`)."""
+    qbe._record.cache_clear()
+
+
+def kept_record(e, onto=None):
+    """The record `decide` keeps for e under onto, as the only entry of
+    `qbe._record`; asking for it is a hit, so nothing is made anew."""
+    info = qbe._record.cache_info()
+    assert info.currsize == 1
+    record = qbe._record(e, onto)
+    assert qbe._record.cache_info().misses == info.misses
+    return record
 
 
 def module_caches() -> dict:

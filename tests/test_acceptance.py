@@ -432,7 +432,7 @@ def test_criterion_6_structural_invariants():
         verdicts = {}
         for cls in ALL_CLASSES:
             p = Problem(cls, e)
-            qbe._verdicts.cache_clear()  # each class on its own route, not from an earlier class's verdict
+            qbe._record.cache_clear()  # each class on its own route, not from an earlier class's verdict
             v = decide(p)
             verdicts[cls] = v.separable
             if v.separable:

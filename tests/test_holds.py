@@ -58,12 +58,12 @@ def test_a_holding_negative_separates_in_no_class(monkeypatch, kind):
     assert len(held) >= _MIN_FIRES[kind]
     for e, onto in held:
         for cls in QueryClass:
-            qbe._verdicts.cache_clear()
+            qbe._record.cache_clear()
             answer = _answer(Problem(cls, e, onto))
             with monkeypatch.context() as m:
                 m.setattr(qbe, "_holds_a_positive", lambda *a: False)
                 m.setattr(qbe, "_share_no_atom", lambda *a: False)
-                qbe._verdicts.cache_clear()
+                qbe._record.cache_clear()
                 assert _answer(Problem(cls, e, onto)) == answer, (cls, e, onto)
             assert answer is False or answer == "UnsupportedProblem"
 
@@ -80,7 +80,7 @@ def test_with_one_positive_the_check_is_path_next_diamond(monkeypatch, kind):
         kept = _kept(e, onto)
         if kept is None or len(kept[0].positives) != 1 or not kept[0].negatives:
             continue
-        qbe._verdicts.cache_clear()
+        qbe._record.cache_clear()
         separable = decide(Problem(QueryClass.PATH_NEXT_DIAMOND, e, onto)).separable
         assert check(kept[1], 1) is not separable, (e, onto)
         seen.append(separable)

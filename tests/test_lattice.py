@@ -1,5 +1,5 @@
 """A set's classes decided in turn along the class lattice, answered from
-the per-set verdict memo `qbe._verdicts` where a kept witness lies in them."""
+the per-set verdict memo `qbe._record` where a kept witness lies in them."""
 
 import random
 from operator import le
@@ -32,12 +32,12 @@ def _in_order_and_cold(monkeypatch, sets, classes) -> tuple[list, list, int, int
         monkeypatch.setattr(qbe, name, lambda *a, fn=fn, **k: searches.append(fn) or fn(*a, **k))
     in_order, cold = [], []
     for e, onto in sets:
-        qbe._verdicts.cache_clear()
+        qbe._record.cache_clear()
         in_order += [_answer(Problem(cls, e, onto)) for cls in classes]
     warm = len(searches)
     for e, onto in sets:
         for cls in classes:
-            qbe._verdicts.cache_clear()
+            qbe._record.cache_clear()
             cold.append(_answer(Problem(cls, e, onto)))
     return in_order, cold, warm, len(searches) - warm
 

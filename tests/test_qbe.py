@@ -701,10 +701,10 @@ def test_a_witness_that_fails_its_check_answers_no_other_class(monkeypatch):
     later = (QueryClass.PATH_NEXT_DIAMOND, QueryClass.BRANCH_DIAMOND)
     cold = []
     for cls in later:
-        qbe._verdicts.cache_clear()
+        qbe._record.cache_clear()
         cold.append(decide(Problem(cls, e)))
     assert str(cold[0].witness) == "X A" and cold[1].separable
-    qbe._verdicts.cache_clear()
+    qbe._record.cache_clear()
     with pytest.raises(WitnessError, match="F B"):
         decide(Problem(QueryClass.PATH_DIAMOND, e))
     assert [decide(Problem(cls, e)) for cls in later] == cold
@@ -715,7 +715,7 @@ def test_a_kept_witness_is_checked_for_each_class_it_answers(monkeypatch):
     # route that returns it for path-diamond fails the class test
     e = ex([[("B", 1)], [("A", 1), ("B", 2)]], [[("B", 5)]])
     until = parse_query("A U B")
-    qbe._verdicts.cache_clear()
+    qbe._record.cache_clear()
     assert decide(Problem(QueryClass.FULL_UNTIL, e)).witness == until
     monkeypatch.setattr(qbe, "_path_search", lambda *a, **k: Verdict(True, until))
     with pytest.raises(WitnessError, match="path-diamond"):
@@ -727,7 +727,7 @@ def test_verify_witness_reads_no_record(monkeypatch):
     # does not consult it: on a kept witness it still asks entailed on every
     # instance, so tests that call it on decide's witnesses check them anew
     e = ex([[("A", 1)], [("A", 1), ("B", 3)]], [[("B", 1)], [("A", 0)]])
-    qbe._verdicts.cache_clear()
+    qbe._record.cache_clear()
     verdict = decide(Problem(QueryClass.PATH_DIAMOND, e))
     assert verdict in qbe._record(e, None).checked
     witness = verdict.witness
@@ -750,7 +750,7 @@ def test_class_monotonicity(seed):
     verdicts = {}
     for cls in QueryClass:
         # each class by its own route, not settled by another's verdict
-        qbe._verdicts.cache_clear()
+        qbe._record.cache_clear()
         verdicts[cls] = decide(Problem(cls, e)).separable
     if verdicts[QueryClass.PATH_UNTIL]:
         assert verdicts[QueryClass.SIMPLE_UNTIL]
@@ -871,9 +871,9 @@ def _chain_and_direct(monkeypatch, e, onto) -> list:
     with monkeypatch.context() as m:
         m.setattr(qbe, "decide_until_family", _direct_until_family)
         for cls in UNTIL_CLASSES:
-            qbe._verdicts.cache_clear()
+            qbe._record.cache_clear()
             direct.append(decide(Problem(cls, e, onto)))
-    qbe._verdicts.cache_clear()
+    qbe._record.cache_clear()
     return [(decide(Problem(cls, e, onto)), d) for cls, d in zip(UNTIL_CLASSES, direct)]
 
 
@@ -1070,7 +1070,7 @@ def test_cache_walk_finds_the_known_caches():
         "_valid_loops",
         "_canonical_model",
         "_instance_systems",
-        "_verdicts",
+        "_record",
         "letter_table",
     }
     assert known <= set(_CACHES)
@@ -1084,7 +1084,7 @@ def test_caches_are_bounded(name):
 def _clear_until_caches():
     from ltlqbe import qbe
 
-    for cache in (qbe._verdicts, qbe._instance_systems):
+    for cache in (qbe._record, qbe._instance_systems):
         cache.cache_clear()
 
 

@@ -255,7 +255,7 @@ def test_repr_horn_br_small():
 
 
 def _unsettled_record(e, onto):
-    """e's record in `qbe._verdicts` with no known verdicts, so that
+    """e's record in `qbe._record` with no known verdicts, so that
     `decide_until_family` plays the games even where a certificate settles e."""
     record = qbe._record(e, onto)
     record.clear()

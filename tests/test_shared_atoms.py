@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import rand_horn_ontology, rand_instance
+from conftest import kept_record, rand_horn_ontology, rand_instance
 from ltlqbe import horn, prior, qbe, tsys
 from ltlqbe.core import DataInstance, ExampleSet, QueryClass, parse_query
 from ltlqbe.qbe import Problem, UnsupportedProblem, Verdict, decide
@@ -59,7 +59,7 @@ def test_positives_that_share_no_atom_separate_in_no_class(monkeypatch, kind):
     monkeypatch.setattr(qbe, "_holds_a_positive", lambda *a: False)
     for e, onto in fired:
         for cls in QueryClass:
-            qbe._verdicts.cache_clear()
+            qbe._record.cache_clear()
             assert not decide(Problem(cls, e, onto)).separable, (cls, e, onto)
 
 
@@ -103,7 +103,7 @@ def test_positives_with_no_anchored_atom_separate_in_no_class(monkeypatch, kind)
     monkeypatch.setattr(qbe, "_holds_a_positive", lambda *a: False)
     for e, onto in fired:
         for cls in QueryClass:
-            qbe._verdicts.cache_clear()
+            qbe._record.cache_clear()
             assert not decide(Problem(cls, e, onto)).separable, (cls, e, onto)
 
 
@@ -203,5 +203,5 @@ def test_a_set_drops_and_checks_once_for_every_class(monkeypatch, e, held):
     assert counts == {"_drop_inconsistent": 1, "_holds_a_positive": 1}
     assert held is not any(v.separable for v in verdicts)
     if held:
-        (record,) = qbe._verdicts._entries.values()
+        record = kept_record(e)
         assert record == dict.fromkeys(QueryClass, Verdict(False))

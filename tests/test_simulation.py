@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from conftest import kept_record
 from ltlqbe import cli, qbe
 from ltlqbe.core import DataInstance, ExampleSet, Prop, QueryClass, Until
 from ltlqbe.qbe import LatticeError, Problem, decide
@@ -28,7 +29,7 @@ def test_the_check_fires_iff_branch_next_diamond_is_not_separable(kind):
         kept = _kept(e, onto)
         if kept is None or not kept[0].positives or not kept[0].negatives:
             continue
-        qbe._verdicts.cache_clear()
+        qbe._record.cache_clear()
         separable = decide(Problem(QueryClass.BRANCH_NEXT_DIAMOND, e, onto)).separable
         assert _fires(kept) is not separable, (e, onto)
         seen.add((len(kept[0].positives), separable))
@@ -116,7 +117,7 @@ def test_a_firing_check_against_a_kept_separable_verdict_is_an_error(monkeypatch
         decide(Problem(QueryClass.PATH_DIAMOND, _BRANCH_ONLY))
     # neither verdict replaces the kept one: no class joins as not
     # separable, and the record keeps branch-diamond's checked witness
-    (known,) = qbe._verdicts._entries.values()
+    known = kept_record(_BRANCH_ONLY)
     assert not known
     assert [(v.separable, classes) for v, classes in known.checked.items()] == [(True, {QueryClass.BRANCH_DIAMOND})]
 
@@ -138,11 +139,11 @@ def test_a_lattice_contradiction_exits_five(monkeypatch, tmp_path, capsys):
 def test_without_a_kept_witness_the_firing_check_settles_every_diamond_class():
     e = ex([[("B", 1)], [("A", 1), ("B", 2)]], [[("B", 5)]])
     assert not decide(Problem(QueryClass.PATH_DIAMOND, e)).separable
-    (known,) = qbe._verdicts._entries.values()
+    known = kept_record(e)
     assert set(known) == set(qbe.DIAMOND_CLASSES)
     assert not any(v.separable for v in known.values())
     # a set the check does not settle keeps only the class decided
-    qbe._verdicts.cache_clear()
+    qbe._record.cache_clear()
     assert not decide(Problem(QueryClass.PATH_DIAMOND, _BRANCH_ONLY)).separable
-    (known,) = qbe._verdicts._entries.values()
+    known = kept_record(_BRANCH_ONLY)
     assert list(known) == [QueryClass.PATH_DIAMOND]

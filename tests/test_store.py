@@ -1,13 +1,17 @@
-"""The word-keyed store of the until route's per-instance systems."""
+"""The store of the until route's per-instance systems, `qbe._instance_systems`:
+an `lru_cache` keyed by the word as the builders read it (form, letter
+table, loop start, letter masks), which holds no `LassoModel`."""
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
 from conftest import EMPTY_ONTOLOGY, rand_example_set, rand_horn_ontology, rand_instance
 from ltlqbe import horn, qbe
-from ltlqbe.core import DataInstance, ExampleSet, QueryClass, data_word
+from ltlqbe.core import DataInstance, ExampleSet, LassoModel, QueryClass, data_word
 from ltlqbe.horn import Inconsistent
 from ltlqbe.qbe import UNTIL_CLASSES, Problem, decide
 from ltlqbe.represent import repr_horn, repr_horn_br, repr_plain, repr_plain_br
@@ -18,8 +22,15 @@ fs = frozenset
 
 
 def _clear():
-    qbe._verdicts.cache_clear()
+    qbe._record.cache_clear()
     qbe._instance_systems.cache_clear()
+
+
+def _keys(monkeypatch) -> list:
+    """The keys `_reduced_system` asks the store for, from now on."""
+    keys, store = [], qbe._instance_systems
+    monkeypatch.setattr(qbe, "_instance_systems", lambda *key: keys.append(key) or store(*key))
+    return keys
 
 
 @pytest.fixture(autouse=True)
@@ -77,25 +88,50 @@ def test_miss_and_hit_give_out_equal_systems():
     assert qbe._instance_systems.cache_info()[:2] == (1, 1)
 
 
-def test_systems_over_one_signature_share_their_letter_table():
+def test_systems_over_one_signature_share_their_letter_table(monkeypatch):
+    keys = _keys(monkeypatch)
     sig = fs({"A", "B"})
     plain = qbe._reduced_system(data_word(D([("A", 0)])), fs(sig), False)
     black_red = qbe._reduced_system(data_word(D([("B", 1)])), fs(sig), True)
     horn_ts = qbe._reduced_system(_word(horn.load_ontology("A -> X B"), D([("A", 0)])), fs(sig), False)
     assert plain.letters is black_red.letters is horn_ts.letters
-    assert qbe._system_key(data_word(D([("A", 0)])), fs(sig), False)[1] is plain.letters
+    assert all(letters is plain.letters for _, letters, *_ in keys)
 
 
-def test_key_bits_follow_the_sorted_signature():
-    # a pinned key: under any hash seed, bit i is the i-th atom of sorted(sig)
+def test_key_bits_follow_the_sorted_signature(monkeypatch):
+    # pinned keys: under any hash seed, bit i is the i-th atom of sorted(sig);
+    # the key holds no tail form, which the black/red builder reads off the
+    # spelled loop
+    keys = _keys(monkeypatch)
     d = D([("C", 0), ("A", 0), ("B", 2)])
-    key = qbe._system_key(data_word(d), fs({"C", "B", "A"}), True)
-    assert key == ("black/red z-tail", ("A", "B", "C", BOT), 3, 0b101, 0, 0b010, 0)
+    qbe._reduced_system(data_word(d), fs({"C", "B", "A"}), True)
     onto = horn.load_ontology("A -> X C\nC -> X C")
     word = _word(onto, D([("A", 0)]))
-    key = qbe._system_key(word, fs({"A", "C"}), True)
-    assert key == ("black/red wrap", ("A", "C", BOT), 1, 0b01, 0b10)
-    assert qbe._system_key(word, fs({"A", "C"}), False)[0] == "positions"
+    qbe._reduced_system(word, fs({"A", "C"}), True)
+    qbe._reduced_system(word, fs({"A", "C"}), False)
+    assert keys == [
+        (True, ("A", "B", "C", BOT), 3, 0b101, 0, 0b010, 0),
+        (True, ("A", "C", BOT), 1, 0b01, 0b10),
+        (False, ("A", "C", BOT), 1, 0b01, 0b10),
+    ]
+
+
+def test_equal_words_share_an_entry_that_keeps_neither_alive():
+    # two equal words, built apart: the store's key is what the builders
+    # read, so the second is a hit and the first word can be collected
+    def word():
+        return LassoModel((fs({"A"}), fs(), fs({"B"})), (fs({"A", "B"}), fs()))
+
+    sig = fs({"A", "B"})
+    first, second = word(), word()
+    assert first == second and first is not second
+    ts = qbe._reduced_system(first, sig, True)
+    assert qbe._reduced_system(second, sig, True) is ts
+    assert qbe._instance_systems.cache_info()[:2] == (1, 1)
+    gone = weakref.ref(first)
+    del first
+    gc.collect()
+    assert gone() is None
 
 
 def test_words_with_equal_letters_and_another_loop_start_do_not_share():
@@ -167,31 +203,15 @@ def test_until_answers_equal_with_a_cold_and_a_warm_store(kind):
         _clear()
         cold += _until_answers([s])
     # warm: every entry was made by other sets first, in the reverse order
-    qbe._verdicts.cache_clear()
+    qbe._record.cache_clear()
     _until_answers(sets[::-1])
     misses = qbe._instance_systems.cache_info().misses
     warm = []
     for s in sets:
-        qbe._verdicts.cache_clear()
+        qbe._record.cache_clear()
         warm += _until_answers([s])
     assert warm == cold
     assert qbe._instance_systems.cache_info().misses == misses
-
-
-def test_store_drops_the_least_recently_used_entry():
-    store = qbe._Store(maxsize=2)
-    made = []
-
-    def make(key):
-        return lambda: made.append(key) or key
-
-    for key in ("a", "b", "a", "c", "a", "b"):
-        assert store.get(key, make(key)) == key
-    # "b" was least recently used when "c" came in
-    assert made == ["a", "b", "c", "b"]
-    assert store.cache_info() == (2, 4, 2, 2)
-    store.cache_clear()
-    assert store.cache_info() == (0, 0, 2, 0)
 
 
 def test_a_hit_gives_out_the_stored_system():
@@ -202,7 +222,9 @@ def test_a_hit_gives_out_the_stored_system():
     for black_red in (False, True):
         ts = qbe._until_systems(qbe._record(first, None), black_red)[1][0]
         assert qbe._until_systems(qbe._record(second, None), black_red)[1][1] is ts
-        assert any(entry is ts for entry in qbe._instance_systems._entries.values())
+        misses = qbe._instance_systems.cache_info().misses
+        assert qbe._reduced_system(data_word(shared), fs({"A", "B"}), black_red) is ts
+        assert qbe._instance_systems.cache_info().misses == misses
         assert all(type(f) is tuple for f in (ts.letters, ts.labels, ts.edges)) and type(ts.initial) is int
         with pytest.raises(dataclasses.FrozenInstanceError):
             ts.edges = ()

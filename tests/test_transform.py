@@ -138,10 +138,10 @@ def test_split_matches_conjunction_of_verdicts(seed):
         QueryClass.FULL_UNTIL,
     ):
         # each decision on its own route, not from an earlier class's verdict
-        qbe._verdicts.cache_clear()
+        qbe._record.cache_clear()
         whole = decide(Problem(cls, e)).separable
         split = True
         for part in split_per_negative(e):
-            qbe._verdicts.cache_clear()
+            qbe._record.cache_clear()
             split = split and decide(Problem(cls, part)).separable
         assert whole == split
