@@ -122,7 +122,9 @@ def _cmd_separable(args) -> int:
     onto = _load_ontology(args.ontology, args.ontology_kind)
     p = Problem(_CLASSES[args.cls], e, onto)
     t0 = time.monotonic()
+    before = qbe._instance_systems.cache_info()
     verdict = decide(p)
+    after = qbe._instance_systems.cache_info()
     witness = verdict.witness
     if verdict.separable and args.minimize:
         witness = minimize_witness(p, witness)
@@ -149,6 +151,7 @@ def _cmd_separable(args) -> int:
         "time_ms": round(1000 * (time.monotonic() - t0), 3),
         "positives": len(e.positives),
         "negatives": len(e.negatives),
+        "until_store": {"hits": after.hits - before.hits, "misses": after.misses - before.misses},
     }
     print(json.dumps(out))
     return EXIT_TRUE if verdict.separable else EXIT_FALSE

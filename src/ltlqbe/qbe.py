@@ -41,7 +41,7 @@ from .core import (
 )
 from .horn import HornOntology, Inconsistent, canonical_model
 from .prior import PriorOntology, least_word, prior_consistent, prior_entails
-from .represent import letter_masks, letter_table, repr_plain, repr_plain_br
+from .represent import letter_table, repr_plain, repr_plain_br
 from .tsys import (
     BLACK,
     BOT,
@@ -375,28 +375,48 @@ def horn_diamond_search(onto: HornOntology, e: ExampleSet, cls: QueryClass) -> V
 
 
 def _reduced_system(word: LassoModel, sig: frozenset[str], black_red: bool) -> TransitionSystem:
-    """The word's position or black/red system over `sig`, from `_instance_systems`."""
+    """The word's position or black/red system over `sig`: the stored system
+    of its shape (`_instance_systems`) relabelled to `letter_table(sig)`.
+
+    The atoms of `sig` that the word uses take the placeholder bits in the
+    order of their position masks, ties by name; BOT's bit becomes BOT's
+    and those of the atoms of `sig` the word never uses.  This gives the
+    fresh build over `sig`: in both builders an unused atom's bit equals
+    BOT's on every label, 0 on a position or point set and 1 exactly on
+    the "no point" label.  So the map is injective, commutes with `&` and
+    preserves `⊆` both ways; `bisim_quotient`, `prune_dominated_edges` and
+    `_play` read labels only through `==`, `&` and `⊆` and order states and
+    edges by index, so the result `==` the fresh build, witnesses included.
+    Atoms with equal masks may be swapped without changing the system.
+    """
+    used = sorted((m, a) for a, m in word.word[0].items() if a in sig)
+    ts = _instance_systems(black_red, word.pre, word.pre + word.per, *(m for m, _ in used))
     letters = letter_table(sig)
-    return _instance_systems(black_red, letters, word.pre, *letter_masks(word, letters))
+    full = (1 << len(letters)) - 1
+    bits = [1 << letters.index(a) for _, a in used]
+    bits.append(full - sum(bits))  # BOT and the unused atoms
+    relabel = {x: sum(b for i, b in enumerate(bits) if x >> i & 1) for x in {*ts.labels, *(e[2] for e in ts.edges)}}
+    edges = tuple((src, dst, relabel[x], red) for src, dst, x, red in ts.edges)
+    return TransitionSystem(letters, ts.initial, tuple(relabel[x] for x in ts.labels), edges, ts.colored)
 
 
 @lru_cache(maxsize=4096)
-def _instance_systems(black_red: bool, letters: tuple[str, ...], pre: int, *masks: int) -> TransitionSystem:
-    """`prune_dominated_edges(bisim_quotient(build))` of the word that starts
-    its loop at `pre` and whose letters are `masks` over `letters`.
+def _instance_systems(black_red: bool, pre: int, length: int, *masks: int) -> TransitionSystem:
+    """`prune_dominated_edges(bisim_quotient(build))` of the word's shape: the
+    word of `length` letters whose loop starts at `pre` and whose atoms hold
+    at the positions `masks`, in that order, whatever their names.
 
-    The key is the word as the builders read it: the sorted signature and
-    BOT, the loop start and the letters as bitmasks, with the atoms outside
-    the signature ignored, in one flat tuple.  It holds no `LassoModel`: a
-    store keyed on the word raised the `until-plain` bench's peak RSS from
-    32.8–32.9 MB to 35.9–36.0 MB (+9.2 %, 6 of 6 pairs on a 2-core x86-64
-    VM), since its keys kept every word alive; the masks as a nested tuple
-    cost 0.14 MB more heap over that bench's pass than the flat key.  A miss
-    spells the word back from the masks.  Systems are immutable, so a hit
-    gives out the stored system itself.
+    The key is the form, the loop start, the length and the used atoms'
+    position masks sorted by value, in one flat tuple: a word and its
+    renamings, under any signature, share one entry.  It holds no
+    `LassoModel` and no atom name, so the store keeps no word alive: a store
+    keyed on the word raised the `until-plain` bench's peak RSS by 9 %.  A
+    miss builds over placeholder atoms numbered in mask order, zero-padded
+    so that their sorted order is that order; `_reduced_system` relabels.
     """
-    spelled = [frozenset(a for i, a in enumerate(letters) if mask >> i & 1) for mask in masks]
-    word, sig = LassoModel(tuple(spelled[:pre]), tuple(spelled[pre:])), frozenset(letters[:-1])
+    names = [str(i).zfill(len(str(len(masks)))) for i in range(len(masks))]
+    spelled = [frozenset(a for a, m in zip(names, masks) if m >> p & 1) for p in range(length)]
+    word, sig = LassoModel(tuple(spelled[:pre]), tuple(spelled[pre:])), frozenset(names)
     ts = repr_plain_br(word, sig) if black_red else repr_plain(word, sig)
     return prune_dominated_edges(bisim_quotient(ts))
 
@@ -407,16 +427,16 @@ def _until_systems(record: _Record, black_red: bool):
     black_red.
 
     The words are the record's (`dropped`), so `models` runs once per set.
-    Each instance's reduced system comes from `_instance_systems`
-    (`_reduced_system`), keyed by the word's letters as masks over the
-    signature: every ontology and data that give the same lasso word share
-    one entry, across example sets, and only a miss builds.  The signature
-    holds every atom of the words, so a word spelled back from its masks has
-    an empty loop exactly when the word has, and the black/red builder picks
-    the same tail form from either.  Every until class plays path-until's
-    and simple-until's games on the position pair first
-    (`decide_until_family`); full-until builds the black/red pair only when
-    neither separates.  The systems are immutable, so the callers share
+    Each instance's reduced system is `_reduced_system`'s: the entry of the
+    word's shape in `_instance_systems`, relabelled to the set's letter
+    table.  Every ontology and data that give the same lasso word up to
+    atom renaming share one entry, across example sets and signatures, and
+    only a miss builds.  The signature holds every atom of the words, so the
+    word a miss spells has an empty loop exactly when the word has, and the
+    black/red builder picks the same tail form from either.  Every until
+    class plays path-until's and simple-until's games on the position pair
+    first (`decide_until_family`); full-until builds the black/red pair only
+    when neither separates.  The systems are immutable, so the callers share
     them.
     """
     systems = record.systems.get(black_red)

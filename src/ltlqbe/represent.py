@@ -25,8 +25,8 @@ from .tsys import BOT, TransitionSystem
 def letter_table(sig: frozenset[str]) -> tuple[str, ...]:
     """The letters a system over `sig` labels with: the sorted atoms, then BOT.
 
-    One tuple per signature, so the until store's keys and the systems
-    stored under them hold the same object."""
+    One tuple per signature, so the until systems that the store relabels
+    to one signature hold the same object."""
     return (*sorted(sig), BOT)
 
 

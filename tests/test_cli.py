@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from ltlqbe import cli
+from ltlqbe import cli, qbe
 from ltlqbe.cli import main
 from ltlqbe.qbe import WitnessError
 from test_horn import LONG_CHAIN_ONTOLOGY
@@ -82,6 +82,19 @@ def test_separable_minimize_and_oracle_check(ex1, capsys):
     )
     assert rc == 0
     assert "witness" in json.loads(out)
+
+
+def test_separable_stats_count_the_until_store(tmp_path, capsys):
+    # the negative is the positive with A renamed to B: one shape, built once
+    doc = {"format": 1, "positives": [{"facts": [["A", 1]]}], "negatives": [{"facts": [["B", 1]]}]}
+    inp = tmp_path / "renamed.json"
+    inp.write_text(json.dumps(doc))
+    qbe._record.cache_clear()
+    qbe._instance_systems.cache_clear()
+    rc, out = run(capsys, ["separable", "--class", "path-until", "--input", str(inp)])
+    assert rc == 0
+    store = json.loads(out)["stats"]["until_store"]
+    assert store["misses"] == 1 and store["hits"] >= 1
 
 
 def test_separable_with_horn_ontology(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """The store of the until route's per-instance systems, `qbe._instance_systems`:
-an `lru_cache` keyed by the word as the builders read it (form, letter
-table, loop start, letter masks), which holds no `LassoModel`."""
+an `lru_cache` keyed by the word's shape (form, loop start, length, the used
+atoms' position masks sorted by value), which holds no `LassoModel` and no
+atom name; `qbe._reduced_system` relabels the stored system to the caller's
+letter table."""
 
 import dataclasses
 import gc
@@ -14,8 +16,8 @@ from ltlqbe import horn, qbe
 from ltlqbe.core import DataInstance, ExampleSet, LassoModel, QueryClass, data_word
 from ltlqbe.horn import Inconsistent
 from ltlqbe.qbe import UNTIL_CLASSES, Problem, decide
-from ltlqbe.represent import repr_horn, repr_horn_br, repr_plain, repr_plain_br
-from ltlqbe.tsys import BOT, bisim_quotient, prune_dominated_edges
+from ltlqbe.represent import letter_table, repr_horn, repr_horn_br, repr_plain, repr_plain_br
+from ltlqbe.tsys import TransitionSystem, bisim_quotient, prune_dominated_edges
 
 D = DataInstance.of
 fs = frozenset
@@ -84,7 +86,7 @@ def test_miss_and_hit_give_out_equal_systems():
     d, sig = D([("A", 0), ("B", 2)]), fs({"A", "B"})
     first = qbe._reduced_system(data_word(d), sig, True)
     second = qbe._reduced_system(data_word(d), sig, True)
-    assert first is second
+    assert first == second == _reference(None, d, sig, True)
     assert qbe._instance_systems.cache_info()[:2] == (1, 1)
 
 
@@ -94,31 +96,39 @@ def test_systems_over_one_signature_share_their_letter_table(monkeypatch):
     plain = qbe._reduced_system(data_word(D([("A", 0)])), fs(sig), False)
     black_red = qbe._reduced_system(data_word(D([("B", 1)])), fs(sig), True)
     horn_ts = qbe._reduced_system(_word(horn.load_ontology("A -> X B"), D([("A", 0)])), fs(sig), False)
-    assert plain.letters is black_red.letters is horn_ts.letters
-    assert all(letters is plain.letters for _, letters, *_ in keys)
+    assert plain.letters is black_red.letters is horn_ts.letters is letter_table(sig)
+    # the keys hold no letter table and no atom name
+    assert len(keys) == 3 and all(type(part) in (bool, int) for key in keys for part in key)
 
 
 def test_key_bits_follow_the_sorted_signature(monkeypatch):
-    # pinned keys: under any hash seed, bit i is the i-th atom of sorted(sig);
-    # the key holds no tail form, which the black/red builder reads off the
-    # spelled loop
+    # pinned keys: the form, the loop start, the length, then the position
+    # masks (bit n for position n) of the signature's atoms that the word
+    # uses, sorted by value under any hash seed; the names, and the atoms
+    # the word never uses, are not in the key.  The key holds no tail form,
+    # which the black/red builder reads off the spelled loop
     keys = _keys(monkeypatch)
     d = D([("C", 0), ("A", 0), ("B", 2)])
     qbe._reduced_system(data_word(d), fs({"C", "B", "A"}), True)
+    qbe._reduced_system(data_word(d), fs({"C", "B", "A", "D"}), True)
+    renamed = D([("Z", 0), ("B", 0), ("A", 2)])
+    qbe._reduced_system(data_word(renamed), fs({"Z", "B", "A"}), True)
     onto = horn.load_ontology("A -> X C\nC -> X C")
     word = _word(onto, D([("A", 0)]))
     qbe._reduced_system(word, fs({"A", "C"}), True)
     qbe._reduced_system(word, fs({"A", "C"}), False)
     assert keys == [
-        (True, ("A", "B", "C", BOT), 3, 0b101, 0, 0b010, 0),
-        (True, ("A", "C", BOT), 1, 0b01, 0b10),
-        (False, ("A", "C", BOT), 1, 0b01, 0b10),
+        (True, 3, 4, 0b001, 0b001, 0b100),
+        (True, 3, 4, 0b001, 0b001, 0b100),
+        (True, 3, 4, 0b001, 0b001, 0b100),
+        (True, 1, 2, 0b01, 0b10),
+        (False, 1, 2, 0b01, 0b10),
     ]
 
 
 def test_equal_words_share_an_entry_that_keeps_neither_alive():
-    # two equal words, built apart: the store's key is what the builders
-    # read, so the second is a hit and the first word can be collected
+    # two equal words, built apart: the store's key is the word's shape, so
+    # the second is a hit and the first word can be collected
     def word():
         return LassoModel((fs({"A"}), fs(), fs({"B"})), (fs({"A", "B"}), fs()))
 
@@ -126,7 +136,7 @@ def test_equal_words_share_an_entry_that_keeps_neither_alive():
     first, second = word(), word()
     assert first == second and first is not second
     ts = qbe._reduced_system(first, sig, True)
-    assert qbe._reduced_system(second, sig, True) is ts
+    assert qbe._reduced_system(second, sig, True) == ts == prune_dominated_edges(bisim_quotient(repr_plain_br(word(), sig)))
     assert qbe._instance_systems.cache_info()[:2] == (1, 1)
     gone = weakref.ref(first)
     del first
@@ -154,11 +164,13 @@ def test_sets_sharing_an_instance_build_it_once(monkeypatch):
     second = ExampleSet.of([D([("B", 1)]), shared], [D([("A", 3)]), D([("B", 0)])])
     for e in (first, second):
         decide(Problem(QueryClass.PATH_UNTIL, e))
-    assert calls.count(data_word(shared)) == 1
+    # the six instances have five shapes: only the shared one recurs
     assert len(calls) == len(first.instances) + len(second.instances) - 1
-    # another signature is another key
-    decide(Problem(QueryClass.PATH_UNTIL, ExampleSet.of([D([("C", 1)])], [shared])))
-    assert calls.count(data_word(shared)) == 2
+    assert qbe._instance_systems.cache_info()[:2] == (1, 5)
+    # another signature is a hit: the shared instance over {A, B, C}
+    decide(Problem(QueryClass.PATH_UNTIL, ExampleSet.of([D([("C", 1), ("C", 2)])], [shared])))
+    assert len(calls) == 6
+    assert qbe._instance_systems.cache_info()[:2] == (2, 6)
 
 
 def test_empty_ontology_data_hits_the_plain_entry():
@@ -169,10 +181,10 @@ def test_empty_ontology_data_hits_the_plain_entry():
     for e in sets:
         for black_red in (False, True):
             plain = qbe._until_systems(qbe._record(e, None), black_red)
-            misses = qbe._instance_systems.cache_info().misses
+            hits, misses = qbe._instance_systems.cache_info()[:2]
             horn_data = qbe._until_systems(qbe._record(e, EMPTY_ONTOLOGY), black_red)
-            assert qbe._instance_systems.cache_info().misses == misses
-            assert all(a is b for a, b in zip(plain[1], horn_data[1], strict=True))
+            assert qbe._instance_systems.cache_info()[:2] == (hits + len(e.instances), misses)
+            assert horn_data == plain
 
 
 def _until_answers(sets):
@@ -215,16 +227,87 @@ def test_until_answers_equal_with_a_cold_and_a_warm_store(kind):
 
 
 def test_a_hit_gives_out_the_stored_system():
-    # two sets over one signature that share a negative instance
+    # two sets over one signature that share a negative instance; a hit
+    # gives out the stored system relabelled to the caller's letter table,
+    # a new immutable system equal to a fresh build
     shared = D([("A", 1), ("B", 3)])
     first = ExampleSet.of([D([("A", 2)])], [shared])
     second = ExampleSet.of([D([("B", 1)])], [D([("A", 3)]), shared])
+    sig = fs({"A", "B"})
     for black_red in (False, True):
         ts = qbe._until_systems(qbe._record(first, None), black_red)[1][0]
-        assert qbe._until_systems(qbe._record(second, None), black_red)[1][1] is ts
-        misses = qbe._instance_systems.cache_info().misses
-        assert qbe._reduced_system(data_word(shared), fs({"A", "B"}), black_red) is ts
-        assert qbe._instance_systems.cache_info().misses == misses
-        assert all(type(f) is tuple for f in (ts.letters, ts.labels, ts.edges)) and type(ts.initial) is int
+        assert qbe._until_systems(qbe._record(second, None), black_red)[1][1] == ts
+        hits, misses = qbe._instance_systems.cache_info()[:2]
+        again = qbe._reduced_system(data_word(shared), sig, black_red)
+        assert qbe._instance_systems.cache_info()[:2] == (hits + 1, misses)
+        assert again == ts == _reference(None, shared, sig, black_red)
+        assert all(type(f) is tuple for f in (again.letters, again.labels, again.edges)) and type(again.initial) is int
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ts.edges = ()
+            again.edges = ()
+
+
+def _renamed(word: LassoModel, names: dict) -> LassoModel:
+    return LassoModel(*(tuple(fs(names[a] for a in x) for x in part) for part in (word.prefix, word.loop)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_renamed_word_under_extra_atoms_equals_a_fresh_build(seed):
+    # plain and Horn words, their atoms renamed at random, over signatures
+    # with atoms the word never uses: each on a cold store, then all on one
+    # store, then all again on the warm store, in the reverse order
+    rng = random.Random(65000 + seed)
+    cases = []
+    for _ in range(12):
+        d = rand_instance(rng, ("A", "B", "C"), max_ts=3, max_facts=5)
+        onto = rand_horn_ontology(rng, ("A", "B", "C"), max_axioms=3) if rng.random() < 0.5 else None
+        if onto is not None and not horn.consistent(onto, d):
+            continue
+        word = _word(onto, d)
+        used = sorted(word.word[0])
+        names = dict(zip(used, rng.sample(["A", "B", "C", "D", "P", "Q"], len(used))))
+        extra = rng.sample(["E", "F", "R", "S"], rng.randrange(0, 3))
+        cases.append((_renamed(word, names), fs(names.values()) | fs(extra)))
+    for black_red in (False, True):
+        build = repr_plain_br if black_red else repr_plain
+        fresh = [prune_dominated_edges(bisim_quotient(build(word, sig))) for word, sig in cases]
+        for (word, sig), ts in zip(cases, fresh):
+            qbe._instance_systems.cache_clear()
+            assert qbe._reduced_system(word, sig, black_red) == ts
+        for (word, sig), ts in zip(cases, fresh):
+            assert qbe._reduced_system(word, sig, black_red) == ts
+        hits, misses = qbe._instance_systems.cache_info()[:2]
+        for (word, sig), ts in reversed(list(zip(cases, fresh))):
+            assert qbe._reduced_system(word, sig, black_red) == ts
+        assert qbe._instance_systems.cache_info()[:2] == (hits + len(cases), misses)
+
+
+def test_a_renaming_over_another_signature_is_a_hit():
+    sig = fs({"A", "B", "C"})
+    for black_red in (False, True):
+        _clear()
+        for d in (D([("A", 0), ("B", 2)]), D([("B", 0), ("C", 2)])):
+            assert qbe._reduced_system(data_word(d), sig, black_red) == _reference(None, d, sig, black_red)
+        assert qbe._instance_systems.cache_info()[:2] == (1, 1)
+
+
+def test_atoms_that_always_occur_together_may_take_either_tie_order():
+    # A and B have one position mask, after C's: the stored system is the
+    # same with its placeholder bits 1 and 2 swapped, so either order of A
+    # and B relabels it to the fresh build
+    d, sig = D([("A", 0), ("B", 0), ("C", 1), ("A", 2), ("B", 2)]), fs({"A", "B", "C", "D"})
+
+    def swap(x: int) -> int:
+        return x & ~0b110 | (x & 0b010) << 1 | (x & 0b100) >> 1
+
+    for black_red in (False, True):
+        assert qbe._reduced_system(data_word(d), sig, black_red) == _reference(None, d, sig, black_red)
+        stored = qbe._instance_systems(black_red, 3, 4, 0b010, 0b101, 0b101)
+        swapped = TransitionSystem(
+            stored.letters,
+            stored.initial,
+            tuple(map(swap, stored.labels)),
+            tuple((src, dst, swap(x), red) for src, dst, x, red in stored.edges),
+            stored.colored,
+        )
+        assert swapped == stored
+    assert qbe._instance_systems.cache_info()[:2] == (2, 2)
