@@ -395,9 +395,30 @@ def _reduced_system(word: LassoModel, sig: frozenset[str], black_red: bool) -> T
     full = (1 << len(letters)) - 1
     bits = [1 << letters.index(a) for _, a in used]
     bits.append(full - sum(bits))  # BOT and the unused atoms
-    relabel = {x: sum(b for i, b in enumerate(bits) if x >> i & 1) for x in {*ts.labels, *(e[2] for e in ts.edges)}}
-    edges = tuple((src, dst, relabel[x], red) for src, dst, x, red in ts.edges)
-    return TransitionSystem(letters, ts.initial, tuple(relabel[x] for x in ts.labels), edges, ts.colored)
+    image = _images(tuple(bits))
+    edges = tuple((src, dst, image[x], red) for src, dst, x, red in ts.edges)
+    return TransitionSystem(letters, ts.initial, tuple(map(image.__getitem__, ts.labels)), edges, ts.colored)
+
+
+class _Images(dict):
+    """Stored label mask -> its image under the placeholder bits' targets
+    `bits`, each computed when a relabelled system first meets the mask."""
+
+    __slots__ = ("bits",)
+
+    def __missing__(self, x: int) -> int:
+        image = self[x] = sum(b for i, b in enumerate(self.bits) if x >> i & 1)
+        return image
+
+
+@lru_cache(maxsize=256)
+def _images(bits: tuple[int, ...]) -> _Images:
+    """The label images of one bit assignment of `_reduced_system`, shared by
+    every stored system relabelled with it; only the masks met are held, not
+    a table over all of them."""
+    images = _Images()
+    images.bits = bits
+    return images
 
 
 @lru_cache(maxsize=4096)
@@ -422,8 +443,8 @@ def _instance_systems(black_red: bool, pre: int, length: int, *masks: int) -> Tr
 
 
 def _until_systems(record: _Record, black_red: bool):
-    """The quotiented positive product and the negatives' systems of a set,
-    over the atoms of its `models` words, kept in its record's `systems` by
+    """The positives' factors and the negatives' systems of a set, over the
+    atoms of its `models` words, kept in its record's `systems` by
     black_red.
 
     The words are the record's (`dropped`), so `models` runs once per set.
@@ -433,11 +454,21 @@ def _until_systems(record: _Record, black_red: bool):
     atom renaming share one entry, across example sets and signatures, and
     only a miss builds.  The signature holds every atom of the words, so the
     word a miss spells has an empty loop exactly when the word has, and the
-    black/red builder picks the same tail form from either.  Every until
-    class plays path-until's and simple-until's games on the position pair
-    first (`decide_until_family`); full-until builds the black/red pair only
-    when neither separates.  The systems are immutable, so the callers share
-    them.
+    black/red builder picks the same tail form from either.
+
+    The factors stand for the positives' product: [F1] for one positive,
+    else [fold, Fn], where the fold starts as F1 and becomes
+    `bisim_quotient(product([fold, Fi]))` for i = 2..n-1.  Bisimulation is a
+    congruence for the product, and the parallel edges a quotient drops are
+    subsumed, so every simulation and containment verdict against the
+    negatives is the full product's (see `tsys`), while no built product is
+    larger than that of two quotients.  Path-until searches the last product
+    on the fly (`failing_run`); the other classes play on its quotient.
+
+    Every until class plays path-until's and simple-until's games on the
+    position systems first (`decide_until_family`); full-until builds the
+    black/red ones only when neither separates.  The systems are immutable,
+    so the callers share them.
     """
     systems = record.systems.get(black_red)
     if systems is None:
@@ -445,8 +476,12 @@ def _until_systems(record: _Record, black_red: bool):
         words = [word for (word,) in found]
         sig = frozenset().union(*(word.word[0] for word in words))  # the atoms with a position mask
         built = [_reduced_system(word, sig, black_red) for word in words]
-        npos = len(e.positives)
-        systems = record.systems[black_red] = bisim_quotient(product(built[:npos])), tuple(built[npos:])
+        pos, npos = built[: len(e.positives)], len(e.positives)
+        fold = pos[0]
+        for ts in pos[1:-1]:
+            fold = bisim_quotient(product([fold, ts]))
+        factors = (fold, pos[-1]) if npos > 1 else (fold,)
+        systems = record.systems[black_red] = factors, tuple(built[npos:])
     return systems
 
 
@@ -466,10 +501,13 @@ def decide_until_family(e: ExampleSet, cls: QueryClass, known: _Record) -> Verdi
     for least in UNTIL_CLASSES[: UNTIL_CLASSES.index(cls) + 1]:
         verdict = _known_verdict(known, least)
         if verdict is None:
-            prod, neg = _until_systems(known, least is QueryClass.FULL_UNTIL)
-            # path-until: each run needs a match in some negative, not all in one
-            failing = failing_run if least is QueryClass.PATH_UNTIL else failing_subtree_of_union
-            tree = failing(prod, neg)
+            factors, neg = _until_systems(known, least is QueryClass.FULL_UNTIL)
+            if least is QueryClass.PATH_UNTIL:
+                # each run needs a match in some negative, not all in one
+                tree = failing_run(factors, neg)
+            else:
+                # the quotient's state order fixes the game's ranks, and so the witness
+                tree = failing_subtree_of_union(bisim_quotient(product(factors)), neg)
             verdict = Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))
             if not verdict.separable:
                 known[least] = verdict

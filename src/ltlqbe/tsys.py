@@ -19,7 +19,18 @@ order, which fixes every rank and so every failing subtree, whatever the
 hash seed.  Against several systems, the parts, `failing_subtree_of_union`
 plays one game per part and stops at the first part that simulates.
 Containment is the run-wise weakening decided over (state, candidate-set)
-pairs, the parts' states numbered one after another (`failing_run`).
+pairs, the parts' states numbered one after another (`failing_run`).  Its
+left side is given as factors, and their synchronous product is walked as
+the search meets its state vectors, never built.
+
+A product of many systems can be folded: bisimulation is a congruence for
+the synchronous product (Milner 1989), so `bisim_quotient(product([a, b]))`
+may stand for `product([a, b])` as a factor of a larger product.  The
+quotient also drops parallel edges whose label is subsumed by a kept edge
+of the same color and target; such an edge demands nothing extra from the
+attacker and offers the defender nothing extra, in a product as alone (the
+argument of `prune_dominated_edges`), so simulation and containment verdicts
+against the folded product are the full product's.
 """
 
 from __future__ import annotations
@@ -86,7 +97,7 @@ def _adjacency(ts: TransitionSystem) -> tuple[list[list], list[list]]:
     return out, rev
 
 
-def product(systems: list[TransitionSystem]) -> TransitionSystem:
+def product(systems: Sequence[TransitionSystem]) -> TransitionSystem:
     """Synchronous product of the state vectors reachable from the initial
     one; node and edge labels intersect, colors must agree.
 
@@ -102,28 +113,39 @@ def product(systems: list[TransitionSystem]) -> TransitionSystem:
     index = {queue[0]: 0}
     edges = []
     for i, v in enumerate(queue):  # the queue grows as the loop runs
-        combos = [((), full, -1)]
-        for out, x in zip(outs, v):
-            combos = [
-                (tgt + (dst,), lab & flab, red)
-                for tgt, lab, color in combos
-                for dst, flab, red in out[x]
-                if color < 0 or red == color  # an uncolored system's edges all have red 0
-            ]
-        # parallel edges with different labels can meet in one intersection
-        for tgt, lab, red in dict.fromkeys(combos):
+        for tgt, lab, red in _moves(outs, v, full):
             j = index.get(tgt)
             if j is None:
                 j = index[tgt] = len(queue)
                 queue.append(tgt)
             edges.append((i, j, lab, red))
-    labels = []
-    for v in queue:
-        lab = full
-        for s, x in zip(systems, v):
-            lab &= s.labels[x]
-        labels.append(lab)
-    return TransitionSystem(letters, 0, tuple(labels), tuple(edges), colored)
+    labels = tuple(_label(systems, v, full) for v in queue)
+    return TransitionSystem(letters, 0, labels, tuple(edges), colored)
+
+
+def _moves(outs: list, v: tuple, full: int) -> list:
+    """The product's edges out of vector v, given each factor's out-lists:
+    (target vector, label mask, red) for every combination of one edge per
+    factor whose colors agree, in `itertools.product` order of the factors'
+    edge orders, exact duplicates dropped."""
+    combos = [((), full, -1)]
+    for out, x in zip(outs, v):
+        combos = [
+            (tgt + (dst,), lab & flab, red)
+            for tgt, lab, color in combos
+            for dst, flab, red in out[x]
+            if color < 0 or red == color  # an uncolored system's edges all have red 0
+        ]
+    # parallel edges with different labels can meet in one intersection
+    return list(dict.fromkeys(combos))
+
+
+def _label(systems: Sequence[TransitionSystem], v: tuple, full: int) -> int:
+    """The product label of vector v: the AND of its factors' labels."""
+    lab = full
+    for s, x in zip(systems, v):
+        lab &= s.labels[x]
+    return lab
 
 
 def bisim_quotient(ts: TransitionSystem) -> TransitionSystem:
@@ -291,37 +313,52 @@ def simulates(s: TransitionSystem, t: TransitionSystem) -> bool:
 
 def contained_in(s: TransitionSystem, t: TransitionSystem) -> bool:
     """True iff every run of s is label-subsumed by an equal-length run of t."""
-    return _containment_search(s, [t])[0]
+    return _containment_search([s], [t])[0]
 
 
-def _containment_search(s: TransitionSystem, parts: Sequence[TransitionSystem]):
-    """Breadth-first search over pairs of an s-state and the set of the
-    parts' states, numbered one after another, that end a matching run.
-    Returns whether every run of s is matched, the first pair with an empty
-    set, and the parent map."""
-    if s.colored:
+def _containment_search(factors: Sequence[TransitionSystem], parts: Sequence[TransitionSystem]):
+    """Breadth-first search over pairs of a vector of factor states and the
+    set of the parts' states, numbered one after another, that end a
+    matching run.  Returns whether every run of the factors' product is
+    matched, the first pair with an empty set, and the parent map.
+
+    The product is built as the search walks it: a vector's label is the
+    AND of its factors' labels, and its moves are `product`'s edges out of
+    it (`_moves`), made when the search first expands the vector.  The
+    search meets the same pairs in the same order as on `product(factors)`,
+    so its answer is the same, without the states and edges it never
+    reaches.  Pairs are expanded in the order they are met, so the search
+    stops at the first pair met with an empty set (Abdulla et al., "When
+    simulation meets antichains", TACAS 2010, walk product vectors the same
+    way).
+    """
+    if any(f.colored for f in factors):
         raise ValueError("containment is defined for uncolored systems")
-    _common([s, *parts])
-    s_out, s_lab = _adjacency(s)[0], s.labels
+    letters, _ = _common([*factors, *parts])
+    full = (1 << len(letters)) - 1
+    outs = [_adjacency(f)[0] for f in factors]
     t_lab, t_out, start = [], [], []
     for t in parts:
         base = len(t_lab)
         start.append(base + t.initial)
         t_lab += t.labels
-        t_out += [[(base + dst, lab) for dst, lab, _ in out] for out in _adjacency(t)[0]]
-    lx = s_lab[s.initial]
-    node = (s.initial, frozenset(y for y in start if lx & t_lab[y] == lx))
+        t_out += [[] for _ in t.labels]
+        for src, dst, lab, _ in t.edges:
+            t_out[base + src].append((base + dst, lab))
+    v = tuple(f.initial for f in factors)
+    lv = _label(factors, v, full)
+    node = (v, frozenset(y for y in start if lv & t_lab[y] == lv))
     parents: dict = {node: None}
+    if not node[1]:
+        return False, node, parents
+    moves: dict = {}  # vector -> its (target, label, target label) moves
     queue = [node]
-    i = 0
-    while i < len(queue):
-        node = queue[i]
-        i += 1
-        x, ys = node
-        if not ys:
-            return False, node, parents
-        for dst, lab, _ in s_out[x]:
-            ld = s_lab[dst]
+    for node in queue:  # the queue grows as the loop runs
+        v, ys = node
+        out = moves.get(v)
+        if out is None:
+            out = moves[v] = [(dst, lab, _label(factors, dst, full)) for dst, lab, _ in _moves(outs, v, full)]
+        for dst, lab, ld in out:
             nxt = (
                 dst,
                 frozenset(
@@ -333,28 +370,36 @@ def _containment_search(s: TransitionSystem, parts: Sequence[TransitionSystem]):
             )
             if nxt not in parents:
                 parents[nxt] = (node, lab)
+                if not nxt[1]:
+                    return False, nxt, parents
                 queue.append(nxt)
     return True, None, parents
 
 
 def extract_failing_run(s: TransitionSystem, t: TransitionSystem) -> Tree:
     """A shortest run of s with no matching run of t; containment must fail."""
-    run = failing_run(s, [t])
+    run = failing_run([s], [t])
     if run is None:
         raise ValueError("extract_failing_run: containment holds")
     return run
 
 
-def failing_run(s: TransitionSystem, parts: Sequence[TransitionSystem]) -> Tree | None:
-    """A shortest run of s with no matching run in any part, as a chain of
-    black edges, or None if every run of s has one in some part."""
-    ok, node, parents = _containment_search(s, parts)
+def failing_run(factors: Sequence[TransitionSystem], parts: Sequence[TransitionSystem]) -> Tree | None:
+    """A shortest run of the factors' product with no matching run in any
+    part, as a chain of black edges, or None if every run has one in some
+    part.  It equals `failing_run([product(factors)], parts)`; the product
+    is walked as `_containment_search` meets it, never built.  The factors
+    may be a fold, some of them quotients of products of others: the
+    verdict is then the full product's, by the congruence argument in the
+    module docstring, and the run spells the labels of one of its runs."""
+    ok, node, parents = _containment_search(factors, parts)
     if ok:
         return None
-    run = Tree(s.spell(s.labels[node[0]]))
+    spell, full = factors[0].spell, (1 << len(factors[0].letters)) - 1
+    run = Tree(spell(_label(factors, node[0], full)))
     while (step := parents[node]) is not None:
         node, lab = step
-        run = Tree(s.spell(s.labels[node[0]]), ((s.spell(lab), BLACK, run),))
+        run = Tree(spell(_label(factors, node[0], full)), ((spell(lab), BLACK, run),))
     return run
 
 

@@ -848,14 +848,20 @@ def test_until_witness_digest_is_unchanged():
 
 
 def _direct_until_family(e, cls, known):
-    """`decide_until_family` as it was before the chain: every class plays
-    only its own game, full-until straight on the black/red systems, and
-    reads no known verdicts."""
+    """`decide_until_family` as it was before the chain and the fold: every
+    class plays only its own game, full-until straight on the black/red
+    systems, each on the quotient of the product of all positives' systems,
+    and reads no known verdicts."""
     from ltlqbe import qbe, tsys
 
-    prod, neg = qbe._until_systems(known, cls is QueryClass.FULL_UNTIL)
+    e, found, _, _ = known.dropped
+    words = [word for (word,) in found]
+    sig = frozenset().union(*(word.word[0] for word in words))
+    built = [qbe._reduced_system(word, sig, cls is QueryClass.FULL_UNTIL) for word in words]
+    npos = len(e.positives)
+    prod, neg = tsys.bisim_quotient(tsys.product(built[:npos])), built[npos:]
     if cls is QueryClass.PATH_UNTIL:
-        tree = tsys.failing_run(prod, neg)
+        tree = tsys.failing_run([prod], neg)
     else:
         tree = tsys.failing_subtree_of_union(prod, neg)
     return Verdict(False) if tree is None else Verdict(True, query_from_tree(tree))
@@ -1070,6 +1076,7 @@ def test_cache_walk_finds_the_known_caches():
         "_valid_loops",
         "_canonical_model",
         "_instance_systems",
+        "_images",
         "_record",
         "letter_table",
     }
@@ -1164,7 +1171,8 @@ def test_simulating_first_negative_plays_one_game(monkeypatch, cls, e):
     monkeypatch.setattr(tsys, "_play", lambda *args: games.append(args) or original(*args))
     assert not decide(Problem(cls, e)).separable
     played = systems[: UNTIL_CLASSES.index(cls)]
-    assert [(s, t) for s, _, t, _ in games] == [(prod, neg[0]) for prod, neg in played]
+    expected = [(tsys.bisim_quotient(tsys.product(factors)), neg[0]) for factors, neg in played]
+    assert [(s, t) for s, _, t, _ in games] == expected
 
 
 @pytest.mark.parametrize("cls", UNTIL_CLASSES, ids=lambda cls: cls.value)

@@ -197,7 +197,8 @@ def test_systems_over_different_letter_tables_do_not_mix():
     for combine in (
         product,
         lambda pair: failing_subtree_of_union(pair[0], pair[1:]),
-        lambda pair: failing_run(pair[0], pair[1:]),
+        lambda pair: failing_run(pair[:1], pair[1:]),
+        lambda pair: failing_run(pair, pair[:1]),  # factors over different tables
     ):
         combine([a, a])
         with pytest.raises(ValueError, match="letter tables"):
@@ -701,9 +702,9 @@ def test_failing_subtree_of_union_equals_the_union_game(seed):
 def test_failing_run_equals_the_union_search(seed):
     runs = 0
     for s, parts in _part_cases(46000 + seed, 60, colorings=(False,)):
-        run = failing_run(s, parts)
+        run = failing_run([s], parts)
         assert run == _old_failing_run(named(s), _old_disjoint_union([named(t) for t in parts]))
-        assert run == failing_run(s, parts[::-1])  # the parts' order does not matter
+        assert run == failing_run([s], parts[::-1])  # the parts' order does not matter
         if run is not None:
             runs += 1
             assert is_chain(run)
@@ -712,7 +713,7 @@ def test_failing_run_equals_the_union_search(seed):
 
 
 def test_failing_run_equals_the_union_search_on_until_systems():
-    # the positive product and the negatives' position systems of random
+    # the positives' factors and the negatives' position systems of random
     # sets, plain and under Horn ontologies, as path-until searches them
     rng = random.Random(47000)
     runs = 0
@@ -722,8 +723,77 @@ def test_failing_run_equals_the_union_search_on_until_systems():
         e, _, early, _ = record.dropped
         if early is not None or not e.positives:
             continue
-        prod, neg = qbe._until_systems(record, False)
-        run = failing_run(prod, neg)
-        assert run == _old_failing_run(named(prod), _old_disjoint_union([named(t) for t in neg]))
+        factors, neg = qbe._until_systems(record, False)
+        run = failing_run(factors, neg)
+        prod = named(product(factors))
+        assert run == _old_failing_run(prod, _old_disjoint_union([named(t) for t in neg]))
         runs += run is not None
     assert runs >= 50, runs
+
+
+# ---------------------------------------------------------------------------
+# The positives' product folded one factor at a time, and walked on the fly
+
+
+def _fold(factors: list) -> list:
+    """The factors as `qbe._until_systems` folds them: [F1], else [fold, Fn],
+    the fold F1 taken to the quotient of its product with each of F2..Fn-1."""
+    fold = factors[0]
+    for f in factors[1:-1]:
+        fold = bisim_quotient(product([fold, f]))
+    return [fold, *factors[1:][-1:]]
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_failing_run_on_factors_equals_it_on_their_product(k):
+    # the same run, or None, as on the built product, over factors with
+    # parallel edges whose intersections can meet
+    rng = random.Random(48000 + k)
+    runs = 0
+    for _ in range(60):
+        factors = [rand_parallel_system(rng, rng.randint(2, 4), False) for _ in range(k)]
+        parts = [rand_parallel_system(rng, rng.randint(1, 5), False) for _ in range(rng.randint(1, 2))]
+        run = failing_run(factors, parts)
+        assert run == failing_run([product(factors)], parts)
+        runs += run is not None
+    assert 10 <= runs <= 50, runs
+
+
+def _word_system(facts: set, colored: bool) -> TransitionSystem:
+    """The reduced position (or black/red) system of a data word over A, B."""
+    build = repr_plain_br if colored else repr_plain
+    return prune_dominated_edges(bisim_quotient(build(data_word(D(facts)), frozenset("AB"))))
+
+
+def _facts(rng: random.Random, n: int) -> set:
+    return {(rng.choice("AB"), rng.randrange(0, 4)) for _ in range(n)}
+
+
+@pytest.mark.parametrize("colored", [False, True], ids=["uncolored", "colored"])
+def test_the_fold_keeps_containment_and_simulation_verdicts(colored):
+    # against each part, in both directions, the folded product answers as
+    # the unfolded one: 3-4 random systems, or data words that share a
+    # base, as positives that a query might separate do
+    rng = random.Random(49000 + colored)
+    seen = set()
+    for k in range(60):
+        if k % 2:
+            factors = [rand_parallel_system(rng, rng.randint(2, 4), colored) for _ in range(rng.randint(3, 4))]
+            parts = [rand_parallel_system(rng, rng.randint(1, 4), colored) for _ in range(2)]
+        else:
+            base = _facts(rng, rng.randint(1, 3))
+            factors = [_word_system(base | _facts(rng, rng.randint(0, 2)), colored) for _ in range(rng.randint(3, 4))]
+            parts = [
+                _word_system(_facts(rng, rng.randint(0, 4)) | set(rng.sample(sorted(base), rng.randint(0, len(base)))), colored)
+                for _ in range(2)
+            ]
+        full, folded = product(factors), _fold(factors)
+        quotient = bisim_quotient(product(folded))
+        for t in parts:
+            verdicts = (simulates(full, t), simulates(t, full))
+            assert (simulates(quotient, t), simulates(t, quotient)) == verdicts
+            if not colored:
+                contained = (contained_in(full, t), contained_in(t, full))
+                assert (failing_run(folded, [t]) is None, contained_in(t, quotient)) == contained
+            seen.add(verdicts)
+    assert len(seen) == 4, seen
