@@ -136,15 +136,7 @@ def temporal_depth(q: Query) -> int:
 
 
 def query_atoms(q: Query) -> frozenset[str]:
-    if isinstance(q, Prop):
-        return frozenset({q.name})
-    if isinstance(q, And):
-        return frozenset().union(*(query_atoms(p) for p in q.parts))
-    if isinstance(q, (Next, Diamond)):
-        return query_atoms(q.arg)
-    if isinstance(q, Until):
-        return query_atoms(q.left) | query_atoms(q.right)
-    return frozenset()
+    return frozenset(p.name for p in subqueries(q) if isinstance(p, Prop))
 
 
 def subqueries(q: Query) -> Iterator[Query]:

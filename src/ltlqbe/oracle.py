@@ -301,16 +301,7 @@ def _decide_on_words(words, npos: int, cls: QueryClass, cap: int) -> Query | Non
             chosen.append(pick)
         return conj(chosen) if chosen else TOP
     if cls is QueryClass.PATH_UNTIL:
-        states = _until_path_states(words, conjs, cap)
-        table = dict(conjs)
-        lefts = dict(conjs)
-        lefts[_bot_vec(words)] = BOT_QUERY
-        for (tvec, _), tq in states.items():
-            for lvec, lq in lefts.items():
-                stepped = _until_step(words, lvec, tvec)
-                for cvec, cq in conjs.items():
-                    table.setdefault(_vec_and(cvec, stepped), conj([cq, Until(lq, tq)]))
-        return find(table)
+        return find(_state_table(_until_path_states(words, conjs, cap)))
     stop = lambda vec: _separates(vec, npos)
     if cls is QueryClass.SIMPLE_UNTIL:
         return find(_simple_until_closure(words, conjs, cap, stop))

@@ -129,53 +129,43 @@ class PriorOntology:
 
     @cached_property
     def size_measure(self) -> int:
-        return sum(_size(a) for a in self.axioms)
+        return sum(1 for a in self.axioms for _ in _subformulas(a))
 
     @cached_property
     def atoms(self) -> frozenset[str]:
-        out: set[str] = set()
-        for a in self.axioms:
-            _collect_atoms(a, out)
-        return frozenset(out)
+        return frozenset(f.name for a in self.axioms for f in _subformulas(a) if isinstance(f, PAtom))
 
     @cached_property
     def temporal_count(self) -> int:
-        return sum(_temporal_count(a) for a in self.axioms)
+        return sum(isinstance(t, (PBox, PDia)) for a in self.axioms for t in _subformulas(a))
 
     @cached_property
     def temporal_parts(self) -> tuple[PFormula, ...]:
         """The axioms' distinct G- and F-subformulas, in order of appearance."""
-        return tuple(dict.fromkeys(t for a in self.axioms for t in _temporal_parts(a)))
+        return tuple(dict.fromkeys(t for a in self.axioms for t in _subformulas(a) if isinstance(t, (PBox, PDia))))
 
     @cached_property
     def chase_rules(self) -> tuple[tuple[PFormula, tuple[str, ...]], ...]:
         """(body, head atoms) of each axiom `body -> head` (a bare head has
-        body true) with a monotone body and a conjunction of atoms as head."""
+        body true) with a monotone body, one without ! and ->, so that adding
+        letters keeps it true, and a conjunction of atoms as head."""
         rules = []
         for a in self.axioms:
             body, head = (a.left, a.right) if isinstance(a, PImp) else (PTrue(), a)
             atoms = _head_atoms(head)
-            if atoms is not None and _monotone(body):
+            if atoms is not None and not any(isinstance(f, (PNot, PImp)) for f in _subformulas(body)):
                 rules.append((body, atoms))
         return tuple(rules)
 
 
-def _size(f: PFormula) -> int:
-    if isinstance(f, (PTrue, PFalse, PAtom)):
-        return 1
+def _subformulas(f: PFormula):
+    """f and its subformulas, outermost first, left before right."""
+    yield f
     if isinstance(f, (PNot, PBox, PDia)):
-        return 1 + _size(f.arg)
-    return 1 + _size(f.left) + _size(f.right)
-
-
-def _temporal_count(f: PFormula) -> int:
-    if isinstance(f, (PTrue, PFalse, PAtom)):
-        return 0
-    if isinstance(f, (PBox, PDia)):
-        return 1 + _temporal_count(f.arg)
-    if isinstance(f, PNot):
-        return _temporal_count(f.arg)
-    return _temporal_count(f.left) + _temporal_count(f.right)
+        yield from _subformulas(f.arg)
+    elif isinstance(f, (PAnd, POr, PImp)):
+        yield from _subformulas(f.left)
+        yield from _subformulas(f.right)
 
 
 def _head_atoms(f: PFormula) -> tuple[str, ...] | None:
@@ -184,25 +174,6 @@ def _head_atoms(f: PFormula) -> tuple[str, ...] | None:
         left, right = _head_atoms(f.left), _head_atoms(f.right)
         return None if left is None or right is None else left + right
     return (f.name,) if isinstance(f, PAtom) else None
-
-
-def _monotone(f: PFormula) -> bool:
-    """True iff f has no ! and no ->, so that adding letters keeps it true."""
-    if isinstance(f, (PBox, PDia)):
-        return _monotone(f.arg)
-    if isinstance(f, (PAnd, POr)):
-        return _monotone(f.left) and _monotone(f.right)
-    return isinstance(f, (PTrue, PFalse, PAtom))
-
-
-def _collect_atoms(f: PFormula, out: set[str]) -> None:
-    if isinstance(f, PAtom):
-        out.add(f.name)
-    elif isinstance(f, (PNot, PBox, PDia)):
-        _collect_atoms(f.arg, out)
-    elif isinstance(f, (PAnd, POr, PImp)):
-        _collect_atoms(f.left, out)
-        _collect_atoms(f.right, out)
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +304,6 @@ def _extend_loops(onto: PriorOntology, choices: list, loop: list, masks: dict[st
             yield from _extend_loops(onto, choices, loop, masks, every)
         _clear_bit(masks, letters, bit)
         loop.pop()
-
-
-def _temporal_parts(f: PFormula) -> list[PFormula]:
-    """The G- and F-subformulas of f, outermost first."""
-    if isinstance(f, (PTrue, PFalse, PAtom)):
-        return []
-    if isinstance(f, PNot):
-        return _temporal_parts(f.arg)
-    if isinstance(f, (PBox, PDia)):
-        return [f, *_temporal_parts(f.arg)]
-    return _temporal_parts(f.left) + _temporal_parts(f.right)
 
 
 def _search_word(

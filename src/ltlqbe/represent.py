@@ -6,15 +6,20 @@ plain data is the word of its facts followed by empty letters forever
 (`repr_horn` and `repr_horn_br` build from it).  The position system serves
 until-path containment and simple-until simulation; the black/red system
 encodes full until nesting with two edge colors, driven by the wrap-around
-successor calculus: the successor sets E of a point set D (D lessdot_mp E,
-enumerated by `_successor_sets`) and their gap sets (`nabla_mp`).  Plain
-lessdot and nabla are that calculus with an empty periodic zone.
+successor calculus: the successor sets E of a point set D (D lessdot_mp E)
+and their gap sets nabla_mp(D, E), which `_successor_sets` makes together.
+A point of E hit without wrapping leaves the open gap from the least point
+of D that maps to it; the points of D that wrap to the least periodic point
+w of E leave the rest of the word after their least point and the loop
+before w.  Plain lessdot and nabla are that calculus with an empty periodic
+zone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import chain
 
 from .core import DataInstance, LassoModel
 from .horn import HornOntology, canonical_model
@@ -70,70 +75,39 @@ def repr_horn(onto: HornOntology, d: DataInstance, sig: frozenset[str] | None = 
 
 
 # ---------------------------------------------------------------------------
-# The successor calculus
-
-
-def _mu_mp(dset, eset, m_start: int, period_end: int):
-    mu = {}
-    for x in dset:
-        later = [e for e in eset if e > x]
-        if later:
-            mu[x] = min(later)
-        elif m_start <= x < period_end:
-            # wrap through the loop; only periodic positions recur
-            periodic = [e for e in eset if e >= m_start]
-            if not periodic:
-                return None
-            mu[x] = min(periodic)
-        else:
-            return None
-    return mu
-
-
-def _bwn(x: int, e: int, m_start: int, period_end: int) -> set[int]:
-    if x < e:
-        return set(range(x + 1, e))
-    return set(range(x + 1, period_end)) | set(range(m_start, e))
-
-
-def nabla_mp(dset: frozenset[int], eset: frozenset[int], m_start: int, period_end: int) -> frozenset[int]:
-    mu = _mu_mp(dset, eset, m_start, period_end)
-    if mu is None:
-        raise ValueError("nabla_mp: successor map undefined")
-    out: set[int] = set()
-    for x, e in mu.items():
-        out |= _bwn(x, e, m_start, period_end)
-    return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
 # Black/red systems
 
 _ORIGIN, _U, _Z = 0, 1, 2  # the z state exists in the z-tail form only
 
 
 def _successor_sets(points: list[int], n_positions: int, wrap_start: int):
-    """Every E with D lessdot_mp E, by size and then in combinations order.
+    """Every (E, gaps) with D lessdot_mp E and gaps = nabla_mp(D, E), by the
+    size of E and then in combinations order.
 
     D is `points`, sorted; positions at or after `wrap_start` are periodic,
     and wrap_start == n_positions gives plain lessdot.  The successor map
     takes D onto E, so |E| <= |D|.  A point e of E is hit without wrapping
-    iff some point of D lies in [previous point of E, e); only the least
-    periodic point of E can instead be hit by the points of D at or after
-    max(E), which wrap.  Combinations are extended in increasing order, so
-    the sets come out in the order of itertools.combinations.
+    iff `first`, the least point of D at or after the previous point of E,
+    lies before e: then exactly the points of D in [previous, e) map to e,
+    and together they leave the open gap (first, e).  Only the least
+    periodic point w of E can instead be hit by the points of D at or after
+    max(E), which wrap to w and leave (their least point, n_positions) and
+    [wrap_start, w).  Combinations are extended in increasing order, so the
+    sets come out in the order of itertools.combinations.
     """
     for size in range(1, len(points) + 1):
-        yield from _extend_successors(points, n_positions, wrap_start, [], size, False)
+        yield from _extend_successors(points, n_positions, wrap_start, [], [], size, False)
 
 
-def _extend_successors(points, n_positions: int, wrap_start: int, chosen: list[int], size: int, wraps: bool):
-    """The sets of `_successor_sets` of the given size that extend `chosen`,
-    in order; `wraps` tells whether a point of `chosen` waits for a wrap."""
+def _extend_successors(
+    points, n_positions: int, wrap_start: int, chosen: list[int], gaps: list, size: int, wraps: bool
+):
+    """The pairs of `_successor_sets` of the given size whose E extends
+    `chosen`, in order; `gaps` holds the open gap each point of `chosen`
+    leaves, and `wraps` tells whether a point of `chosen` waits for a wrap."""
     i = len(chosen)
     prev = chosen[-1] if chosen else -1
-    # e is hit without wrapping iff the first point of D at or after prev,
-    # which is -1 before the first point of E, lies before e
+    # the first point of D at or after prev, which is -1 before the first point of E
     j = bisect_left(points, prev)
     first = points[j] if j < len(points) else n_positions
     for e in range(prev + 1, n_positions - (size - i - 1)):
@@ -144,14 +118,21 @@ def _extend_successors(points, n_positions: int, wrap_start: int, chosen: list[i
                 continue
             wrapped = True
         chosen.append(e)
+        gaps.append(range(first + 1, e))  # empty when e waits for a wrap
         if i + 1 < size:
-            yield from _extend_successors(points, n_positions, wrap_start, chosen, size, wrapped)
+            yield from _extend_successors(points, n_positions, wrap_start, chosen, gaps, size, wrapped)
         else:
             # the points of D at or after max(E) wrap: they must be
             # periodic and need a periodic point of E to wrap to
             tail = points[bisect_left(points, e):]
-            if (tail[0] >= wrap_start and e >= wrap_start) if tail else not wrapped:
-                yield frozenset(chosen)
+            if not tail:
+                if not wrapped:
+                    yield frozenset(chosen), frozenset(chain(*gaps))
+            elif tail[0] >= wrap_start and e >= wrap_start:
+                w = chosen[bisect_left(chosen, wrap_start)]
+                wrap_gaps = chain(range(tail[0] + 1, n_positions), range(wrap_start, w))
+                yield frozenset(chosen), frozenset(chain(*gaps, wrap_gaps))
+        gaps.pop()
         chosen.pop()
 
 
@@ -197,8 +178,7 @@ def repr_plain_br(word: LassoModel, sig: frozenset[str]) -> TransitionSystem:
         moves = successor_lists.get(points)
         if moves is None:
             moves = successor_lists[points] = []
-            for g in _successor_sets(sorted(points), n_positions, wrap_start):
-                f = nabla_mp(points, g, wrap_start, n_positions)
+            for g, f in _successor_sets(sorted(points), n_positions, wrap_start):
                 tgt = ids.get((f, g))
                 if tgt is None:
                     tgt = ids[f, g] = len(labels)

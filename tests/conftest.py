@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import pkgutil
 import random
+import sys
 from itertools import combinations
+from pathlib import Path
 from typing import Hashable, NamedTuple
 
 import pytest
@@ -22,11 +25,11 @@ from ltlqbe.core import (
     Next,
     Prop,
     Query,
+    QueryClass,
     Top,
     Until,
     conj,
 )
-from ltlqbe.represent import _mu_mp, nabla_mp
 from ltlqbe.tsys import BLACK, BOT, RED, TransitionSystem
 
 ATOMS = ("A", "B", "C")
@@ -34,6 +37,33 @@ ATOMS = ("A", "B", "C")
 # the empty ontologies, under which every route answers as on plain data
 EMPTY_ONTOLOGY = horn.HornOntology(())
 EMPTY_PRIOR = prior.PriorOntology(())
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def bench_workloads() -> dict:
+    """The benchmark's workloads, from perfbench/workloads.py loaded by file
+    path; the tests only read them."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the module by name
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def bench_problems(name: str, seed: int, count: int):
+    """The workload's first `count` sets of the seed, one after another, each
+    as one `qbe.Problem` per class in the workload's order, built as the
+    benchmark builds them."""
+    workload = bench_workloads()[name]
+    parse = {"horn": horn.load_ontology, "prior": prior.load_prior_ontology}.get(workload.kind)
+    classes = [QueryClass(c) for c in workload.classes]
+    for i in range(count):
+        raw = workload.raw_set(seed, i)
+        e = ExampleSet.of([DataInstance.of(d) for d in raw.positives], [DataInstance.of(d) for d in raw.negatives])
+        onto = parse(raw.ontology) if parse else None
+        yield [qbe.Problem(cls, e, onto) for cls in classes]
 
 
 def rand_instance(rng: random.Random, atoms=ATOMS, max_ts=5, max_facts=6) -> DataInstance:
@@ -196,17 +226,38 @@ def all_instances(atoms, max_ts):
         yield DataInstance.of(slots[i] for i in range(len(slots)) if mask >> i & 1)
 
 
-# References that the library does not run: the successor calculus's
-# relation by its definition, over the successor map `represent._mu_mp`
-# (the black/red builder runs only `_mu_mp` and the gap sets `nabla_mp`),
-# and next-compilation, a criterion-5 reduction.
+# References that the library does not run: the successor calculus by its
+# definition, over the successor map `mu_mp` (the black/red builder makes
+# each successor set and its gap set together, in
+# `represent._successor_sets`, and is checked against these), and
+# next-compilation, a criterion-5 reduction.
+
+
+def mu_mp(dset, eset, m_start: int, period_end: int):
+    """The successor map: each point of dset to the least later point of
+    eset, a periodic point with none wrapping to the least periodic point of
+    eset; None where a point has no image."""
+    mu = {}
+    for x in sorted(dset):
+        later = [e for e in eset if e > x]
+        if later:
+            mu[x] = min(later)
+        elif m_start <= x < period_end:
+            # wrap through the loop; only periodic positions recur
+            periodic = [e for e in eset if e >= m_start]
+            if not periodic:
+                return None
+            mu[x] = min(periodic)
+        else:
+            return None
+    return mu
 
 
 def lessdot_mp(dset: frozenset[int], eset: frozenset[int], m_start: int, period_end: int) -> bool:
     """Wrap-around lessdot: periodic-zone points may wrap to min(eset)."""
     if not dset or not eset:
         raise ValueError("lessdot_mp is defined for nonempty sets")
-    mu = _mu_mp(dset, eset, m_start, period_end)
+    mu = mu_mp(dset, eset, m_start, period_end)
     return mu is not None and set(mu.values()) == set(eset)
 
 
@@ -214,6 +265,22 @@ def lessdot(dset: frozenset[int], eset: frozenset[int]) -> bool:
     """True iff mapping each point to its next eset-point is total and onto:
     lessdot_mp with an empty periodic zone."""
     return lessdot_mp(dset, eset, 0, 0)
+
+
+def nabla_mp(dset: frozenset[int], eset: frozenset[int], m_start: int, period_end: int) -> frozenset[int]:
+    """Union of the gaps each point x leaves to its image e: the open (x, e)
+    when x < e, else the rest of the word after x and the loop before e."""
+    mu = mu_mp(dset, eset, m_start, period_end)
+    if mu is None:
+        raise ValueError("nabla_mp: successor map undefined")
+    out: set[int] = set()
+    for x, e in mu.items():
+        if x < e:
+            out.update(range(x + 1, e))
+        else:
+            out.update(range(x + 1, period_end))
+            out.update(range(m_start, e))
+    return frozenset(out)
 
 
 def nabla(dset: frozenset[int], eset: frozenset[int]) -> frozenset[int]:

@@ -18,6 +18,7 @@ from conftest import (
     lessdot,
     lessdot_mp,
     nabla,
+    nabla_mp,
     rand_example_set,
     rand_horn_ontology,
     rand_instance,
@@ -33,7 +34,6 @@ from ltlqbe.core import (
 )
 from ltlqbe.oracle import brute_force_decide
 from ltlqbe.qbe import Problem, decide, entailed, verify_witness
-from ltlqbe.represent import nabla_mp
 
 D = DataInstance.of
 fs = frozenset

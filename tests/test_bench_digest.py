@@ -12,18 +12,12 @@ under the hash seeds 0, 1 and 2.
 """
 
 import hashlib
-import importlib.util
-from pathlib import Path
-import sys
 
 import pytest
 
-from conftest import module_caches
-from ltlqbe import horn, prior
-from ltlqbe.core import DataInstance, ExampleSet, QueryClass
-from ltlqbe.qbe import Problem, decide
+from conftest import bench_problems, module_caches
+from ltlqbe.qbe import decide
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SETS = 1000
 
 # workload -> (verdict digest, full digest)
@@ -47,27 +41,12 @@ _DIGESTS = {
 }
 
 
-def _workloads() -> dict:
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
 def bench_digests(name: str, count: int = SETS) -> tuple[str, str]:
     """The verdict and full digests of the workload's first `count` sets of seed 1."""
-    workload = _workloads()[name]
-    parse = {"horn": horn.load_ontology, "prior": prior.load_prior_ontology}.get(workload.kind)
-    classes = [QueryClass(c) for c in workload.classes]
     verdicts, full = hashlib.sha256(), hashlib.sha256()
-    for i in range(count):
-        raw = workload.raw_set(1, i)
-        e = ExampleSet.of([DataInstance.of(d) for d in raw.positives], [DataInstance.of(d) for d in raw.negatives])
-        onto = parse(raw.ontology) if parse else None
-        for cls in classes:
-            v = decide(Problem(cls, e, onto))
+    for problems in bench_problems(name, 1, count):
+        for p in problems:
+            v = decide(p)
             verdicts.update(f"{v.separable}|{v.note}\n".encode())
             full.update(f"{v.separable}|{v.note}|{v.witness}\n".encode())
     return verdicts.hexdigest(), full.hexdigest()

@@ -1,7 +1,10 @@
+import json
 import random
 from itertools import combinations
 
-from conftest import rand_example_set
+import pytest
+
+from conftest import BENCH, bench_problems, rand_example_set
 from ltlqbe import horn
 from ltlqbe.core import (
     Bot,
@@ -229,3 +232,14 @@ def test_brute_force_keeps_everywhere_true_conjunction():
         [D([("A", 0), ("A", 1), ("A", 2), ("B", 1)])],
     )
     assert brute_force_decide(Problem(QueryClass.PATH_DIAMOND, e, o)).separable
+
+
+@pytest.mark.parametrize("name", ["diamond-plain", "until-plain", "horn-explore", "prior-diamond"])
+def test_oracle_reproduces_the_bench_oracle_file(name):
+    """The first 100 sets of seed 1, every class, against the committed
+    perfbench/oracle/<workload>.json ("?" marks a capped verdict)."""
+    expected = json.loads((BENCH / "oracle" / f"{name}.json").read_text())["seeds"]["1"]
+    calls = (p for problems in bench_problems(name, 1, 100) for p in problems)
+    for k, p in enumerate(calls):
+        if expected[k] != "?":
+            assert "01"[brute_force_decide(p).separable] == expected[k], (k, p)

@@ -2,26 +2,14 @@
 
 import dataclasses
 import hashlib
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import bench_workloads
 from ltlqbe.core import Next, ParseError, Prop, Until, conj, parse_query
 from ltlqbe.horn import OntologyParseError, load_ontology
 from ltlqbe.prior import PAnd, PAtom, PBox, PImp, PNot, POr, PriorParseError, load_prior_ontology
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve the module by name
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
 
 
 def _shape(value):
@@ -49,7 +37,7 @@ def _digest(values) -> str:
 
 
 def test_parsed_values_digest_is_unchanged():
-    workloads = _workloads()
+    workloads = bench_workloads()
     horn_texts = [workloads["horn-explore"].raw_set(1, i).ontology for i in range(3000)]
     prior_texts = [workloads["prior-diamond"].raw_set(1, i).ontology for i in range(3000)]
     rng = random.Random(2700)

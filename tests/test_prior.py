@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import pickle
 import random
@@ -480,6 +481,17 @@ def test_failed_fill_states_include_the_query_future():
     assert _is_model(o, d, word) and not eval_lasso(word, q, 0)
 
 
+def _nodes(f) -> list:
+    """f and its subformulas, outermost first, left before right, read off
+    the dataclass fields."""
+    out = [f]
+    for field in dataclasses.fields(f):
+        child = getattr(f, field.name)
+        if isinstance(child, prior.PFormula):
+            out += _nodes(child)
+    return out
+
+
 def test_ontology_hash_and_constants_are_cached_values():
     rng = random.Random(8400)
     for _ in range(200):
@@ -491,13 +503,11 @@ def test_ontology_hash_and_constants_are_cached_values():
         assert set(vars(o)) == {"axioms"}  # nothing is computed at parse time
         if rng.random() < 0.5:
             hash(o)
-        atoms: set = set()
-        for a in o.axioms:
-            prior._collect_atoms(a, atoms)
-        assert o.atoms == frozenset(atoms)
-        assert o.size_measure == sum(prior._size(a) for a in o.axioms)
-        assert o.temporal_count == sum(prior._temporal_count(a) for a in o.axioms)
-        parts = [t for a in o.axioms for t in prior._temporal_parts(a)]
+        nodes = [f for a in o.axioms for f in _nodes(a)]
+        assert o.atoms == frozenset(f.name for f in nodes if isinstance(f, prior.PAtom))
+        assert o.size_measure == len(nodes)
+        parts = [f for f in nodes if isinstance(f, (prior.PBox, prior.PDia))]
+        assert o.temporal_count == len(parts)
         assert o.temporal_parts == tuple(dict.fromkeys(parts))
         assert hash(o) == hash((o.axioms,)) == hash(twin) and o == twin
         assert {o: 1}[twin] == 1

@@ -9,7 +9,9 @@ from conftest import (
     Named,
     lessdot,
     lessdot_mp,
+    mu_mp,
     nabla,
+    nabla_mp,
     named,
     numbered,
     rand_horn_ontology,
@@ -19,7 +21,6 @@ from ltlqbe import horn, qbe
 from ltlqbe.core import DataInstance, LassoModel, data_word
 from ltlqbe.represent import (
     _successor_sets,
-    nabla_mp,
     repr_horn,
     repr_horn_br,
     repr_plain,
@@ -153,22 +154,6 @@ def _direct_mu(dset, eset):
     return mu
 
 
-def _direct_mu_mp(dset, eset, m, p):
-    mu = {}
-    for x in sorted(dset):
-        later = sorted(e for e in eset if e > x)
-        if later:
-            mu[x] = later[0]
-        elif m <= x < p:
-            periodic = sorted(e for e in eset if e >= m)
-            if not periodic:
-                return None
-            mu[x] = periodic[0]
-        else:
-            return None
-    return mu
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_lessdot_random_cross_check(seed):
     rng = random.Random(12000 + seed)
@@ -185,7 +170,7 @@ def test_lessdot_random_cross_check(seed):
             for x, e in mu.items():
                 expected.update(range(x + 1, e))
             assert nabla(dset, eset) == fs(expected)
-        mu2 = _direct_mu_mp(dset, eset, m, p)
+        mu2 = mu_mp(dset, eset, m, p)
         assert lessdot_mp(dset, eset, m, p) == (
             mu2 is not None and set(mu2.values()) == set(eset)
         )
@@ -377,7 +362,7 @@ def test_successor_sets_match_filtered_subsets(seed):
         m = rng.randrange(0, p + 1)  # m == p: plain lessdot
         dset = fs(rng.sample(range(p), rng.randrange(1, p + 1)))
         every = [fs(c) for r in range(1, p + 1) for c in combinations(range(p), r)]
-        expected = [eset for eset in every if lessdot_mp(dset, eset, m, p)]
+        expected = [(eset, nabla_mp(dset, eset, m, p)) for eset in every if lessdot_mp(dset, eset, m, p)]
         assert list(_successor_sets(sorted(dset), p, m)) == expected
 
 
