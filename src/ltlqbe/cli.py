@@ -115,6 +115,7 @@ def _load_ontology(path: str | None, kind: str):
 
 
 _CLASSES = {c.value: c for c in QueryClass}
+_CACHES = {"until_store": qbe._instance_systems, "prior_entails": prior.prior_entails}
 
 
 def _cmd_separable(args) -> int:
@@ -122,9 +123,9 @@ def _cmd_separable(args) -> int:
     onto = _load_ontology(args.ontology, args.ontology_kind)
     p = Problem(_CLASSES[args.cls], e, onto)
     t0 = time.monotonic()
-    before = qbe._instance_systems.cache_info()
+    before = {name: cache.cache_info() for name, cache in _CACHES.items()}
     verdict = decide(p)
-    after = qbe._instance_systems.cache_info()
+    after = {name: cache.cache_info() for name, cache in _CACHES.items()}
     witness = verdict.witness
     if verdict.separable and args.minimize:
         witness = minimize_witness(p, witness)
@@ -151,8 +152,9 @@ def _cmd_separable(args) -> int:
         "time_ms": round(1000 * (time.monotonic() - t0), 3),
         "positives": len(e.positives),
         "negatives": len(e.negatives),
-        "until_store": {"hits": after.hits - before.hits, "misses": after.misses - before.misses},
     }
+    for name, b in before.items():
+        out["stats"][name] = {"hits": after[name].hits - b.hits, "misses": after[name].misses - b.misses}
     print(json.dumps(out))
     return EXIT_TRUE if verdict.separable else EXIT_FALSE
 

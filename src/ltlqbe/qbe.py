@@ -630,15 +630,16 @@ class _Record(dict):
 @lru_cache(maxsize=4)
 def _record(e: ExampleSet, onto) -> _Record:
     """e's record.  A new one drops e's inconsistent positives once, and
-    holds every class not separable when a negative holds a positive
-    (`_holds_a_positive`) or no atom is anchored in the positives, at 0 in
-    all of them or after 0 in all (`_share_no_atom`)."""
+    holds every class not separable when a negative holds a kept positive,
+    by its facts or its words (`_holds_a_positive`), or no atom is anchored
+    in the positives, at 0 in all of them or after 0 in all
+    (`_share_no_atom`)."""
     record = _Record()
     record.dropped = kept, found, early, _ = _drop_inconsistent(e, onto)
     record.systems, record.checked, record.noted = {}, {}, {}
     npos = len(kept.positives)
     if early is None and npos and kept.negatives:
-        if _holds_a_positive(found, npos) or _share_no_atom(found[:npos]):
+        if _holds_a_positive(kept, found) or _share_no_atom(found[:npos]):
             record.update(dict.fromkeys(QueryClass, Verdict(False)))
     return record
 
@@ -658,15 +659,17 @@ def _known_verdict(known: _Record, cls: QueryClass) -> Verdict | None:
 def decide(p: Problem) -> Verdict:
     """p's verdict, its witness checked for p.cls.  The set's record
     (`_record`) drops its inconsistent positives and settles every class as
-    not separable when a negative holds a positive or no atom is anchored in
-    the positives, once per set; then, after the early answers and the
-    `UnsupportedProblem` check, known verdicts of the set answer first
-    (`_known_verdict`), else p.cls's own route decides and `_checked` checks
-    its witness.  A not-separable verdict joins the record, a witness once
-    it checks.  When a path class's search finds no separator and a
-    negative's word simulates the positives' product (`_simulates_product`),
-    no diamond class separates: all five join as not separable, and a
-    witness kept for one of them is a `LatticeError`."""
+    not separable when a negative holds a positive (its facts contain the
+    positive's, under any ontology, or its words lie above) or no atom is
+    anchored in the positives, once per set, with no word search; then,
+    after the early answers and the `UnsupportedProblem` check, known
+    verdicts of the set answer first (`_known_verdict`), else p.cls's own
+    route decides and `_checked` checks its witness.  A not-separable
+    verdict joins the record, a witness once it checks.  When a path
+    class's search finds no separator and a negative's word simulates the
+    positives' product (`_simulates_product`), no diamond class separates:
+    all five join as not separable, and a witness kept for one of them is a
+    `LatticeError`."""
     known = _record(p.examples, p.ontology)
     e, found, early, note = known.dropped
     if early is not None:
@@ -698,11 +701,16 @@ def decide(p: Problem) -> Verdict:
     return verdict
 
 
-def _holds_a_positive(found: list, npos: int) -> bool:
-    """Whether some negative's words each lie above some word of one
-    positive: every positive query certain on that positive is then certain
-    on the negative, so no class separates.  `found` is `models` of the
-    positives, then the negatives; None takes no part."""
+def _holds_a_positive(e: ExampleSet, found: list) -> bool:
+    """Whether some negative n holds one positive d of e, so that every query
+    certain on d is certain on n and no class separates.  First by facts,
+    d <= n: then Mod(O, n) ⊆ Mod(O, d) under every ontology O (none, Horn or
+    box/diamond), as a model of n's facts is one of d's.  Else by words: n's
+    each lie above some word of d.  `found` is `models` of e's positives,
+    then its negatives; None takes no part in the word test."""
+    if any(d <= n for d in e.positives for n in e.negatives):
+        return True
+    npos = len(e.positives)
     pos = [words for words in found[:npos] if words is not None]
     negs = [words for words in found[npos:] if words is not None]
     return any(all(any(_above(w, v) for v in p) for w in n) for n in negs for p in pos)

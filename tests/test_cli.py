@@ -97,6 +97,28 @@ def test_separable_stats_count_the_until_store(tmp_path, capsys):
     assert store["misses"] == 1 and store["hits"] >= 1
 
 
+def test_a_negative_with_a_positive_s_facts_settles_box_diamond_data_without_a_search(tmp_path, capsys, monkeypatch):
+    # neither axiom is a chase rule, so {B@0} has no least word; the
+    # negative {A@1, B@0} contains it, and no search runs
+    doc = {
+        "format": 1,
+        "positives": [{"facts": [["A", 0], ["B", 2], ["B", 3]]}, {"facts": [["B", 0]]}],
+        "negatives": [{"facts": [["A", 1], ["B", 0]]}, {"facts": [["A", 1], ["A", 3], ["B", 0]]}],
+    }
+    inp, onto = tmp_path / "held.json", tmp_path / "onto.ltl"
+    inp.write_text(json.dumps(doc))
+    onto.write_text("G B -> G A\nG B | !B\n")
+    monkeypatch.setattr(qbe, "prior_path_search", lambda *a, **k: pytest.fail("prior_path_search ran"))
+    argv = ["--input", str(inp), "--ontology", str(onto), "--ontology-kind", "prior"]
+    for cls in ("path-diamond", "branch-diamond"):
+        qbe._record.cache_clear()
+        t0 = time.monotonic()
+        rc, out = run(capsys, ["separable", "--class", cls, *argv])
+        assert rc == 1 and time.monotonic() - t0 < 1.0
+        assert json.loads(out)["stats"]["prior_entails"]["misses"] == 0
+    assert main(["separable", "--class", "path-until", *argv]) == 2
+
+
 def test_separable_with_horn_ontology(tmp_path, capsys):
     doc = dict(EX1)
     doc["positives"] = [

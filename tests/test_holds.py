@@ -1,6 +1,7 @@
 """A negative that holds a positive: `decide` answers not separable without a
-search when some negative's `models` words each lie above a word of one
-positive (`qbe._holds_a_positive`)."""
+search when some negative's facts contain a positive's, under any ontology,
+or its `models` words each lie above a word of one positive
+(`qbe._holds_a_positive`)."""
 
 import random
 
@@ -23,7 +24,7 @@ def _kept(e, onto):
 
 def _fires(e, onto) -> bool:
     kept = _kept(e, onto)
-    return kept is not None and qbe._holds_a_positive(kept[1], len(kept[0].positives))
+    return kept is not None and qbe._holds_a_positive(*kept)
 
 
 def _sets(kind: str) -> list:
@@ -68,6 +69,35 @@ def test_a_holding_negative_separates_in_no_class(monkeypatch, kind):
             assert answer is False or answer == "UnsupportedProblem"
 
 
+def _wordless_sets() -> list:
+    """Box/diamond sets in which some instance has no least word."""
+    rng = random.Random(60000)
+    sets = []
+    while len(sets) < 120:
+        onto = _prior_ontology(rng)
+        e = _two_sided_set(rng, ("A", "B"), 2)
+        if any(qbe.models(onto, d) is None for d in e.instances):
+            sets.append((e, onto))
+    return sets
+
+
+def test_a_negative_with_a_positive_s_facts_separates_in_no_class(monkeypatch):
+    # a model of a negative is a model of each positive whose facts it
+    # contains, word or not: wherever the check fires, each class's own
+    # route, with both checks off and no known verdicts, finds the set not
+    # separable or raises
+    held = [(e, onto) for e, onto in _wordless_sets() if _fires(e, onto)]
+    kept = [_kept(e, onto)[0] for e, onto in held]
+    assert sum(any(d <= n for d in k.positives for n in k.negatives) for k in kept) >= 40
+    monkeypatch.setattr(qbe, "_holds_a_positive", lambda *a: False)
+    monkeypatch.setattr(qbe, "_share_no_atom", lambda *a: False)
+    for e, onto in held:
+        for cls in QueryClass:
+            qbe._record.cache_clear()
+            answer = _answer(Problem(cls, e, onto))
+            assert answer is False or answer == "UnsupportedProblem", (cls, e, onto)
+
+
 @pytest.mark.parametrize("kind", ["plain", "horn"])
 def test_with_one_positive_the_check_is_path_next_diamond(monkeypatch, kind):
     # one positive's word, cut after the last position a negative misses,
@@ -82,7 +112,7 @@ def test_with_one_positive_the_check_is_path_next_diamond(monkeypatch, kind):
             continue
         qbe._record.cache_clear()
         separable = decide(Problem(QueryClass.PATH_NEXT_DIAMOND, e, onto)).separable
-        assert check(kept[1], 1) is not separable, (e, onto)
+        assert check(*kept) is not separable, (e, onto)
         seen.append(separable)
     assert {True, False} <= set(seen)
 
@@ -109,8 +139,11 @@ def _lasso(prefix: str, loop: str) -> LassoModel:
     ],
 )
 def test_words_are_compared_over_their_common_period(positive, negative, holds):
-    assert qbe._holds_a_positive([(positive,), (negative,)], 1) is holds
-    assert qbe._holds_a_positive([None, (positive,), (negative,), None], 2) is holds
+    # the facts are apart, so the words decide
+    apart = ex([[("P", 0)]], [[("N", 0)]])
+    assert qbe._holds_a_positive(apart, [(positive,), (negative,)]) is holds
+    apart = ex([[("P", 0)], [("P", 1)]], [[("N", 0)], [("N", 1)]])
+    assert qbe._holds_a_positive(apart, [None, (positive,), (negative,), None]) is holds
 
 
 def test_an_instance_without_a_least_word_still_raises_first():

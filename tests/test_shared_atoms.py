@@ -53,7 +53,7 @@ def test_positives_that_share_no_atom_separate_in_no_class(monkeypatch, kind):
     # wherever the check fires, each class's own route, with both checks
     # off and no known verdicts, finds the set not separable as well
     fired = [(e, onto) for e, onto in _sets(kind) if _fires(e, onto)]
-    held = [qbe._holds_a_positive(found, len(kept.positives)) for kept, found in map(_kept, *zip(*fired))]
+    held = [qbe._holds_a_positive(*_kept(e, onto)) for e, onto in fired]
     assert len(fired) >= _MIN_FIRES[kind][0] and held.count(False) >= _MIN_FIRES[kind][1]
     monkeypatch.setattr(qbe, "_share_no_atom", lambda *a: False)
     monkeypatch.setattr(qbe, "_holds_a_positive", lambda *a: False)
@@ -97,7 +97,7 @@ def test_positives_with_no_anchored_atom_separate_in_no_class(monkeypatch, kind)
     # after 0 in all, each class's own route, with both checks off and no
     # known verdicts, finds the set not separable
     fired = [(e, onto) for e, onto in _apart_sets(kind) if _fires(e, onto) and not _fires(e, onto, _share_none)]
-    held = [qbe._holds_a_positive(found, len(kept.positives)) for kept, found in map(_kept, *zip(*fired))]
+    held = [qbe._holds_a_positive(*_kept(e, onto)) for e, onto in fired]
     assert len(fired) >= _MIN_APART[kind][0] and held.count(False) >= _MIN_APART[kind][1]
     monkeypatch.setattr(qbe, "_share_no_atom", lambda *a: False)
     monkeypatch.setattr(qbe, "_holds_a_positive", lambda *a: False)
