@@ -179,9 +179,6 @@ class DataInstance:
     def signature(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.facts)
 
-    def atoms_at(self, t: int) -> frozenset[str]:
-        return frozenset(name for name, u in self.facts if u == t)
-
     def __le__(self, other: "DataInstance") -> bool:
         return self.facts <= other.facts
 

@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 import itertools
-from math import lcm
 from operator import le
 
 from .core import (
@@ -547,11 +546,10 @@ def _edge_query(label: frozenset[str], child: Tree) -> Query:
 def prior_path_search(
     onto: PriorOntology,
     e: ExampleSet,
-    cls: QueryClass,
     node_cap: int = 100_000,
     allow_empty_blocks: bool = False,
 ) -> Verdict:
-    """Bounded exhaustive search for a separating diamond path.
+    """Bounded exhaustive search for a separating path-diamond query.
 
     A prefix that is not certain-true on some positive cannot be repaired by
     extending it (extensions are stronger), so the search prunes there.  For
@@ -561,8 +559,6 @@ def prior_path_search(
     query is assembled from them (`_prefix_query`); the ontology's hash and
     constants are computed once, on the ontology itself.
     """
-    if cls is not QueryClass.PATH_DIAMOND:
-        raise UnsupportedProblem(f"{cls.value} is not supported under box/diamond ontologies")
     if not e.negatives:
         return Verdict(True, TOP)
     sig = sorted(e.signature | onto.atoms)
@@ -630,8 +626,8 @@ class _Record(dict):
 @lru_cache(maxsize=4)
 def _record(e: ExampleSet, onto) -> _Record:
     """e's record.  A new one drops e's inconsistent positives once, and
-    holds every class not separable when a negative holds a kept positive,
-    by its facts or its words (`_holds_a_positive`), or no atom is anchored
+    holds every class not separable when a negative's lower word holds a
+    kept positive's facts (`_holds_a_positive`), or no atom is anchored
     in the positives, at 0 in all of them or after 0 in all
     (`_share_no_atom`)."""
     record = _Record()
@@ -659,8 +655,8 @@ def _known_verdict(known: _Record, cls: QueryClass) -> Verdict | None:
 def decide(p: Problem) -> Verdict:
     """p's verdict, its witness checked for p.cls.  The set's record
     (`_record`) drops its inconsistent positives and settles every class as
-    not separable when a negative holds a positive (its facts contain the
-    positive's, under any ontology, or its words lie above) or no atom is
+    not separable when a negative holds a positive (its least word, or its
+    facts, hold the positive's facts, under any ontology) or no atom is
     anchored in the positives, once per set, with no word search; then,
     after the early answers and the `UnsupportedProblem` check, known
     verdicts of the set answer first (`_known_verdict`), else p.cls's own
@@ -703,17 +699,19 @@ def decide(p: Problem) -> Verdict:
 
 def _holds_a_positive(e: ExampleSet, found: list) -> bool:
     """Whether some negative n holds one positive d of e, so that every query
-    certain on d is certain on n and no class separates.  First by facts,
-    d <= n: then Mod(O, n) ⊆ Mod(O, d) under every ontology O (none, Horn or
-    box/diamond), as a model of n's facts is one of d's.  Else by words: n's
-    each lie above some word of d.  `found` is `models` of e's positives,
-    then its negatives; None takes no part in the word test."""
-    if any(d <= n for d in e.positives for n in e.negatives):
-        return True
-    npos = len(e.positives)
-    pos = [words for words in found[:npos] if words is not None]
-    negs = [words for words in found[npos:] if words is not None]
-    return any(all(any(_above(w, v) for v in p) for w in n) for n in negs for p in pos)
+    certain on d is certain on n and no class separates: each fact (a, t)
+    of d holds in n's lower word w at `w.fold(t)`.  That word is n's
+    `models` word (the Horn canonical lasso, the box/diamond least word or,
+    with no ontology, n's own facts), else n's own facts (`data_word`).
+    Every model of (O, n) lies above it, so when it holds d's facts, every
+    model of (O, n) is one of (O, d): Mod(O, n) ⊆ Mod(O, d).  `found` is
+    `models` of e's positives, then its negatives."""
+    for n, words in zip(e.negatives, found[len(e.positives):]):
+        w = words[0] if words else data_word(n)
+        masks = w.word[0]
+        if any(all(masks.get(a, 0) >> w.fold(t) & 1 for a, t in d.facts) for d in e.positives):
+            return True
+    return False
 
 
 def _share_no_atom(pos: list) -> bool:
@@ -736,13 +734,6 @@ def _share_no_atom(pos: list) -> bool:
         if all(m & 1 for m, _ in held) or all(m & later for m, later in held):
             return False
     return True
-
-
-def _above(upper: LassoModel, lower: LassoModel) -> bool:
-    """Whether each letter of upper holds lower's at the same position; both
-    words repeat from max(pre) on with period lcm(per)."""
-    n = max(upper.pre, lower.pre) + lcm(upper.per, lower.per)
-    return all(lower.letter(t) <= upper.letter(t) for t in range(n))
 
 
 def _simulates_product(found: list, npos: int) -> bool:
@@ -798,7 +789,7 @@ def _simulates_product(found: list, npos: int) -> bool:
 def _path_search(onto, e: ExampleSet, found: list, cls: QueryClass, allow_empty_blocks: bool = False) -> Verdict:
     """dp_path over the `models` words of e's instances (`found`), if each has one."""
     if None in found:
-        return prior_path_search(onto, e, cls, allow_empty_blocks=allow_empty_blocks)
+        return prior_path_search(onto, e, allow_empty_blocks=allow_empty_blocks)
     return dp_path(e, [word for (word,) in found], cls, allow_empty_blocks=allow_empty_blocks)
 
 

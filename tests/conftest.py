@@ -66,6 +66,11 @@ def bench_problems(name: str, seed: int, count: int):
         yield [qbe.Problem(cls, e, onto) for cls in classes]
 
 
+def atoms_at(d: DataInstance, t: int) -> frozenset[str]:
+    """The atoms of d's facts at timestamp t."""
+    return frozenset(name for name, u in d.facts if u == t)
+
+
 def rand_instance(rng: random.Random, atoms=ATOMS, max_ts=5, max_facts=6) -> DataInstance:
     n = rng.randrange(0, max_facts + 1)
     return DataInstance.of({(rng.choice(atoms), rng.randrange(0, max_ts + 1)) for _ in range(n)})
@@ -427,7 +432,7 @@ def lasso_models_of(
                     if lasso_is_model(onto, data, model):
                         yield model
                     return
-                required = data.atoms_at(i) if i <= data.max_timestamp else frozenset()
+                required = atoms_at(data, i) if i <= data.max_timestamp else frozenset()
                 for letter in letters:
                     if not required <= letter:
                         continue

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from conftest import (
+    atoms_at,
     compile_next_to_diamond,
     lasso_is_model,
     lasso_models_of,
@@ -347,14 +348,14 @@ def merge_negatives_for_path_until(
     if pad_b in sig or pad_c in sig:
         raise ValueError(f"pad atoms {pad_b!r}/{pad_c!r} already occur in the signature")
 
-    rho0 = frozenset.intersection(*(d.atoms_at(0) for d in examples.positives))
+    rho0 = frozenset.intersection(*(atoms_at(d, 0) for d in examples.positives))
     positives = [
         DataInstance(frozenset((a, t) for a, t in d.facts if t > 0)) for d in examples.positives
     ]
     negatives = [
         DataInstance(frozenset((a, t) for a, t in d.facts if t > 0))
         for d in examples.negatives
-        if rho0 <= d.atoms_at(0)
+        if rho0 <= atoms_at(d, 0)
     ]
     if len(positives) == 1:
         positives.append(positives[0])  # duplicates never change separability

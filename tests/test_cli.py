@@ -97,17 +97,13 @@ def test_separable_stats_count_the_until_store(tmp_path, capsys):
     assert store["misses"] == 1 and store["hits"] >= 1
 
 
-def test_a_negative_with_a_positive_s_facts_settles_box_diamond_data_without_a_search(tmp_path, capsys, monkeypatch):
-    # neither axiom is a chase rule, so {B@0} has no least word; the
-    # negative {A@1, B@0} contains it, and no search runs
-    doc = {
-        "format": 1,
-        "positives": [{"facts": [["A", 0], ["B", 2], ["B", 3]]}, {"facts": [["B", 0]]}],
-        "negatives": [{"facts": [["A", 1], ["B", 0]]}, {"facts": [["A", 1], ["A", 3], ["B", 0]]}],
-    }
+def _settles_without_a_search(tmp_path, capsys, monkeypatch, doc: dict, ontology: str):
+    """`separable` under the box/diamond ontology answers not separable for
+    both box/diamond classes, with no `prior_path_search` and no
+    `prior_entails` miss, and path-until is refused."""
     inp, onto = tmp_path / "held.json", tmp_path / "onto.ltl"
     inp.write_text(json.dumps(doc))
-    onto.write_text("G B -> G A\nG B | !B\n")
+    onto.write_text(ontology)
     monkeypatch.setattr(qbe, "prior_path_search", lambda *a, **k: pytest.fail("prior_path_search ran"))
     argv = ["--input", str(inp), "--ontology", str(onto), "--ontology-kind", "prior"]
     for cls in ("path-diamond", "branch-diamond"):
@@ -117,6 +113,26 @@ def test_a_negative_with_a_positive_s_facts_settles_box_diamond_data_without_a_s
         assert rc == 1 and time.monotonic() - t0 < 1.0
         assert json.loads(out)["stats"]["prior_entails"]["misses"] == 0
     assert main(["separable", "--class", "path-until", *argv]) == 2
+
+
+def test_a_negative_with_a_positive_s_facts_settles_box_diamond_data_without_a_search(tmp_path, capsys, monkeypatch):
+    # neither axiom is a chase rule, so {B@0} has no least word; the
+    # negative {A@1, B@0} contains it
+    doc = {
+        "format": 1,
+        "positives": [{"facts": [["A", 0], ["B", 2], ["B", 3]]}, {"facts": [["B", 0]]}],
+        "negatives": [{"facts": [["A", 1], ["B", 0]]}, {"facts": [["A", 1], ["A", 3], ["B", 0]]}],
+    }
+    _settles_without_a_search(tmp_path, capsys, monkeypatch, doc, "G B -> G A\nG B | !B\n")
+
+
+def test_a_negative_whose_least_word_holds_a_positive_settles_box_diamond_data_without_a_search(
+    tmp_path, capsys, monkeypatch
+):
+    # {A@1} has no least word under A -> F B; the negative's facts do not
+    # contain it, but its least word, which chases C@1 to A@1, does
+    doc = {"format": 1, "positives": [{"facts": [["A", 1]]}], "negatives": [{"facts": [["C", 1], ["B", 3]]}]}
+    _settles_without_a_search(tmp_path, capsys, monkeypatch, doc, "C -> A\nA -> F B\n")
 
 
 def test_separable_with_horn_ontology(tmp_path, capsys):

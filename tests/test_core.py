@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ATOMS, all_instances, rand_instance, rand_query, ref_eval_data, ref_eval_lasso
+from conftest import ATOMS, all_instances, atoms_at, rand_instance, rand_query, ref_eval_data, ref_eval_lasso
 from ltlqbe import core, horn
 from ltlqbe.core import (
     And,
@@ -186,7 +186,7 @@ def test_of_data_matches_atoms_at():
     for _ in range(200):
         d = rand_instance(rng, max_ts=rng.randrange(0, 8), max_facts=8)
         expected = LassoModel(
-            tuple(d.atoms_at(t) for t in range(d.max_timestamp + 1)), (frozenset(),)
+            tuple(atoms_at(d, t) for t in range(d.max_timestamp + 1)), (frozenset(),)
         )
         assert LassoModel.of_data(d) == expected
 

@@ -1,7 +1,7 @@
 """A negative that holds a positive: `decide` answers not separable without a
-search when some negative's facts contain a positive's, under any ontology,
-or its `models` words each lie above a word of one positive
-(`qbe._holds_a_positive`)."""
+search when some negative's lower word (its `models` word, else its own
+facts) holds each fact of one positive at the fact's folded position, under
+any ontology (`qbe._holds_a_positive`)."""
 
 import random
 
@@ -81,14 +81,29 @@ def _wordless_sets() -> list:
     return sets
 
 
+# box/diamond sets whose positive {A@1} or {A@9, D@0} has no least word, and
+# whose negative's least word holds that positive's facts though its own
+# facts do not; in the last, A@9 is read in the word's loop
+_LOWER_WORD_SETS = [
+    ("C -> A\nA -> F B", [[("A", 1)]], [[("C", 1), ("B", 3)]]),
+    ("C -> A\nA -> F B", [[("A", 1)], [("A", 2), ("B", 5)]], [[("B", 0)], [("C", 1), ("B", 3)]]),
+    ("true -> A\nD -> F B", [[("A", 9), ("D", 0)]], [[("D", 0), ("B", 2)]]),
+]
+
+
 def test_a_negative_with_a_positive_s_facts_separates_in_no_class(monkeypatch):
-    # a model of a negative is a model of each positive whose facts it
-    # contains, word or not: wherever the check fires, each class's own
-    # route, with both checks off and no known verdicts, finds the set not
-    # separable or raises
+    # a model of a negative is a model of each positive whose facts hold in
+    # the negative's lower word, least word or not: wherever the check
+    # fires, each class's own route, with both checks off and no known
+    # verdicts, finds the set not separable or raises
     held = [(e, onto) for e, onto in _wordless_sets() if _fires(e, onto)]
     kept = [_kept(e, onto)[0] for e, onto in held]
     assert sum(any(d <= n for d in k.positives for n in k.negatives) for k in kept) >= 40
+    for text, pos, neg in _LOWER_WORD_SETS:
+        onto, e = prior.load_prior_ontology(text), ex(pos, neg)
+        assert qbe.models(onto, e.positives[0]) is None and not any(d <= n for d in e.positives for n in e.negatives)
+        assert _fires(e, onto), text
+        held.append((e, onto))
     monkeypatch.setattr(qbe, "_holds_a_positive", lambda *a: False)
     monkeypatch.setattr(qbe, "_share_no_atom", lambda *a: False)
     for e, onto in held:
@@ -125,25 +140,29 @@ def _lasso(prefix: str, loop: str) -> LassoModel:
 @pytest.mark.parametrize(
     "positive, negative, holds",
     [
-        # prefixes of different lengths
-        (_lasso("", "A"), _lasso("AB", "A"), True),
-        (_lasso("AB", "A"), _lasso("", "A"), False),
-        (_lasso(".", "A"), _lasso(". A", "A ."), False),  # apart at 3, past both prefixes
-        (_lasso(". A", "A ."), _lasso(".", "A"), True),
-        # coprime loops of 2 and 3: equal on the first max(pre) + max(per)
-        # = 3 positions, apart at 4 < lcm = 6
-        (_lasso("", "A ."), _lasso("", "A . A"), False),
-        (_lasso("", "A . A"), _lasso("", "A ."), False),
-        (_lasso("", "A ."), _lasso("", "AB A A"), True),
-        (_lasso(".", "A ."), _lasso("B", "A . A"), False),
+        # prefix 2, loop 1: past the prefix only the loop letter is read
+        ([("A", 3)], _lasso("AB .", "A"), True),
+        ([("B", 2)], _lasso("AB .", "A"), False),
+        # prefix 1, loop 2: A at the odd positions from 1 on
+        ([("A", 4)], _lasso(".", "A ."), False),  # out of phase
+        ([("A", 5), ("A", 1)], _lasso(".", "A ."), True),  # in phase
+        # prefix 2, loop 3: positions 2 3 4 5 6 7 read A . A A . A
+        ([("A", 6)], _lasso(". B", "A . A"), False),  # out of phase
+        ([("B", 4)], _lasso(". B", "A . A"), False),  # B only in the prefix
+        ([("A", 7), ("B", 1)], _lasso(". B", "A . A"), True),  # in phase
+        # no prefix, loop 2: one fact of two missing
+        ([("A", 2), ("C", 2)], _lasso("", "A ."), False),
     ],
 )
 def test_words_are_compared_over_their_common_period(positive, negative, holds):
-    # the facts are apart, so the words decide
-    apart = ex([[("P", 0)]], [[("N", 0)]])
-    assert qbe._holds_a_positive(apart, [(positive,), (negative,)]) is holds
-    apart = ex([[("P", 0)], [("P", 1)]], [[("N", 0)], [("N", 1)]])
-    assert qbe._holds_a_positive(apart, [None, (positive,), (negative,), None]) is holds
+    # the negative's own facts are apart from the positive's, so its lower
+    # word decides, read at each fact's folded position; a positive's
+    # `models` takes no part
+    apart = ex([positive], [[("N", 0)]])
+    assert qbe._holds_a_positive(apart, [None, (negative,)]) is holds
+    # a negative with no word is read as its facts: {N@1} holds nothing
+    apart = ex([positive, [("P", 0)]], [[("N", 0)], [("N", 1)]])
+    assert qbe._holds_a_positive(apart, [None, None, (negative,), None]) is holds
 
 
 def test_an_instance_without_a_least_word_still_raises_first():

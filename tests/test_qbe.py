@@ -614,13 +614,13 @@ def test_until_family_requires_positive():
 def test_prior_path_search_examples():
     o = prior.load_prior_ontology("T | V")
     e = ex([[("T", 1)]], [[("V", 1)]])
-    v = prior_path_search(o, e, QueryClass.PATH_DIAMOND)
+    v = prior_path_search(o, e)
     assert v.separable  # F T is certain on the positive only
     # a negative that contains the positive can never be separated
     e2 = ex([[("T", 1)]], [[("T", 1), ("V", 1)]])
-    assert not prior_path_search(o, e2, QueryClass.PATH_DIAMOND).separable
+    assert not prior_path_search(o, e2).separable
     e3 = ex([[("T", 1)]], [])
-    assert prior_path_search(o, e3, QueryClass.PATH_DIAMOND).separable
+    assert prior_path_search(o, e3).separable
 
 
 def test_prior_path_diamond_skips_all_top_blocks():
@@ -1027,10 +1027,10 @@ def test_data_that_is_a_model_takes_the_plain_route(monkeypatch, cls):
     for onto, e, _ in sets:
         v = decide(Problem(cls, e, onto))
         if cls is QueryClass.PATH_DIAMOND:
-            expected = prior_path_search(onto, e, cls).separable
+            expected = prior_path_search(onto, e).separable
         else:
             expected = all(
-                prior_path_search(onto, sub, QueryClass.PATH_DIAMOND, allow_empty_blocks=True).separable
+                prior_path_search(onto, sub, allow_empty_blocks=True).separable
                 for sub in transform.split_per_negative(e)
             )
         assert v.separable == expected, (onto, e)
@@ -1215,7 +1215,7 @@ def test_prior_path_search_asks_the_cached_prior_entails():
     info = prior.prior_entails.cache_info()
     o = prior.load_prior_ontology("A -> F B")
     e = ex([[("A", 0)], [("B", 2)]], [[("C", 1)]])
-    v = prior_path_search(o, e, QueryClass.PATH_DIAMOND)
+    v = prior_path_search(o, e)
     assert v.separable and str(v.witness) == "F B"
     after = prior.prior_entails.cache_info()
     assert after.hits + after.misses > info.hits + info.misses

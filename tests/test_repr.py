@@ -7,6 +7,7 @@ from conftest import (
     EMPTY_ONTOLOGY,
     Edge,
     Named,
+    atoms_at,
     lessdot,
     lessdot_mp,
     mu_mp,
@@ -332,7 +333,7 @@ def _build_br_reference(letters, n_positions, sigma_bot, less, gaps, with_z, max
 
 def _reference_plain_br(d, sig):
     return _build_br_reference(
-        d.atoms_at, d.max_timestamp + 1, sig | {BOT}, lessdot, nabla, True, d.max_timestamp
+        lambda t: atoms_at(d, t), d.max_timestamp + 1, sig | {BOT}, lessdot, nabla, True, d.max_timestamp
     )
 
 
