@@ -13,12 +13,14 @@ and a summary that led nowhere once is not searched again.
 Axioms and queries are evaluated on a word as integer bitmasks over its
 positions (`core.lasso_word`, `core.positions`).  A diamond query is certain
 on (O, D) iff no such word is a model of O and D on which the query fails at
-0, so entailment is a countermodel search.  Every model the search finds is
-kept, most recent first, in a bounded store per (O, D), and later queries on
-the same (O, D) try the stored words before searching.  A stored word is a
-model of O and D whatever the query (atoms outside its signature are false,
-and none occurs in O or D), so a stored word that falsifies the query settles
-"not entailed"; "entailed" still comes only from the full search.
+0, so entailment is a countermodel search.  A query that holds at 0 on D's
+own word is certain with no search: every model of (O, D) holds D's facts,
+so it lies letter by letter above that word, and diamond queries are
+monotone.  Every model the search finds is kept, most recent first, in a
+bounded store per (O, D), and later queries on the same (O, D) try the
+stored words before searching.  A stored word is a model of O and D whatever
+the query (atoms outside its signature are false, and none occurs in O or
+D), so a stored word that falsifies the query settles "not entailed".
 
 Most data needs no search (`least_word`).  Forward chaining from D's own word
 adds, wherever the body of an axiom `body -> atoms` without ! or -> holds, its
@@ -397,7 +399,6 @@ def _diamond_args(q: Query) -> list[Query]:
     raise ValueError(f"query outside the diamond fragment: {q}")
 
 
-_EMPTY_WORD = lasso_word((), (frozenset(),))
 _KEPT = 16  # countermodels kept per (ontology, instance)
 
 
@@ -457,13 +458,15 @@ def prior_consistent(onto: PriorOntology, data: DataInstance) -> bool:
 
 @lru_cache(maxsize=65536)
 def prior_entails(onto: PriorOntology, data: DataInstance, q: Query) -> bool:
-    """True iff q holds at 0 in every model of (onto, data)."""
+    """True iff q holds at 0 in every model of (onto, data).  True without a
+    search when q holds at 0 on data's own word: every model holds data's
+    facts, so it lies letter by letter above that word, and q is monotone."""
     _diamond_args(q)  # the fragment check
     word = least_word(onto, data)
     if word is not None:
         return eval_lasso(word, q, 0)
-    if positions(q, _EMPTY_WORD) & 1:
-        return True  # valid positive queries have no countermodel anywhere
+    if positions(q, data_word(data).word) & 1:
+        return True
     if any(not positions(q, word) & 1 for word in _countermodels(onto, data)):
         return False
     model = _search_word(onto, data, _sig_tuple(onto, data, extra=query_atoms(q)), q)

@@ -456,6 +456,18 @@ def cold_verdicts():
     qbe._record.cache_clear()
 
 
+def forbid_query_search(monkeypatch):
+    """Fail the test if `prior._search_word` is asked for a countermodel of a
+    query; consistency searches (query None) still run."""
+    search = prior._search_word
+
+    def guarded(onto, data, sig, query=None):
+        assert query is None, f"countermodel search for {query}"
+        return search(onto, data, sig, query)
+
+    monkeypatch.setattr(prior, "_search_word", guarded)
+
+
 def kept_record(e, onto=None):
     """The record `decide` keeps for e under onto, as the only entry of
     `qbe._record`; asking for it is a hit, so nothing is made anew."""

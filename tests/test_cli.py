@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from ltlqbe import cli, qbe
+from conftest import forbid_query_search
+from ltlqbe import cli, prior, qbe
 from ltlqbe.cli import main
 from ltlqbe.qbe import WitnessError
 from test_horn import LONG_CHAIN_ONTOLOGY
@@ -366,6 +367,22 @@ def test_eval_prior_chased_data_answers_every_query(tmp_path, capsys):
     for query, expected in [("X B", "true"), ("X (A & B)", "true"), ("B", "false"), ("X X B", "false")]:
         rc, out = run(capsys, argv + ["--query", query])
         assert (rc, out) == (0 if expected == "true" else 1, expected), query
+
+
+def test_eval_prior_answers_a_query_true_on_the_data_without_a_search(tmp_path, capsys, monkeypatch):
+    # {B@1, A@2} has no least word under A -> F B; a query that holds at 0 on
+    # its own word is certain, as every model lies above that word
+    onto = tmp_path / "o.ltl"
+    onto.write_text("A -> F B\n")
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"format": 1, "facts": [["B", 1], ["A", 2]]}))
+    argv = ["eval", "--data", str(data), "--ontology", str(onto), "--ontology-kind", "prior"]
+    prior.prior_entails.cache_clear()
+    with monkeypatch.context() as m:
+        forbid_query_search(m)
+        for query in ("F (B & F A)", "F A"):
+            assert run(capsys, argv + ["--query", query]) == (0, "true"), query
+    assert run(capsys, argv + ["--query", "B"]) == (1, "false")
 
 
 def test_eval_bad_query_exit_two(tmp_path):

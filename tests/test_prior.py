@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import EMPTY_PRIOR, rand_instance, ref_eval_data, ref_eval_lasso
+from conftest import EMPTY_PRIOR, forbid_query_search, rand_instance, ref_eval_data, ref_eval_lasso
 from ltlqbe import prior
 from ltlqbe.core import (
     TOP,
@@ -64,10 +64,30 @@ def test_entails_disjunctive_choice():
     assert prior.prior_entails(o, D([("T", 1)]), parse_query("F T"))
 
 
-def test_entails_valid_query():
+def test_entails_valid_query(monkeypatch):
+    # !A -> F B has no chase rule and {} no least word; a valid query holds
+    # on the empty data word
     o = load("!A -> F B")
+    _clear_prior_caches()
+    forbid_query_search(monkeypatch)
+    assert prior.least_word(o, D([])) is None
     assert prior.prior_entails(o, D([]), parse_query("F true"))
     assert prior.prior_entails(o, D([]), parse_query("F F true"))
+
+
+def test_a_query_true_on_the_data_word_is_certain_without_a_search(monkeypatch):
+    # the promise of A@2 is not kept by the data, so it has no least word;
+    # every model lies above the data word, on which both queries hold at 0
+    o, d = load("A -> F B"), D([("B", 1), ("A", 2)])
+    assert prior.least_word(o, d) is None
+    _clear_prior_caches()
+    with monkeypatch.context() as m:
+        forbid_query_search(m)
+        assert prior.prior_entails(o, d, parse_query("F (B & F A)"))
+        assert prior.prior_entails(o, d, parse_query("F A"))
+    # B holds on the data word at 1 only; read at 0 it needs the search
+    assert positions(parse_query("B"), data_word(d).word) == 0b10
+    assert not prior.prior_entails(o, d, parse_query("B"))
 
 
 def test_entails_rejects_non_diamond_queries():
@@ -380,13 +400,16 @@ def test_entails_matches_bounded_enumeration():
 
 def test_least_word_rule_matches_the_search():
     # When (onto, d) has a least word, prior_entails answers on it alone;
-    # _search_word never takes that shortcut.
+    # without one, a query true at 0 on d's own word is answered on that
+    # word.  _search_word never takes either shortcut.
     checked = {True: 0, False: 0}
+    wordless = {"data word": 0, "search": 0}
     rng = random.Random(8800)
     while min(checked.values()) < 400:
         onto = _rand_prior_ontology(rng)
         d = rand_instance(rng, atoms=("A", "B"), max_ts=2, max_facts=3)
-        checked[prior.least_word(onto, d) is not None] += 1
+        has_word = prior.least_word(onto, d) is not None
+        checked[has_word] += 1
         assert prior.prior_consistent(onto, d) == (
             prior._search_word(onto, d, prior._sig_tuple(onto, d), None) is not None
         ), (onto, d)
@@ -395,6 +418,10 @@ def test_least_word_rule_matches_the_search():
             sig = prior._sig_tuple(onto, d, extra=query_atoms(q))
             expected = prior._search_word(onto, d, sig, q) is None
             assert prior.prior_entails(onto, d, q) == expected, (onto, d, str(q))
+            if not has_word:
+                wordless["data word" if positions(q, data_word(d).word) & 1 else "search"] += 1
+    # both routes of a wordless instance were taken
+    assert min(wordless.values()) >= 50, wordless
 
 
 def test_least_word_rule_checks_every_position():
