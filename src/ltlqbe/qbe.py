@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 import itertools
+import math
 from operator import le
 
 from .core import (
@@ -29,6 +30,7 @@ from .core import (
     QueryClass,
     TOP,
     Until,
+    _block_query,
     _path_query,
     _pred,
     atoms_conj,
@@ -65,6 +67,24 @@ PATH_CLASSES = (
 BRANCH_CLASSES = (QueryClass.BRANCH_DIAMOND, QueryClass.BRANCH_NEXT_DIAMOND)
 DIAMOND_CLASSES = PATH_CLASSES + BRANCH_CLASSES
 UNTIL_CLASSES = (QueryClass.PATH_UNTIL, QueryClass.SIMPLE_UNTIL, QueryClass.FULL_UNTIL)
+_NO_X = (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND)
+
+# the grammar's class inclusions, (smaller, larger), and each class with every
+# class above it: a witness checked in a class answers those with no walk
+_INCLUSIONS = tuple((QueryClass(a), QueryClass(b)) for a, b in (
+    ("path-diamond", "path-next-diamond"), ("path-diamond", "path-diamond-circ-blocks"),
+    ("path-diamond", "branch-diamond"), ("path-next-diamond", "branch-next-diamond"),
+    ("path-diamond-circ-blocks", "branch-next-diamond"), ("branch-diamond", "branch-next-diamond"),
+    ("path-next-diamond", "path-until"), ("branch-next-diamond", "simple-until"),
+    ("path-until", "simple-until"), ("simple-until", "full-until"),
+))
+
+
+def _up(cls: QueryClass) -> frozenset[QueryClass]:
+    return frozenset({cls}).union(*(_up(large) for small, large in _INCLUSIONS if small is cls))
+
+
+_UP = {cls: _up(cls) for cls in QueryClass}
 
 _BRANCH_TO_PATH = {
     QueryClass.BRANCH_DIAMOND: QueryClass.PATH_DIAMOND,
@@ -139,18 +159,19 @@ def _checked(p: Problem, verdict: Verdict, known: _Record) -> Verdict:
     """verdict, once a separable one's witness is checked for p: by
     `verify_witness` on p's set as `known` keeps it (`dropped`) the first
     time it leaves `decide` for the set, else by `in_class` unless
-    `known.checked` already holds it in p.cls."""
+    `known.checked` already holds it in p.cls.  A witness in p.cls lies in
+    every class above it (`_UP`), which it then answers with no walk."""
     if verdict.separable:
         q = verdict.witness
         classes = known.checked.get(verdict)
         if classes is None:
             if q is None or not verify_witness(Problem(p.cls, known.dropped[0], p.ontology), q):
                 raise WitnessError(f"witness {q} does not separate ({p.cls.value})")
-            known.checked[verdict] = {p.cls}
+            known.checked[verdict] = set(_UP[p.cls])
         elif p.cls not in classes:
             if not in_class(q, p.cls):
                 raise WitnessError(f"witness {q} does not separate ({p.cls.value})")
-            classes.add(p.cls)
+            classes |= _UP[p.cls]
     return verdict
 
 
@@ -217,10 +238,7 @@ def dp_path(
     npos = len(e.positives)
     nneg = len(models) - npos
     k = max((m.pre for m in models), default=1)
-    m_budget = 1
-    for mm in models:
-        m_budget *= mm.per
-    top = k + m_budget
+    top = k + math.prod(m.per for m in models)
     c_range = range(0, top + 1) if cls is not QueryClass.PATH_DIAMOND else range(0, 1)
     anchored = cls is QueryClass.PATH_NEXT_DIAMOND  # Eq-1 chains: blocks may not overlap
     block_limit = k + nneg + 2
@@ -615,24 +633,24 @@ class _Record(dict):
     verdicts whose witness passed `_checked` (`checked`, in checked order),
     each with the classes it answers; `_drop_inconsistent`'s result for the
     set (`dropped`), its until systems (`systems`, by black_red, from
-    `_until_systems`) and, when it dropped a positive, each answer's noted
-    copy (`noted`).  A later class a kept witness answers costs one
-    `in_class` walk, which `_known_verdict` makes and keeps for `_checked`.
-    `_record` keeps the last 4, by the set as given and its ontology."""
+    `_until_systems`), its `_common_block` (`block`, ... until built) and,
+    when it dropped a positive, each answer's noted copy (`noted`).  A later
+    class a kept witness answers costs at most one `in_class` walk, none
+    above a class it answers (`_UP`).  `_record` keeps the last 4."""
 
-    __slots__ = ("dropped", "systems", "checked", "noted")
+    __slots__ = ("dropped", "systems", "checked", "noted", "block")
 
 
 @lru_cache(maxsize=4)
 def _record(e: ExampleSet, onto) -> _Record:
-    """e's record.  A new one drops e's inconsistent positives once, and
-    holds every class not separable when a negative's lower word holds a
-    kept positive's facts (`_holds_a_positive`), or no atom is anchored
-    in the positives, at 0 in all of them or after 0 in all
-    (`_share_no_atom`)."""
+    """e's record, by the set as given and its ontology.  A new one drops e's
+    inconsistent positives once, and holds every class not separable when a
+    negative's lower word holds a kept positive's facts (`_holds_a_positive`)
+    or no atom is anchored in the positives (`_share_no_atom`); its common
+    block waits for the first class with X that asks."""
     record = _Record()
     record.dropped = kept, found, early, _ = _drop_inconsistent(e, onto)
-    record.systems, record.checked, record.noted = {}, {}, {}
+    record.systems, record.checked, record.noted, record.block = {}, {}, {}, ...
     npos = len(kept.positives)
     if early is None and npos and kept.negatives:
         if _holds_a_positive(kept, found) or _share_no_atom(found[:npos]):
@@ -647,7 +665,7 @@ def _known_verdict(known: _Record, cls: QueryClass) -> Verdict | None:
         return known[cls]
     for verdict, classes in known.checked.items():
         if cls in classes or in_class(verdict.witness, cls):
-            classes.add(cls)
+            classes |= _UP[cls]
             return verdict
     return None
 
@@ -655,17 +673,16 @@ def _known_verdict(known: _Record, cls: QueryClass) -> Verdict | None:
 def decide(p: Problem) -> Verdict:
     """p's verdict, its witness checked for p.cls.  The set's record
     (`_record`) drops its inconsistent positives and settles every class as
-    not separable when a negative holds a positive (its least word, or its
-    facts, hold the positive's facts, under any ontology) or no atom is
-    anchored in the positives, once per set, with no word search; then,
-    after the early answers and the `UnsupportedProblem` check, known
-    verdicts of the set answer first (`_known_verdict`), else p.cls's own
-    route decides and `_checked` checks its witness.  A not-separable
-    verdict joins the record, a witness once it checks.  When a path
-    class's search finds no separator and a negative's word simulates the
-    positives' product (`_simulates_product`), no diamond class separates:
-    all five join as not separable, and a witness kept for one of them is a
-    `LatticeError`."""
+    not separable when a negative holds a positive or no atom is anchored in
+    the positives, once per set, with no word search; then, after the early
+    answers and the `UnsupportedProblem` check, known verdicts of the set
+    answer first (`_known_verdict`), then, for a class with X, the
+    positives' common block (`_common_block`), else p.cls's own route, and
+    `_checked` checks the witness.  A not-separable verdict joins the
+    record, a witness once it checks.  When a path class's search finds no
+    separator and a negative's word simulates the positives' product
+    (`_simulates_product`), no diamond class separates: all five join as
+    not separable, and a witness kept for one of them is a `LatticeError`."""
     known = _record(p.examples, p.ontology)
     e, found, early, note = known.dropped
     if early is not None:
@@ -674,12 +691,14 @@ def decide(p: Problem) -> Verdict:
         # every query is certain-true on zero positives; false never is on
         # a consistent negative
         verdict = _checked(p, Verdict(True, TOP if e.positives else BOT_QUERY), known)
-    elif None in found and p.cls not in (QueryClass.PATH_DIAMOND, QueryClass.BRANCH_DIAMOND):
+    elif None in found and p.cls not in _NO_X:
         raise UnsupportedProblem(f"{p.cls.value} needs box/diamond data that is its own model")
     else:
         verdict = _known_verdict(known, p.cls)
     if verdict is None:
-        if p.cls in PATH_CLASSES:
+        if p.cls not in _NO_X and (block := _common_block(known)):
+            verdict = block
+        elif p.cls in PATH_CLASSES:
             verdict = _path_search(p.ontology, e, found, p.cls)
             if not verdict.separable and None not in found and _simulates_product(found, len(e.positives)):
                 if any(not classes.isdisjoint(DIAMOND_CLASSES) for classes in known.checked.values()):
@@ -712,6 +731,26 @@ def _holds_a_positive(e: ExampleSet, found: list) -> bool:
         if any(all(masks.get(a, 0) >> w.fold(t) & 1 for a, t in d.facts) for d in e.positives):
             return True
     return False
+
+
+def _common_block(known: _Record) -> Verdict | None:
+    """The X-chain ρ0 ∧ X(ρ1 ∧ X(…)) of the positives' common block, its slot
+    t the letter at t that all positives' `models` words share, up to
+    `dp_path`'s bound, cut to the shortest prefix that every negative's word
+    fails; as a separable verdict, else None, built once per set (`block`).
+    It holds at 0 on every positive and on no negative; its last slot, where
+    the last negative first fails, is non-empty.  It lies in every class with
+    X, and on the diamond classes it is `dp_path`'s witness at anchors 0."""
+    if known.block is ...:
+        npos, words = len(known.dropped[0].positives), [word for (word,) in known.dropped[1]]
+        negs, block = words[npos:], []
+        for t in range(max(w.pre for w in words) + math.prod(w.per for w in words) + 1):
+            block.append(frozenset.intersection(*(w.letter(t) for w in words[:npos])))
+            negs = [w for w in negs if block[t] <= w.letter(t)]
+            if not negs:
+                break
+        known.block = None if negs else Verdict(True, _block_query(tuple(block)))
+    return known.block
 
 
 def _share_no_atom(pos: list) -> bool:

@@ -86,8 +86,14 @@ def test_separable_minimize_and_oracle_check(ex1, capsys):
 
 
 def test_separable_stats_count_the_until_store(tmp_path, capsys):
-    # the negative is the positive with A renamed to B: one shape, built once
-    doc = {"format": 1, "positives": [{"facts": [["A", 1]]}], "negatives": [{"facts": [["B", 1]]}]}
+    # the instances are one word up to atom renaming, two atoms at 1 and 2:
+    # one shape, built once; the positives' common block is empty, so the
+    # set takes the until route
+    doc = {
+        "format": 1,
+        "positives": [{"facts": [["A", 1], ["B", 2]]}, {"facts": [["B", 1], ["A", 2]]}],
+        "negatives": [{"facts": [["C", 1], ["A", 2]]}],
+    }
     inp = tmp_path / "renamed.json"
     inp.write_text(json.dumps(doc))
     qbe._record.cache_clear()

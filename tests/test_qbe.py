@@ -813,8 +813,11 @@ def test_witness_does_not_depend_on_hash_seed():
 # The witness digest was re-recorded then: simple-until and full-until answer
 # with the witness of the least class of path-until ⊆ simple-until ⊆
 # full-until that separates, where they played only their own games before.
+# It was re-recorded again when the positives' common block came first
+# (`qbe._common_block`): a set it separates answers every until class with
+# the block's X-chain, where it answered with a spelled tree before.
 _UNTIL_VERDICT_DIGEST = "acd21a740d313941dbf7c377b2c22ef09b1d37a22e4b6839c23dc0976341390d"
-_UNTIL_DIGEST = "04e6ed323ed9c83ab119f42d63112e7ca079b462fa9a9c4b24f230fe3f9f4a9f"
+_UNTIL_DIGEST = "cba38bc2e3dc62f12a8c1381b50305bb4645d5c0093f0e42c48d5c5e28cea680"
 
 
 def _two_sided_set(rng, atoms, max_ts):

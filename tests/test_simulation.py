@@ -116,10 +116,12 @@ def test_a_firing_check_against_a_kept_separable_verdict_is_an_error(monkeypatch
     with pytest.raises(LatticeError):
         decide(Problem(QueryClass.PATH_DIAMOND, _BRANCH_ONLY))
     # neither verdict replaces the kept one: no class joins as not
-    # separable, and the record keeps branch-diamond's checked witness
+    # separable, and the record keeps branch-diamond's checked witness, with
+    # the classes above branch-diamond that it answers too
     known = kept_record(_BRANCH_ONLY)
     assert not known
-    assert [(v.separable, classes) for v, classes in known.checked.items()] == [(True, {QueryClass.BRANCH_DIAMOND})]
+    above = {QueryClass.BRANCH_DIAMOND, QueryClass.BRANCH_NEXT_DIAMOND, QueryClass.SIMPLE_UNTIL, QueryClass.FULL_UNTIL}
+    assert [(v.separable, classes) for v, classes in known.checked.items()] == [(True, above)]
 
 
 def test_a_lattice_contradiction_exits_five(monkeypatch, tmp_path, capsys):

@@ -159,18 +159,21 @@ def test_sets_sharing_an_instance_build_it_once(monkeypatch):
     calls = []
     original = qbe.repr_plain
     monkeypatch.setattr(qbe, "repr_plain", lambda *args: calls.append(args[0]) or original(*args))
+    # every negative holds the positives' common block, so each set takes
+    # the until route and builds its systems
     shared = D([("A", 1), ("B", 3)])
-    first = ExampleSet.of([shared], [D([("A", 2)])])
+    first = ExampleSet.of([shared, D([("A", 2), ("B", 3)])], [D([("A", 0), ("B", 3)])])
     second = ExampleSet.of([D([("B", 1)]), shared], [D([("A", 3)]), D([("B", 0)])])
     for e in (first, second):
         decide(Problem(QueryClass.PATH_UNTIL, e))
-    # the six instances have five shapes: only the shared one recurs
+    # the seven instances have six shapes: only the shared one recurs
     assert len(calls) == len(first.instances) + len(second.instances) - 1
-    assert qbe._instance_systems.cache_info()[:2] == (1, 5)
+    assert qbe._instance_systems.cache_info()[:2] == (1, 6)
     # another signature is a hit: the shared instance over {A, B, C}
-    decide(Problem(QueryClass.PATH_UNTIL, ExampleSet.of([D([("C", 1), ("C", 2)])], [shared])))
-    assert len(calls) == 6
-    assert qbe._instance_systems.cache_info()[:2] == (2, 6)
+    third = ExampleSet.of([D([("A", 1), ("C", 1)]), D([("A", 1), ("C", 2)])], [shared])
+    decide(Problem(QueryClass.PATH_UNTIL, third))
+    assert len(calls) == 8
+    assert qbe._instance_systems.cache_info()[:2] == (2, 8)
 
 
 def test_empty_ontology_data_hits_the_plain_entry():
