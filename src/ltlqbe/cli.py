@@ -115,7 +115,11 @@ def _load_ontology(path: str | None, kind: str):
 
 
 _CLASSES = {c.value: c for c in QueryClass}
-_CACHES = {"until_store": qbe._instance_systems, "prior_entails": prior.prior_entails}
+_CACHES = {
+    "until_store": qbe._instance_systems,
+    "prior_search": prior._shape_search,
+    "prior_entails": prior.prior_entails,
+}
 
 
 def _cmd_separable(args) -> int:

@@ -13,7 +13,13 @@ and a summary that led nowhere once is not searched again.
 Axioms and queries are evaluated on a word as integer bitmasks over its
 positions (`core.lasso_word`, `core.positions`).  A diamond query is certain
 on (O, D) iff no such word is a model of O and D on which the query fails at
-0, so entailment is a countermodel search.  A query that holds at 0 on D's
+0, so entailment is a countermodel search.  A search is answered once per
+shape, up to atom renaming: a bounded store (`_shape_search`) keys it on
+(O, D, signature, query) with every atom renamed in a canonical order, and
+hands the model back under the caller's names (`_search_word`).  LTL truth
+is invariant under a bijective renaming of atoms, so a model of the renamed
+triple, renamed back, is a model of the given one, and "no model" carries
+over too.  A query that holds at 0 on D's
 own word is certain with no search: every model of (O, D) holds D's facts,
 so it lies letter by letter above that word, and diamond queries are
 monotone.  Every model the search finds is kept, most recent first, in a
@@ -52,6 +58,7 @@ from .core import (
     parse_lines,
     positions,
     query_atoms,
+    subqueries,
 )
 
 PriorParseError = ParseError  # the former name of box/diamond parse errors
@@ -158,6 +165,36 @@ class PriorOntology:
             if atoms is not None and not any(isinstance(f, (PNot, PImp)) for f in _subformulas(body)):
                 rules.append((body, atoms))
         return tuple(rules)
+
+    @cached_property
+    def shape(self) -> tuple[PriorOntology, dict[str, str]]:
+        """This ontology with its atoms renamed `a0`, `a1`, ... in order of
+        first occurrence in the axioms, interned, and that renaming."""
+        names: dict[str, str] = {}
+        _name_new(names, (f.name for a in self.axioms for f in _subformulas(a) if isinstance(f, PAtom)))
+        return _interned(PriorOntology(tuple(_renamed(a, names) for a in self.axioms))), names
+
+
+@lru_cache(maxsize=256)
+def _interned(onto: PriorOntology) -> PriorOntology:
+    """The first held ontology equal to onto, so that the renamed ontologies
+    of one shape share one object and its cached constants."""
+    return onto
+
+
+def _renamed(f, names: dict[str, str]):
+    """f, an axiom formula or a diamond query, with its atoms renamed by
+    `names`; a query outside the diamond fragment is left as it is, for the
+    search to reject."""
+    if isinstance(f, (PAtom, Prop)):
+        return type(f)(names[f.name])
+    if isinstance(f, And):
+        return And(tuple(_renamed(p, names) for p in f.parts))
+    if isinstance(f, (PNot, PBox, PDia, Diamond)):
+        return type(f)(_renamed(f.arg, names))
+    if isinstance(f, (PAnd, POr, PImp)):
+        return type(f)(_renamed(f.left, names), _renamed(f.right, names))
+    return f
 
 
 def _subformulas(f: PFormula):
@@ -286,7 +323,9 @@ def _valid_loops(onto: PriorOntology, sig: tuple[str, ...], loop_len: int) -> tu
 
     Backtracks position by position, pruning with three-valued axiom checks;
     at full length the checks are exact.  No query or data changes the
-    loops, so they are kept for every word search over the same signature.
+    loops, so they are kept for every word search over the same signature;
+    the searches pass renamed ontologies (`_shape_search`), so every
+    ontology of one shape shares them.
     """
     return tuple(_extend_loops(onto, list(_letter_choices(sig, frozenset())), [], {}, (1 << loop_len) - 1))
 
@@ -312,12 +351,61 @@ def _search_word(
     onto: PriorOntology, data: DataInstance, sig: tuple[str, ...], query=None
 ) -> LassoModel | None:
     """A periodic model of (onto, data), if any; given a diamond query, one on
-    which the query fails at 0."""
-    max_ts = data.max_timestamp
+    which the query fails at 0.
+
+    The search is answered by the store `_shape_search` on the triple's
+    shape: its atoms renamed by a bijection σ onto `a0`, `a1`, ... (the
+    ontology's in order of first occurrence in the axioms, `onto.shape`;
+    then the data's other atoms, by (first timestamp, name); then the
+    query's other atoms, in order of first occurrence; then the rest of
+    `sig`).  Renaming atoms is a bijection on words, and LTL truth is
+    invariant under it: a model of (σO, σD) that falsifies σq, renamed by
+    σ⁻¹, is a model of (O, D) that falsifies q, and when (σO, σD, σq) has no
+    model, neither has (O, D, q); the search's bounds (the data's last
+    timestamp, the ontology's temporal count) do not change under σ.  The
+    key holds no given atom name.  The renamed search orders its letters by
+    the new names, so it may hand back a different model than a search on
+    the given names; callers read only whether there is one, or keep it as
+    some model of (O, D) (`_keep`).
+    """
+    renamed, names = onto.shape
+    names = dict(names)
+    facts = data_word(data).prefix
+    for letter in facts:
+        _name_new(names, sorted(letter.difference(names)))
+    if query is not None:
+        _name_new(names, (p.name for p in subqueries(query) if isinstance(p, Prop)))
+    _name_new(names, sig)
+    found = _shape_search(
+        renamed,
+        tuple(frozenset(map(names.__getitem__, letter)) for letter in facts),
+        tuple(sorted(map(names.__getitem__, sig))),
+        None if query is None else _renamed(query, names),
+    )
+    if found is None:
+        return None
+    back = dict(zip(names.values(), names))
+    return LassoModel(*(tuple(frozenset(map(back.__getitem__, letter)) for letter in part)
+                        for part in (found.prefix, found.loop)))
+
+
+def _name_new(names: dict[str, str], atoms) -> None:
+    """Give each of `atoms` that `names` does not map the next placeholder name."""
+    for a in atoms:
+        if a not in names:
+            names[a] = f"a{len(names)}"
+
+
+@lru_cache(maxsize=1024)
+def _shape_search(
+    onto: PriorOntology, facts: tuple[frozenset[str], ...], sig: tuple[str, ...], query: Query | None
+) -> LassoModel | None:
+    """`_search_word` on a renamed triple: `facts` holds the data's letters
+    at 0..max timestamp, `sig` is sorted."""
+    max_ts = len(facts) - 1
     # keeping one witness per diamond subformula and one falsifier per box
     # subformula preserves every subformula value, so this slack suffices
     size = onto.temporal_count + 1
-    facts = data_word(data).prefix
     temporal = onto.temporal_parts
     later = _diamond_args(query) if query is not None else []
     failed: set[tuple] = set()  # see _fill_handle; shared by every loop and k

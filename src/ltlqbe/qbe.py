@@ -333,15 +333,15 @@ def dp_path(
         return _blocks_to_query(blocks, cls)
 
     zero = (0,) * npos
+    matched = [True] * nneg  # whether each negative holds the block at 0 so far
     for c in c_range:
         chain = chains.setdefault(zero, [])
         extend(chain, zero, c)
         slots = chain[c][0]
         start = min(c, k) if anchored else 0
-        negs = tuple(
-            start if all(s <= row[t] for t, s in enumerate(slots)) else None
-            for row in neg_letters
-        )
+        # the block of width c is that of width c - 1 and one more slot
+        matched = [held and slots[c] <= row[c] for held, row in zip(matched, neg_letters)]
+        negs = tuple(start if held else None for held in matched)
         if all(x is None for x in negs) and slots[-1]:
             return Verdict(True, witness(None, slots))
         node = ((start,) * npos, negs)

@@ -104,6 +104,37 @@ def test_separable_stats_count_the_until_store(tmp_path, capsys):
     assert store["misses"] == 1 and store["hits"] >= 1
 
 
+def test_separable_stats_count_the_prior_search_store(tmp_path, capsys):
+    # {A@1, C@2} has no least word under A -> F B, so the set needs word
+    # searches; the same set and ontology with every atom renamed have the
+    # same shape, and the store answers all of their searches
+    doc = {
+        "format": 1,
+        "positives": [{"facts": [["A", 1], ["C", 2]]}],
+        "negatives": [{"facts": [["C", 2]]}, {"facts": [["A", 0]]}],
+    }
+    ren = {"A": "Pa", "B": "Qb", "C": "Rc"}
+    renamed = {side: [{"facts": [[ren[a], t] for a, t in d["facts"]]} for d in doc[side]]
+               for side in ("positives", "negatives")}
+    for cache in (qbe._record, prior._shape_search, prior.prior_consistent, prior.prior_entails):
+        cache.cache_clear()
+    outs = []
+    for name, data, axioms in (("plain", doc, "A -> F B\n!(A & B)\n"),
+                               ("renamed", {"format": 1, **renamed}, "Pa -> F Qb\n!(Pa & Qb)\n")):
+        inp, onto = tmp_path / f"{name}.json", tmp_path / f"{name}.ltl"
+        inp.write_text(json.dumps(data))
+        onto.write_text(axioms)
+        argv = ["separable", "--class", "branch-diamond", "--input", str(inp), "--emit-query",
+                "--ontology", str(onto), "--ontology-kind", "prior"]
+        rc, out = run(capsys, argv)
+        assert rc == 0
+        outs.append(json.loads(out))
+    assert outs[0]["witness"] == "F A" and outs[1]["witness"] == "F Pa"
+    first, second = (o["stats"]["prior_search"] for o in outs)
+    assert first["misses"] >= 1
+    assert second["misses"] == 0 and second["hits"] >= 1
+
+
 def _settles_without_a_search(tmp_path, capsys, monkeypatch, doc: dict, ontology: str):
     """`separable` under the box/diamond ontology answers not separable for
     both box/diamond classes, with no `prior_path_search` and no

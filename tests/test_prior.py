@@ -320,6 +320,75 @@ def test_countermodel_store_is_bounded():
     assert prior._countermodels.cache_info().maxsize is not None
 
 
+def _rename(x, names):
+    """x, an ontology, a box/diamond formula, a diamond query or a tuple of
+    them, with its atoms renamed by `names`, read off the dataclass fields."""
+    if isinstance(x, (prior.PAtom, Prop)):
+        return type(x)(names[x.name])
+    if isinstance(x, tuple):
+        return tuple(_rename(y, names) for y in x)
+    return type(x)(*(_rename(getattr(x, f.name), names) for f in dataclasses.fields(x)))
+
+
+def test_search_store_answers_renamed_copies_alike(monkeypatch):
+    # (O, D) pairs with no least word and their queries, over ontology atoms
+    # A and B, the data-only atom C and the query-only atom D, are renamed by
+    # a seeded bijection onto fresh atoms.  The copy is answered alike with
+    # no new store miss; every model the store hands back is a model of its
+    # (O, D) falsifying its query, by definition; no store key or value
+    # holds a given atom name.
+    rng = random.Random(9100)
+    given = ("A", "B", "C", "D")
+    store, search = prior._shape_search, prior._search_word
+    entries, handed = [], []
+
+    def recorded(*key):
+        entries.append((key, store(*key)))
+        return entries[-1][1]
+
+    def checked(onto, data, sig, query=None):
+        handed.append((onto, data, query, search(onto, data, sig, query)))
+        return handed[-1][-1]
+
+    monkeypatch.setattr(prior, "_shape_search", recorded)
+    monkeypatch.setattr(prior, "_search_word", checked)
+    pairs = 0
+    while pairs < 60:
+        onto = _rand_prior_ontology(rng)
+        d = rand_instance(rng, atoms=given[:3], max_ts=2, max_facts=3)
+        if prior.least_word(onto, d) is not None:
+            continue
+        pairs += 1
+        queries = [_dia_query(rng, given, 3) for _ in range(3)]
+        fresh = dict(zip(given, rng.sample([f"N{i}" for i in range(20)], len(given))))
+        answers = []
+        copy = (_rename(onto, fresh), D((fresh[a], t) for a, t in d.facts), _rename(tuple(queries), fresh))
+        for o, data, qs in ((onto, d, queries), copy):
+            _clear_prior_caches()
+            misses = store.cache_info().misses
+            answers.append([prior.prior_consistent(o, data), *(prior.prior_entails(o, data, q) for q in qs)])
+            # the search itself, which the stored models above may spare
+            sigs = [prior._sig_tuple(o, data, extra=query_atoms(q)) for q in qs]
+            assert answers[-1][1:] == [prior._search_word(o, data, sig, q) is None for sig, q in zip(sigs, qs)]
+        assert answers[0] == answers[1], (onto, d, [str(q) for q in queries])
+        assert store.cache_info().misses == misses, (onto, d, [str(q) for q in queries])
+    found = [(o, data, q, model) for o, data, q, model in handed if model is not None]
+    for o, data, q, model in found:
+        assert _is_model(o, data, model) and (q is None or not ref_eval_lasso(model, q, 0)), (o, data, q, model)
+    names = set(given) | {f"N{i}" for i in range(20)}
+    for (o, facts, sig, q), model in entries:
+        held = set(o.atoms).union(*facts, sig, query_atoms(q) if q is not None else ())
+        if model is not None:
+            held.update(*model.prefix, *model.loop)
+        assert not held & names, held & names
+    # both kinds of search found models and refuted some
+    assert {q is None for *_, q, _ in found} == {True, False}
+    assert any(model is None for *_, model in handed)
+    # the copies outnumber `data_word`'s entries, so a least word cached
+    # before, which is its instance's `data_word`, may now differ from it
+    prior.least_word.cache_clear()
+
+
 def _rand_formula(rng, depth):
     kind = rng.choice(["atom", "atom", "const"] + (["not", "bin", "bin", "F", "G"] if depth else []))
     if kind == "atom":
