@@ -2,13 +2,14 @@
 
 Axioms are Boolean formulas over atoms with unary G and F (no X, no U).
 Consistency and certain answers are decided by backtracking over ultimately
-periodic words: a handle of positions 0..k and a loop of length l, with
-max(data) <= k <= max(data)+|O| and 1 <= l <= |O|.  On such a word the truth
-of a G- or F-subformula is the same at every loop position, which makes the
-axioms checkable position by position as the word is extended.  The handle
-is filled from its end.  A partial fill is summed up by the values, where it
-stops, of the axioms' G- and F-subformulas and of the query's F-subqueries,
-and a summary that led nowhere once is not searched again.
+periodic words: a handle of positions 0..k and a loop of l distinct letters,
+with max(data) <= k <= max(data)+t+1 and 1 <= l <= t+1, for the t G and F
+operators of the axioms.  On such a word a G- or F-subformula has one value
+across the loop, set by the loop's letters alone (`_valid_loops`), which makes
+the axioms checkable position by position as the handle is filled from its
+end.  A partial fill is summed up by the values, where it stops, of the
+axioms' G- and F-subformulas and of the query's F-subqueries, and a summary
+that led nowhere once is not searched again.
 
 Axioms and queries are evaluated on a word as integer bitmasks over its
 positions (`core.lasso_word`, `core.positions`).  A diamond query is certain
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 from .core import (
     And,
@@ -262,40 +264,6 @@ def _values(f: PFormula, masks: dict[str, int], every: int, loop: int) -> int:
     raise TypeError(f"not a prior formula: {f!r}")
 
 
-def _loop_values(f: PFormula, masks: dict[str, int], assigned: int, every: int) -> tuple[int, int]:
-    """Kleene (true, false) position masks of f on a partly assigned loop.
-
-    `masks` holds each atom's positions among the `assigned` ones; the other
-    positions are open.  On a loop a G- or F-formula has one value at every
-    position.
-    """
-    if isinstance(f, PAtom):
-        held = masks.get(f.name, 0)
-        return held, assigned & ~held
-    if isinstance(f, PTrue):
-        return every, 0
-    if isinstance(f, PFalse):
-        return 0, every
-    if isinstance(f, PNot):
-        true, false = _loop_values(f.arg, masks, assigned, every)
-        return false, true
-    if isinstance(f, PDia):  # some loop position satisfies the argument
-        true, false = _loop_values(f.arg, masks, assigned, every)
-        return (every, 0) if true else (0, every) if false == every else (0, 0)
-    if isinstance(f, PBox):
-        true, false = _loop_values(f.arg, masks, assigned, every)
-        return (0, every) if false else (every, 0) if true == every else (0, 0)
-    lt, lf = _loop_values(f.left, masks, assigned, every)
-    rt, rf = _loop_values(f.right, masks, assigned, every)
-    if isinstance(f, PAnd):
-        return lt & rt, lf | rf
-    if isinstance(f, POr):
-        return lt | rt, lf & rf
-    if isinstance(f, PImp):
-        return lf | rt, lt & rf
-    raise TypeError(f"not a prior formula: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # Word search
 
@@ -319,32 +287,23 @@ def _clear_bit(masks: dict[str, int], letters, bit: int) -> None:
 
 @lru_cache(maxsize=256)
 def _valid_loops(onto: PriorOntology, sig: tuple[str, ...], loop_len: int) -> tuple:
-    """Loops of the given length making every axiom true at every position.
+    """The loops of `loop_len` distinct letters, in `_letter_choices` order,
+    on which every axiom holds at every position.
 
-    Backtracks position by position, pruning with three-valued axiom checks;
-    at full length the checks are exact.  No query or data changes the
-    loops, so they are kept for every word search over the same signature;
-    the searches pass renamed ontologies (`_shape_search`), so every
-    ontology of one shape shares them.
+    Every loop position sees the whole loop in its strict future, so a G- or
+    F-subformula has one value across the loop, set by the loop's letters
+    alone, and reordering a loop or repeating a letter changes no axiom's or
+    diamond query's value anywhere: a model or countermodel exists with some
+    loop sequence iff one exists with its set, and `_shape_search`'s bound on
+    the loop's length bounds the set's size alike.  Depending on no query or
+    data, the loops are shared by every search over one signature and shape.
     """
-    return tuple(_extend_loops(onto, list(_letter_choices(sig, frozenset())), [], {}, (1 << loop_len) - 1))
-
-
-def _extend_loops(onto: PriorOntology, choices: list, loop: list, masks: dict[str, int], every: int):
-    """The loops of `_valid_loops` that extend `loop`, whose letters `masks` holds."""
-    j = len(loop)
-    if j == every.bit_length():
-        yield tuple(loop)
-        return
-    bit = 1 << j
-    assigned = (bit << 1) - 1
-    for letters in choices:
-        loop.append(letters)
-        _set_bit(masks, letters, bit)
-        if not any(_loop_values(a, masks, assigned, every)[1] for a in onto.axioms):
-            yield from _extend_loops(onto, choices, loop, masks, every)
-        _clear_bit(masks, letters, bit)
-        loop.pop()
+    kept = []
+    for loop in combinations(_letter_choices(sig, frozenset()), loop_len):
+        masks, every, looped = lasso_word((), loop)
+        if all(_values(a, masks, every, looped) == every for a in onto.axioms):
+            kept.append(loop)
+    return tuple(kept)
 
 
 def _search_word(

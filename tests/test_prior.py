@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import time
 
 import pytest
 
@@ -11,8 +12,10 @@ from ltlqbe.core import (
     TOP,
     DataInstance,
     Diamond,
+    ExampleSet,
     LassoModel,
     Prop,
+    QueryClass,
     conj,
     data_word,
     eval_lasso,
@@ -21,6 +24,7 @@ from ltlqbe.core import (
     positions,
     query_atoms,
 )
+from ltlqbe.qbe import Problem, decide
 
 D = DataInstance.of
 load = prior.load_prior_ontology
@@ -413,19 +417,71 @@ def test_axiom_bitmasks_match_the_definition():
         assert [bool(held >> n & 1) for n in range(lasso.pre + lasso.per)] == expected, (f, lasso)
 
 
+def _is_model_loop(onto, loop):
+    return all(_ref(a, LassoModel((), loop), j) for a in onto.axioms for j in range(len(loop)))
+
+
 def test_valid_loops_are_every_model_loop_in_order():
+    # a loop is searched as its set of letters: the valid loops of length l
+    # are the l-subsets of the letters, in combinations order, that are models
     rng = random.Random(8500)
     sig = ("A", "B")
     choices = list(prior._letter_choices(sig, frozenset()))
     for _ in range(40):
         onto = prior.PriorOntology(tuple(_rand_formula(rng, 3) for _ in range(rng.randint(1, 2))))
-        for loop_len in (1, 2, 3):
-            expected = tuple(
-                loop
-                for loop in itertools.product(choices, repeat=loop_len)
-                if all(_ref(a, LassoModel((), loop), j) for a in onto.axioms for j in range(loop_len))
-            )
+        for loop_len in (1, 2, 3, 4):
+            expected = tuple(loop for loop in itertools.combinations(choices, loop_len) if _is_model_loop(onto, loop))
             assert prior._valid_loops(onto, sig, loop_len) == expected, onto
+
+
+def test_loop_sets_stand_for_every_model_loop_sequence():
+    rng = random.Random(8550)
+    sig = ("A", "B")
+    choices = list(prior._letter_choices(sig, frozenset()))
+    for _ in range(40):
+        onto = prior.PriorOntology(tuple(_rand_formula(rng, 3) for _ in range(rng.randint(1, 3))))
+        valid = {loop for n in range(1, len(choices) + 1) for loop in prior._valid_loops(onto, sig, n)}
+        for loop_len in (1, 2, 3):
+            for loop in itertools.product(choices, repeat=loop_len):
+                if _is_model_loop(onto, loop):
+                    assert tuple(c for c in choices if c in loop) in valid, (onto, loop)
+        for letters in valid:
+            for order in itertools.permutations(letters):
+                assert _is_model_loop(onto, order + order[::-1]), (onto, order)
+
+
+# Sets of 4-6 axioms on which the box/diamond search took 16 s or more on a
+# 2-core machine, or ran past 20 s, when it enumerated loops as sequences:
+# (ontology, positives, negatives, branch-diamond witness, path-diamond
+# witness), None for not separable.
+_FORMERLY_CAPPED = [
+    ("G B -> D; D & A -> A | F D; B -> F D; G A -> C | F A",
+     ["B0,C0", "C1"], ["C0,C2", "A3,D0"], None, None),
+    ("C -> A | F C; A -> F C; G D -> A; A -> D | F A; D & A -> A",
+     ["A2,C0,D1", "A3,B0,D3"], ["C2", "A2,B1,B2"], "F A & F D", "F D"),
+    ("A -> D; B & C -> F C; A -> F D; B & A -> F A; C -> B | F C; G A -> C",
+     ["C3,D3", "D3"], ["B0,B1,C2", "A0"], "F D & F F D", None),
+    ("B -> A; G C -> B; A & C -> C; G B -> F D; C -> B | F C; B & C -> C",
+     ["B0,C3", "C0"], ["C2", "D1"], None, None),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_FORMERLY_CAPPED)))
+def test_formerly_capped_sets_decide_within_a_second(case):
+    axioms, pos, neg, *witnesses = _FORMERLY_CAPPED[case]
+    onto = load(axioms.replace("; ", "\n"))
+
+    def instance(facts):
+        return D([(f[0], int(f[1:])) for f in facts.split(",")])
+
+    e = ExampleSet.of([instance(p) for p in pos], [instance(n) for n in neg])
+    for cls, witness in zip((QueryClass.BRANCH_DIAMOND, QueryClass.PATH_DIAMOND), witnesses):
+        start = time.perf_counter()
+        verdict = decide(Problem(cls, e, onto))  # checks the witness it returns
+        assert time.perf_counter() - start < 1, (case, cls)
+        assert verdict.separable == (witness is not None), (case, cls)
+        if witness is not None:
+            assert verdict.witness == parse_query(witness), (case, cls)
 
 
 def test_found_words_are_models():
