@@ -116,6 +116,8 @@ def _load_ontology(path: str | None, kind: str):
 
 _CLASSES = {c.value: c for c in QueryClass}
 _CACHES = {
+    "data_word": data_word,
+    "canonical_model": horn._canonical_model,
     "until_store": qbe._instance_systems,
     "prior_search": prior._shape_search,
     "prior_entails": prior.prior_entails,

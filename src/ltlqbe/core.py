@@ -243,7 +243,13 @@ class LassoModel:
         letters: list[set[str]] = [set() for _ in range(d.max_timestamp + 1)]
         for name, t in d.facts:
             letters[t].add(name)
-        return LassoModel(tuple(map(frozenset, letters)), (frozenset(),))
+        return LassoModel(tuple(_letter(frozenset(s)) for s in letters), (_letter(frozenset()),))
+
+
+@lru_cache(maxsize=1024)
+def _letter(names: frozenset[str]) -> frozenset[str]:
+    """One shared object per letter, for the held data words."""
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +275,10 @@ def lasso_word(prefix, loop) -> Word:
     return masks, every, every >> len(prefix) << len(prefix)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4096)
 def data_word(d: DataInstance) -> LassoModel:
     """d's own lasso (`LassoModel.of_data`), built once per instance, so
-    that its `word` is too."""
+    that its `word` is too; as many are kept as least models."""
     return LassoModel.of_data(d)
 
 

@@ -19,6 +19,10 @@ Guards only ever loosen and the model only ever grows, so the rounds reach
 the least fixpoint of the full ontology.  A round whose guarded axioms equal
 the previous round's would rebuild the same model, so the rounds stop there.
 
+When the box-free axioms hold on the data's own word, it is the least model,
+as every model holds the data; a box body literal needs its atom in the empty
+loop, so every box axiom gets the guard NEVER and the rounds stop at once.
+
 The window chase, the search for a repeating stretch and the model check
 keep one int per atom, bit n set iff the atom holds at n.  The chase
 replays the scan of each axiom over ascending anchors (see `_window_chase`),
@@ -39,9 +43,10 @@ from .core import (
     LassoModel,
     ParseError,
     Query,
+    Word,
+    data_word,
     eval_lasso,
     eventually,
-    lasso_word,
     parse_lines,
 )
 
@@ -105,6 +110,10 @@ class HornOntology:
         # an F literal reads from shift + 1 on
         shifts = [l.shift + l.exists for ax in self.axioms for l in ax.body + (ax.head,)]
         return max(shifts, default=0)
+
+    @cached_property
+    def box_free(self) -> list:  # the first guard round's axioms
+        return _reduce(self, None)
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +309,16 @@ def _letters(masks: dict[str, int], count: int) -> tuple[frozenset[str], ...]:
 
 def _is_model(axioms: list[_GuardedAxiom], data: DataInstance, prefix, loop) -> bool:
     """Whether the lasso holds the data and satisfies every guarded axiom."""
-    pre, per = len(prefix), len(loop)
-    size = pre + per
-    entries = prefix + loop
+    lasso = LassoModel(prefix, loop)
+    return all(a in lasso.letter(t) for a, t in data.facts) and _satisfies(axioms, lasso.word)
 
-    def fold(t: int) -> int:
-        return t if t < size else pre + (t - pre) % per
 
-    for a, t in data.facts:
-        if a not in entries[fold(t)]:
-            return False
-    masks, full, looped = lasso_word(prefix, loop)
+def _satisfies(axioms: list[_GuardedAxiom], word: Word) -> bool:
+    """Whether every guarded axiom holds on the lasso word."""
+    masks, full, looped = word
+    size = full.bit_length()
+    pre = (looped & -looped).bit_length() - 1
+    per = size - pre
     # body reads reach past the word: unroll the loop over the largest shift
     reach = size + max((l.shift for ax in axioms for l in ax.body + (ax.head,)), default=0)
 
@@ -418,21 +426,26 @@ def _canonical_model(onto: HornOntology, data: DataInstance) -> CanonicalModel |
     outcome is cached too (`lru_cache` keeps no exceptions)."""
     max_ts = data.max_timestamp
     hist = max(1, onto.max_shift)
+    own = data_word(data)
+    if _satisfies(onto.box_free, own.word):
+        # the least model (see the module docstring), as the fold builds it
+        prefix = (own.prefix + own.loop * hist)[: max_ts + hist if data.facts else hist - 1]
+        lasso = own if len(prefix) == own.pre else LassoModel(prefix, own.loop)
+        return CanonicalModel(lasso, handle=len(prefix) - max_ts, period=1)
     subcount = sum(1 + len(ax.body) for ax in onto.axioms)
     cap = max_ts + min(2 ** min(subcount, 10) + 4 ** min(subcount, 5), 4096) + 64
-    model = reduced = None
+    reduced = onto.box_free
     for _ in range(4 * len(onto.axioms) * (cap + 1) + 8):
-        guarded = _reduce(onto, model)
-        if guarded == reduced:
-            # the least model of these axioms is the one just built
-            prefix, loop = model
-            return CanonicalModel(LassoModel(prefix, loop), handle=len(prefix) - max_ts, period=len(loop))
-        reduced = guarded
         try:
             prefix, loop = _least_boxfree_model(reduced, data, hist, cap)
         except _Bottom:
             return None
-        model = (prefix, loop)
+        # with no box body, a second round would guard the same axioms
+        guarded = reduced if len(onto.box_free) == len(onto.axioms) else _reduce(onto, (prefix, loop))
+        if guarded == reduced:
+            # the least model of these axioms is the one just built
+            return CanonicalModel(LassoModel(prefix, loop), handle=len(prefix) - max_ts, period=len(loop))
+        reduced = guarded
     raise ChaseWindowOverflow("guard iteration failed to stabilize; this indicates a bug")
 
 

@@ -104,6 +104,32 @@ def test_separable_stats_count_the_until_store(tmp_path, capsys):
     assert store["misses"] == 1 and store["hits"] >= 1
 
 
+def test_separable_stats_count_each_instance_s_words_once(tmp_path, capsys):
+    # atoms no other test uses keep earlier entries out: the first decision
+    # builds each instance's data word and least model once; the second, with
+    # the set's record cleared so that it reads the words again, builds none
+    doc = {
+        "format": 1,
+        "positives": [{"facts": [["Sa", 1], ["Sb", 3]]}, {"facts": [["Sa", 2], ["Sb", 3]]}],
+        "negatives": [{"facts": [["Sb", 1]]}],
+    }
+    inp, onto = tmp_path / "set.json", tmp_path / "onto.ltl"
+    inp.write_text(json.dumps(doc))
+    onto.write_text("Sa -> X Sc\n")
+    argv = ["separable", "--class", "path-diamond", "--input", str(inp), "--ontology", str(onto),
+            "--ontology-kind", "horn"]
+    stats = []
+    for _ in range(2):
+        qbe._record.cache_clear()
+        rc, out = run(capsys, argv)
+        assert rc == 0
+        stats.append(json.loads(out)["stats"])
+    first, second = stats
+    assert first["data_word"]["misses"] == 3 and first["canonical_model"]["misses"] == 3
+    assert second["data_word"]["misses"] == 0 and second["canonical_model"]["misses"] == 0
+    assert second["canonical_model"]["hits"] >= 3
+
+
 def test_separable_stats_count_the_prior_search_store(tmp_path, capsys):
     # {A@1, C@2} has no least word under A -> F B, so the set needs word
     # searches; the same set and ontology with every atom renamed have the

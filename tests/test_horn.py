@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     EMPTY_ONTOLOGY,
+    bench_problems,
     lasso_is_model,
     lasso_models_of,
     rand_horn_ontology,
@@ -696,6 +697,49 @@ def test_canonical_model_equals_set_guard_loop():
         assert new == old, (o.axioms, sorted(d.facts))
         outcomes.add(type(new))
     assert outcomes == {str, CanonicalModel}
+
+
+def _shortcut_pairs():
+    """1,200 random (ontology, instance) pairs over A, B, C, then every
+    distinct pair of the first 750 `horn-explore` sets of seeds 1-3."""
+    rng = random.Random(47500)
+    for _ in range(1200):
+        yield rand_horn_ontology(rng, atoms=("A", "B", "C"), max_axioms=4), rand_instance(rng, ("A", "B", "C"), 4)
+    seen = set()
+    for seed in (1, 2, 3):
+        for problems in bench_problems("horn-explore", seed, 750):
+            p = problems[0]
+            for d in p.examples.instances:
+                if (p.ontology, d) not in seen:
+                    seen.add((p.ontology, d))
+                    yield p.ontology, d
+
+
+def test_canonical_model_from_the_data_word_equals_set_guard_loop(monkeypatch):
+    # the least model is answered from the data's own word, with no chase,
+    # whenever the box-free axioms hold on it; both ways must build the
+    # lasso the set-based guard loop builds
+    chased, original = [], horn._least_boxfree_model
+    monkeypatch.setattr(horn, "_least_boxfree_model", lambda *args: chased.append(1) or original(*args))
+    kinds = dict.fromkeys(["empty data", "max shift >= 2", "box body", "F body", "false head"], 0)
+    pairs = fired = 0
+    for o, d in _shortcut_pairs():
+        pairs += 1
+        chased.clear()
+        new = horn._canonical_model.__wrapped__(o, d) or "inconsistent"
+        assert new == _outcome(_old_canonical_model, o, d), (o.axioms, sorted(d.facts))
+        if chased:
+            continue
+        fired += 1
+        lits = [lit for ax in o.axioms for lit in ax.body]
+        kinds["empty data"] += not d.facts
+        kinds["max shift >= 2"] += o.max_shift >= 2
+        kinds["box body"] += any(lit.forall for lit in lits)
+        kinds["F body"] += any(lit.exists for lit in lits)
+        kinds["false head"] += any(ax.head.atom is None for ax in o.axioms)
+    print(f"{pairs} pairs, {fired} answered from the data word: {kinds}")
+    assert pairs >= 7000 and fired * 3 >= pairs, (pairs, fired)
+    assert all(count >= 20 for count in kinds.values()), kinds
 
 
 def _rand_cyclic_ontology(rng: random.Random, atoms=("A", "B", "C")) -> HornOntology:

@@ -388,9 +388,21 @@ def test_search_store_answers_renamed_copies_alike(monkeypatch):
     # both kinds of search found models and refuted some
     assert {q is None for *_, q, _ in found} == {True, False}
     assert any(model is None for *_, model in handed)
-    # the copies outnumber `data_word`'s entries, so a least word cached
-    # before, which is its instance's `data_word`, may now differ from it
-    prior.least_word.cache_clear()
+
+
+def test_a_least_word_stays_its_data_word_after_other_instances():
+    # `data_word` keeps as many words as `least_word`, so a least word that
+    # the chase left unchanged is still its instance's data word after 200
+    # other instances were decided; atoms no other test uses keep both
+    # caches' earlier entries out
+    o, d = load("Wa -> F Wb"), D([("Wa", 1), ("Wb", 2)])
+    assert prior.least_word(o, d) is data_word(d)
+    others = [D([("Ua", i % 20), ("Ub", i // 20)]) for i in range(200)]
+    built = data_word.cache_info().misses
+    for pos, neg in zip(others[:100], others[100:]):
+        decide(Problem(QueryClass.BRANCH_DIAMOND, ExampleSet.of([pos], [neg]), o))
+    assert data_word.cache_info().misses - built >= 200
+    assert prior.least_word(o, d) is data_word(d)
 
 
 def _rand_formula(rng, depth):

@@ -1082,6 +1082,8 @@ def test_cache_walk_finds_the_known_caches():
         "_images",
         "_record",
         "letter_table",
+        "data_word",
+        "_letter",
     }
     assert known <= set(_CACHES)
 
