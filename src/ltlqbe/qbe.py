@@ -633,12 +633,13 @@ class _Record(dict):
     verdicts whose witness passed `_checked` (`checked`, in checked order),
     each with the classes it answers; `_drop_inconsistent`'s result for the
     set (`dropped`), its until systems (`systems`, by black_red, from
-    `_until_systems`), its `_common_block` (`block`, ... until built) and,
-    when it dropped a positive, each answer's noted copy (`noted`).  A later
-    class a kept witness answers costs at most one `in_class` walk, none
-    above a class it answers (`_UP`).  `_record` keeps the last 4."""
+    `_until_systems`), its `_common_block` (`block`, ... until built), the
+    classes `_simulates_product` settled (`settled`, None until it runs)
+    and, when it dropped a positive, each answer's noted copy (`noted`).  A
+    later class a kept witness answers costs at most one `in_class` walk,
+    none above a class it answers (`_UP`).  `_record` keeps the last 4."""
 
-    __slots__ = ("dropped", "systems", "checked", "noted", "block")
+    __slots__ = ("dropped", "systems", "checked", "noted", "block", "settled")
 
 
 @lru_cache(maxsize=4)
@@ -650,7 +651,7 @@ def _record(e: ExampleSet, onto) -> _Record:
     block waits for the first class with X that asks."""
     record = _Record()
     record.dropped = kept, found, early, _ = _drop_inconsistent(e, onto)
-    record.systems, record.checked, record.noted, record.block = {}, {}, {}, ...
+    record.systems, record.checked, record.noted, record.block, record.settled = {}, {}, {}, ..., None
     npos = len(kept.positives)
     if early is None and npos and kept.negatives:
         if _holds_a_positive(kept, found) or _share_no_atom(found[:npos]):
@@ -680,9 +681,14 @@ def decide(p: Problem) -> Verdict:
     positives' common block (`_common_block`), else p.cls's own route, and
     `_checked` checks the witness.  A not-separable verdict joins the
     record, a witness once it checks.  When a path class's search finds no
-    separator and a negative's word simulates the positives' product
-    (`_simulates_product`), no diamond class separates: all five join as
-    not separable, and a witness kept for one of them is a `LatticeError`."""
+    separator and every instance has a `models` word, `_simulates_product`
+    refines the positives' product against each negative's word: one that
+    F-simulates it settles path-diamond and branch-diamond, one that
+    X/F-simulates it all five diamond classes (for {A@1} against {A@2},
+    only F does: X A separates).  Those join as not separable, and a kept
+    witness in one of them is a `LatticeError`, as is a branch class the
+    refinement left separable (`settled`) that its own route does not
+    separate."""
     known = _record(p.examples, p.ontology)
     e, found, early, note = known.dropped
     if early is not None:
@@ -700,12 +706,16 @@ def decide(p: Problem) -> Verdict:
             verdict = block
         elif p.cls in PATH_CLASSES:
             verdict = _path_search(p.ontology, e, found, p.cls)
-            if not verdict.separable and None not in found and _simulates_product(found, len(e.positives)):
-                if any(not classes.isdisjoint(DIAMOND_CLASSES) for classes in known.checked.values()):
+            if not verdict.separable and None not in found:
+                settled = _simulates_product(found, len(e.positives))
+                if any(c in cs or in_class(v.witness, c) for v, cs in known.checked.items() for c in settled):
                     raise LatticeError("a kept diamond witness separates, yet a negative simulates the product")
-                known.update(dict.fromkeys(DIAMOND_CLASSES, verdict))
+                known.settled = settled
+                known.update(dict.fromkeys(settled, verdict))
         elif p.cls in BRANCH_CLASSES:
             verdict = _decide_branch(p.ontology, e, found, p.cls)
+            if not verdict.separable and known.settled is not None:
+                raise LatticeError(f"{p.cls.value} does not separate, yet no negative simulates the product")
         else:
             verdict = decide_until_family(e, p.cls, known)
         if not verdict.separable:
@@ -775,28 +785,34 @@ def _share_no_atom(pos: list) -> bool:
     return True
 
 
-def _simulates_product(found: list, npos: int) -> bool:
-    """Whether some negative's word simulates, from 0 and under X and F, the
-    product of the positives' words.  A query of atoms, ∧, X and F that holds
-    on every positive holds on their product, and simulation carries it to
-    that negative (Hennessy & Milner 1985), so no diamond class separates;
-    until queries are not preserved.  `found` is `models` of the positives,
-    then the negatives, one word each.
+def _simulates_product(found: list, npos: int) -> tuple[QueryClass, ...]:
+    """The diamond classes that do not separate because a negative's word
+    simulates the positives' product from 0: all five when one does under X
+    and F, path-diamond and branch-diamond when one does under F alone, else
+    none.  A query of atoms, ∧ and F true on every positive holds at the
+    product state (0,…,0): take each positive's witness positions
+    componentwise in the F-orthant.  F-simulation carries it to the negative
+    (Hennessy & Milner 1985), and the product projects onto each positive,
+    so the F level is exact for branch-diamond, as the X/F level, by the
+    same argument with X, is for branch-next-diamond; until queries are not
+    preserved.  `found` is `models` of the positives, then the negatives,
+    one word each.
 
     A product state is a tuple of folded positions, numbered in
     `itertools.product` order; its X-successor is the componentwise one and
     its F-successors form the orthant ∏ [min(t+1, pre), pre+per).  For each
     negative, each state keeps the mask of the negative's positions that may
-    simulate it, refined by the X-successor's `_pred` and by the orthant's
-    `eventually` masks until nothing changes.  Those masks are each 2^m − 1,
-    so their AND is their minimum, which one backward pass takes over every
-    orthant at once."""
+    simulate it, refined by the orthant's `eventually` masks until nothing
+    changes; if 0 still simulates (0,…,0), the refinement goes on from there
+    with the X-successor's `_pred` too, as every X/F-simulation is an
+    F-simulation.  The `eventually` masks are each 2^m − 1, so their AND is
+    their minimum, which one backward pass takes over every orthant at once."""
     axes = []  # per positive: its letters, X-successors, orthant starts and (stride, size)
     stride = 1
     for (w,) in reversed(found[:npos]):
         n = w.pre + w.per
-        axes.append(([w.letter(t) for t in range(n)], [w.fold(t + 1) * stride for t in range(n)],
-                     [min(t + 1, w.pre) * stride for t in range(n)], (stride, n)))
+        axes.append((w.prefix + w.loop, [t * stride for t in range(1, n)] + [w.pre * stride],
+                     [min(t, w.pre) * stride for t in range(1, n + 1)], (stride, n)))
         stride *= n
     letters, succs, starts, dims = zip(*reversed(axes))
     labels = [frozenset.intersection(*ls) for ls in itertools.product(*letters)]
@@ -804,6 +820,7 @@ def _simulates_product(found: list, npos: int) -> bool:
     los = list(map(sum, itertools.product(*starts)))
     # per axis, backwards: the states that are not last along it, and its stride
     inner = [([s for s in reversed(range(stride)) if s // st % n < n - 1], st) for st, n in dims]
+    settled = ()
     for (word,) in found[npos:]:
         masks, every, loop = word.word
         sim = []
@@ -812,17 +829,24 @@ def _simulates_product(found: list, npos: int) -> bool:
             for a in label:
                 m &= masks.get(a, 0)
             sim.append(m)
+        xf = False
         while sim[0] & 1:
             least = [eventually(m, every, loop) for m in sim]
             for states, st in inner:
                 for s in states:
                     if least[s + st] < least[s]:
                         least[s] = least[s + st]
-            new = [m & _pred(sim[x], every, loop) & least[lo] for m, x, lo in zip(sim, xs, los)]
+            if xf:
+                new = [m & _pred(sim[x], every, loop) & least[lo] for m, x, lo in zip(sim, xs, los)]
+            else:
+                new = [m & least[lo] for m, lo in zip(sim, los)]
+                if new == sim:  # an F-simulation: go on under X from it
+                    settled, xf = _NO_X, True
+                    new = [m & _pred(sim[x], every, loop) for m, x in zip(sim, xs)]
             if new == sim:
-                return True
+                return DIAMOND_CLASSES
             sim = new
-    return False
+    return settled
 
 
 def _path_search(onto, e: ExampleSet, found: list, cls: QueryClass, allow_empty_blocks: bool = False) -> Verdict:

@@ -185,7 +185,8 @@ def test_a_class_decided_alone_runs_the_same_searches(monkeypatch, cls):
 
 # dp_path calls with the five diamond classes of each set of _work_sets
 # decided in turn, every cache cleared before each set: with the product
-# simulation off, and on; and the number of sets it settles.  Before
+# simulation off, and on; and the number of sets it settles, each at its
+# X/F level (its F level alone settles none of them).  Before
 # positives that share no atom were answered without a search, and with
 # that check (the one set the simulation settled is then settled first),
 # both before the positives' common block answered the classes with X; and
@@ -197,28 +198,37 @@ _SETTLED_BEFORE_BLOCK = 0
 _IN_ORDER_DP_PATH = (24, 24)
 
 
-def _diamond_classes_in_turn(monkeypatch) -> list[tuple[int, bool]]:
+def _diamond_classes_in_turn(monkeypatch) -> list[tuple[int, frozenset]]:
     """Per set of _work_sets: the dp_path calls of its five diamond classes
-    decided in turn, and whether the product simulation settled it."""
-    log = []
+    decided in turn, and the classes the product simulation settled."""
+    log, settled = [], []
     dp_path, simulates = qbe.dp_path, qbe._simulates_product
     monkeypatch.setattr(qbe, "dp_path", lambda *a, **k: log.append("dp_path") or dp_path(*a, **k))
-    monkeypatch.setattr(qbe, "_simulates_product", lambda *a: log.append(simulates(*a)) or log[-1])
+    monkeypatch.setattr(qbe, "_simulates_product", lambda *a: settled.append(simulates(*a)) or settled[-1])
     caches = module_caches().values()
     per_set = []
     for e, onto in _work_sets():
         for cache in caches:
             cache.cache_clear()
-        del log[:]
+        del log[:], settled[:]
         for cls in qbe.DIAMOND_CLASSES:
             decide(Problem(cls, e, onto))
-        per_set.append((log.count("dp_path"), True in log))
+        per_set.append((log.count("dp_path"), frozenset().union(*settled)))
     return per_set
+
+
+class _NoSimulation(qbe._Record):
+    """A record that drops the product simulation's result: with the
+    simulation off, it found no level false, so no branch class is held to
+    one."""
+
+    settled = property(lambda self: None, lambda self, value: None)
 
 
 def _simulation_off_and_on(monkeypatch) -> tuple[list, list]:
     with monkeypatch.context() as m:
-        m.setattr(qbe, "_simulates_product", lambda *a: False)
+        m.setattr(qbe, "_simulates_product", lambda *a: ())
+        m.setattr(qbe, "_Record", _NoSimulation)
         before = _diamond_classes_in_turn(m)
     return before, _diamond_classes_in_turn(monkeypatch)
 
@@ -231,11 +241,12 @@ def _diamond_classes_before_the_block(monkeypatch) -> tuple[list, list]:
     settled = [i for i, (_, fired) in enumerate(after) if fired]
     assert len(settled) == _SETTLED_BEFORE_SHARED_ATOMS
     for i, ((old, _), (new, fired)) in enumerate(zip(before, after)):
+        assert fired in (set(), set(qbe.DIAMOND_CLASSES)), i
         assert new == (1 if fired else old), i
     # with the shared-atom check, no set searches more
     shared = _simulation_off_and_on(monkeypatch)
     assert tuple(sum(n for n, _ in run) for run in shared) == _IN_ORDER_DP_PATH_BEFORE_BLOCK
-    assert sum(fired for _, fired in shared[1]) == _SETTLED_BEFORE_BLOCK
+    assert sum(bool(fired) for _, fired in shared[1]) == _SETTLED_BEFORE_BLOCK
     for run in shared:
         assert all(new <= old for (new, _), (old, _) in zip(run, after))
     return shared
